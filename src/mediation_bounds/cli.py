@@ -15,13 +15,16 @@ reported in-band and the run succeeds).
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from . import __version__
 from .closed_form import ande_bounds, bounds_mmr, bounds_mmr_pos_mediator, bounds_no_assumption
@@ -34,11 +37,20 @@ from .model import (
     ClosedFormUnavailableError,
     EstimandSpec,
     ValidationError,
+    cell_counts,
     from_units,
 )
 
 SCHEMA = "mediation-bounds/1"
-_MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+_MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
+# Per byte: 0 if a blank line may hold it (ASCII whitespace as str.strip()
+# sees it, commas, quote marks), 1 if it is part of a non-ASCII character,
+# 2 otherwise.
+_BYTE_KIND = np.array(
+    [0 if chr(c).isspace() or chr(c) in ',"' else 2 for c in range(128)] + [1] * 128, dtype=np.uint8
+)
+_PLAIN_BYTES = bytes([ord("\n"), *(c for c in range(ord("!"), ord("~") + 1) if c != ord('"'))])
+_COLUMNS_CHANGED = re.compile(r"changed from (\d+) to (\d+) at row (\d+)")
 _METHOD_NAMES = {
     Assumptions.NONE: "bounds-none",
     Assumptions.MMR: "bounds-mmr",
@@ -146,51 +158,141 @@ def _lower_median(values: np.ndarray) -> float:
 @dataclass
 class _Column:
     name: str
-    values: np.ndarray  # float, NaN marks missing
     binary: np.ndarray  # uint8, valid where ~missing
     missing: np.ndarray
     rule_text: str
 
 
-def _read_table(path: str, columns: list[str]) -> tuple[dict[str, list[str]], int]:
+def _load_cells(body: bytes, usecols: list[int] | None = None) -> np.ndarray:
+    # A fresh StringDType for each call: loadtxt keeps long strings in the
+    # arena of the dtype instance it is given, and arrays sharing one
+    # instance corrupt each other's strings.
+    stream = io.TextIOWrapper(io.BytesIO(body), encoding="utf-8")
+    return np.loadtxt(
+        stream, delimiter=",", quotechar='"', comments=None, dtype=StringDType(), usecols=usecols, ndmin=2
+    )
+
+
+def _check_field_counts(body: bytes, width: int) -> None:
+    """Raise a DataError naming the first row whose field count is not ``width``, if any."""
+    # Reading every column makes loadtxt compare each row's field count with
+    # the first row's; its message names the row where the count changes.
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        table = _load_cells(body)
+    except ValueError as exc:
+        changed = _COLUMNS_CHANGED.search(str(exc))
+        if changed is None:
+            return
+        first, found, row = (int(g) for g in changed.groups())
+        if first != width:
+            found, row = first, 1
+        raise DataError(f"row {row + 1}: {found} fields, but the header has {width}") from None
+    if table.shape[1] != width:
+        raise DataError(f"row 2: {table.shape[1]} fields, but the header has {width}")
+
+
+def _drop_blank_lines(body: bytes) -> bytes:
+    """``body`` without the lines whose every cell is empty or whitespace."""
+    b = np.frombuffer(body, dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(b == ord("\n")) + 1))
+    starts = starts[starts < b.size]
+    if (_BYTE_KIND[b[starts]] == 2).all():  # every line starts with a byte no blank line holds
+        return body
+    lengths = np.diff(starts, append=b.size)
+    kind = np.maximum.reduceat(_BYTE_KIND[b], starts)
+    blank = kind == 0
+    # A line of ASCII blanks and non-ASCII bytes is blank if those bytes are
+    # whitespace such as U+00A0; such lines are few, so decode and check each.
+    for i in np.flatnonzero(kind == 1):
+        line = body[starts[i] : starts[i] + lengths[i]].decode("utf-8")
+        blank[i] = not line.replace(",", " ").replace('"', " ").strip()
+    if not blank.any():
+        return body
+    return b[np.repeat(~blank, lengths)].tobytes()
+
+
+def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], int]:
+    """The string cells of ``columns``, one per non-blank data row, and the row count."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        header = [h.strip() for h in header]
-        for col in columns:
-            if col not in header:
-                raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
-        index = {col: header.index(col) for col in columns}
-        raw: dict[str, list[str]] = {col: [] for col in columns}
-        n_rows = 0
-        for row in reader:
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            n_rows += 1
-            for col, i in index.items():
-                raw[col].append(row[i].strip() if i < len(row) else "")
-    if n_rows == 0:
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8) :]
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path} is not valid UTF-8: line {line}, byte {exc.start}: {exc.reason}") from None
+    if not raw:
+        raise DataError(f"{path} is empty")
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    header_line, _, body = raw.partition(b"\n")
+    del raw
+    header = [h.strip() for h in next(csv.reader([header_line.decode("utf-8")]))]
+    for col in columns:
+        if col not in header:
+            raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
+        if header.count(col) > 1:
+            raise DataError(f"column {col!r} appears {header.count(col)} times in the header of {path}")
+    body = _drop_blank_lines(body)
+    if not body:
         raise DataError(f"{path} has a header but no data rows")
-    return raw, n_rows
+    width = len(header)
+    # The last column is always read, so loadtxt rejects every row that is short.
+    usecols = sorted({header.index(col) for col in columns} | {width - 1})
+    try:
+        table = _load_cells(body, usecols)
+    except ValueError as exc:
+        _check_field_counts(body, width)
+        raise DataError(f"{path}: {exc}") from None
+    # Each comma in the body separates two fields or sits inside a quoted cell.
+    # Rows are never short here, so the commas match a width-field table only
+    # if no row is long, unless unread columns hold quoted commas.
+    commas = body.count(b",")
+    if b'"' in body:
+        commas -= int(np.strings.count(table, ",").sum())
+    if commas != (width - 1) * table.shape[0]:
+        _check_field_counts(body, width)
+    # Only whitespace other than line ends, a quote mark (a quoted cell may
+    # span lines) or a non-ASCII byte can leave a cell in need of stripping.
+    if body.translate(None, _PLAIN_BYTES):
+        table = np.strings.strip(table)
+    cells = {col: table[:, usecols.index(header.index(col))] for col in columns}
+    return cells, table.shape[0]
 
 
-def _dichotomize(name: str, tokens: list[str], rule: tuple[str, float | None]) -> _Column:
+def _parse_numbers(name: str, cells: np.ndarray) -> np.ndarray:
+    """The float value of each stripped cell, NaN for a missing token."""
+    values = np.full(cells.size, np.nan)
+    zero = cells == "0"
+    one = cells == "1"
+    values[zero] = 0.0
+    values[one] = 1.0
+    rest = ~(zero | one)
+    # Missing tokens are empty or alphabetic, so only those cells are case-folded.
+    maybe = np.flatnonzero(rest & (np.strings.isalpha(cells) | (cells == "")))
+    rest[maybe[np.isin(np.strings.lower(cells[maybe]), _MISSING_TOKENS)]] = False
+    rest = np.flatnonzero(rest)
+    tokens = cells[rest]
+    try:
+        values[rest] = tokens.astype(np.float64)
+    except ValueError:
+        # numpy's string-to-float cast accepts exactly what float() accepts.
+        for row, token in zip(rest.tolist(), tokens.tolist()):
+            try:
+                float(token)
+            except ValueError:
+                raise DataError(f"row {row + 2}: non-numeric value {token!r} in column {name!r}") from None
+        raise
+    return values
+
+
+def _dichotomize(name: str, cells: np.ndarray, rule: tuple[str, float | None]) -> _Column:
     kind, threshold = rule
-    values = np.full(len(tokens), np.nan)
-    for i, tok in enumerate(tokens):
-        if tok.lower() in _MISSING_TOKENS:
-            continue
-        try:
-            values[i] = float(tok)
-        except ValueError:
-            raise DataError(f"row {i + 2}: non-numeric value {tok!r} in column {name!r}") from None
+    values = _parse_numbers(name, cells)
     missing = np.isnan(values)
     if missing.all():
         raise DataError(f"column {name!r} has no non-missing values")
@@ -213,7 +315,7 @@ def _dichotomize(name: str, tokens: list[str], rule: tuple[str, float | None]) -
     else:
         binary = np.where(missing, 0, values > threshold).astype(np.uint8)
         rule_text = f"threshold:{threshold:g}"
-    return _Column(name=name, values=values, binary=binary, missing=missing, rule_text=rule_text)
+    return _Column(name=name, binary=binary, missing=missing, rule_text=rule_text)
 
 
 @dataclass
@@ -387,13 +489,7 @@ def _analyze_mediator(
                 incompatible=incompatible,
             )
         )
-    counts = tuple(
-        int(c)
-        for c in np.bincount(
-            records[:, 0].astype(np.int64) * 4 + records[:, 2].astype(np.int64) * 2 + records[:, 1],
-            minlength=8,
-        )
-    )
+    counts = tuple(int(c) for c in cell_counts(records))
     return MediatorReport(
         name=name,
         n_used=int(records.shape[0]),

@@ -35,6 +35,7 @@ from .model import (
     ObservedDistribution,
     ValidationError,
     as_record_array,
+    cell_counts,
     from_counts,
 )
 
@@ -126,12 +127,6 @@ class IntervalEstimate:
             raise ValidationError("upper CI endpoint below the HMU upper estimate")
 
 
-def _arm_counts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    idx = arr[:, 0].astype(np.int64) * 4 + arr[:, 2].astype(np.int64) * 2 + arr[:, 1]
-    counts = np.bincount(idx, minlength=8)
-    return counts[:4], counts[4:]
-
-
 def _multinomial_block(p: np.ndarray, n: int) -> np.ndarray:
     return (np.diag(p) - np.outer(p, p)) / n
 
@@ -144,7 +139,8 @@ def estimate_distribution(records) -> tuple[ObservedDistribution, np.ndarray]:
     is block diagonal with one multinomial block per arm.
     """
     arr = as_record_array(records)
-    counts0, counts1 = _arm_counts(arr)
+    counts = cell_counts(arr)
+    counts0, counts1 = counts[:4], counts[4:]
     n0, n1 = int(counts0.sum()), int(counts1.sum())
     if n0 < 2 or n1 < 2:
         raise InsufficientDataError(f"need at least 2 observations per arm, got n0={n0}, n1={n1}")
@@ -292,7 +288,8 @@ def clr_bounds(records, spec: EstimandSpec, config: InferenceConfig = InferenceC
     lowers, uppers = anie_expressions(spec)
     arr = as_record_array(records)
     dist, _ = estimate_distribution(arr)
-    counts0, counts1 = _arm_counts(arr)
+    counts = cell_counts(arr)
+    counts0, counts1 = counts[:4], counts[4:]
     n = int(arr.shape[0])
 
     cov, smoothed_arms = _smoothed_cov(counts0, counts1)

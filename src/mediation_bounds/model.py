@@ -205,14 +205,18 @@ def from_counts(counts) -> ObservedDistribution:
     return ObservedDistribution(p=p, n1=n1, n0=n0)
 
 
+def cell_counts(records: np.ndarray) -> np.ndarray:
+    """The eight cell counts of an (n, 3) a, m, y array of 0/1 values, in :func:`from_counts` order."""
+    idx = records[:, 0].astype(np.int64) * 4 + records[:, 2].astype(np.int64) * 2 + records[:, 1]
+    return np.bincount(idx, minlength=8)
+
+
 def from_units(records) -> ObservedDistribution:
     """Cross-tabulate unit records and delegate to :func:`from_counts`."""
     arr = as_record_array(records)
     if arr.shape[0] == 0:
         raise EmptyArmError("no records supplied")
-    idx = arr[:, 0].astype(np.int64) * 4 + arr[:, 2].astype(np.int64) * 2 + arr[:, 1]
-    counts = np.bincount(idx, minlength=8)
-    return from_counts([int(c) for c in counts])
+    return from_counts([int(c) for c in cell_counts(arr)])
 
 
 def from_probabilities(arm0, arm1, *, n0: int = 0, n1: int = 0) -> ObservedDistribution:

@@ -10,11 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mediation_bounds
 from mediation_bounds import Assumptions, __version__, ate, bounds_mmr, from_counts
-from mediation_bounds.cli import ConfigError, RunConfig, ingest, main
+from mediation_bounds.cli import ConfigError, DataError, RunConfig, _rule_table, ingest, main
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -154,6 +155,279 @@ class TestIngest:
         path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], [(0, 0, 0), (1, 1, 1)])
         with pytest.raises(ConfigError):
             ingest(path, config_for(path, mediators=("m", "m")))
+
+
+def reference_ingest(path, config):
+    """Cell-by-cell csv-module ingest, the reference for the column-wise reader.
+
+    Returns ``ingest``'s result with each dataset as (name, records, n_dropped, rules).
+    """
+    columns = [config.treatment, config.outcome, *config.mediators]
+    rules = _rule_table(config.dichotomize, columns)
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        index = {col: header.index(col) for col in columns}
+        raw = {col: [] for col in columns}
+        for row in reader:
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            for col, i in index.items():
+                raw[col].append(row[i].strip() if i < len(row) else "")
+    n_rows = len(raw[columns[0]])
+    binary, missing, rule_text = {}, {}, {}
+    for name in columns:
+        kind, threshold = rules[name]
+        values = np.full(n_rows, np.nan)
+        for i, tok in enumerate(raw[name]):
+            if tok.lower() in {"", "na", "nan", "null", "none"}:
+                continue
+            try:
+                values[i] = float(tok)
+            except ValueError:
+                raise DataError(f"row {i + 2}: non-numeric value {tok!r} in column {name!r}") from None
+        missing[name] = np.isnan(values)
+        if missing[name].all():
+            raise DataError(f"column {name!r} has no non-missing values")
+        if kind == "none":
+            for i in np.flatnonzero(~missing[name]):
+                if values[i] not in (0.0, 1.0):
+                    raise DataError(
+                        f"row {i + 2}: column {name!r} has non-binary value {values[i]:g} "
+                        "with dichotomize rule 'none'"
+                    )
+            cut, rule_text[name] = 0.5, "none"
+        elif kind == "median-gt":
+            observed = np.sort(values[~missing[name]])
+            cut = float(observed[(observed.size - 1) // 2])
+            rule_text[name] = f"median-gt(median={cut:g})"
+        else:
+            cut, rule_text[name] = threshold, f"threshold:{threshold:g}"
+        binary[name] = (values > cut).astype(np.uint8)
+    t, o = config.treatment, config.outcome
+    ay = ~(missing[t] | missing[o])
+    ay_records = np.column_stack([binary[t][ay], np.zeros(int(ay.sum()), np.uint8), binary[o][ay]])
+    datasets = []
+    for name in config.mediators:
+        keep = ay & ~missing[name]
+        records = np.column_stack([binary[t][keep], binary[name][keep], binary[o][keep]])
+        rules_out = {t: rule_text[t], o: rule_text[o], name: rule_text[name]}
+        datasets.append((name, records.astype(np.uint8), n_rows - int(keep.sum()), rules_out))
+    return datasets, n_rows, ay_records.astype(np.uint8)
+
+
+def assert_same_ingest(path, config):
+    try:
+        expected = reference_ingest(path, config)
+    except DataError as exc:
+        with pytest.raises(DataError) as info:
+            ingest(path, config)
+        assert str(info.value) == str(exc)
+        return
+    ref_data, ref_rows, ref_ay = expected
+    data, n_rows, ay_records = ingest(path, config)
+    assert n_rows == ref_rows
+    assert np.array_equal(ay_records, ref_ay)
+    assert [(d.name, d.n_dropped, d.rules) for d in data] == [
+        (name, dropped, rules) for name, _, dropped, rules in ref_data
+    ]
+    for d, (_, records, _, _) in zip(data, ref_data):
+        assert d.records.dtype == records.dtype
+        assert np.array_equal(d.records, records)
+
+
+MISSING_VARIANTS = ["", "NA", " na ", "NaN", "nan", "NULL", " null", "None", "none ", "nOnE", "  "]
+BLANK_LINES = ["", "   ", ",,,,,", " , ,\t,", '"",,, ,', ",,"]
+
+
+def _cell(rng, text):
+    if rng.random() < 0.15:
+        return f'"{text}"'
+    if rng.random() < 0.15:
+        return f" {text}\t"
+    return text
+
+
+def _seeded_csv(seed, rows=60):
+    rng = np.random.default_rng(seed)
+    lines = ["a,y,m_bin,m_score,m_level,note"]
+    for _ in range(rows):
+        if rng.random() < 0.1:
+            lines.append(BLANK_LINES[rng.integers(len(BLANK_LINES))])
+        cells = []
+        for _ in range(3):  # a, y, m_bin: binary tokens in several spellings
+            if rng.random() < 0.08:
+                cells.append(MISSING_VARIANTS[rng.integers(len(MISSING_VARIANTS))])
+            else:
+                bit = int(rng.integers(2))
+                cells.append([str(bit), f"{bit}.0", f"{bit}e0", f" {bit} "][rng.integers(4)])
+        for _ in range(2):  # m_score, m_level: continuous, varied formatting
+            if rng.random() < 0.08:
+                cells.append(MISSING_VARIANTS[rng.integers(len(MISSING_VARIANTS))])
+            else:
+                v = float(rng.normal(0.5, 1.0))
+                cells.append([f"{v:.3f}", f"{v:g}", f"{v:e}", f"{v:+.2f}", str(round(v))][rng.integers(5)])
+        note = ["ok", '"late, then on time"', "", '"said ""no"""'][rng.integers(4)]
+        lines.append(",".join(_cell(rng, c) for c in cells) + "," + note)
+    return "\n".join(lines) + "\n"
+
+
+EQUIVALENCE_RUNS = [
+    ("m_score=median-gt,m_level=threshold:0.25", ("m_bin", "m_score", "m_level")),
+    ("median-gt", ("m_score", "m_level")),
+    ("m_level=threshold:-1", ("m_bin", "m_level")),
+]
+
+
+class TestColumnReaderMatchesReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_files(self, tmp_path, seed):
+        path = tmp_path / "d.csv"
+        path.write_text(_seeded_csv(seed))
+        rules, mediators = EQUIVALENCE_RUNS[seed % len(EQUIVALENCE_RUNS)]
+        config = config_for(str(path), mediators=mediators, dichotomize=rules)
+        # The files must exercise the comparison: a successful ingest, blank
+        # lines, and rows dropped as missing.
+        assert any(line in BLANK_LINES for line in path.read_text().splitlines()[1:])
+        reference_data, _, _ = reference_ingest(str(path), config)
+        assert any(dropped for _, _, dropped, _ in reference_data)
+        assert_same_ingest(str(path), config)
+
+    @staticmethod
+    def _with_token(tmp_path, seed, col, token):
+        # Puts ``token`` in column ``col`` of the first data line from line 30 on,
+        # after some blank lines, so the row number in the message is checked too.
+        lines = _seeded_csv(seed).splitlines()
+        i = next(i for i in range(30, len(lines)) if lines[i] not in BLANK_LINES)
+        cells = lines[i].split(",")
+        cells[col] = token
+        lines[i] = ",".join(cells)
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def test_non_numeric_token_message(self, tmp_path):
+        path = self._with_token(tmp_path, 3, 3, "abc")
+        config = config_for(path, mediators=("m_bin", "m_score"), dichotomize="m_score=median-gt")
+        with pytest.raises(DataError, match="non-numeric value 'abc'"):
+            reference_ingest(path, config)
+        assert_same_ingest(path, config)
+
+    def test_non_binary_value_message(self, tmp_path):
+        path = self._with_token(tmp_path, 4, 2, " 2.5 ")
+        config = config_for(path, mediators=("m_bin",))
+        with pytest.raises(DataError, match="non-binary value 2.5"):
+            reference_ingest(path, config)
+        assert_same_ingest(path, config)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["1_000", "Infinity", "-inf", " 1.5", "1.5e", "0x10", "\u0661\u0662", "1e500", "-nan",
+         "+.5", "5.", "1__0", "nan(1)", "\u00a01.5", "True", "0001", "1e-400", "\u0967.5",
+         "\tNA", "\u00a0none", "1\t"],
+    )
+    def test_edge_tokens(self, tmp_path, token):
+        path = tmp_path / "d.csv"
+        rows = [f"{i % 2},{(i // 2) % 2},{i * 0.5}" for i in range(8)]
+        rows[5] = f'1,0,"{token}"'
+        path.write_text("a,y,m\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert_same_ingest(str(path), config_for(str(path), dichotomize="m=threshold:1"))
+
+
+def write_text(path, text, encoding="utf-8"):
+    path.write_bytes(text.encode(encoding) if isinstance(text, str) else text)
+    return str(path)
+
+
+class TestCsvInputRules:
+    def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
+        text = "a,y,m\n\n0,0,1\n   \n,,\n1,1,0\n \u00a0 , \n,,,\n\"\",\"\",\n0,1,1\n\t\n"
+        path = write_text(tmp_path / "d.csv", text)
+        data, n_rows, _ = ingest(path, config_for(path))
+        assert n_rows == 3
+        assert data[0].n_dropped == 0
+        assert data[0].records.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 1]]
+
+    def test_rows_after_blank_lines_are_numbered_among_data_rows(self, capsys, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,y,m\n0,0,1\n\n  \n1,1,x\n")
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert (code, out) == (3, "")
+        assert err == "data error: row 3: non-numeric value 'x' in column 'm'\n"
+
+    def test_only_blank_lines_is_data_error(self, capsys, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,y,m\n \n,,\n")
+        code, _, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert code == 3
+        assert "no data rows" in err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,0,1", "1,1", "0,1,0"], "row 3: 2 fields, but the header has 3"),
+            (["0,0,1", "1,1,0,", "0,1,0"], "row 3: 4 fields, but the header has 3"),
+            (["0,0,1,5", "1,1,0,5"], "row 2: 4 fields, but the header has 3"),
+            (["0,0", "1,1"], "row 2: 2 fields, but the header has 3"),
+            (["0,0,1", "", "1,0,0", '1,"1,0"'], "row 4: 2 fields, but the header has 3"),
+        ],
+    )
+    def test_ragged_rows_are_data_errors(self, capsys, tmp_path, rows, message):
+        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert (code, out) == (3, "")
+        assert err == f"data error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["0,0,1,n,1", "1,1,0,n", "0,1,0,n,1"],
+            ["0,0,1,n,1", "1,1,0,n", "0,1,0,n,1,1"],  # the short and the long row hold as many commas as two good ones
+        ],
+    )
+    def test_ragged_row_in_unread_columns_is_data_error(self, tmp_path, rows):
+        path = write_text(tmp_path / "d.csv", "a,y,m,note,x\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match="row 3: 4 fields, but the header has 5"):
+            ingest(path, config_for(path))
+
+    def test_quoted_commas_in_unread_columns_are_not_ragged(self, tmp_path):
+        path = write_text(
+            tmp_path / "d.csv",
+            'a,note,y,m\n0,"x, y",0,1\n1,"a,b,c",1,0\n0,plain,1,"1"\n1,"2\n lines, here",0,0\n',
+        )
+        data, n_rows, _ = ingest(path, config_for(path))
+        assert n_rows == 4
+        assert data[0].records.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0]]
+
+    def test_duplicate_requested_header_is_data_error(self, capsys, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,y,m,m\n0,0,1,1\n1,1,0,0\n")
+        code, _, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert code == 3
+        assert "column 'm' appears 2 times in the header" in err
+
+    def test_duplicate_unrequested_header_is_allowed(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,y,m,x,x\n0,0,1,1,1\n1,1,0,0,0\n")
+        data, n_rows, _ = ingest(path, config_for(path))
+        assert n_rows == 2
+
+    def test_invalid_utf8_is_data_error(self, capsys, tmp_path):
+        path = write_text(tmp_path / "d.csv", b"a,y,m\n0,0,1\n\xff\xfe,1,0\n")
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert (code, out) == (3, "")
+        assert "not valid UTF-8: line 3" in err
+
+    @pytest.mark.parametrize("variant", ["bom", "crlf", "cr"])
+    def test_bom_and_line_ends_give_identical_output(self, capsys, tmp_path, variant):
+        text = (GOLDEN / "synth_input.csv").read_text()
+        if variant == "bom":
+            changed = write_text(tmp_path / "v.csv", "\ufeff" + text)
+        else:
+            changed = write_text(tmp_path / "v.csv", text.replace("\n", "\r\n" if variant == "crlf" else "\r"))
+        argv = ["--treatment", "treat", "--outcome", "resp", "--mediators", "m_binary,score",
+                "--dichotomize", "score=median-gt", "--draws", "300", "--format", "csv"]
+        code, plain_out, _ = run_cli(capsys, "--data", str(GOLDEN / "synth_input.csv"), *argv)
+        assert code == 0
+        code, changed_out, _ = run_cli(capsys, "--data", changed, *argv)
+        assert code == 0
+        assert changed_out == plain_out
 
 
 class TestExitCodes:
