@@ -44,12 +44,11 @@ from .model import (
 SCHEMA = "mediation-bounds/1"
 _MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
 # Per byte: 0 if a blank line may hold it (ASCII whitespace as str.strip()
-# sees it, commas, quote marks), 1 if it is part of a non-ASCII character,
-# 2 otherwise.
-_BYTE_KIND = np.array(
-    [0 if chr(c).isspace() or chr(c) in ',"' else 2 for c in range(128)] + [1] * 128, dtype=np.uint8
+# sees it, or a comma), 1 if it is a quote mark or part of a non-ASCII
+# character, 2 otherwise.
+_BYTE_KIND = bytes(
+    0 if chr(c).isspace() or chr(c) == "," else 1 if c == ord('"') or c > 127 else 2 for c in range(256)
 )
-_PLAIN_BYTES = bytes([ord("\n"), *(c for c in range(ord("!"), ord("~") + 1) if c != ord('"'))])
 _COLUMNS_CHANGED = re.compile(r"changed from (\d+) to (\d+) at row (\d+)")
 _METHOD_NAMES = {
     Assumptions.NONE: "bounds-none",
@@ -163,56 +162,60 @@ class _Column:
     rule_text: str
 
 
-def _load_cells(body: bytes, usecols: list[int] | None = None) -> np.ndarray:
+def _load_cells(body: bytes) -> np.ndarray:
     # A fresh StringDType for each call: loadtxt keeps long strings in the
     # arena of the dtype instance it is given, and arrays sharing one
     # instance corrupt each other's strings.
     stream = io.TextIOWrapper(io.BytesIO(body), encoding="utf-8")
-    return np.loadtxt(
-        stream, delimiter=",", quotechar='"', comments=None, dtype=StringDType(), usecols=usecols, ndmin=2
-    )
+    return np.loadtxt(stream, delimiter=",", quotechar='"', comments=None, dtype=StringDType(), ndmin=2)
 
 
-def _check_field_counts(body: bytes, width: int) -> None:
-    """Raise a DataError naming the first row whose field count is not ``width``, if any."""
-    # Reading every column makes loadtxt compare each row's field count with
-    # the first row's; its message names the row where the count changes.
+def _is_blank(record: bytes) -> bool:
     try:
-        table = _load_cells(body)
-    except ValueError as exc:
-        changed = _COLUMNS_CHANGED.search(str(exc))
-        if changed is None:
-            return
-        first, found, row = (int(g) for g in changed.groups())
-        if first != width:
-            found, row = first, 1
-        raise DataError(f"row {row + 1}: {found} fields, but the header has {width}") from None
-    if table.shape[1] != width:
-        raise DataError(f"row 2: {table.shape[1]} fields, but the header has {width}")
+        cells = _load_cells(record)
+    except ValueError:
+        return False  # left for the full read to report
+    return not np.strings.strip(cells).astype(bool).any()
+
+
+def _record_starts(b: np.ndarray) -> np.ndarray:
+    """Offsets of the lines of ``b`` that start a record rather than continue a quoted cell."""
+    starts = np.concatenate(([0], np.flatnonzero(b == ord("\n")) + 1))
+    starts = starts[starts < b.size]
+    # Only a run of quote marks of odd length changes the parser's state. At
+    # a field start it opens or closes a quoted cell; inside a field it
+    # closes an open cell and is text otherwise. So a line starts inside a
+    # quoted cell when an odd number of field-start runs follow the last
+    # inside-field run before it.
+    quotes = np.flatnonzero(b == ord('"'))
+    first = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
+    odd = np.diff(first, append=quotes.size) % 2 == 1
+    at = quotes[first]
+    field_start = (at == 0) | np.isin(b[at - 1], (ord(","), ord("\n")))
+    toggles = np.concatenate(([0], np.cumsum(odd & field_start)))
+    closes = np.where(odd & ~field_start, np.arange(1, at.size + 1), 0)
+    last_close = np.maximum.accumulate(np.concatenate(([0], closes)))
+    runs = np.searchsorted(at, starts)
+    inside = (toggles[runs] - toggles[last_close[runs]]) % 2 == 1
+    return starts[~inside]
 
 
 def _drop_blank_lines(body: bytes) -> bytes:
-    """``body`` without the lines whose every cell is empty or whitespace."""
+    """``body`` without the records whose every cell is empty or whitespace."""
     b = np.frombuffer(body, dtype=np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(b == ord("\n")) + 1))
-    starts = starts[starts < b.size]
-    if (_BYTE_KIND[b[starts]] == 2).all():  # every line starts with a byte no blank line holds
-        return body
+    starts = _record_starts(b)
     lengths = np.diff(starts, append=b.size)
-    kind = np.maximum.reduceat(_BYTE_KIND[b], starts)
+    kind = np.maximum.reduceat(np.frombuffer(body.translate(_BYTE_KIND), dtype=np.uint8), starts)
     blank = kind == 0
-    # A line of ASCII blanks and non-ASCII bytes is blank if those bytes are
-    # whitespace such as U+00A0; such lines are few, so decode and check each.
+    # Quote marks and non-ASCII whitespace such as U+00A0 need the parser to
+    # tell; records of only those and blanks are few, so parse each.
     for i in np.flatnonzero(kind == 1):
-        line = body[starts[i] : starts[i] + lengths[i]].decode("utf-8")
-        blank[i] = not line.replace(",", " ").replace('"', " ").strip()
-    if not blank.any():
-        return body
+        blank[i] = _is_blank(body[starts[i] : starts[i] + lengths[i]])
     return b[np.repeat(~blank, lengths)].tobytes()
 
 
 def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], int]:
-    """The string cells of ``columns``, one per non-blank data row, and the row count."""
+    """The unstripped string cells of ``columns``, one per non-blank data row, and the row count."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -241,42 +244,37 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
     if not body:
         raise DataError(f"{path} has a header but no data rows")
     width = len(header)
-    # The last column is always read, so loadtxt rejects every row that is short.
-    usecols = sorted({header.index(col) for col in columns} | {width - 1})
     try:
-        table = _load_cells(body, usecols)
+        table = _load_cells(body)
     except ValueError as exc:
-        _check_field_counts(body, width)
-        raise DataError(f"{path}: {exc}") from None
-    # Each comma in the body separates two fields or sits inside a quoted cell.
-    # Rows are never short here, so the commas match a width-field table only
-    # if no row is long, unless unread columns hold quoted commas.
-    commas = body.count(b",")
-    if b'"' in body:
-        commas -= int(np.strings.count(table, ",").sum())
-    if commas != (width - 1) * table.shape[0]:
-        _check_field_counts(body, width)
-    # Only whitespace other than line ends, a quote mark (a quoted cell may
-    # span lines) or a non-ASCII byte can leave a cell in need of stripping.
-    if body.translate(None, _PLAIN_BYTES):
-        table = np.strings.strip(table)
-    cells = {col: table[:, usecols.index(header.index(col))] for col in columns}
-    return cells, table.shape[0]
+        # loadtxt requires every row to have the first row's field count.
+        changed = _COLUMNS_CHANGED.search(str(exc))
+        if changed is None:
+            raise DataError(f"{path}: {exc}") from None
+        first, found, row = (int(g) for g in changed.groups())
+        if first != width:
+            found, row = first, 1
+        raise DataError(f"row {row + 1}: {found} fields, but the header has {width}") from None
+    if table.shape[1] != width:
+        raise DataError(f"row 2: {table.shape[1]} fields, but the header has {width}")
+    return {col: table[:, header.index(col)] for col in columns}, table.shape[0]
 
 
 def _parse_numbers(name: str, cells: np.ndarray) -> np.ndarray:
-    """The float value of each stripped cell, NaN for a missing token."""
+    """The float value of each cell after stripping, NaN for a missing token."""
     values = np.full(cells.size, np.nan)
+    # Cells exactly "0" or "1" need no stripping; the rest are stripped first.
     zero = cells == "0"
     one = cells == "1"
     values[zero] = 0.0
     values[one] = 1.0
-    rest = ~(zero | one)
+    rest = np.flatnonzero(~(zero | one))
+    tokens = np.strings.strip(cells[rest])
     # Missing tokens are empty or alphabetic, so only those cells are case-folded.
-    maybe = np.flatnonzero(rest & (np.strings.isalpha(cells) | (cells == "")))
-    rest[maybe[np.isin(np.strings.lower(cells[maybe]), _MISSING_TOKENS)]] = False
-    rest = np.flatnonzero(rest)
-    tokens = cells[rest]
+    maybe = np.flatnonzero(np.strings.isalpha(tokens) | (tokens == ""))
+    numeric = np.ones(rest.size, dtype=bool)
+    numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), _MISSING_TOKENS)]] = False
+    rest, tokens = rest[numeric], tokens[numeric]
     try:
         values[rest] = tokens.astype(np.float64)
     except ValueError:

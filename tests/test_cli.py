@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import mediation_bounds
-from mediation_bounds import Assumptions, __version__, ate, bounds_mmr, from_counts
+from mediation_bounds import Assumptions, __version__, ate, bounds_mmr, cli, from_counts
 from mediation_bounds.cli import ConfigError, DataError, RunConfig, _rule_table, ingest, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -334,6 +334,49 @@ class TestColumnReaderMatchesReference:
         assert_same_ingest(str(path), config_for(str(path), dichotomize="m=threshold:1"))
 
 
+QUOTING_FRAGMENTS = ['"', '""', ",", "\n", " ", "x", "'", "\n\n", ",,"]
+
+
+def _quoting_csv(rng):
+    # Notes built from quote marks, commas and line breaks, quoted or not,
+    # between blank lines; many of these files have ragged rows.
+    # The note is the first or the fourth column.
+    note_first = rng.random() < 0.5
+    lines = ["note,a,y,m,z" if note_first else "a,y,m,note,z", "x,1,0,1," if note_first else "1,0,1,x,"]
+    for _ in range(rng.integers(3, 9)):
+        if rng.random() < 0.15:
+            lines.append(BLANK_LINES[rng.integers(len(BLANK_LINES))])
+            continue
+        note = "".join(QUOTING_FRAGMENTS[i] for i in rng.integers(len(QUOTING_FRAGMENTS), size=rng.integers(5)))
+        if rng.random() < 0.8:
+            note = f'"{note}"'
+        bits = f"{rng.integers(2)},{rng.integers(2)},{rng.integers(2)}"
+        lines.append(f"{note},{bits}," if note_first else f"{bits},{note},")
+    return "\n".join(lines) + "\n"
+
+
+class TestRecordStructureMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_quoting(self, tmp_path, seed):
+        # A file is ragged if the csv module finds a non-blank row of other
+        # than five fields; ingest must reject exactly those and match the
+        # reference on the rest.
+        rng = np.random.default_rng(seed)
+        path = str(tmp_path / "d.csv")
+        compared = 0
+        for _ in range(100):
+            text = _quoting_csv(rng)
+            write_text(Path(path), text)
+            rows = [r for r in csv.reader(io.StringIO(text, newline=""))][1:]
+            if all(len(r) == 5 for r in rows if any(cell.strip() for cell in r)):
+                assert_same_ingest(path, config_for(path))
+                compared += 1
+            else:
+                with pytest.raises(DataError, match="fields, but the header has 5"):
+                    ingest(path, config_for(path))
+        assert compared >= 20
+
+
 def write_text(path, text, encoding="utf-8"):
     path.write_bytes(text.encode(encoding) if isinstance(text, str) else text)
     return str(path)
@@ -367,6 +410,7 @@ class TestCsvInputRules:
             (["0,0,1", "1,1,0,", "0,1,0"], "row 3: 4 fields, but the header has 3"),
             (["0,0,1,5", "1,1,0,5"], "row 2: 4 fields, but the header has 3"),
             (["0,0", "1,1"], "row 2: 2 fields, but the header has 3"),
+            (["0,0,1,5", "1,1,0", "0,1,0"], "row 2: 4 fields, but the header has 3"),
             (["0,0,1", "", "1,0,0", '1,"1,0"'], "row 4: 2 fields, but the header has 3"),
         ],
     )
@@ -396,6 +440,44 @@ class TestCsvInputRules:
         data, n_rows, _ = ingest(path, config_for(path))
         assert n_rows == 4
         assert data[0].records.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0]]
+
+    def test_quoted_cells_across_lines_keep_the_record_structure(self, tmp_path):
+        # Continuation lines that look blank on their own: a closing quote and
+        # commas, an empty line inside a cell, a cell of only line breaks.
+        text = (
+            'a,y,m,note,z\n0,1,1,"text\n",\n1,0,0,"\n",\n,,,"a\n\nb",\n'
+            ',,,"\n \n",\n,,,"""",\n1,1,0,"x\n",\n'
+        )
+        path = write_text(tmp_path / "d.csv", text)
+        assert_same_ingest(path, config_for(path))
+        data, n_rows, _ = ingest(path, config_for(path))
+        assert n_rows == 5
+        assert data[0].n_dropped == 2
+        assert data[0].records.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 1]]
+
+    def test_quoted_cell_ending_in_line_break_is_one_record(self, tmp_path):
+        path = write_text(tmp_path / "d.csv", 'a,y,m,note\n0,1,1,"text\n"\n1,0,0,x\n')
+        assert_same_ingest(path, config_for(path))
+        data, n_rows, _ = ingest(path, config_for(path))
+        assert n_rows == 2
+        assert data[0].records.tolist() == [[0, 1, 1], [1, 0, 0]]
+
+    def test_quote_mark_inside_an_unquoted_cell_is_text(self, tmp_path):
+        # The blank lines after it are still blank lines, not parts of a cell.
+        path = write_text(tmp_path / "d.csv", "a,y,m,height\n0,1,1,5'10\"\n,,,\n  \n1,0,0,6'\n")
+        assert_same_ingest(path, config_for(path))
+        _, n_rows, _ = ingest(path, config_for(path))
+        assert n_rows == 2
+
+    def test_unrecognised_parser_error_is_data_error(self, monkeypatch, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,y,m\n0,0,1\n1,1,0\n")
+
+        def fail(body):
+            raise ValueError("unexpected tokenizer state")
+
+        monkeypatch.setattr(cli, "_load_cells", fail)
+        with pytest.raises(DataError, match="d.csv: unexpected tokenizer state"):
+            ingest(path, config_for(path))
 
     def test_duplicate_requested_header_is_data_error(self, capsys, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,y,m,m\n0,0,1,1\n1,1,0,0\n")
