@@ -38,7 +38,8 @@ from .model import (
     EstimandSpec,
     ValidationError,
     cell_counts,
-    from_units,
+    from_counts,
+    from_units,  # not used here; perfbench's tracing tests call cli.from_units
 )
 
 SCHEMA = "mediation-bounds/1"
@@ -319,18 +320,18 @@ def _dichotomize(name: str, cells: np.ndarray, rule: tuple[str, float | None]) -
 @dataclass
 class MediatorData:
     name: str
-    records: np.ndarray  # (n, 3): a, m, y
+    counts: np.ndarray  # (8,) cell counts in from_counts order
     n_dropped: int
     rules: dict[str, str]
 
 
 def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.ndarray]:
-    """Read and dichotomize the data file.
+    """Read and dichotomize the data file, and tabulate it.
 
-    Returns per-mediator complete-case record arrays (listwise deletion over
+    Returns per-mediator complete-case cell counts (listwise deletion over
     treatment, outcome, and that mediator only), the total row count, and the
-    (a, 0, y) records complete in treatment and outcome, which anchor the
-    run-level ATE reference line.
+    (a, 0, y) cell counts of the rows complete in treatment and outcome, which
+    anchor the run-level ATE reference line.
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     if len(set(columns)) != len(columns):
@@ -343,9 +344,7 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     ay_mask = ~(treat.missing | out.missing)
     if not ay_mask.any():
         raise DataError("no rows with both treatment and outcome observed")
-    ay_records = np.column_stack(
-        [treat.binary[ay_mask], np.zeros(int(ay_mask.sum()), dtype=np.uint8), out.binary[ay_mask]]
-    ).astype(np.uint8)
+    ay_counts = cell_counts(treat.binary[ay_mask], 0, out.binary[ay_mask])
 
     result = []
     for name in config.mediators:
@@ -354,11 +353,10 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
         n_used = int(keep.sum())
         if n_used == 0:
             raise DataError(f"mediator {name!r}: all rows dropped by missing-value filtering")
-        records = np.column_stack([treat.binary[keep], med.binary[keep], out.binary[keep]]).astype(np.uint8)
         result.append(
             MediatorData(
                 name=name,
-                records=records,
+                counts=cell_counts(treat.binary[keep], med.binary[keep], out.binary[keep]),
                 n_dropped=n_rows - n_used,
                 rules={
                     config.treatment: treat.rule_text,
@@ -367,23 +365,7 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
                 },
             )
         )
-    return result, n_rows, ay_records
-
-
-def _records_from_counts(counts: tuple[int, ...]) -> np.ndarray:
-    if len(counts) != 8:
-        raise ConfigError(f"--counts needs 8 integers, got {len(counts)}")
-    rows = []
-    for a in (0, 1):
-        for y in (0, 1):
-            for m in (0, 1):
-                rows.append((a, m, y, counts[4 * a + 2 * y + m]))
-    out = np.zeros((sum(counts), 3), dtype=np.uint8)
-    pos = 0
-    for a, m, y, c in rows:
-        out[pos : pos + c] = (a, m, y)
-        pos += c
-    return out
+    return result, n_rows, ay_counts
 
 
 @dataclass
@@ -425,15 +407,9 @@ class AnalysisReport:
         return json.dumps(_report_dict(self), indent=2) + "\n"
 
 
-def _analyze_mediator(
-    name: str,
-    records: np.ndarray,
-    n_dropped: int,
-    rules: dict[str, str],
-    config: RunConfig,
-    seed: int,
-) -> MediatorReport:
-    dist = from_units(records)
+def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> MediatorReport:
+    counts = data.counts
+    dist = from_counts(counts)
     inf_config = InferenceConfig(
         alpha=config.alpha, draws=config.draws, seed=seed, selection_slack=2.0
     )
@@ -464,13 +440,13 @@ def _analyze_mediator(
         interval: IntervalEstimate | None = None
         interval_err: str | None = None
         try:
-            interval = clr_bounds(records, spec, inf_config)
+            interval = clr_bounds(counts, spec, inf_config)
         except (ClosedFormUnavailableError, ValidationError) as exc:
             interval_err = str(exc)
         incompatible = bool(closed is not None and closed.incompatible) or lp_err is not None
         if incompatible and config.strict:
             raise AssumptionIncompatibilityError(
-                f"mediator {name!r}: data are incompatible with assumption set "
+                f"mediator {data.name!r}: data are incompatible with assumption set "
                 f"{assumptions.value!r} (--strict)"
             )
         results.append(
@@ -487,17 +463,16 @@ def _analyze_mediator(
                 incompatible=incompatible,
             )
         )
-    counts = tuple(int(c) for c in cell_counts(records))
     return MediatorReport(
-        name=name,
-        n_used=int(records.shape[0]),
-        n_dropped=n_dropped,
+        name=data.name,
+        n_used=dist.n0 + dist.n1,
+        n_dropped=data.n_dropped,
         n1=dist.n1,
         n0=dist.n0,
-        counts=counts,
-        rules=rules,
-        ate=ate_test(records, inf_config),
-        iot=iot_test(records, inf_config),
+        counts=tuple(counts.tolist()),
+        rules=data.rules,
+        ate=ate_test(counts, inf_config),
+        iot=iot_test(counts, inf_config),
         results=results,
     )
 
@@ -505,24 +480,22 @@ def _analyze_mediator(
 def run(config: RunConfig) -> AnalysisReport:
     """Execute the configured analysis; deterministic given the config and input bytes."""
     if config.counts is not None:
-        records = _records_from_counts(config.counts)
-        datasets = [MediatorData(name="counts", records=records, n_dropped=0, rules={})]
-        n_rows = int(records.shape[0])
-        ay_records = records
+        counts = np.array(config.counts, dtype=np.int64)
+        datasets = [MediatorData(name="counts", counts=counts, n_dropped=0, rules={})]
+        n_rows = sum(config.counts)
+        ay_counts = counts
     else:
-        datasets, n_rows, ay_records = ingest(config.data, config)
+        datasets, n_rows, ay_counts = ingest(config.data, config)
 
     base = InferenceConfig(alpha=config.alpha, draws=config.draws, seed=config.seed)
-    run_ate = ate_test(ay_records, base)
+    run_ate = ate_test(ay_counts, base)
     seeds = [
         int(child.generate_state(1, dtype=np.uint64)[0])
         for child in np.random.SeedSequence(config.seed).spawn(len(datasets))
     ]
     report = AnalysisReport(config=config, n_rows=n_rows, ate=run_ate)
     for data, seed in zip(datasets, seeds):
-        report.mediators.append(
-            _analyze_mediator(data.name, data.records, data.n_dropped, data.rules, config, seed)
-        )
+        report.mediators.append(_analyze_mediator(data, config, seed))
     return report
 
 
@@ -779,6 +752,8 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--counts must have exactly 8 integers, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise ConfigError("--counts entries must be nonnegative")
+        if sum(counts) > 2**53:  # arm sizes stay exact floats, and int64 sums cannot overflow
+            raise ConfigError(f"--counts total must be at most 2**53 = {2**53}, got {sum(counts)}")
     if ns.draws < 100:
         raise ConfigError(f"--draws must be at least 100, got {ns.draws}")
     if ns.seed < 0:

@@ -19,6 +19,9 @@ frequencies within each arm.  The covariance matrix used for simulation and
 studentization is smoothed with an add-half adjustment in any arm that has an
 empty cell, so degenerate samples still produce usable (if conservative)
 intervals; point estimates are never smoothed.
+
+Every function here takes its data as the eight cell counts (an integer
+ndarray of shape (8,)) or as unit records; see ``model.as_cell_counts``.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from .model import (
     InsufficientDataError,
     ObservedDistribution,
     ValidationError,
-    as_record_array,
-    cell_counts,
+    as_cell_counts,
     from_counts,
 )
 
@@ -105,7 +107,8 @@ class IntervalEstimate:
     with probability 1 - alpha asymptotically.  ``crossed`` marks samples where
     the estimated lower endpoint exceeds the estimated upper endpoint, which
     happens under assumption violation or close to point identification; the
-    values are reported as computed.
+    values are reported as computed.  Likewise no endpoint is clamped to the
+    parameter space [-1, 1]; at small n a CI endpoint can lie outside it.
     """
 
     bound_lower_hmu: float
@@ -131,23 +134,25 @@ def _multinomial_block(p: np.ndarray, n: int) -> np.ndarray:
     return (np.diag(p) - np.outer(p, p)) / n
 
 
-def estimate_distribution(records) -> tuple[ObservedDistribution, np.ndarray]:
+def _distribution(counts: np.ndarray) -> ObservedDistribution:
+    n0, n1 = int(counts[:4].sum()), int(counts[4:].sum())
+    if n0 < 2 or n1 < 2:
+        raise InsufficientDataError(f"need at least 2 observations per arm, got n0={n0}, n1={n1}")
+    return from_counts(counts.tolist())
+
+
+def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
     """Cell-probability estimates and their exact 8x8 sampling covariance.
 
     Covariance rows/columns follow ``ObservedDistribution.cell_vector`` order
     (arm-0 cells then arm-1 cells); the two arms are independent, so the matrix
     is block diagonal with one multinomial block per arm.
     """
-    arr = as_record_array(records)
-    counts = cell_counts(arr)
-    counts0, counts1 = counts[:4], counts[4:]
-    n0, n1 = int(counts0.sum()), int(counts1.sum())
-    if n0 < 2 or n1 < 2:
-        raise InsufficientDataError(f"need at least 2 observations per arm, got n0={n0}, n1={n1}")
-    dist = from_counts([int(c) for c in counts0] + [int(c) for c in counts1])
+    counts = as_cell_counts(data)
+    dist = _distribution(counts)
     cov = np.zeros((8, 8))
-    cov[:4, :4] = _multinomial_block(counts0 / n0, n0)
-    cov[4:, 4:] = _multinomial_block(counts1 / n1, n1)
+    cov[:4, :4] = _multinomial_block(counts[:4] / dist.n0, dist.n0)
+    cov[4:, 4:] = _multinomial_block(counts[4:] / dist.n1, dist.n1)
     return dist, cov
 
 
@@ -177,19 +182,21 @@ def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
     return root
 
 
-def _difference_of_means(arr: np.ndarray, column: int, alpha: float) -> WaldResult:
+def _difference_of_means(counts: np.ndarray, ones: list[int], alpha: float) -> WaldResult:
+    # ``ones``: the cells (ym order 00, 01, 10, 11) where the variable is 1.
     z = _STD_NORMAL.inv_cdf(1.0 - alpha / 2.0)
-    treated = arr[arr[:, 0] == 1, column].astype(float)
-    control = arr[arr[:, 0] == 0, column].astype(float)
-    if treated.size < 2 or control.size < 2:
+    arms = counts.reshape(2, 4)
+    n0, n1 = arms.sum(axis=1).tolist()
+    if n1 < 2 or n0 < 2:
         raise InsufficientDataError("need at least 2 observations per arm")
-    p1, p0 = treated.mean(), control.mean()
-    se = float(np.sqrt(p1 * (1 - p1) / treated.size + p0 * (1 - p0) / control.size))
+    k0, k1 = arms[:, ones].sum(axis=1).tolist()
+    p1, p0 = k1 / n1, k0 / n0
+    se = float(np.sqrt(p1 * (1 - p1) / n1 + p0 * (1 - p0) / n0))
     est = float(p1 - p0)
     return WaldResult(estimate=est, se=se, ci=(est - z * se, est + z * se))
 
 
-def iot_test(records, config: InferenceConfig = InferenceConfig()) -> WaldResult:
+def iot_test(data, config: InferenceConfig = InferenceConfig()) -> WaldResult:
     """Wald test of the mediator ATE (the indirect-only test of mediation).
 
     A significant mediator ATE plus a significant outcome ATE is the classic
@@ -197,12 +204,12 @@ def iot_test(records, config: InferenceConfig = InferenceConfig()) -> WaldResult
     with opposing outcome responses can leave the mediator ATE at zero while
     the indirect effect is large, which is exactly the case bounds detect.
     """
-    return _difference_of_means(as_record_array(records), 1, config.alpha)
+    return _difference_of_means(as_cell_counts(data), [1, 3], config.alpha)
 
 
-def ate_test(records, config: InferenceConfig = InferenceConfig()) -> WaldResult:
-    """Wald estimate of the outcome ATE from the same records."""
-    return _difference_of_means(as_record_array(records), 2, config.alpha)
+def ate_test(data, config: InferenceConfig = InferenceConfig()) -> WaldResult:
+    """Wald estimate of the outcome ATE from the same data."""
+    return _difference_of_means(as_cell_counts(data), [2, 3], config.alpha)
 
 
 def _one_side(
@@ -274,7 +281,7 @@ def _one_side(
     return hmu, ci, diag
 
 
-def clr_bounds(records, spec: EstimandSpec, config: InferenceConfig = InferenceConfig()) -> IntervalEstimate:
+def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConfig()) -> IntervalEstimate:
     """Half-median-unbiased bound estimates and a confidence interval for the
     identified set of delta(spec.reference).
 
@@ -286,13 +293,11 @@ def clr_bounds(records, spec: EstimandSpec, config: InferenceConfig = InferenceC
     bit-reproducible for a fixed config.
     """
     lowers, uppers = anie_expressions(spec)
-    arr = as_record_array(records)
-    dist, _ = estimate_distribution(arr)
-    counts = cell_counts(arr)
-    counts0, counts1 = counts[:4], counts[4:]
-    n = int(arr.shape[0])
+    counts = as_cell_counts(data)
+    dist = _distribution(counts)
+    n = dist.n0 + dist.n1
 
-    cov, smoothed_arms = _smoothed_cov(counts0, counts1)
+    cov, smoothed_arms = _smoothed_cov(counts[:4], counts[4:])
     cells = dist.cell_vector()
     c_lo = np.array([e.coeffs for e in lowers])
     c_hi = np.array([e.coeffs for e in uppers])

@@ -205,10 +205,23 @@ def from_counts(counts) -> ObservedDistribution:
     return ObservedDistribution(p=p, n1=n1, n0=n0)
 
 
-def cell_counts(records: np.ndarray) -> np.ndarray:
-    """The eight cell counts of an (n, 3) a, m, y array of 0/1 values, in :func:`from_counts` order."""
-    idx = records[:, 0].astype(np.int64) * 4 + records[:, 2].astype(np.int64) * 2 + records[:, 1]
-    return np.bincount(idx, minlength=8)
+def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
+    """Eight cell counts, in :func:`from_counts` order, of 0/1 columns ``a``, ``m`` (or 0), ``y``."""
+    return np.bincount(a.astype(np.int64) * 4 + y.astype(np.int64) * 2 + m, minlength=8)
+
+
+def as_cell_counts(data) -> np.ndarray:
+    """The eight cell counts of ``data`` as int64, in :func:`from_counts` order.
+
+    An integer ndarray of shape (8,) is the counts; anything else is records (:func:`as_record_array`).
+    """
+    if isinstance(data, np.ndarray) and data.shape == (8,) and np.issubdtype(data.dtype, np.integer):
+        counts = data.astype(np.int64)
+        if (counts < 0).any():
+            raise ValidationError(f"counts must be nonnegative, got {data.tolist()}")
+        return counts
+    arr = as_record_array(data)
+    return cell_counts(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 def from_units(records) -> ObservedDistribution:
@@ -216,7 +229,7 @@ def from_units(records) -> ObservedDistribution:
     arr = as_record_array(records)
     if arr.shape[0] == 0:
         raise EmptyArmError("no records supplied")
-    return from_counts([int(c) for c in cell_counts(arr)])
+    return from_counts(cell_counts(arr[:, 0], arr[:, 1], arr[:, 2]).tolist())
 
 
 def from_probabilities(arm0, arm1, *, n0: int = 0, n1: int = 0) -> ObservedDistribution:

@@ -36,6 +36,22 @@ def write_csv(path, header, rows):
     return str(path)
 
 
+def tally(records):
+    """Cell counts of (a, m, y) triples in from_counts order, counted one by one."""
+    counts = [0] * 8
+    for a, m, y in records:
+        counts[4 * int(a) + 2 * int(y) + int(m)] += 1
+    return counts
+
+
+def dichotomized(path, config):
+    """The per-row dichotomized columns that ``ingest`` tabulates."""
+    columns = [config.treatment, config.outcome, *config.mediators]
+    rules = _rule_table(config.dichotomize, columns)
+    raw, _ = cli._read_table(path, columns)
+    return {name: cli._dichotomize(name, raw[name], rules[name]) for name in columns}
+
+
 def config_for(path, **overrides):
     base = dict(
         data=path,
@@ -61,9 +77,11 @@ class TestDichotomization:
             ["a", "y", "m"],
             [(i % 2, 0, v) for i, v in enumerate([1, 2, 3, 4, 5])],
         )
-        data, n_rows, _ = ingest(path, config_for(path, dichotomize="m=median-gt"))
+        config = config_for(path, dichotomize="m=median-gt")
+        data, n_rows, _ = ingest(path, config)
         assert n_rows == 5
-        assert list(data[0].records[:, 1]) == [0, 0, 0, 1, 1]
+        assert list(dichotomized(path, config)["m"].binary) == [0, 0, 0, 1, 1]
+        assert data[0].counts.tolist() == tally([(0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 1, 0), (0, 1, 0)])
         assert "median=3" in data[0].rules["m"]
 
     def test_even_count_takes_smaller_middle(self, tmp_path):
@@ -72,8 +90,9 @@ class TestDichotomization:
             ["a", "y", "m"],
             [(i % 2, 0, v) for i, v in enumerate([1, 2, 3, 4])],
         )
-        data, _, _ = ingest(path, config_for(path, dichotomize="m=median-gt"))
-        assert list(data[0].records[:, 1]) == [0, 0, 1, 1]
+        config = config_for(path, dichotomize="m=median-gt")
+        data, _, _ = ingest(path, config)
+        assert list(dichotomized(path, config)["m"].binary) == [0, 0, 1, 1]
         assert "median=2" in data[0].rules["m"]
 
     def test_threshold_rule(self, tmp_path):
@@ -82,8 +101,10 @@ class TestDichotomization:
             ["a", "y", "m"],
             [(i % 2, 0, v) for i, v in enumerate([1, 2, 3])],
         )
-        data, _, _ = ingest(path, config_for(path, dichotomize="m=threshold:2.5"))
-        assert list(data[0].records[:, 1]) == [0, 0, 1]
+        config = config_for(path, dichotomize="m=threshold:2.5")
+        assert list(dichotomized(path, config)["m"].binary) == [0, 0, 1]
+        data, _, _ = ingest(path, config)
+        assert data[0].counts.tolist() == tally([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
     def test_global_rule_spares_treatment(self, tmp_path):
         path = write_csv(
@@ -91,10 +112,10 @@ class TestDichotomization:
             ["a", "y", "m"],
             [(0, 3, 10), (1, 9, 20), (0, 4, 30), (1, 8, 40)],
         )
-        data, _, _ = ingest(path, config_for(path, dichotomize="median-gt"))
-        assert list(data[0].records[:, 0]) == [0, 1, 0, 1]  # treatment untouched
-        assert list(data[0].records[:, 2]) == [0, 1, 0, 1]  # outcome median 4
-        assert list(data[0].records[:, 1]) == [0, 0, 1, 1]  # mediator median 20
+        columns = dichotomized(path, config_for(path, dichotomize="median-gt"))
+        assert list(columns["a"].binary) == [0, 1, 0, 1]  # treatment untouched
+        assert list(columns["y"].binary) == [0, 1, 0, 1]  # outcome median 4
+        assert list(columns["m"].binary) == [0, 0, 1, 1]  # mediator median 20
 
     def test_missing_tokens_case_insensitive(self, tmp_path):
         path = write_csv(
@@ -105,7 +126,7 @@ class TestDichotomization:
         )
         data, n_rows, _ = ingest(path, config_for(path))
         assert n_rows == 8
-        assert data[0].records.shape[0] == 4
+        assert data[0].counts.tolist() == tally([(0, 1, 1), (1, 0, 1), (0, 0, 1), (1, 1, 0)])
         assert data[0].n_dropped == 4
 
     def test_median_computed_before_row_filtering(self, tmp_path):
@@ -119,7 +140,7 @@ class TestDichotomization:
         data, _, _ = ingest(path, config_for(path, dichotomize="m=median-gt"))
         # non-missing medians: column median over {1,2,90,3,4} = 3
         assert "median=3" in data[0].rules["m"]
-        assert list(data[0].records[:, 1]) == [0, 0, 0, 1]
+        assert data[0].counts.tolist() == tally([(0, 0, 0), (1, 0, 1), (1, 0, 0), (0, 1, 1)])
 
     def test_rule_validation(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], [(0, 0, 0), (1, 1, 1)])
@@ -142,13 +163,14 @@ class TestIngest:
             mediators=("m_binary", "score"),
             dichotomize="score=median-gt",
         )
-        data, n_rows, ay_records = ingest(str(GOLDEN / "synth_input.csv"), cfg)
+        data, n_rows, ay_counts = ingest(str(GOLDEN / "synth_input.csv"), cfg)
         assert n_rows == 84
-        assert ay_records.shape[0] == 83  # one missing outcome
+        assert ay_counts.sum() == 83  # one missing outcome
+        assert ay_counts[[1, 3, 5, 7]].sum() == 0  # the run-level table has m = 0 throughout
         by_name = {d.name: d for d in data}
-        assert by_name["m_binary"].records.shape[0] == 83
+        assert by_name["m_binary"].counts.sum() == 83
         assert by_name["m_binary"].n_dropped == 1
-        assert by_name["score"].records.shape[0] == 81
+        assert by_name["score"].counts.sum() == 81
         assert by_name["score"].n_dropped == 3
 
     def test_duplicate_columns_rejected(self, tmp_path):
@@ -160,7 +182,8 @@ class TestIngest:
 def reference_ingest(path, config):
     """Cell-by-cell csv-module ingest, the reference for the column-wise reader.
 
-    Returns ``ingest``'s result with each dataset as (name, records, n_dropped, rules).
+    Returns ``ingest``'s result with each dataset as (name, counts, n_dropped,
+    rules) and the counts as lists, plus each column's (binary, missing) rows.
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     rules = _rule_table(config.dichotomize, columns)
@@ -206,14 +229,14 @@ def reference_ingest(path, config):
         binary[name] = (values > cut).astype(np.uint8)
     t, o = config.treatment, config.outcome
     ay = ~(missing[t] | missing[o])
-    ay_records = np.column_stack([binary[t][ay], np.zeros(int(ay.sum()), np.uint8), binary[o][ay]])
+    ay_counts = tally(zip(binary[t][ay], np.zeros(int(ay.sum()), np.uint8), binary[o][ay]))
     datasets = []
     for name in config.mediators:
         keep = ay & ~missing[name]
-        records = np.column_stack([binary[t][keep], binary[name][keep], binary[o][keep]])
+        counts = tally(zip(binary[t][keep], binary[name][keep], binary[o][keep]))
         rules_out = {t: rule_text[t], o: rule_text[o], name: rule_text[name]}
-        datasets.append((name, records.astype(np.uint8), n_rows - int(keep.sum()), rules_out))
-    return datasets, n_rows, ay_records.astype(np.uint8)
+        datasets.append((name, counts, n_rows - int(keep.sum()), rules_out))
+    return datasets, n_rows, ay_counts, {name: (binary[name], missing[name]) for name in columns}
 
 
 def assert_same_ingest(path, config):
@@ -224,16 +247,16 @@ def assert_same_ingest(path, config):
             ingest(path, config)
         assert str(info.value) == str(exc)
         return
-    ref_data, ref_rows, ref_ay = expected
-    data, n_rows, ay_records = ingest(path, config)
+    ref_data, ref_rows, ref_ay, ref_columns = expected
+    data, n_rows, ay_counts = ingest(path, config)
     assert n_rows == ref_rows
-    assert np.array_equal(ay_records, ref_ay)
-    assert [(d.name, d.n_dropped, d.rules) for d in data] == [
-        (name, dropped, rules) for name, _, dropped, rules in ref_data
-    ]
-    for d, (_, records, _, _) in zip(data, ref_data):
-        assert d.records.dtype == records.dtype
-        assert np.array_equal(d.records, records)
+    assert ay_counts.tolist() == ref_ay
+    assert [(d.name, d.counts.tolist(), d.n_dropped, d.rules) for d in data] == ref_data
+    # Row by row, the columns that were tabulated.
+    columns = dichotomized(path, config)
+    for name, (binary, missing) in ref_columns.items():
+        assert np.array_equal(columns[name].missing, missing)
+        assert np.array_equal(columns[name].binary, binary)
 
 
 MISSING_VARIANTS = ["", "NA", " na ", "NaN", "nan", "NULL", " null", "None", "none ", "nOnE", "  "]
@@ -289,7 +312,7 @@ class TestColumnReaderMatchesReference:
         # The files must exercise the comparison: a successful ingest, blank
         # lines, and rows dropped as missing.
         assert any(line in BLANK_LINES for line in path.read_text().splitlines()[1:])
-        reference_data, _, _ = reference_ingest(str(path), config)
+        reference_data, _, _, _ = reference_ingest(str(path), config)
         assert any(dropped for _, _, dropped, _ in reference_data)
         assert_same_ingest(str(path), config)
 
@@ -389,7 +412,7 @@ class TestCsvInputRules:
         data, n_rows, _ = ingest(path, config_for(path))
         assert n_rows == 3
         assert data[0].n_dropped == 0
-        assert data[0].records.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 1]]
+        assert data[0].counts.tolist() == tally([[0, 1, 0], [1, 0, 1], [0, 1, 1]])
 
     def test_rows_after_blank_lines_are_numbered_among_data_rows(self, capsys, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,y,m\n0,0,1\n\n  \n1,1,x\n")
@@ -439,7 +462,7 @@ class TestCsvInputRules:
         )
         data, n_rows, _ = ingest(path, config_for(path))
         assert n_rows == 4
-        assert data[0].records.tolist() == [[0, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0]]
+        assert data[0].counts.tolist() == tally([[0, 1, 0], [1, 0, 1], [0, 1, 1], [1, 0, 0]])
 
     def test_quoted_cells_across_lines_keep_the_record_structure(self, tmp_path):
         # Continuation lines that look blank on their own: a closing quote and
@@ -453,14 +476,14 @@ class TestCsvInputRules:
         data, n_rows, _ = ingest(path, config_for(path))
         assert n_rows == 5
         assert data[0].n_dropped == 2
-        assert data[0].records.tolist() == [[0, 1, 1], [1, 0, 0], [1, 0, 1]]
+        assert data[0].counts.tolist() == tally([[0, 1, 1], [1, 0, 0], [1, 0, 1]])
 
     def test_quoted_cell_ending_in_line_break_is_one_record(self, tmp_path):
         path = write_text(tmp_path / "d.csv", 'a,y,m,note\n0,1,1,"text\n"\n1,0,0,x\n')
         assert_same_ingest(path, config_for(path))
         data, n_rows, _ = ingest(path, config_for(path))
         assert n_rows == 2
-        assert data[0].records.tolist() == [[0, 1, 1], [1, 0, 0]]
+        assert data[0].counts.tolist() == tally([[0, 1, 1], [1, 0, 0]])
 
     def test_quote_mark_inside_an_unquoted_cell_is_text(self, tmp_path):
         # The blank lines after it are still blank lines, not parts of a cell.
@@ -649,6 +672,42 @@ class TestCountsMode:
         assert report["ate"]["estimate"] == pytest.approx(ate(dist), abs=1e-15)
 
 
+class TestCountsMatchData:
+    @pytest.mark.parametrize("counts", [[40, 30, 20, 10, 10, 20, 30, 40], [5, 0, 2, 1, 0, 3, 0, 1]])
+    def test_mediator_block_equals_the_csv_of_the_same_units(self, capsys, tmp_path, counts):
+        rows = [(a, y, m) for a in (0, 1) for y in (0, 1) for m in (0, 1) for _ in range(counts[4 * a + 2 * y + m])]
+        path = write_csv(tmp_path / "units.csv", ["a", "y", "m"], rows)
+        argv = ("--assumptions", "none,mmr,mmr-pos-mediator", "--seed", "7", "--draws", "400")
+        code, from_counts_out, _ = run_cli(capsys, "--counts", ",".join(map(str, counts)), *argv)
+        assert code == 0
+        code, from_data_out, _ = run_cli(capsys, "--data", path, "--mediators", "m", *argv)
+        assert code == 0
+        by_counts, by_data = json.loads(from_counts_out), json.loads(from_data_out)
+        assert by_counts["ate"] == by_data["ate"]
+        keys = ("counts", "n1", "n0", "ate", "iot", "results")
+        block = {k: by_counts["mediators"][0][k] for k in keys}
+        assert block == {k: by_data["mediators"][0][k] for k in keys}
+        assert block["counts"] == counts
+
+
+class TestCountsLimit:
+    def test_large_total_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "--counts", "100000000000,5,5,5,5,5,5,5", "--draws", "200")
+        assert code == 0
+        med = json.loads(out)["mediators"][0]
+        assert (med["n0"], med["n1"], med["n_used"]) == (100000000015, 20, 100000000035)
+
+    @pytest.mark.parametrize("counts", [f"{2**53 - 6},1,1,1,1,1,1,1", "99999999999999999999,5,5,5,5,5,5,5"])
+    def test_total_above_2_pow_53_is_config_error(self, capsys, counts):
+        code, out, err = run_cli(capsys, "--counts", counts)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --counts total must be at most 2**53 = 9007199254740992, got ")
+
+    def test_total_of_2_pow_53_is_accepted(self, capsys):
+        code, _, _ = run_cli(capsys, "--counts", f"{2**53 - 7},1,1,1,1,1,1,1", "--draws", "200")
+        assert code == 0
+
+
 class TestOutputs:
     def test_json_report_shape(self, capsys):
         code, out, _ = run_cli(capsys, "--counts", E1_COUNTS, "--assumptions", "none,mmr")
@@ -730,6 +789,29 @@ class TestOutputs:
         )
         assert code == 0
         assert out == (GOLDEN / "plotdata_synth.csv").read_text()
+
+    SYNTH_ARGV = (
+        "--data", "synth_input.csv", "--treatment", "treat", "--outcome", "resp",
+        "--mediators", "m_binary,score", "--dichotomize", "score=median-gt",
+        "--assumptions", "none,mmr,mmr-pos-mediator", "--seed", "4", "--draws", "500",
+    )
+    COUNTS_ARGV = ("--counts", "17,9,0,6,4,11,13,19", "--assumptions", "none,mmr,mmr-pos-mediator")
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (SYNTH_ARGV + ("--format", "json"), "report_synth.json"),
+            (SYNTH_ARGV + ("--format", "csv"), "report_synth.csv"),
+            (COUNTS_ARGV + ("--reference", "0"), "report_counts_ref0.json"),
+            (COUNTS_ARGV + ("--reference", "1"), "report_counts_ref1.json"),
+        ],
+    )
+    def test_golden_reports(self, capsys, monkeypatch, argv, golden):
+        # Run from the golden directory so the echoed --data path is relative.
+        monkeypatch.chdir(GOLDEN)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_mediator_streams_are_independent(self, capsys, tmp_path):
         # Two mediators with identical data: identical plug-in bounds, but the

@@ -41,6 +41,63 @@ def margin_records(n1: int, p1: float, n0: int, p0: float):
     return rows
 
 
+def expand(counts, rng):
+    """Unit records holding the given cell counts, in random order."""
+    cells = np.array([(a, m, y) for a in (0, 1) for y in (0, 1) for m in (0, 1)], dtype=np.uint8)
+    records = np.repeat(cells, counts, axis=0)
+    return records[rng.permutation(len(records))]
+
+
+def random_tables(rng, count):
+    """Count vectors whose arms hold 2 to 40 units, often with empty cells."""
+    tables = []
+    for _ in range(count):
+        table = []
+        for n in rng.choice([2, 3, 7, 40], size=2):
+            p = rng.dirichlet(np.ones(4)) * (rng.random(4) > 0.3)
+            table += rng.multinomial(n, p / p.sum() if p.sum() else np.full(4, 0.25)).tolist()
+        tables.append(np.array(table, dtype=np.int64))
+    return tables
+
+
+class TestCountsAndRecordsAgree:
+    SPECS = [EstimandSpec(r, a) for r in (0, 1) for a in (Assumptions.NONE, Assumptions.MMR)] + [
+        EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR)
+    ]
+
+    def test_same_results_from_counts_and_records(self):
+        rng = make_rng(211)
+        config = InferenceConfig(draws=200, seed=5)
+        tables = random_tables(rng, 60)
+        # The tables exercise the smoothing path and the smallest arms allowed.
+        assert sum((t == 0).any() for t in tables) >= 30
+        assert sum(t[:4].sum() == 2 or t[4:].sum() == 2 for t in tables) >= 20
+        for counts in tables:
+            records = expand(counts, rng)
+            for spec in self.SPECS:
+                assert clr_bounds(counts, spec, config) == clr_bounds(records, spec, config)
+            dist, cov = estimate_distribution(counts)
+            dist_r, cov_r = estimate_distribution(records)
+            assert dist == dist_r
+            assert np.array_equal(cov, cov_r)
+            treated = records[:, 0] == 1
+            for test, column in ((iot_test, 1), (ate_test, 2)):
+                result = test(counts, config)
+                assert result == test(records, config)
+                # The count arithmetic matches the difference of record means exactly.
+                p1, p0 = records[treated, column].mean(), records[~treated, column].mean()
+                assert result.estimate == float(p1 - p0)
+                assert result.se == float(np.sqrt(p1 * (1 - p1) / treated.sum() + p0 * (1 - p0) / (~treated).sum()))
+
+    def test_counts_are_validated(self):
+        with pytest.raises(InsufficientDataError):
+            clr_bounds(np.array([1, 0, 0, 0, 2, 0, 0, 0]), EstimandSpec(reference=1))
+        with pytest.raises(InsufficientDataError):
+            ate_test(np.array([1, 0, 0, 0, 2, 0, 0, 0]))
+        with pytest.raises(ValidationError):
+            iot_test(np.array([3, 0, 0, -1, 2, 0, 0, 0]))
+
+
 class TestCovariance:
     def test_uniform_cell_covariance(self):
         dist, cov = estimate_distribution(uniform_records())
@@ -216,6 +273,11 @@ class TestIntervalEstimation:
         assert diag.zero_variance == (1,)
         assert 0 in diag.selected
         assert ci >= hmu
+
+    def test_endpoints_are_not_clamped_to_the_parameter_space(self):
+        res = clr_bounds(np.array([1, 2, 1, 1, 3, 1, 0, 1]), EstimandSpec(reference=0))
+        assert res.ci_upper == pytest.approx(1.1327, abs=1e-4)
+        assert res.ci_upper > 1.0
 
     def test_small_sample_coverage(self):
         # Light version of the calibration study: nominal 95% interval for the

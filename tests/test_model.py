@@ -21,6 +21,7 @@ from mediation_bounds import (
     from_probabilities,
     from_units,
 )
+from mediation_bounds.model import as_cell_counts
 from conftest import make_rng, random_dist
 
 
@@ -93,6 +94,18 @@ class TestConstruction:
             from_units([(0, 0, 2)])
         with pytest.raises(ValidationError):
             as_record_array(np.array([[0, 0, -1]]))
+
+    def test_cell_counts_from_counts_or_records(self):
+        counts = np.array([3, 0, 2, 1, 0, 4, 1, 1], dtype=np.int32)
+        assert as_cell_counts(counts).dtype == np.int64
+        assert as_cell_counts(counts).tolist() == counts.tolist()
+        records = [(a, m, y) for a in (0, 1) for y in (0, 1) for m in (0, 1) for _ in range(counts[4 * a + 2 * y + m])]
+        assert as_cell_counts(records).tolist() == counts.tolist()
+        assert as_cell_counts(np.array(records)).tolist() == counts.tolist()
+        with pytest.raises(ValidationError):
+            as_cell_counts(np.array([3, 0, 2, -1, 0, 4, 1, 1]))
+        with pytest.raises(ValidationError):  # not integer, so records, and 1-D records are rejected
+            as_cell_counts(counts.astype(float))
 
     def test_record_array_shape(self):
         arr = as_record_array([(1, 0, 1), (0, 1, 0)])
