@@ -10,7 +10,7 @@ Layout:
 
 * :mod:`mediation_bounds.model` observed-data types, estimand specs, results
 * :mod:`mediation_bounds.closed_form` printed bound expressions per assumption set
-* :mod:`mediation_bounds.lp_engine` stratum LP construction and bespoke simplex
+* :mod:`mediation_bounds.lp_engine` stratum LP, its dual-vertex table, and a witness simplex
 * :mod:`mediation_bounds.inference` intersection-bounds estimation and CIs
 * :mod:`mediation_bounds.oracle` full potential-outcome populations for validation
 * :mod:`mediation_bounds.cli` the ``mediation-bounds`` command

@@ -42,7 +42,7 @@ from .model import (
     from_units,  # not used here; perfbench's tracing tests call cli.from_units
 )
 
-SCHEMA = "mediation-bounds/1"
+SCHEMA = "mediation-bounds/2"
 _MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
 # Per byte: 0 if a blank line may hold it (ASCII whitespace as str.strip()
 # sees it, or a comma), 1 if it is a quote mark or part of a non-ASCII

@@ -13,8 +13,10 @@ p_{ym.a} = P(Y=y, M=m | A=a); the expression sets depend on the assumption set:
 * ``MMR_POS_MEDIATOR``: MMR plus a nonnegative average effect of the mediator
   on the treated-arm outcome, E[Y(1,1) - Y(1,0)] >= 0.  Four expressions per
   side, reference level 1 only.  This set is evaluated exactly as printed in
-  its source derivation and cross-checked against the LP route, which is
-  authoritative whenever the two disagree; see ``bounds_mmr_pos_mediator``.
+  its source derivation and cross-checked on every call against the sharp
+  optima of ``lp_engine.anie_bounds_lp`` (read from its dual-vertex table, no
+  simplex), which are authoritative whenever the two disagree; see
+  ``bounds_mmr_pos_mediator``.
 
 Expressions are exposed through :func:`anie_expressions` so that the
 intersection-bounds inference code can reuse them verbatim.
@@ -26,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import lp_engine
 from .model import (
     Assumptions,
     BoundsResult,
@@ -212,13 +215,11 @@ def bounds_mmr(dist: ObservedDistribution, reference: int) -> BoundsResult:
     )
 
 
-def bounds_mmr_pos_mediator(
-    dist: ObservedDistribution, reference: int = 1, *, check_lp: bool = True
-) -> BoundsResult:
+def bounds_mmr_pos_mediator(dist: ObservedDistribution, reference: int = 1) -> BoundsResult:
     """Bounds on delta(1) under MMR plus E[Y(1,1) - Y(1,0)] >= 0.
 
-    Evaluates the printed four-expression closed form exactly, then (by
-    default) cross-validates both endpoints against the sharp LP solution.
+    Evaluates the printed four-expression closed form exactly, then
+    cross-validates both endpoints against the sharp LP optima.
     When they differ by more than ``CROSS_CHECK_TOL`` the LP values are
     returned, the method flips to :attr:`Method.LP`, and the printed interval
     is preserved in ``diagnostics``.  Probing shows the printed lower bound is
@@ -250,27 +251,24 @@ def bounds_mmr_pos_mediator(
             fingerprint=dist.fingerprint(),
         )
     lo, hi = _clamp(lo), _clamp(hi)
-    if check_lp:
-        from . import lp_engine  # runtime import keeps module load order flexible
-
-        lp_result = lp_engine.anie_bounds_lp(dist, spec)
-        d_lo = abs(lo - lp_result.lower)
-        d_hi = abs(hi - lp_result.upper)
-        if max(d_lo, d_hi) > CROSS_CHECK_TOL:
-            return BoundsResult(
-                lower=lp_result.lower,
-                upper=lp_result.upper,
-                binding_lower=None,
-                binding_upper=None,
-                spec=spec,
-                method=Method.LP,
-                diagnostics=(
-                    f"printed closed form [{lo:.12g}, {hi:.12g}] is not sharp here "
-                    f"(LP gives [{lp_result.lower:.12g}, {lp_result.upper:.12g}], "
-                    f"gaps lower={d_lo:.3g} upper={d_hi:.3g}); LP values returned",
-                ),
-                fingerprint=dist.fingerprint(),
-            )
+    lp_result = lp_engine.anie_bounds_lp(dist, spec)
+    d_lo = abs(lo - lp_result.lower)
+    d_hi = abs(hi - lp_result.upper)
+    if max(d_lo, d_hi) > CROSS_CHECK_TOL:
+        return BoundsResult(
+            lower=lp_result.lower,
+            upper=lp_result.upper,
+            binding_lower=None,
+            binding_upper=None,
+            spec=spec,
+            method=Method.LP,
+            diagnostics=(
+                f"printed closed form [{lo:.12g}, {hi:.12g}] is not sharp here "
+                f"(LP gives [{lp_result.lower:.12g}, {lp_result.upper:.12g}], "
+                f"gaps lower={d_lo:.3g} upper={d_hi:.3g}); LP values returned",
+            ),
+            fingerprint=dist.fingerprint(),
+        )
     return BoundsResult(
         lower=lo,
         upper=hi,

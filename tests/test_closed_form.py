@@ -182,23 +182,25 @@ class TestSignedMediator:
         # The printed lower expression set is valid but not sharp everywhere;
         # when the LP disagrees the result must switch routes, keep the LP
         # endpoints, stay inside the printed interval, and say what happened.
+        spec = EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR)
         rng = make_rng(37)
         overrides = 0
         for _ in range(300):
             dist = random_mmr_dist(rng)
-            printed = bounds_mmr_pos_mediator(dist, check_lp=False)
-            checked = bounds_mmr_pos_mediator(dist, check_lp=True)
-            assert printed.method is Method.CLOSED_FORM
+            lo_vals, hi_vals = expression_values(dist, spec)
+            printed_lower = min(1.0, max(-1.0, max(lo_vals)))
+            printed_upper = min(1.0, max(-1.0, min(hi_vals)))
+            checked = bounds_mmr_pos_mediator(dist)
             if checked.method is Method.LP:
                 overrides += 1
                 assert checked.binding_lower is None
                 assert checked.diagnostics
                 assert "LP values returned" in checked.diagnostics[0]
-                assert checked.lower >= printed.lower - 1e-9
-                assert checked.upper <= printed.upper + 1e-9
+                assert checked.lower >= printed_lower - 1e-9
+                assert checked.upper <= printed_upper + 1e-9
             else:
-                assert abs(checked.lower - printed.lower) <= 1e-9
-                assert abs(checked.upper - printed.upper) <= 1e-9
+                assert abs(checked.lower - printed_lower) <= 1e-9
+                assert abs(checked.upper - printed_upper) <= 1e-9
         assert overrides > 0, "expected at least one non-sharp printed interval"
 
     def test_incompatible_skips_lp(self):
