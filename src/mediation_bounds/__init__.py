@@ -9,8 +9,9 @@ interval carries the assumption set that produced it.
 Layout:
 
 * :mod:`mediation_bounds.model` observed-data types, estimand specs, results
-* :mod:`mediation_bounds.closed_form` printed bound expressions per assumption set
-* :mod:`mediation_bounds.lp_engine` stratum LP, its dual-vertex table, and a witness simplex
+* :mod:`mediation_bounds.closed_form` the bound table: expressions derived from the
+  stratum LP's dual vertices, and the one evaluator :func:`anie_bounds`
+* :mod:`mediation_bounds.lp_engine` the stratum LP and a witness simplex
 * :mod:`mediation_bounds.inference` intersection-bounds estimation and CIs
 * :mod:`mediation_bounds.oracle` full potential-outcome populations for validation
 * :mod:`mediation_bounds.cli` the ``mediation-bounds`` command
@@ -22,7 +23,6 @@ from .model import (
     Assumptions,
     AssumptionIncompatibilityError,
     BoundsResult,
-    ClosedFormUnavailableError,
     ConsistencyError,
     EmptyArmError,
     EstimandSpec,
@@ -39,6 +39,7 @@ from .model import (
     from_units,
 )
 from .closed_form import (
+    anie_bounds,
     anie_expressions,
     ande_bounds,
     bounds_mmr,
@@ -51,7 +52,6 @@ from .lp_engine import (
     Sense,
     StrataDistribution16,
     UnboundedError,
-    anie_bounds_lp,
     build_lp,
     cross_world_range,
     format_lp,
@@ -85,7 +85,6 @@ __all__ = [
     "Assumptions",
     "AssumptionIncompatibilityError",
     "BoundsResult",
-    "ClosedFormUnavailableError",
     "ConsistencyError",
     "EmptyArmError",
     "EstimandSpec",
@@ -100,6 +99,7 @@ __all__ = [
     "from_counts",
     "from_probabilities",
     "from_units",
+    "anie_bounds",
     "anie_expressions",
     "ande_bounds",
     "bounds_mmr",
@@ -110,7 +110,6 @@ __all__ = [
     "Sense",
     "StrataDistribution16",
     "UnboundedError",
-    "anie_bounds_lp",
     "build_lp",
     "cross_world_range",
     "format_lp",

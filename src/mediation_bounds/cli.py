@@ -2,8 +2,8 @@
 
 One invocation analyzes one or more mediator columns against a binary
 treatment and outcome: dichotomization (optional), sharp bounds under each
-requested assumption set by both the closed-form and LP routes, natural direct
-effect bounds by decomposition, intersection-bounds inference, and the
+requested assumption set (one evaluation of the bound table per set), natural
+direct effect bounds by decomposition, intersection-bounds inference, and the
 ATE/mediator-ATE Wald tests.   Output is a versioned JSON report, a flat CSV,
 or figure-ready plotdata rows.
 
@@ -27,14 +27,12 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from . import __version__
-from .closed_form import ande_bounds, bounds_mmr, bounds_mmr_pos_mediator, bounds_no_assumption
+from .closed_form import ande_bounds, anie_bounds
 from .inference import InferenceConfig, IntervalEstimate, WaldResult, ate_test, clr_bounds, iot_test
-from .lp_engine import anie_bounds_lp
 from .model import (
     AssumptionIncompatibilityError,
     Assumptions,
     BoundsResult,
-    ClosedFormUnavailableError,
     EstimandSpec,
     ValidationError,
     cell_counts,
@@ -42,7 +40,7 @@ from .model import (
     from_units,  # not used here; perfbench's tracing tests call cli.from_units
 )
 
-SCHEMA = "mediation-bounds/2"
+SCHEMA = "mediation-bounds/3"
 _MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
 # Per byte: 0 if a blank line may hold it (ASCII whitespace as str.strip()
 # sees it, or a comma), 1 if it is a quote mark or part of a non-ASCII
@@ -372,14 +370,10 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
 class AssumptionResult:
     assumptions: Assumptions
     reference: int
-    closed_form: BoundsResult | None
-    closed_form_error: str | None
-    lp: BoundsResult | None
-    lp_error: str | None
-    ande: BoundsResult | None
+    bounds: BoundsResult
+    ande: BoundsResult
     inference: IntervalEstimate | None
     inference_error: str | None
-    incompatible: bool
 
 
 @dataclass
@@ -418,49 +412,26 @@ def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> Media
         spec = EstimandSpec(
             reference=config.reference, assumptions=assumptions, mediator_effect_sign=1
         )
-        closed: BoundsResult | None = None
-        closed_err: str | None = None
-        try:
-            if assumptions is Assumptions.NONE:
-                closed = bounds_no_assumption(dist, config.reference)
-            elif assumptions is Assumptions.MMR:
-                closed = bounds_mmr(dist, config.reference)
-            else:
-                closed = bounds_mmr_pos_mediator(dist, config.reference)
-        except ClosedFormUnavailableError as exc:
-            closed_err = str(exc)
-        lp: BoundsResult | None = None
-        lp_err: str | None = None
-        try:
-            lp = anie_bounds_lp(dist, spec)
-        except AssumptionIncompatibilityError as exc:
-            lp_err = str(exc)
-        anie = closed if closed is not None else lp
-        ande = ande_bounds(dist, 1 - config.reference, anie) if anie is not None else None
-        interval: IntervalEstimate | None = None
-        interval_err: str | None = None
-        try:
-            interval = clr_bounds(counts, spec, inf_config)
-        except (ClosedFormUnavailableError, ValidationError) as exc:
-            interval_err = str(exc)
-        incompatible = bool(closed is not None and closed.incompatible) or lp_err is not None
-        if incompatible and config.strict:
+        bounds = anie_bounds(dist, spec)
+        if bounds.incompatible and config.strict:
             raise AssumptionIncompatibilityError(
                 f"mediator {data.name!r}: data are incompatible with assumption set "
                 f"{assumptions.value!r} (--strict)"
             )
+        interval: IntervalEstimate | None = None
+        interval_err: str | None = None
+        try:
+            interval = clr_bounds(counts, spec, inf_config)
+        except ValidationError as exc:
+            interval_err = str(exc)
         results.append(
             AssumptionResult(
                 assumptions=assumptions,
                 reference=config.reference,
-                closed_form=closed,
-                closed_form_error=closed_err,
-                lp=lp,
-                lp_error=lp_err,
-                ande=ande,
+                bounds=bounds,
+                ande=ande_bounds(dist, 1 - config.reference, bounds),
                 inference=interval,
                 inference_error=interval_err,
-                incompatible=incompatible,
             )
         )
     return MediatorReport(
@@ -503,9 +474,7 @@ def _wald_dict(w: WaldResult) -> dict:
     return {"estimate": w.estimate, "se": w.se, "ci": [w.ci[0], w.ci[1]]}
 
 
-def _bounds_dict(b: BoundsResult | None, error: str | None) -> dict | None:
-    if b is None:
-        return {"error": error} if error else None
+def _bounds_dict(b: BoundsResult) -> dict:
     return {
         "lower": b.lower,
         "upper": b.upper,
@@ -585,14 +554,16 @@ def _report_dict(report: AnalysisReport) -> dict:
                 "dichotomization": m.rules,
                 "ate": _wald_dict(m.ate),
                 "iot": _wald_dict(m.iot),
+                # "closed_form" and "lp" carry the same evaluation: schema /3
+                # keeps both blocks so that readers of /2 still find them.
                 "results": [
                     {
                         "assumptions": r.assumptions.value,
                         "reference": r.reference,
-                        "incompatible": r.incompatible,
-                        "closed_form": _bounds_dict(r.closed_form, r.closed_form_error),
-                        "lp": _bounds_dict(r.lp, r.lp_error),
-                        "ande": _bounds_dict(r.ande, None),
+                        "incompatible": r.bounds.incompatible,
+                        "closed_form": _bounds_dict(r.bounds),
+                        "lp": _bounds_dict(r.bounds),
+                        "ande": _bounds_dict(r.ande),
                         "inference": _interval_dict(r.inference, r.inference_error),
                     }
                     for r in m.results
@@ -610,9 +581,8 @@ def _fmt(value: float | None) -> str:
 def emit_plotdata(report: AnalysisReport) -> str:
     """Figure-ready rows: one per (mediator x method), CSV text.
 
-    ``lo``/``hi`` on bounds rows are the plug-in sharp interval (closed form,
-    or LP where no closed form exists), so structural guarantees like zero
-    containment under NONE hold exactly; the half-median-unbiased estimates
+    ``lo``/``hi`` on bounds rows are the plug-in sharp interval, so
+    structural guarantees like zero containment under NONE hold exactly; the half-median-unbiased estimates
     and selection detail live in the JSON report.  ``point`` is filled only
     for the iot rows.  ``ate_reference_line`` repeats the run-level ATE
     estimate on every row.
@@ -626,9 +596,7 @@ def emit_plotdata(report: AnalysisReport) -> str:
             [m.name, "iot", _fmt(m.iot.estimate), "", "", _fmt(m.iot.ci[0]), _fmt(m.iot.ci[1]), _fmt(tau)]
         )
         for r in m.results:
-            anie = r.closed_form if r.closed_form is not None else r.lp
-            lo = _fmt(anie.lower) if anie is not None else ""
-            hi = _fmt(anie.upper) if anie is not None else ""
+            lo, hi = _fmt(r.bounds.lower), _fmt(r.bounds.upper)
             ci_lo = _fmt(r.inference.ci_lower) if r.inference is not None else ""
             ci_hi = _fmt(r.inference.ci_upper) if r.inference is not None else ""
             writer.writerow(
@@ -638,7 +606,10 @@ def emit_plotdata(report: AnalysisReport) -> str:
 
 
 def emit_csv(report: AnalysisReport) -> str:
-    """Flat per-(mediator x assumption-set) table with every headline number."""
+    """Flat per-(mediator x assumption-set) table with every headline number.
+
+    ``cf_*`` and ``lp_*`` repeat the one evaluation, as the JSON blocks do.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -654,33 +625,20 @@ def emit_csv(report: AnalysisReport) -> str:
     )
     for m in report.mediators:
         for r in m.results:
-            notes = "; ".join(
-                filter(
-                    None,
-                    [
-                        r.closed_form_error,
-                        r.lp_error,
-                        r.inference_error,
-                        *(r.closed_form.diagnostics if r.closed_form is not None else ()),
-                    ],
-                )
-            )
+            b = r.bounds
+            notes = "; ".join(filter(None, [r.inference_error, *b.diagnostics]))
             writer.writerow(
                 [
                     m.name, r.assumptions.value, r.reference, m.n_used, m.n_dropped,
                     _fmt(m.ate.estimate), _fmt(m.ate.se), _fmt(m.ate.ci[0]), _fmt(m.ate.ci[1]),
                     _fmt(m.iot.estimate), _fmt(m.iot.se), _fmt(m.iot.ci[0]), _fmt(m.iot.ci[1]),
-                    _fmt(r.closed_form.lower) if r.closed_form else "",
-                    _fmt(r.closed_form.upper) if r.closed_form else "",
-                    _fmt(r.lp.lower) if r.lp else "",
-                    _fmt(r.lp.upper) if r.lp else "",
-                    _fmt(r.ande.lower) if r.ande else "",
-                    _fmt(r.ande.upper) if r.ande else "",
+                    _fmt(b.lower), _fmt(b.upper), _fmt(b.lower), _fmt(b.upper),
+                    _fmt(r.ande.lower), _fmt(r.ande.upper),
                     _fmt(r.inference.bound_lower_hmu) if r.inference else "",
                     _fmt(r.inference.bound_upper_hmu) if r.inference else "",
                     _fmt(r.inference.ci_lower) if r.inference else "",
                     _fmt(r.inference.ci_upper) if r.inference else "",
-                    int(r.incompatible), notes,
+                    int(b.incompatible), notes,
                 ]
             )
     return buf.getvalue()
@@ -809,3 +767,7 @@ def main(argv=None) -> int:
 
 def cli_entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":  # python -m mediation_bounds.cli
+    cli_entry()

@@ -1,25 +1,45 @@
-"""Closed-form sharp bounds on average natural indirect effects.
+"""Sharp bounds on average natural indirect effects: one bound table, one evaluator.
 
 The target is delta(a) = E[Y(a, M(1)) - Y(a, M(0))] with everything binary and
-treatment randomized.  Each bound below is the max (lower) or min (upper) of a
-small set of linear expressions in the eight observed cell probabilities
-p_{ym.a} = P(Y=y, M=m | A=a); the expression sets depend on the assumption set:
+treatment randomized.  Each bound is the max (lower) or min (upper) of a small
+set of linear expressions in the eight observed cell probabilities
+p_{ym.a} = P(Y=y, M=m | A=a); the sets depend on the assumption set:
 
-* ``NONE``: no assumptions beyond randomization.  Three expressions per side,
-  valid and jointly sharp at either reference level.
+* ``NONE``: no assumptions beyond randomization.  Three expressions per side
+  at either reference level; the interval always contains zero.
 * ``MMR``: monotonicity of the mediator response, M(1) >= M(0) for everyone
   (no mediator defiers).  Two expressions per side; the interval collapses to
   [0, 0] when the mediator ATE is zero.
-* ``MMR_POS_MEDIATOR``: MMR plus a nonnegative average effect of the mediator
-  on the treated-arm outcome, E[Y(1,1) - Y(1,0)] >= 0.  Four expressions per
-  side, reference level 1 only.  This set is evaluated exactly as printed in
-  its source derivation and cross-checked on every call against the sharp
-  optima of ``lp_engine.anie_bounds_lp`` (read from its dual-vertex table, no
-  simplex), which are authoritative whenever the two disagree; see
-  ``bounds_mmr_pos_mediator``.
+* ``MMR_POS_MEDIATOR``: MMR plus a signed average effect of the mediator on
+  the reference-arm outcome, sign * E[Y(ref, 1) - Y(ref, 0)] >= 0.  Two to
+  four expressions per side, at either reference level and either sign.
 
-Expressions are exposed through :func:`anie_expressions` so that the
-intersection-bounds inference code can reuse them verbatim.
+No expression is typed by hand.  Every set is derived at import from
+``_DUAL_VERTICES``, the integer vertices of the dual of
+``lp_engine.build_lp``'s program: the symbolic bounds of Balke and Pearl
+(1997), automated by Sachs et al. (2023).  Only that program's right-hand side
+b depends on the data, so each extreme of the cross-world mean
+E[Y(ref, M(1-ref))] is a max or min of b . v over a fixed vertex list, and with
+delta(1) = E[Y|A=1] - cross-world mean and delta(0) = cross-world mean - E[Y|A=0]
+each vertex is one bounding expression.  The program is infeasible exactly
+when its phase-1 optimum, the max of b . v over the phase-1 vertices, is
+positive.  ``tests/test_dual_vertices.py`` re-derives the vertex table from
+``build_lp`` by brute force.
+
+Each arm's cells sum to 1, so an expression is fixed only up to adding a
+constant to one arm's coefficients and taking it from the other's.  The
+canonical form has no constant term and the fewest nonzero coefficients, the
+mediator-ATE form (``atm``) winning a tie.  A set lists ``atm`` or ``-atm``
+first, then by support size, then by the weight on the opposite arm's M=1
+cells, largest first; labels name the reference-arm cells first.  For
+``NONE`` and ``MMR`` this reproduces the printed sets of the source
+derivation, which ``tests/test_closed_form.py`` keeps and compares.
+
+:func:`anie_bounds` serves all eight (assumption set, reference, sign) specs
+with one evaluation and one incompatibility verdict; ``bounds_no_assumption``,
+``bounds_mmr``, ``bounds_mmr_pos_mediator`` and ``lp_engine.anie_bounds_lp``
+are front doors over it.  :func:`anie_expressions` exposes the sets to the
+intersection-bounds inference code.
 """
 
 from __future__ import annotations
@@ -28,23 +48,104 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import lp_engine
 from .model import (
+    FEAS_TOL,
+    ORDER_TOL,
     Assumptions,
     BoundsResult,
-    ClosedFormUnavailableError,
     ConsistencyError,
     EstimandSpec,
     Method,
     ObservedDistribution,
-    SIMPLEX_TOL,
     ate,
-    atm,
 )
 
-# Closed form and LP agree to machine precision in exact arithmetic; anything
-# beyond this is a real disagreement, not roundoff.
-CROSS_CHECK_TOL = 1e-9
+# Integer dual vertices of ``build_lp``'s program, keyed by (assumptions,
+# reference, mediator_effect_sign); the sign is 1 for the sets that ignore it.
+# Each vertex v is read against the right-hand sides
+#
+#     b = (1, p00.ref, p01.ref, p10.ref, p11.ref, P(M = 1 | A = 1 - ref))
+#
+# of the simplex row, the four reference-arm joint cells and the opposite-arm
+# margin; the defier and sign rows have right-hand side 0.  The three parts
+# are the vertices for the MIN side (min = max of b . v), for the MAX side
+# (max = min of b . v), and of the phase-1 dual {A^T y <= 0, y <= 1}
+# (phase-1 optimum = max of b . v).  The defier strata and their rows are
+# eliminated first, and the optimum vertices carry 0 on the simplex row,
+# which is the sum of the joint-cell rows.  Regenerated, and checked, by
+# tests/test_dual_vertices.py.
+_DUAL_VERTICES = {
+    (Assumptions.NONE, 0, 1): (
+        ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
+        ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
+        ((-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0)),
+    ),
+    (Assumptions.NONE, 1, 1): (
+        ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
+        ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
+        ((-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0)),
+    ),
+    (Assumptions.MMR, 0, 1): (
+        ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
+        ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
+        (
+            (-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0),
+            (1, -1, 1, -1, 1, -2),
+        ),
+    ),
+    (Assumptions.MMR, 1, 1): (
+        ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
+        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
+        (
+            (-2, 1, 1, 1, 1, 1), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0), (1, -1, -2, -1, -2, 1),
+            (1, -1, -1, -1, -1, 0),
+        ),
+    ),
+    (Assumptions.MMR_POS_MEDIATOR, 0, 1): (
+        ((0, -1, -1, 0, -1, 1), (0, -1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
+        ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
+        (
+            (-3, 1, 1, 1, 1, 1), (-2, 0, 1, 1, 0, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
+            (-1, 0, 1, 1, 0, 0), (-1, 0, 1, 1, 1, -1), (-1, 1, 1, 1, 1, 0), (1, -3, -2, -2, -3, 1),
+            (1, -2, -2, -2, -2, 1), (1, -2, -1, -1, -2, 0), (1, -2, 1, -1, 0, -2), (1, -2, 1, -1, 1, -3),
+            (1, -1, -1, -1, -1, 0), (1, -1, 1, -1, 1, -2),
+        ),
+    ),
+    (Assumptions.MMR_POS_MEDIATOR, 0, -1): (
+        ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
+        ((0, 0, -1, 1, 0, 1), (0, 0, 1, 2, 1, 0), (0, 1, 0, 1, 1, 0), (0, 1, 2, 2, 2, -1)),
+        (
+            (-3, 1, 1, 1, 1, 1), (-2, 1, 0, 0, 1, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
+            (-1, 1, 0, 0, 1, 0), (-1, 1, 1, 0, 1, -1), (-1, 1, 1, 1, 1, 0), (1, -2, -3, -3, -2, 1),
+            (1, -2, -2, -2, -2, 1), (1, -1, -2, -2, -1, 0), (1, -1, -1, -1, -1, 0), (1, -1, 0, -2, 1, -2),
+            (1, -1, 1, -2, 1, -3), (1, -1, 1, -1, 1, -2),
+        ),
+    ),
+    (Assumptions.MMR_POS_MEDIATOR, 1, 1): (
+        ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
+        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1), (0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 2, 0)),
+        (
+            (-3, 1, 1, 1, 1, 1), (-2, 1, 1, 1, 0, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
+            (-1, 0, 0, 1, -1, 1), (-1, 0, 1, 1, 0, 0), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0),
+            (1, -2, -2, -1, -3, 1), (1, -2, -1, -1, -2, 0), (1, -1, -2, -1, -2, 1), (1, -1, -1, -1, -1, 0),
+        ),
+    ),
+    (Assumptions.MMR_POS_MEDIATOR, 1, -1): (
+        ((0, 0, -1, 0, 1, 0), (0, 0, -1, 1, 0, 1), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, 0, 0)),
+        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
+        (
+            (-3, 1, 1, 1, 1, 1), (-2, 1, 0, 1, 1, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
+            (-1, 1, -1, 0, 0, 1), (-1, 1, 0, 0, 1, 0), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0),
+            (1, -1, -3, -2, -2, 1), (1, -1, -2, -2, -1, 0), (1, -1, -2, -1, -2, 1), (1, -1, -1, -1, -1, 0),
+        ),
+    ),
+}
+
+
+# The mediator ATE P(M=1|A=1) - P(M=1|A=0) on the cell vector, whose M=1
+# cells have odd indices, and its negative.
+_ATM = tuple((i & 1) * (1 if i >= 4 else -1) for i in range(8))
+_ATM_FORMS = (_ATM, tuple(-x for x in _ATM))
 
 
 class Expression(NamedTuple):
@@ -61,152 +162,120 @@ class Expression(NamedTuple):
         return float(np.dot(self.coeffs, cells))
 
 
-def _expr(label: str, *terms: tuple[float, int, int, int]) -> Expression:
-    # term = (coefficient, a, y, m)
-    vec = np.zeros(8)
-    for coef, a, y, m in terms:
-        vec[4 * a + 2 * y + m] += coef
-    return Expression(label, tuple(float(v) for v in vec))
+class _SpecTable(NamedTuple):
+    lowers: tuple[Expression, ...]
+    uppers: tuple[Expression, ...]
+    rows: np.ndarray  # coefficients of the lower, the upper and the phase-1 expressions, stacked
 
 
-_ATM_TERMS = ((1.0, 1, 0, 1), (1.0, 1, 1, 1), (-1.0, 0, 0, 1), (-1.0, 0, 1, 1))
-_NEG_ATM_TERMS = tuple((-c, a, y, m) for c, a, y, m in _ATM_TERMS)
+def _support(form: tuple[int, ...]) -> int:
+    return len(form) - form.count(0)
 
-# No-assumption expression sets.  delta(1) compares Y(1, M(1)) to Y(1, M(0));
-# the cross-world term is only partially identified, and these are the extreme
-# couplings of the treated-arm joint law with the control-arm mediator margin.
-_NONE_REF1_LOWER = (
-    _expr("-p00.1 - p01.1", (-1, 1, 0, 0), (-1, 1, 0, 1)),
-    _expr("-p01.1 - p01.0 - p11.0", (-1, 1, 0, 1), (-1, 0, 0, 1), (-1, 0, 1, 1)),
-    _expr("-p00.1 - p00.0 - p10.0", (-1, 1, 0, 0), (-1, 0, 0, 0), (-1, 0, 1, 0)),
-)
-_NONE_REF1_UPPER = (
-    _expr("p10.1 + p11.1", (1, 1, 1, 0), (1, 1, 1, 1)),
-    _expr("p11.1 + p01.0 + p11.0", (1, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1)),
-    _expr("p10.1 + p00.0 + p10.0", (1, 1, 1, 0), (1, 0, 0, 0), (1, 0, 1, 0)),
-)
-_NONE_REF0_LOWER = (
-    _expr("-p10.0 - p11.0", (-1, 0, 1, 0), (-1, 0, 1, 1)),
-    _expr("-p11.0 - p01.1 - p11.1", (-1, 0, 1, 1), (-1, 1, 0, 1), (-1, 1, 1, 1)),
-    _expr("-p10.0 - p00.1 - p10.1", (-1, 0, 1, 0), (-1, 1, 0, 0), (-1, 1, 1, 0)),
-)
-_NONE_REF0_UPPER = (
-    _expr("p00.0 + p01.0", (1, 0, 0, 0), (1, 0, 0, 1)),
-    _expr("p01.0 + p01.1 + p11.1", (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1)),
-    _expr("p00.0 + p00.1 + p10.1", (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)),
-)
 
-# Mediator-monotonicity sets: without defiers the indirect effect moves only
-# through compliers, so its magnitude is capped by the mediator ATE and by the
-# reference-arm cell a complier can vacate.
-_MMR_REF1_LOWER = (_expr("-atm", *_NEG_ATM_TERMS), _expr("-p01.1", (-1, 1, 0, 1)))
-_MMR_REF1_UPPER = (_expr("atm", *_ATM_TERMS), _expr("p11.1", (1, 1, 1, 1)))
-_MMR_REF0_LOWER = (_expr("-atm", *_NEG_ATM_TERMS), _expr("-p10.0", (-1, 0, 1, 0)))
-_MMR_REF0_UPPER = (_expr("atm", *_ATM_TERMS), _expr("p00.0", (1, 0, 0, 0)))
+def _zero_constant(w: list[int], c: int) -> tuple[int, ...]:
+    """The form of ``w . cells + c`` with no constant and the fewest nonzero coefficients.
 
-# Monotone-mediator plus nonnegative mediator-on-outcome effect, reference 1,
-# exactly as printed in the source derivation.  The third upper expression
-# carries a repeated p00.1 term in the original; it is reproduced verbatim
-# (probing shows it never binds, so the duplication is value-harmless, and the
-# LP cross-check below would catch it if it ever mattered).
-_POS_REF1_LOWER = (
-    _expr("-atm", *_NEG_ATM_TERMS),
-    _expr("p10.1 - p10.0 - p00.0", (1, 1, 1, 0), (-1, 0, 1, 0), (-1, 0, 0, 0)),
-    _expr("-p11.1 - p00.1 - p10.0", (-1, 1, 1, 1), (-1, 1, 0, 0), (-1, 0, 1, 0)),
-    _expr("-p01.1", (-1, 1, 0, 1)),
-)
-_POS_REF1_UPPER = (
-    _expr("atm", *_ATM_TERMS),
-    _expr("p11.1 + p10.0 + p00.0", (1, 1, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0)),
-    _expr("2 p11.1 + p00.1 + p00.1", (2, 1, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)),
-    _expr("p11.1", (1, 1, 1, 1)),
-)
+    Adding t to every arm-0 coefficient and c - t to every arm-1 coefficient
+    absorbs the constant; only a t that zeroes some coefficient can be sparsest.
+    """
+    shifts = sorted({*(-x for x in w[:4]), *(c + x for x in w[4:])})
+    forms = [tuple(x + t for x in w[:4]) + tuple(x + c - t for x in w[4:]) for t in shifts]
+    return min(forms, key=lambda f: (_support(f), f not in _ATM_FORMS))
 
-_REGISTRY = {
-    (Assumptions.NONE, 0): (_NONE_REF0_LOWER, _NONE_REF0_UPPER),
-    (Assumptions.NONE, 1): (_NONE_REF1_LOWER, _NONE_REF1_UPPER),
-    (Assumptions.MMR, 0): (_MMR_REF0_LOWER, _MMR_REF0_UPPER),
-    (Assumptions.MMR, 1): (_MMR_REF1_LOWER, _MMR_REF1_UPPER),
-    (Assumptions.MMR_POS_MEDIATOR, 1): (_POS_REF1_LOWER, _POS_REF1_UPPER),
-}
+
+def _label(form: tuple[int, ...], ref: int) -> str:
+    if form in _ATM_FORMS:
+        return "atm" if form[5] > 0 else "-atm"
+    text = ""
+    for i in (*range(4 * ref, 4 * ref + 4), *range(4 - 4 * ref, 8 - 4 * ref)):
+        c = form[i]
+        if c:
+            term = ("" if abs(c) == 1 else f"{abs(c)} ") + f"p{i >> 1 & 1}{i & 1}.{i >> 2}"
+            text += (("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")) + term
+    return text
+
+
+def _derive(ref: int, min_side, max_side, phase1) -> _SpecTable:
+    """One spec's expression sets and phase-1 rows from its dual vertices."""
+    opp_m1 = (5 - 4 * ref, 7 - 4 * ref)  # the opposite arm's M=1 cells
+
+    def dot_b(v) -> tuple[list[int], int]:  # b . v as (cell coefficients, constant)
+        w = [0] * 8
+        w[4 * ref : 4 * ref + 4] = v[1:5]
+        for i in opp_m1:
+            w[i] = v[5]
+        return w, v[0]
+
+    def side(vertices) -> tuple[Expression, ...]:
+        # delta(1) = E[Y|A=1] - b . v and delta(0) = b . v - E[Y|A=0].
+        s = 1 if ref == 1 else -1
+        forms = []
+        for w, c in map(dot_b, vertices):
+            w = [-s * x for x in w]
+            w[4 * ref + 2] += s
+            w[4 * ref + 3] += s
+            forms.append(_zero_constant(w, -s * c))
+        forms.sort(key=lambda f: (f not in _ATM_FORMS, _support(f), -sum(abs(f[i]) for i in opp_m1)))
+        return tuple(Expression(_label(f, ref), tuple(float(x) for x in f)) for f in forms)
+
+    lowers, uppers = (side(max_side), side(min_side)) if ref == 1 else (side(min_side), side(max_side))
+    residuals = [_zero_constant(*dot_b(v)) for v in phase1]
+    rows = np.array([e.coeffs for e in lowers + uppers] + residuals, dtype=float)
+    return _SpecTable(lowers, uppers, rows)
+
+
+_TABLE = {key: _derive(key[1], *parts) for key, parts in _DUAL_VERTICES.items()}
+
+
+def _spec_table(spec: EstimandSpec) -> _SpecTable:
+    sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
+    return _TABLE[(spec.assumptions, spec.reference, sign)]
 
 
 def anie_expressions(spec: EstimandSpec) -> tuple[tuple[Expression, ...], tuple[Expression, ...]]:
-    """Return (lower, upper) bounding-expression tuples for ``spec``.
-
-    Raises
-    ------
-    ClosedFormUnavailableError
-        For the signed-mediator assumption set at reference 0 or with a
-        negative maintained sign; only the LP route serves those estimands.
-    """
-    if spec.assumptions is Assumptions.MMR_POS_MEDIATOR and (
-        spec.reference != 1 or spec.mediator_effect_sign != 1
-    ):
-        raise ClosedFormUnavailableError(
-            "no closed-form expressions for the signed-mediator assumption set at "
-            f"reference={spec.reference}, sign={spec.mediator_effect_sign:+d}; "
-            "use lp_engine.anie_bounds_lp"
-        )
-    return _REGISTRY[(spec.assumptions, spec.reference)]
+    """Return (lower, upper) bounding-expression tuples for ``spec``; every spec has them."""
+    table = _spec_table(spec)
+    return table.lowers, table.uppers
 
 
 def _clamp(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
 
-def _evaluate(dist: ObservedDistribution, spec: EstimandSpec) -> tuple[float, float, int, int]:
-    lowers, uppers = anie_expressions(spec)
-    cells = dist.cell_vector()
-    lo_vals = [e.value(cells) for e in lowers]
-    hi_vals = [e.value(cells) for e in uppers]
-    bl = int(np.argmax(lo_vals))
-    bu = int(np.argmin(hi_vals))
-    return lo_vals[bl], hi_vals[bu], bl, bu
+def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
+    """Sharp bounds on delta(spec.reference) for any assumption set, reference and sign.
 
-
-def bounds_no_assumption(dist: ObservedDistribution, reference: int) -> BoundsResult:
-    """Sharp bounds on delta(reference) using randomization alone.
-
-    The interval always contains zero and is typically wide; it is the honest
-    baseline against which the assumption-driven intervals should be read.
+    The lower bound is the max of the lower expressions of :func:`anie_expressions`
+    and the upper the min of the upper ones; on feasible data they are the
+    optima of ``lp_engine.build_lp``'s program.  The result is flagged
+    ``incompatible`` when the data contradict the assumptions: when the
+    program's phase-1 optimum exceeds ``FEAS_TOL``, or when the interval
+    crosses by more than ``ORDER_TOL``.  A flagged interval is reported as
+    computed and may be empty.
     """
-    spec = EstimandSpec(reference=reference, assumptions=Assumptions.NONE)
-    lo, hi, bl, bu = _evaluate(dist, spec)
-    return BoundsResult(
-        lower=_clamp(lo),
-        upper=_clamp(hi),
-        binding_lower=bl,
-        binding_upper=bu,
-        spec=spec,
-        method=Method.CLOSED_FORM,
-        fingerprint=dist.fingerprint(),
-    )
-
-
-def bounds_mmr(dist: ObservedDistribution, reference: int) -> BoundsResult:
-    """Sharp bounds on delta(reference) under mediator monotonicity (no defiers).
-
-    MMR implies the mediator ATE is the complier share, so a negative sample
-    ATM contradicts the assumption: the result is then flagged ``incompatible``
-    and the (possibly crossed) interval is reported as computed.  A zero ATM
-    point-identifies delta(reference) = 0.
-    """
-    spec = EstimandSpec(reference=reference, assumptions=Assumptions.MMR)
-    lo, hi, bl, bu = _evaluate(dist, spec)
-    alpha = atm(dist)
-    incompatible = alpha < -SIMPLEX_TOL
+    table = _spec_table(spec)
+    n_lo = len(table.lowers)
+    n_bounds = n_lo + len(table.uppers)
+    # cumsum adds each row's eight products in index order, so the values do
+    # not depend on how a BLAS build orders a dot product.
+    values = np.cumsum(table.rows * dist.cell_vector(), axis=1)[:, -1].tolist()
+    lo_vals, hi_vals = values[:n_lo], values[n_lo:n_bounds]
+    lower, upper = max(lo_vals), min(hi_vals)
+    binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)
+    lower, upper = _clamp(lower), _clamp(upper)
+    residual = max(values[n_bounds:])
+    incompatible = residual > FEAS_TOL or lower > upper + ORDER_TOL
     diagnostics: tuple[str, ...] = ()
     if incompatible:
         diagnostics = (
-            f"sample ATM = {alpha:.6g} < 0 contradicts mediator monotonicity; "
-            "interval reported as computed and may be empty",
+            f"observed distribution contradicts {spec.assumptions.value!r}: constraints are "
+            f"inconsistent (phase-1 residual {residual:.6g}); interval reported as computed and may be empty",
         )
     return BoundsResult(
-        lower=_clamp(lo),
-        upper=_clamp(hi),
-        binding_lower=bl,
-        binding_upper=bu,
+        lower=lower,
+        upper=upper,
+        binding_lower=binding_lower,
+        binding_upper=binding_upper,
         spec=spec,
         method=Method.CLOSED_FORM,
         incompatible=incompatible,
@@ -215,69 +284,33 @@ def bounds_mmr(dist: ObservedDistribution, reference: int) -> BoundsResult:
     )
 
 
-def bounds_mmr_pos_mediator(dist: ObservedDistribution, reference: int = 1) -> BoundsResult:
-    """Bounds on delta(1) under MMR plus E[Y(1,1) - Y(1,0)] >= 0.
+def bounds_no_assumption(dist: ObservedDistribution, reference: int) -> BoundsResult:
+    """Sharp bounds on delta(reference) using randomization alone.
 
-    Evaluates the printed four-expression closed form exactly, then
-    cross-validates both endpoints against the sharp LP optima.
-    When they differ by more than ``CROSS_CHECK_TOL`` the LP values are
-    returned, the method flips to :attr:`Method.LP`, and the printed interval
-    is preserved in ``diagnostics``.  Probing shows the printed lower bound is
-    valid but not always sharp, so this override path is exercised on a
-    non-trivial fraction of inputs; the printed upper bound has never been
-    observed to disagree.
+    The interval always contains zero and is typically wide; it is the honest
+    baseline against which the assumption-driven intervals should be read.
     """
-    if reference != 1:
-        raise ClosedFormUnavailableError(
-            "the signed-mediator closed form exists only at reference 1; "
-            "use lp_engine.anie_bounds_lp for reference 0"
-        )
-    spec = EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR, mediator_effect_sign=1)
-    lo, hi, bl, bu = _evaluate(dist, spec)
-    alpha = atm(dist)
-    if alpha < -SIMPLEX_TOL:
-        return BoundsResult(
-            lower=_clamp(lo),
-            upper=_clamp(hi),
-            binding_lower=bl,
-            binding_upper=bu,
-            spec=spec,
-            method=Method.CLOSED_FORM,
-            incompatible=True,
-            diagnostics=(
-                f"sample ATM = {alpha:.6g} < 0 contradicts mediator monotonicity; "
-                "LP cross-check skipped (program infeasible)",
-            ),
-            fingerprint=dist.fingerprint(),
-        )
-    lo, hi = _clamp(lo), _clamp(hi)
-    lp_result = lp_engine.anie_bounds_lp(dist, spec)
-    d_lo = abs(lo - lp_result.lower)
-    d_hi = abs(hi - lp_result.upper)
-    if max(d_lo, d_hi) > CROSS_CHECK_TOL:
-        return BoundsResult(
-            lower=lp_result.lower,
-            upper=lp_result.upper,
-            binding_lower=None,
-            binding_upper=None,
-            spec=spec,
-            method=Method.LP,
-            diagnostics=(
-                f"printed closed form [{lo:.12g}, {hi:.12g}] is not sharp here "
-                f"(LP gives [{lp_result.lower:.12g}, {lp_result.upper:.12g}], "
-                f"gaps lower={d_lo:.3g} upper={d_hi:.3g}); LP values returned",
-            ),
-            fingerprint=dist.fingerprint(),
-        )
-    return BoundsResult(
-        lower=lo,
-        upper=hi,
-        binding_lower=bl,
-        binding_upper=bu,
-        spec=spec,
-        method=Method.CLOSED_FORM,
-        fingerprint=dist.fingerprint(),
-    )
+    return anie_bounds(dist, EstimandSpec(reference=reference, assumptions=Assumptions.NONE))
+
+
+def bounds_mmr(dist: ObservedDistribution, reference: int) -> BoundsResult:
+    """Sharp bounds on delta(reference) under mediator monotonicity (no defiers).
+
+    MMR implies the mediator ATE is the complier share, so a negative sample
+    ATM contradicts the assumption and flags the result ``incompatible``.  A
+    zero ATM point-identifies delta(reference) = 0.
+    """
+    return anie_bounds(dist, EstimandSpec(reference=reference, assumptions=Assumptions.MMR))
+
+
+def bounds_mmr_pos_mediator(dist: ObservedDistribution, reference: int = 1) -> BoundsResult:
+    """Sharp bounds on delta(reference) under MMR plus E[Y(reference,1) - Y(reference,0)] >= 0.
+
+    The opposite sign of the mediator's effect is served by :func:`anie_bounds`
+    with ``mediator_effect_sign=-1``.
+    """
+    spec = EstimandSpec(reference=reference, assumptions=Assumptions.MMR_POS_MEDIATOR, mediator_effect_sign=1)
+    return anie_bounds(dist, spec)
 
 
 def ande_bounds(dist: ObservedDistribution, reference: int, anie: BoundsResult) -> BoundsResult:

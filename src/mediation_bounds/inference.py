@@ -33,6 +33,7 @@ import numpy as np
 
 from .closed_form import anie_expressions
 from .model import (
+    _ZERO_SE_TOL,
     EstimandSpec,
     InsufficientDataError,
     ObservedDistribution,
@@ -41,7 +42,6 @@ from .model import (
     from_counts,
 )
 
-_ZERO_SE_TOL = 1e-12
 _STD_NORMAL = NormalDist()
 
 
@@ -285,12 +285,12 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     """Half-median-unbiased bound estimates and a confidence interval for the
     identified set of delta(spec.reference).
 
-    Requires closed-form bounding expressions for ``spec`` (all assumption sets
-    except the signed-mediator one away from its reference-1/+1 form); raises
-    :class:`~mediation_bounds.model.ClosedFormUnavailableError` otherwise.
-    One seeded Gaussian sample drives both sides and every quantile level, so
-    critical values are monotone across levels by construction and results are
-    bit-reproducible for a fixed config.
+    Serves every (assumption set, reference, sign) spec: the intersection is
+    over the expressions of ``closed_form.anie_expressions(spec)``, the same
+    sharp sets the point bounds are evaluated from.  One seeded Gaussian
+    sample drives both sides and every quantile level, so critical values are
+    monotone across levels by construction and results are bit-reproducible
+    for a fixed config.
     """
     lowers, uppers = anie_expressions(spec)
     counts = as_cell_counts(data)

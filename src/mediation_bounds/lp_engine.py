@@ -16,26 +16,17 @@ need is linear in psi:
 * the cross-world mean E[Y(ref, M(1-ref))] is the objective.
 
 Extremizing the objective over this polytope and translating back to
-delta(ref) gives bounds that are sharp by construction; the closed forms in
-``closed_form`` are validated against this route, and this route serves the
-estimands that have no printed closed form.
-
-Only the right-hand side of ``build_lp``'s program depends on the data; its
-matrix and objective are fixed by (assumption set, reference, sign).  By LP
-duality each optimum is therefore the max (MIN side) or min (MAX side) of
-b . v over the vertices v of a fixed dual polytope, where b holds the
-data-dependent right-hand sides, and the program is infeasible exactly when
-the phase-1 optimum, the max of b . y over the vertices of
-{A^T y <= 0, y <= 1}, is positive.  This is the construction of Balke and
-Pearl (1997), automated by Sachs et al. (2023).  ``anie_bounds_lp`` evaluates
-a checked-in table of those integer vertices, ``_DUAL_VERTICES``;
-``tests/test_dual_vertices.py`` re-derives the table by brute force from
-``build_lp`` and prints the literal when the two differ.
+delta(ref) gives bounds that are sharp by construction.  Only the program's
+right-hand side depends on the data, so by LP duality its optima are maxima
+and minima over a fixed list of integer dual vertices (Balke and Pearl, 1997;
+Sachs et al., 2023).  ``closed_form`` holds that list and derives every
+bounding expression from it, so requests never run a solver here;
+``anie_bounds_lp`` is a front door over ``closed_form.anie_bounds``.
 
 The dense two-phase primal simplex with Bland's rule (``solve``) is kept for
-what the table cannot give: witness stratum distributions attaining each
-endpoint (``cross_world_range``, used by ``oracle.sharpness_check``), and the
-tests that carry its sharpness proof over to the table's values.  The
+what the vertex list cannot give: witness stratum distributions attaining
+each endpoint (``cross_world_range``, used by ``oracle.sharpness_check``), and
+the tests that carry its sharpness proof over to the served values.  The
 programs are tiny (16 + at most 1 slack variable, at most 11 rows), so a
 bespoke dense implementation is simpler to certify at the 1e-9 contract than
 a general sparse solver dependency, and its witnesses come back in exactly
@@ -49,19 +40,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import anie_bounds
 from .model import (
+    FEAS_TOL,
+    PIVOT_TOL,
+    SIMPLEX_TOL,
     AssumptionIncompatibilityError,
     Assumptions,
     BoundsResult,
     EstimandSpec,
-    Method,
     ObservedDistribution,
-    SIMPLEX_TOL,
     ValidationError,
 )
 
-FEAS_TOL = 1e-9
-PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 10_000
 
 
@@ -393,135 +384,15 @@ def cross_world_range(
     return lo_val, hi_val, lo_wit, hi_wit
 
 
-# Integer dual vertices of ``build_lp``'s program, keyed by (assumptions,
-# reference, mediator_effect_sign); the sign is 1 for the sets that ignore it.
-# Each vertex v is read against the right-hand sides
-#
-#     b = (1, p00.ref, p01.ref, p10.ref, p11.ref, P(M = 1 | A = 1 - ref))
-#
-# of the simplex row, the four reference-arm joint cells and the opposite-arm
-# margin; the defier and sign rows have right-hand side 0.  The three parts
-# are the vertices for the MIN side (min = max of b . v), for the MAX side
-# (max = min of b . v), and of the phase-1 dual {A^T y <= 0, y <= 1}
-# (phase-1 optimum = max of b . v).  The defier strata and their rows are
-# eliminated first, and the optimum vertices carry 0 on the simplex row,
-# which is the sum of the joint-cell rows.  Regenerated, and checked, by
-# tests/test_dual_vertices.py.
-_DUAL_VERTICES = {
-    (Assumptions.NONE, 0, 1): (
-        ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
-        ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
-        ((-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0)),
-    ),
-    (Assumptions.NONE, 1, 1): (
-        ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
-        ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
-        ((-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0)),
-    ),
-    (Assumptions.MMR, 0, 1): (
-        ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
-        (
-            (-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0),
-            (1, -1, 1, -1, 1, -2),
-        ),
-    ),
-    (Assumptions.MMR, 1, 1): (
-        ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
-        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
-        (
-            (-2, 1, 1, 1, 1, 1), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0), (1, -1, -2, -1, -2, 1),
-            (1, -1, -1, -1, -1, 0),
-        ),
-    ),
-    (Assumptions.MMR_POS_MEDIATOR, 0, 1): (
-        ((0, -1, -1, 0, -1, 1), (0, -1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 0, 1, 1, 0, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 0, 1, 1, 0, 0), (-1, 0, 1, 1, 1, -1), (-1, 1, 1, 1, 1, 0), (1, -3, -2, -2, -3, 1),
-            (1, -2, -2, -2, -2, 1), (1, -2, -1, -1, -2, 0), (1, -2, 1, -1, 0, -2), (1, -2, 1, -1, 1, -3),
-            (1, -1, -1, -1, -1, 0), (1, -1, 1, -1, 1, -2),
-        ),
-    ),
-    (Assumptions.MMR_POS_MEDIATOR, 0, -1): (
-        ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((0, 0, -1, 1, 0, 1), (0, 0, 1, 2, 1, 0), (0, 1, 0, 1, 1, 0), (0, 1, 2, 2, 2, -1)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 1, 0, 0, 1, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 1, 0, 0, 1, 0), (-1, 1, 1, 0, 1, -1), (-1, 1, 1, 1, 1, 0), (1, -2, -3, -3, -2, 1),
-            (1, -2, -2, -2, -2, 1), (1, -1, -2, -2, -1, 0), (1, -1, -1, -1, -1, 0), (1, -1, 0, -2, 1, -2),
-            (1, -1, 1, -2, 1, -3), (1, -1, 1, -1, 1, -2),
-        ),
-    ),
-    (Assumptions.MMR_POS_MEDIATOR, 1, 1): (
-        ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
-        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1), (0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 2, 0)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 1, 1, 1, 0, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 0, 0, 1, -1, 1), (-1, 0, 1, 1, 0, 0), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0),
-            (1, -2, -2, -1, -3, 1), (1, -2, -1, -1, -2, 0), (1, -1, -2, -1, -2, 1), (1, -1, -1, -1, -1, 0),
-        ),
-    ),
-    (Assumptions.MMR_POS_MEDIATOR, 1, -1): (
-        ((0, 0, -1, 0, 1, 0), (0, 0, -1, 1, 0, 1), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, 0, 0)),
-        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 1, 0, 1, 1, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 1, -1, 0, 0, 1), (-1, 1, 0, 0, 1, 0), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0),
-            (1, -1, -3, -2, -2, 1), (1, -1, -2, -2, -1, 0), (1, -1, -2, -1, -2, 1), (1, -1, -1, -1, -1, 0),
-        ),
-    ),
-}
-
-
-# Per key: all vertices stacked as one float matrix, the end of the MIN part
-# and the end of the MAX part.
-_TABLES = {
-    key: (np.array(lower + upper + phase1, dtype=float), len(lower), len(lower) + len(upper))
-    for key, (lower, upper, phase1) in _DUAL_VERTICES.items()
-}
-
-
 def anie_bounds_lp(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     """Sharp bounds on delta(spec.reference), the optima of ``build_lp``'s program.
 
-    Serves every assumption set at either reference level, including the
-    signed-mediator set at reference 0 and with negative maintained sign.  The
-    optima come from the dual-vertex table, without running the simplex; a
-    phase-1 optimum above ``FEAS_TOL`` (an infeasible program) is surfaced as
-    :class:`AssumptionIncompatibilityError`.
+    A front door over ``closed_form.anie_bounds``, whose expressions are this
+    program's dual vertices: it returns the same result, and raises
+    :class:`AssumptionIncompatibilityError` where that result is flagged
+    incompatible.
     """
-    ref = spec.reference
-    sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
-    matrix, end_min, end_max = _TABLES[(spec.assumptions, ref, sign)]
-    rhs = np.empty(6)
-    rhs[0] = 1.0
-    rhs[1:5] = dist.arm(ref)
-    rhs[5] = dist.mediator_margin(1 - ref)
-    values = (matrix @ rhs).tolist()
-    residual = max(values[end_max:])
-    if residual > FEAS_TOL:
-        raise AssumptionIncompatibilityError(
-            f"observed distribution is incompatible with {spec.assumptions.value!r}: "
-            f"constraints are inconsistent (phase-1 residual {residual:.6g})"
-        )
-    cross_min = max(values[:end_min])
-    cross_max = min(values[end_min:end_max])
-    if ref == 1:
-        mean = dist.outcome_mean(1)
-        lower, upper = mean - cross_max, mean - cross_min
-    else:
-        mean = dist.outcome_mean(0)
-        lower, upper = cross_min - mean, cross_max - mean
-    lower = min(1.0, max(-1.0, lower))
-    upper = min(1.0, max(-1.0, upper))
-    return BoundsResult(
-        lower=lower,
-        upper=upper,
-        binding_lower=None,
-        binding_upper=None,
-        spec=spec,
-        method=Method.LP,
-        fingerprint=dist.fingerprint(),
-    )
+    result = anie_bounds(dist, spec)
+    if result.incompatible:
+        raise AssumptionIncompatibilityError(result.diagnostics[0])
+    return result

@@ -16,8 +16,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The package's tolerances, each with the decision it governs.  Each sits far
+# above the roundoff of the arithmetic it guards (sums and dot products of a
+# few cells, about 1e-15); none is a tuning knob.
+#
+# SIMPLEX_TOL: how far each arm's cell probabilities may sum from 1, and an
+#   LP equality's right-hand side may lie outside [0, 1].
 SIMPLEX_TOL = 1e-12
+# ORDER_TOL: how far an endpoint may lie outside [-1, 1], and how far an
+#   interval not flagged incompatible may cross (lower above upper) or, with
+#   no assumptions, miss zero.  ``closed_form.anie_bounds`` flags every wider
+#   crossing, so a valid table never trips the check.
 ORDER_TOL = 1e-9
+# FEAS_TOL: the largest phase-1 optimum (the total constraint violation) of a
+#   stratum program that still counts as feasible, for ``anie_bounds`` and
+#   the simplex alike; also the negative mass and sum error a stratum
+#   distribution may carry.
+FEAS_TOL = 1e-9
+# PIVOT_TOL: the simplex treats smaller reduced costs and pivot-column
+#   entries as zero.
+PIVOT_TOL = 1e-10
+# _POP_TOL: how far the 64 masses of an oracle population may sum from 1.
+_POP_TOL = 1e-12
+# _ZERO_SE_TOL: CLR inference does not studentize an expression whose
+#   standard error is at most this; it is sidelined as known exactly.
+_ZERO_SE_TOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -40,13 +63,6 @@ class AssumptionIncompatibilityError(RuntimeError):
     """Raised when the observed distribution is incompatible with the maintained assumptions."""
 
 
-class ClosedFormUnavailableError(LookupError):
-    """Raised when no closed-form bounding expressions exist for the requested estimand.
-
-    The linear-programming route (``lp_engine.anie_bounds_lp``) serves these cases.
-    """
-
-
 class Assumptions(enum.Enum):
     """Assumption sets under which indirect-effect bounds are computed."""
 
@@ -56,7 +72,12 @@ class Assumptions(enum.Enum):
 
 
 class Method(enum.Enum):
-    """Computational route that produced a bound."""
+    """Computational route that produced a bound.
+
+    Every bound the package serves is ``CLOSED_FORM``: the max or min of a set
+    of expressions derived from the stratum LP's dual vertices.  ``LP`` marks a
+    result built directly from an LP optimum, such as a simplex value.
+    """
 
     CLOSED_FORM = "closed-form"
     LP = "lp"
@@ -111,7 +132,8 @@ class ObservedDistribution:
 
     ``p`` has shape (2, 2, 2), indexed ``p[y, m, a]``.  ``n1`` and ``n0`` are the
     numbers of treated and control observations; both are 0 for analytically
-    constructed distributions that have no sampling interpretation.
+    constructed distributions that have no sampling interpretation.  The cell
+    vector and the fingerprint are computed once, at construction.
     """
 
     p: np.ndarray
@@ -135,6 +157,10 @@ class ObservedDistribution:
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "p", arr)
+        cells = arr.transpose(2, 0, 1).reshape(8)  # a copy: arm 0 cells (ym order), then arm 1
+        cells.flags.writeable = False
+        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "_fingerprint", tuple(cells.tolist()) + (self.n1, self.n0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservedDistribution):
@@ -149,12 +175,12 @@ class ObservedDistribution:
         return float(self.p[y, m, a])
 
     def arm(self, a: int) -> np.ndarray:
-        """Cell probabilities (p00, p01, p10, p11) for arm ``a``, ym-major order."""
-        return self.p[:, :, a].reshape(4).copy()
+        """Cell probabilities (p00, p01, p10, p11) for arm ``a``, ym-major order; read-only."""
+        return self._cells[4 * a : 4 * a + 4]
 
     def cell_vector(self) -> np.ndarray:
-        """All eight cells as one vector: arm 0 cells (ym = 00,01,10,11) then arm 1."""
-        return np.concatenate([self.arm(0), self.arm(1)])
+        """All eight cells as one read-only vector: arm 0 cells (ym = 00,01,10,11) then arm 1."""
+        return self._cells
 
     def mediator_margin(self, a: int) -> float:
         """P(M = 1 | A = a)."""
@@ -166,7 +192,7 @@ class ObservedDistribution:
 
     def fingerprint(self) -> tuple:
         """Hashable identity used to guard against mixing results across distributions."""
-        return tuple(float(v) for v in self.cell_vector()) + (self.n1, self.n0)
+        return self._fingerprint
 
 
 def from_counts(counts) -> ObservedDistribution:
@@ -289,9 +315,10 @@ class EstimandSpec:
 class BoundsResult:
     """A sharp identification interval for one estimand.
 
-    ``binding_lower`` / ``binding_upper`` index into the closed-form expression
-    lists for the spec (first attaining expression wins); they are ``None`` for
-    results produced by the LP route, where no single expression is active.
+    ``binding_lower`` / ``binding_upper`` index into the expression lists of
+    ``closed_form.anie_expressions(spec)`` (first attaining expression wins);
+    they are ``None`` only for results built from a bare LP optimum
+    (:attr:`Method.LP`), where no single expression is active.
     ``incompatible`` marks intervals computed from data that contradict the
     maintained assumptions; such intervals may be empty (lower > upper) and are
     reported as-is rather than repaired.

@@ -25,15 +25,13 @@ import numpy as np
 
 from . import closed_form, lp_engine
 from .model import (
+    _POP_TOL,
     Assumptions,
-    BoundsResult,
     EstimandSpec,
     ObservedDistribution,
     ValidationError,
     from_probabilities,
 )
-
-_POP_TOL = 1e-12
 
 # Index grids over the six potential-variable axes, in the canonical axis order
 # (y11, y10, y01, y00, m1, m0).
@@ -197,22 +195,13 @@ def sample_records(pop: FullPopulation64, n_per_arm: int, seed: int) -> np.ndarr
     return out
 
 
-def _bounds_for(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
-    # Route to the authoritative computation for each assumption set.
-    if spec.assumptions is Assumptions.NONE:
-        return closed_form.bounds_no_assumption(dist, spec.reference)
-    if spec.assumptions is Assumptions.MMR:
-        return closed_form.bounds_mmr(dist, spec.reference)
-    return lp_engine.anie_bounds_lp(dist, spec)
-
-
 def soundness_check(pop: FullPopulation64, spec: EstimandSpec, tol: float = 1e-9) -> bool:
     """True when the population's actual delta lies inside the interval computed
     from its induced observables.  The population must satisfy the assumption
     set being tested; violations make the claim vacuous, not false.
     """
     dist = observed_from_population(pop)
-    bounds = _bounds_for(dist, spec)
+    bounds = closed_form.anie_bounds(dist, spec)
     truth = true_estimands(pop).delta(spec.reference)
     return bounds.lower - tol <= truth <= bounds.upper + tol
 

@@ -20,13 +20,14 @@ from mediation_bounds import (
     Assumptions,
     EstimandSpec,
     InferenceConfig,
-    anie_bounds_lp,
+    anie_bounds,
     ate,
     atm,
     bounds_mmr,
     bounds_mmr_pos_mediator,
     bounds_no_assumption,
     clr_bounds,
+    cross_world_range,
     from_counts,
     iot_blindspot_population,
     observed_from_population,
@@ -55,6 +56,16 @@ def _line(index: int, status: str, detail: str) -> None:
     print(f"ACCEPTANCE {index}/10 {status} - {detail}")
 
 
+def _simplex_interval(dist, spec):
+    # delta(reference) from the simplex optima of the cross-world mean.
+    cross_min, cross_max, _, _ = cross_world_range(dist, spec)
+    if spec.reference == 1:
+        mean = dist.outcome_mean(1)
+        return mean - cross_max, mean - cross_min
+    mean = dist.outcome_mean(0)
+    return cross_min - mean, cross_max - mean
+
+
 def test_criterion_01_closed_form_matches_lp():
     rng = make_rng(101)
     dists = [random_dist(rng) for _ in range(1000)]
@@ -67,28 +78,28 @@ def test_criterion_01_closed_form_matches_lp():
             pairs = [
                 (
                     bounds_no_assumption(dist, reference),
-                    anie_bounds_lp(dist, EstimandSpec(reference=reference)),
+                    _simplex_interval(dist, EstimandSpec(reference=reference)),
                 )
             ]
             if compatible:
                 pairs.append(
                     (
                         bounds_mmr(dist, reference),
-                        anie_bounds_lp(
+                        _simplex_interval(
                             dist,
                             EstimandSpec(reference=reference, assumptions=Assumptions.MMR),
                         ),
                     )
                 )
-            for cf, lp in pairs:
-                worst = max(worst, abs(cf.lower - lp.lower), abs(cf.upper - lp.upper))
+            for cf, (lp_lower, lp_upper) in pairs:
+                worst = max(worst, abs(cf.lower - lp_lower), abs(cf.upper - lp_upper))
                 comparisons += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 10.0
     _line(
         1,
         "PASS" if ok else "FAIL",
-        f"closed form vs LP: max endpoint gap {worst:.2e} (tol 1e-9) over 1000 "
+        f"closed form vs simplex LP optimum: max endpoint gap {worst:.2e} (tol 1e-9) over 1000 "
         f"distributions, both references, no-assumption + compatible margin-response "
         f"sets ({comparisons} interval pairs, {elapsed:.1f}s, target 10s)",
     )
@@ -286,19 +297,29 @@ def test_criterion_08_mediator_ate_blindspot_population_ships():
 
 
 def test_criterion_09_interval_inference_calibration():
+    # The calibration population has no mediator defiers and a nonnegative
+    # average effect of the mediator on the treated-arm outcome (+0.099), so
+    # it satisfies both assumption sets checked here.
     pop = calibration_population()
     truth = true_estimands(pop).delta1
-    target = bounds_mmr(observed_from_population(pop), 1)
-    theta_upper = target.upper
-    # the experiment needs an interior truth, otherwise coverage conflates the
-    # two guarantees being measured
-    assert target.lower < truth < target.upper
+    observed = observed_from_population(pop)
+    specs = {
+        "mmr": EstimandSpec(reference=1, assumptions=Assumptions.MMR),
+        "mmr-pos-mediator": EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR),
+    }
+    theta_upper = {}
+    for name, spec in specs.items():
+        target = anie_bounds(observed, spec)
+        assert not target.incompatible
+        # the experiment needs an interior truth, otherwise coverage conflates
+        # the two guarantees being measured
+        assert target.lower < truth < target.upper
+        theta_upper[name] = target.upper
 
-    spec = EstimandSpec(reference=1, assumptions=Assumptions.MMR)
     n_reps = 500
     n_per_arm = 1000
-    covered = 0
-    upper_at_least_truth = 0
+    covered = dict.fromkeys(specs, 0)
+    upper_at_least_truth = dict.fromkeys(specs, 0)
     t0 = time.perf_counter()
     for rep, child in enumerate(np.random.SeedSequence(909).spawn(n_reps)):
         record_seed, inference_seed = (
@@ -306,25 +327,34 @@ def test_criterion_09_interval_inference_calibration():
         )
         records = sample_records(pop, n_per_arm, seed=record_seed)
         config = InferenceConfig(alpha=0.05, draws=2000, seed=inference_seed)
-        interval = clr_bounds(records, spec, config)
-        if interval.ci_lower <= truth <= interval.ci_upper:
-            covered += 1
-        if interval.bound_upper_hmu >= theta_upper:
-            upper_at_least_truth += 1
+        for name, spec in specs.items():
+            interval = clr_bounds(records, spec, config)
+            if interval.ci_lower <= truth <= interval.ci_upper:
+                covered[name] += 1
+            if interval.bound_upper_hmu >= theta_upper[name]:
+                upper_at_least_truth[name] += 1
     elapsed = time.perf_counter() - t0
-    coverage = covered / n_reps
-    half_median = upper_at_least_truth / n_reps
-    ok = coverage >= 0.93 and half_median >= 0.48 and elapsed < 300.0
+    coverage = {name: covered[name] / n_reps for name in specs}
+    half_median = {name: upper_at_least_truth[name] / n_reps for name in specs}
+    ok = (
+        all(c >= 0.93 for c in coverage.values())
+        and all(h >= 0.48 for h in half_median.values())
+        and elapsed < 300.0
+    )
+    summary = "; ".join(
+        f"{name}: CI coverage of true delta(1) = {coverage[name]:.3f} (>= 0.93 at nominal 0.95), "
+        f"P(upper estimate >= true upper bound {theta_upper[name]:g}) = {half_median[name]:.3f} (>= 0.48)"
+        for name in specs
+    )
     _line(
         9,
         "PASS" if ok else "FAIL",
-        f"CI coverage of true delta(1) = {coverage:.3f} (>= 0.93 at nominal 0.95) and "
-        f"P(upper estimate >= true upper bound {theta_upper:g}) = {half_median:.3f} "
-        f"(>= 0.48) over {n_reps} replications at n = {n_per_arm}/arm "
+        f"{summary}; over {n_reps} replications at n = {n_per_arm}/arm "
         f"({elapsed:.1f}s, target 300s)",
     )
-    assert coverage >= 0.93
-    assert half_median >= 0.48
+    for name in specs:
+        assert coverage[name] >= 0.93, name
+        assert half_median[name] >= 0.48, name
     assert elapsed < 300.0
 
 

@@ -539,7 +539,7 @@ class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "--counts", E1_COUNTS)
         assert code == 0
-        assert json.loads(out)["schema"] == "mediation-bounds/2"
+        assert json.loads(out)["schema"] == "mediation-bounds/3"
 
     def test_missing_column_is_config_error(self, capsys, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], [(0, 0, 0), (1, 1, 1)])
@@ -627,8 +627,54 @@ class TestExitCodes:
         assert code == 0
         result = json.loads(out)["mediators"][0]["results"][0]
         assert result["incompatible"] is True
-        assert result["lp"]["error"]
+        assert result["closed_form"]["incompatible"] is True
         assert result["closed_form"]["diagnostics"]
+        assert result["lp"] == result["closed_form"]
+
+    # n0 = 40,001 and n1 = 40,000 with 40,000 and 39,999 mediator units: the
+    # mediator ATE is -1/(n0 n1), and the interval crosses by 2/(n0 n1) =
+    # 1.25e-9 at either reference, above ORDER_TOL.
+    REPRODUCER = "1,21164,0,18836,1,30111,0,9888"
+
+    @pytest.mark.parametrize("reference", ["0", "1"])
+    def test_tiny_negative_mediator_ate_is_flagged_not_a_data_error(self, capsys, reference):
+        code, out, err = run_cli(
+            capsys, "--counts", self.REPRODUCER, "--assumptions", "none,mmr,mmr-pos-mediator",
+            "--reference", reference,
+        )
+        assert (code, err) == (0, "")
+        results = {r["assumptions"]: r for r in json.loads(out)["mediators"][0]["results"]}
+        assert {name: r["incompatible"] for name, r in results.items()} == {
+            "none": False, "mmr": True, "mmr-pos-mediator": True,
+        }
+        for r in results.values():
+            assert r["lp"] == r["closed_form"]
+            assert r["closed_form"]["incompatible"] is r["incompatible"]
+            assert r["ande"]["incompatible"] is r["incompatible"]
+
+    @pytest.mark.parametrize("n0", [100, 1_000, 10_000, 31_623, 100_000, 1_000_000])
+    def test_near_zero_mediator_ate_sweep(self, capsys, n0):
+        # Mediator ATE -k/(n0 n1) with n1 = n0 - 1 and n0 - k, n0 - k - 1
+        # mediator units: exit 0, and both blocks carry the one verdict.
+        for k in (1, 3, 30):
+            m0, m1 = n0 - k, n0 - k - 1
+            counts = ",".join(map(str, (0, m0 - m0 // 2, n0 - m0, m0 // 2, 0, m1 - m1 // 3, n0 - 1 - m1, m1 // 3)))
+            for reference in ("0", "1"):
+                code, out, err = run_cli(
+                    capsys, "--counts", counts, "--assumptions", "none,mmr,mmr-pos-mediator",
+                    "--reference", reference, "--draws", "100",
+                )
+                assert (code, err) == (0, ""), counts
+                for r in json.loads(out)["mediators"][0]["results"]:
+                    assert r["lp"] == r["closed_form"]
+                    assert r["incompatible"] is r["closed_form"]["incompatible"]
+                    if r["assumptions"] == "none" or k / (n0 * (n0 - 1)) > 1e-9:
+                        assert r["incompatible"] is (r["assumptions"] != "none"), (counts, r["assumptions"])
+
+    def test_tiny_negative_mediator_ate_is_exit_4_under_strict(self, capsys):
+        code, out, err = run_cli(capsys, "--counts", self.REPRODUCER, "--assumptions", "mmr", "--strict")
+        assert (code, out) == (4, "")
+        assert "incompatib" in err
 
 
 class TestCountsMode:
@@ -667,8 +713,7 @@ class TestCountsMode:
         lp = report["mediators"][0]["results"][0]["lp"]
         assert cf["lower"] == pytest.approx(direct.lower, abs=1e-15)
         assert cf["upper"] == pytest.approx(direct.upper, abs=1e-15)
-        assert lp["lower"] == pytest.approx(direct.lower, abs=1e-9)
-        assert lp["upper"] == pytest.approx(direct.upper, abs=1e-9)
+        assert lp == cf
         assert report["ate"]["estimate"] == pytest.approx(ate(dist), abs=1e-15)
 
 
@@ -712,7 +757,7 @@ class TestOutputs:
     def test_json_report_shape(self, capsys):
         code, out, _ = run_cli(capsys, "--counts", E1_COUNTS, "--assumptions", "none,mmr")
         report = json.loads(out)
-        assert report["schema"] == "mediation-bounds/2"
+        assert report["schema"] == "mediation-bounds/3"
         assert report["version"] == __version__
         assert report["config"]["assumptions"] == ["none", "mmr"]
         assert report["config"]["counts"] == [40, 30, 20, 10, 10, 20, 30, 40]
@@ -865,6 +910,21 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
         assert proc.stdout.startswith(b"mediator,method,point,lo,hi")
+        assert main(argv) == 0
+        assert proc.stdout == capsysbinary.readouterr().out
+
+    def test_python_dash_m(self, tmp_path, capsysbinary):
+        argv = ["--counts", E1_COUNTS, "--assumptions", "none,mmr,mmr-pos-mediator", "--format", "csv"]
+        env = dict(os.environ, PYTHONPATH=str(Path(mediation_bounds.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mediation_bounds.cli", *argv],
+            capture_output=True,
+            cwd=tmp_path,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout.startswith(b"mediator,assumptions,")
         assert main(argv) == 0
         assert proc.stdout == capsysbinary.readouterr().out
 

@@ -1,39 +1,139 @@
 """Closed-form bound values, frozen by hand from the defining expressions.
 
 Every numeric oracle here was derived independently by evaluating the bounding
-expressions on paper against the fixture tables, then frozen.  The LP module is
-only used for the dual-route comparison tests, never to generate expectations.
+expressions on paper against the fixture tables, then frozen.  The package
+derives its expression sets from the stratum LP's dual vertices; the sets as
+printed in the source derivation are typed out below, and the derived sets
+are checked against them.  The simplex is only used for the comparison tests,
+never to generate expectations.
 """
 
 import numpy as np
 import pytest
 
 from mediation_bounds import (
+    AssumptionIncompatibilityError,
     Assumptions,
-    ClosedFormUnavailableError,
     ConsistencyError,
     EstimandSpec,
     Method,
+    ValidationError,
     ande_bounds,
-    anie_bounds_lp,
+    anie_bounds,
     anie_expressions,
     ate,
     atm,
     bounds_mmr,
     bounds_mmr_pos_mediator,
     bounds_no_assumption,
+    cross_world_range,
     from_counts,
     from_probabilities,
 )
+from mediation_bounds import lp_engine
+from mediation_bounds.lp_engine import anie_bounds_lp
 from conftest import make_rng, random_dist, random_mmr_dist
 
 TOL = 1e-12
+ALL_SPECS = [
+    EstimandSpec(reference, assumptions, sign)
+    for assumptions, signs in (
+        (Assumptions.NONE, (1,)),
+        (Assumptions.MMR, (1,)),
+        (Assumptions.MMR_POS_MEDIATOR, (1, -1)),
+    )
+    for reference in (0, 1)
+    for sign in signs
+]
+
+
+def printed(label, *terms):
+    """An expression as printed: its label and its (coefficient, a, y, m) terms on the cell vector."""
+    coeffs = [0.0] * 8
+    for coef, a, y, m in terms:
+        coeffs[4 * a + 2 * y + m] += coef
+    return label, tuple(coeffs)
+
+
+ATM_TERMS = ((1, 1, 0, 1), (1, 1, 1, 1), (-1, 0, 0, 1), (-1, 0, 1, 1))
+NEG_ATM_TERMS = tuple((-c, a, y, m) for c, a, y, m in ATM_TERMS)
+
+# The expression sets of the source derivation, keyed by (assumptions, reference).
+PRINTED = {
+    (Assumptions.NONE, 1): (
+        (
+            printed("-p00.1 - p01.1", (-1, 1, 0, 0), (-1, 1, 0, 1)),
+            printed("-p01.1 - p01.0 - p11.0", (-1, 1, 0, 1), (-1, 0, 0, 1), (-1, 0, 1, 1)),
+            printed("-p00.1 - p00.0 - p10.0", (-1, 1, 0, 0), (-1, 0, 0, 0), (-1, 0, 1, 0)),
+        ),
+        (
+            printed("p10.1 + p11.1", (1, 1, 1, 0), (1, 1, 1, 1)),
+            printed("p11.1 + p01.0 + p11.0", (1, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 1)),
+            printed("p10.1 + p00.0 + p10.0", (1, 1, 1, 0), (1, 0, 0, 0), (1, 0, 1, 0)),
+        ),
+    ),
+    (Assumptions.NONE, 0): (
+        (
+            printed("-p10.0 - p11.0", (-1, 0, 1, 0), (-1, 0, 1, 1)),
+            printed("-p11.0 - p01.1 - p11.1", (-1, 0, 1, 1), (-1, 1, 0, 1), (-1, 1, 1, 1)),
+            printed("-p10.0 - p00.1 - p10.1", (-1, 0, 1, 0), (-1, 1, 0, 0), (-1, 1, 1, 0)),
+        ),
+        (
+            printed("p00.0 + p01.0", (1, 0, 0, 0), (1, 0, 0, 1)),
+            printed("p01.0 + p01.1 + p11.1", (1, 0, 0, 1), (1, 1, 0, 1), (1, 1, 1, 1)),
+            printed("p00.0 + p00.1 + p10.1", (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)),
+        ),
+    ),
+    (Assumptions.MMR, 1): (
+        (printed("-atm", *NEG_ATM_TERMS), printed("-p01.1", (-1, 1, 0, 1))),
+        (printed("atm", *ATM_TERMS), printed("p11.1", (1, 1, 1, 1))),
+    ),
+    (Assumptions.MMR, 0): (
+        (printed("-atm", *NEG_ATM_TERMS), printed("-p10.0", (-1, 0, 1, 0))),
+        (printed("atm", *ATM_TERMS), printed("p00.0", (1, 0, 0, 0))),
+    ),
+    # Reference 1, sign +1 only.  The third upper expression repeats p00.1 as
+    # printed.  This set is valid but not sharp: its lower bound is below the
+    # sharp one on about a fifth of random tables.
+    (Assumptions.MMR_POS_MEDIATOR, 1): (
+        (
+            printed("-atm", *NEG_ATM_TERMS),
+            printed("p10.1 - p10.0 - p00.0", (1, 1, 1, 0), (-1, 0, 1, 0), (-1, 0, 0, 0)),
+            printed("-p11.1 - p00.1 - p10.0", (-1, 1, 1, 1), (-1, 1, 0, 0), (-1, 0, 1, 0)),
+            printed("-p01.1", (-1, 1, 0, 1)),
+        ),
+        (
+            printed("atm", *ATM_TERMS),
+            printed("p11.1 + p10.0 + p00.0", (1, 1, 1, 1), (1, 0, 1, 0), (1, 0, 0, 0)),
+            printed("2 p11.1 + p00.1 + p00.1", (2, 1, 1, 1), (1, 1, 0, 0), (1, 1, 0, 0)),
+            printed("p11.1", (1, 1, 1, 1)),
+        ),
+    ),
+}
 
 
 def expression_values(dist, spec):
     lowers, uppers = anie_expressions(spec)
     cells = dist.cell_vector()
     return [e.value(cells) for e in lowers], [e.value(cells) for e in uppers]
+
+
+def printed_values(dist, assumptions):
+    cells = dist.cell_vector()
+    lowers, uppers = PRINTED[(assumptions, 1)]
+    return [float(np.dot(c, cells)) for _, c in lowers], [float(np.dot(c, cells)) for _, c in uppers]
+
+
+def simplex_bounds(dist, spec):
+    """delta bounds from the simplex optima of the stratum LP."""
+    cross_min, cross_max, _, _ = cross_world_range(dist, spec)
+    if spec.reference == 1:
+        mean = dist.outcome_mean(1)
+        lower, upper = mean - cross_max, mean - cross_min
+    else:
+        mean = dist.outcome_mean(0)
+        lower, upper = cross_min - mean, cross_max - mean
+    return min(1.0, max(-1.0, lower)), min(1.0, max(-1.0, upper))
 
 
 class TestNoAssumption:
@@ -141,32 +241,33 @@ class TestSignedMediator:
         res = bounds_mmr_pos_mediator(e1_dist)
         assert res.lower == pytest.approx(-0.2, abs=TOL)
         assert res.upper == pytest.approx(0.2, abs=TOL)
+        lo_vals, hi_vals = printed_values(e1_dist, Assumptions.MMR_POS_MEDIATOR)
+        np.testing.assert_allclose(lo_vals, [-0.2, -0.3, -0.7, -0.2], atol=TOL)
+        np.testing.assert_allclose(hi_vals, [0.2, 1.0, 1.0, 0.4], atol=TOL)
+        # Derived: -atm, -p01.1, -p00.1 - p11.1, -p00.1 - p01.0 - p11.0; atm, p11.1.
         lo_vals, hi_vals = expression_values(
             e1_dist,
             EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR),
         )
-        np.testing.assert_allclose(lo_vals, [-0.2, -0.3, -0.7, -0.2], atol=TOL)
-        np.testing.assert_allclose(hi_vals, [0.2, 1.0, 1.0, 0.4], atol=TOL)
+        np.testing.assert_allclose(lo_vals, [-0.2, -0.2, -0.5, -0.5], atol=TOL)
+        np.testing.assert_allclose(hi_vals, [0.2, 0.4], atol=TOL)
 
     def test_zero_margin_difference_point_identifies(self, uniform_dist):
         res = bounds_mmr_pos_mediator(uniform_dist)
         assert res.lower == pytest.approx(0.0, abs=TOL)
         assert res.upper == pytest.approx(0.0, abs=TOL)
 
-    def test_reference0_unavailable(self, e1_dist):
-        with pytest.raises(ClosedFormUnavailableError):
-            bounds_mmr_pos_mediator(e1_dist, reference=0)
-        with pytest.raises(ClosedFormUnavailableError):
-            anie_expressions(
-                EstimandSpec(reference=0, assumptions=Assumptions.MMR_POS_MEDIATOR)
-            )
-        with pytest.raises(ClosedFormUnavailableError):
-            anie_expressions(
-                EstimandSpec(
-                    reference=1,
-                    assumptions=Assumptions.MMR_POS_MEDIATOR,
-                    mediator_effect_sign=-1,
-                )
+    def test_every_signed_spec_is_served(self, e1_dist):
+        for reference in (0, 1):
+            for sign in (1, -1):
+                spec = EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR, sign)
+                lowers, uppers = anie_expressions(spec)
+                assert 2 <= len(lowers) <= 4 and 2 <= len(uppers) <= 4
+                res = anie_bounds(e1_dist, spec)
+                assert not res.incompatible
+                assert (res.lower, res.upper) == pytest.approx(simplex_bounds(e1_dist, spec), abs=TOL)
+            assert bounds_mmr_pos_mediator(e1_dist, reference) == anie_bounds(
+                e1_dist, EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR)
             )
 
     def test_nested_inside_monotone_interval(self):
@@ -178,37 +279,115 @@ class TestSignedMediator:
             assert outer.lower <= inner.lower + 1e-9
             assert inner.upper <= outer.upper + 1e-9
 
-    def test_lp_override_is_sound_and_reported(self):
-        # The printed lower expression set is valid but not sharp everywhere;
-        # when the LP disagrees the result must switch routes, keep the LP
-        # endpoints, stay inside the printed interval, and say what happened.
+    def test_sharp_interval_inside_printed_interval(self):
+        # The printed set is valid but not always sharp; the derived interval
+        # must lie inside it and equal the simplex's optima, and be strictly
+        # narrower on some tables.
         spec = EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR)
         rng = make_rng(37)
-        overrides = 0
-        for _ in range(300):
+        narrower = 0
+        for i in range(300):
             dist = random_mmr_dist(rng)
-            lo_vals, hi_vals = expression_values(dist, spec)
+            lo_vals, hi_vals = printed_values(dist, Assumptions.MMR_POS_MEDIATOR)
             printed_lower = min(1.0, max(-1.0, max(lo_vals)))
             printed_upper = min(1.0, max(-1.0, min(hi_vals)))
-            checked = bounds_mmr_pos_mediator(dist)
-            if checked.method is Method.LP:
-                overrides += 1
-                assert checked.binding_lower is None
-                assert checked.diagnostics
-                assert "LP values returned" in checked.diagnostics[0]
-                assert checked.lower >= printed_lower - 1e-9
-                assert checked.upper <= printed_upper + 1e-9
-            else:
-                assert abs(checked.lower - printed_lower) <= 1e-9
-                assert abs(checked.upper - printed_upper) <= 1e-9
-        assert overrides > 0, "expected at least one non-sharp printed interval"
+            res = bounds_mmr_pos_mediator(dist)
+            assert res.method is Method.CLOSED_FORM and not res.incompatible
+            assert printed_lower - TOL <= res.lower <= res.upper <= printed_upper + TOL, i
+            lower, upper = simplex_bounds(dist, spec)
+            assert max(abs(res.lower - lower), abs(res.upper - upper)) <= TOL, i
+            narrower += res.lower > printed_lower + 1e-9
+        assert narrower > 0, "expected the printed lower bound to be loose on some tables"
 
-    def test_incompatible_skips_lp(self):
+    def test_incompatible_skips_lp(self, monkeypatch):
+        # The verdict comes from the phase-1 rows of the table; no solver runs.
+        def no_solver(*args):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(lp_engine, "solve", no_solver)
         dist = from_probabilities([0.1, 0.5, 0.1, 0.3], [0.4, 0.1, 0.4, 0.1])
         res = bounds_mmr_pos_mediator(dist)
         assert res.incompatible
         assert res.method is Method.CLOSED_FORM
-        assert "cross-check skipped" in res.diagnostics[0]
+        assert res.diagnostics[0].startswith(
+            "observed distribution contradicts 'mmr-pos-mediator': constraints are inconsistent "
+            "(phase-1 residual 0.6)"
+        )
+
+
+def atm_sweep_tables():
+    """Integer tables with mediator ATE exactly -k/(n0 n1), arm sizes 10^2 to 10^6.
+
+    n1 = n0 + 1 with k mediator units in each arm, and n1 = n0 - 1 with
+    n0 - k and n0 - k - 1 mediator units; the outcome splits are seeded.
+    """
+    rng = make_rng(131)
+    tables = []
+    for n0 in np.rint(np.logspace(2, 6, 13)).astype(int).tolist():
+        for k in (1, 2, 3, 7, 30):
+            for n1, m0, m1 in ((n0 + 1, k, k), (n0 - 1, n0 - k, n0 - k - 1)):
+                counts = []
+                for n, m in ((n0, m0), (n1, m1)):
+                    y_m0, y_m1 = int(rng.integers(0, n - m + 1)), int(rng.integers(0, m + 1))
+                    counts += [n - m - y_m0, m - y_m1, y_m0, y_m1]
+                tables.append(counts)
+    return tables
+
+
+class TestVerdict:
+    """One evaluator, one incompatibility verdict, and no crash near the boundary."""
+
+    # Mediator ATE -1/(n0 n1) with n0 = 40,001 and n1 = 40,000: the interval
+    # crosses by 2/(n0 n1) = 1.25e-9 at either reference, above ORDER_TOL,
+    # while the phase-1 residual at reference 1 (6.25e-10) is below FEAS_TOL.
+    REPRODUCER = [1, 21164, 0, 18836, 1, 30111, 0, 9888]
+
+    def test_reproducer_is_flagged(self):
+        dist = from_counts(self.REPRODUCER)
+        assert atm(dist) == pytest.approx(-1 / (40_001 * 40_000), rel=1e-6)
+        for spec in ALL_SPECS:
+            res = anie_bounds(dist, spec)
+            restricted = spec.assumptions is not Assumptions.NONE
+            assert res.incompatible is restricted, spec
+            if restricted:
+                assert res.lower > res.upper
+                with pytest.raises(AssumptionIncompatibilityError):
+                    anie_bounds_lp(dist, spec)
+        assert bounds_mmr(dist, 1).incompatible and bounds_mmr(dist, 0).incompatible
+
+    def test_sweep_near_zero_mediator_ate(self):
+        tables = atm_sweep_tables()
+        flagged = 0
+        for counts in tables:
+            dist = from_counts(counts)
+            n0, n1 = sum(counts[:4]), sum(counts[4:])
+            m0, m1 = counts[1] + counts[3], counts[5] + counts[7]
+            k = m0 * n1 - m1 * n0  # ATM = -k / (n0 n1), exactly
+            assert 0 < k <= 30
+            for spec in ALL_SPECS:
+                try:
+                    res = anie_bounds(dist, spec)
+                except ValidationError as exc:  # pragma: no cover - the failure being guarded
+                    pytest.fail(f"{counts} {spec}: {exc}")
+                try:
+                    served = anie_bounds_lp(dist, spec)
+                except AssumptionIncompatibilityError:
+                    served = None
+                assert (served is None) is res.incompatible, (counts, spec)
+                if spec.assumptions is Assumptions.NONE:
+                    assert not res.incompatible
+                elif k / (n0 * n1) > 1e-9:
+                    # Infeasible by more than FEAS_TOL in the mediator margins alone.
+                    assert res.incompatible, (counts, spec)
+                flagged += res.incompatible
+            for reference in (0, 1):
+                assert bounds_no_assumption(dist, reference) == anie_bounds(dist, EstimandSpec(reference))
+                assert bounds_mmr(dist, reference) == anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR))
+                assert bounds_mmr_pos_mediator(dist, reference) == anie_bounds(
+                    dist, EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR)
+                )
+        # Both verdicts occur on the restricted specs.
+        assert 0 < flagged < len(tables) * 6
 
 
 class TestDirectEffect:
@@ -262,30 +441,31 @@ class TestDirectEffect:
 
 class TestExpressionProperties:
     def test_coefficients_have_length_eight(self):
-        for assumptions, reference in (
-            (Assumptions.NONE, 0),
-            (Assumptions.NONE, 1),
-            (Assumptions.MMR, 0),
-            (Assumptions.MMR, 1),
-            (Assumptions.MMR_POS_MEDIATOR, 1),
-        ):
-            spec = EstimandSpec(reference=reference, assumptions=assumptions)
+        for spec in ALL_SPECS:
             lowers, uppers = anie_expressions(spec)
             for expr in (*lowers, *uppers):
                 assert len(expr.coeffs) == 8
                 assert expr.label
 
     def test_expression_counts(self):
-        for assumptions, n in (
-            (Assumptions.NONE, 3),
-            (Assumptions.MMR, 2),
-            (Assumptions.MMR_POS_MEDIATOR, 4),
+        for assumptions, sign, n_lower, n_upper in (
+            (Assumptions.NONE, 1, 3, 3),
+            (Assumptions.MMR, 1, 2, 2),
+            (Assumptions.MMR_POS_MEDIATOR, 1, 4, 2),
+            (Assumptions.MMR_POS_MEDIATOR, -1, 2, 4),
         ):
-            lowers, uppers = anie_expressions(
-                EstimandSpec(reference=1, assumptions=assumptions)
-            )
-            assert len(lowers) == n
-            assert len(uppers) == n
+            for reference in (0, 1):
+                lowers, uppers = anie_expressions(EstimandSpec(reference, assumptions, sign))
+                assert (len(lowers), len(uppers)) == (n_lower, n_upper)
+
+    def test_derived_sets_equal_printed(self):
+        # Coefficient vectors, labels and order: binding indices, CLR selected
+        # indices and labels all appear in the command-line output.
+        for (assumptions, reference), sets in PRINTED.items():
+            if assumptions is Assumptions.MMR_POS_MEDIATOR:
+                continue
+            derived = anie_expressions(EstimandSpec(reference, assumptions))
+            assert [[(e.label, e.coeffs) for e in side] for side in derived] == [list(side) for side in sets]
 
     def test_value_is_lipschitz_in_cells(self):
         # |c . (x - x')| <= max|c| * ||x - x'||_1, so nearby tables can never
@@ -301,16 +481,36 @@ class TestExpressionProperties:
                 diff = abs(expr.value(a.cell_vector()) - expr.value(b.cell_vector()))
                 assert diff <= cmax * gap + TOL
 
+    def test_evaluator_sums_in_index_order(self):
+        # anie_bounds adds each expression's eight products in index order; the
+        # loop below is that arithmetic written out, so results are equal.
+        def sequential(coeffs, cells):
+            total = 0.0
+            for c, x in zip(coeffs, cells.tolist()):
+                total += c * x
+            return total
+
+        rng = make_rng(53)
+        for i in range(200):
+            dist = random_dist(rng) if i % 2 else from_counts(rng.integers(1, 10**6, size=8).tolist())
+            for spec in ALL_SPECS:
+                lowers, uppers = anie_expressions(spec)
+                res = anie_bounds(dist, spec)
+                lo_vals = [sequential(e.coeffs, dist.cell_vector()) for e in lowers]
+                hi_vals = [sequential(e.coeffs, dist.cell_vector()) for e in uppers]
+                assert res.binding_lower == lo_vals.index(max(lo_vals))
+                assert res.binding_upper == hi_vals.index(min(hi_vals))
+                assert res.lower == min(1.0, max(-1.0, max(lo_vals)))
+                assert res.upper == min(1.0, max(-1.0, min(hi_vals)))
+
     def test_closed_form_matches_lp(self):
-        # Quick dual-route agreement scan; the acceptance suite runs the full
+        # Quick scan against the simplex; the acceptance suite runs the full
         # thousand-table version of this comparison.
         rng = make_rng(47)
         for _ in range(100):
             dist = random_dist(rng)
             for reference in (0, 1):
                 cf = bounds_no_assumption(dist, reference)
-                lp = anie_bounds_lp(
-                    dist, EstimandSpec(reference=reference, assumptions=Assumptions.NONE)
-                )
-                assert cf.lower == pytest.approx(lp.lower, abs=1e-9)
-                assert cf.upper == pytest.approx(lp.upper, abs=1e-9)
+                lp = simplex_bounds(dist, EstimandSpec(reference=reference, assumptions=Assumptions.NONE))
+                assert cf.lower == pytest.approx(lp[0], abs=1e-9)
+                assert cf.upper == pytest.approx(lp[1], abs=1e-9)

@@ -1,7 +1,7 @@
-"""The dual-vertex table behind ``anie_bounds_lp``: its derivation and its agreement with the simplex.
+"""The dual-vertex table behind ``anie_bounds``: its derivation and its agreement with the simplex.
 
 ``derive_table`` is the table's source of truth and its regeneration tool: when
-the checked-in ``lp_engine._DUAL_VERTICES`` differs from a fresh brute-force
+the checked-in ``closed_form._DUAL_VERTICES`` differs from a fresh brute-force
 derivation, the failure message prints the literal to paste in its place.
 """
 
@@ -13,20 +13,18 @@ import scipy.optimize
 
 from mediation_bounds import (
     AssumptionIncompatibilityError,
-    BoundsResult,
     Assumptions,
     EstimandSpec,
     InfeasibleError,
-    Method,
     Sense,
-    anie_bounds_lp,
-    bounds_mmr_pos_mediator,
+    anie_bounds,
     build_lp,
+    closed_form,
     cross_world_range,
     from_counts,
-    lp_engine,
 )
-from conftest import make_rng, random_dist, random_mmr_dist
+from mediation_bounds.lp_engine import anie_bounds_lp
+from conftest import make_rng, random_dist
 
 TABLE_KEYS = [
     (Assumptions.NONE, 0, 1),
@@ -105,7 +103,7 @@ def derive_table(assumptions: Assumptions, reference: int, sign: int):
 
 
 def format_table(table: dict) -> str:
-    """The ``_DUAL_VERTICES`` literal as it appears in ``lp_engine.py``."""
+    """The ``_DUAL_VERTICES`` literal as it appears in ``closed_form.py``."""
 
     def part(vertices, per_line: int = 4) -> list[str]:
         if len(vertices) <= per_line:
@@ -125,8 +123,8 @@ def format_table(table: dict) -> str:
 
 def test_table_equals_fresh_derivation():
     derived = {key: derive_table(*key) for key in TABLE_KEYS}
-    if lp_engine._DUAL_VERTICES != derived:
-        pytest.fail("lp_engine._DUAL_VERTICES is stale; replace it with:\n\n" + format_table(derived))
+    if closed_form._DUAL_VERTICES != derived:
+        pytest.fail("closed_form._DUAL_VERTICES is stale; replace it with:\n\n" + format_table(derived))
 
 
 # --- equivalence with the simplex and scipy -----------------------------------
@@ -142,10 +140,13 @@ def _translate(dist, spec, cross_min: float, cross_max: float) -> tuple[float, f
 
 
 def served_anie(dist, spec):
+    result = anie_bounds(dist, spec)
     try:
-        result = anie_bounds_lp(dist, spec)
+        assert anie_bounds_lp(dist, spec) == result
     except AssumptionIncompatibilityError:
+        assert result.incompatible
         return None
+    assert not result.incompatible
     return result.lower, result.upper
 
 
@@ -262,35 +263,13 @@ def test_boundary_verdicts(name):
         assert_same(f"{name}, {spec}", got, scipy_anie(dist, spec))
 
 
-def test_signed_closed_form_cross_check_unchanged(monkeypatch):
-    """bounds_mmr_pos_mediator picks the same route and binding expressions as with a simplex cross-check."""
-    rng = make_rng(97)
-    dists = [random_mmr_dist(rng) for _ in range(300)] + [count_dist(rng) for _ in range(100)]
-
-    def outcome(dist):
-        try:
-            return bounds_mmr_pos_mediator(dist)
-        except AssumptionIncompatibilityError:
-            return None
-
-    served = [outcome(dist) for dist in dists]
-
-    def simplex_bounds(dist, spec):
-        bounds = simplex_anie(dist, spec)
-        if bounds is None:
-            raise AssumptionIncompatibilityError("simplex phase 1 found no feasible point")
-        return BoundsResult(bounds[0], bounds[1], None, None, spec, Method.LP, fingerprint=dist.fingerprint())
-
-    monkeypatch.setattr(lp_engine, "anie_bounds_lp", simplex_bounds)
-    overrides = 0
-    for i, (dist, got) in enumerate(zip(dists, served)):
-        want = outcome(dist)
-        assert (got is None) == (want is None), f"table {i}"
-        if got is None:
-            continue
-        assert (got.method, got.binding_lower, got.binding_upper, got.incompatible) == (
-            want.method, want.binding_lower, want.binding_upper, want.incompatible
-        ), f"table {i}"
-        assert max(abs(got.lower - want.lower), abs(got.upper - want.upper)) <= TOL, f"table {i}"
-        overrides += got.method is Method.LP
-    assert overrides > 0, "expected the LP to override the printed form on some tables"
+def test_tiny_negative_mediator_ate_matches_highs():
+    # Mediator ATE -1/(n0 n1) with n0 = 40,001 and n1 = 40,000.  HiGHS, at
+    # feasibility tolerances of 1e-10, finds every restricted spec infeasible
+    # at both references; the simplex, at FEAS_TOL, finds reference 1
+    # feasible, but its interval is crossed by more than ORDER_TOL.
+    dist = from_counts([1, 21164, 0, 18836, 1, 30111, 0, 9888])
+    for spec in ALL_SPECS:
+        want = scipy_anie(dist, spec)
+        assert (want is None) is (spec.assumptions is not Assumptions.NONE), spec
+        assert_same(str(spec), served_anie(dist, spec), want)

@@ -5,11 +5,12 @@ import pytest
 
 from mediation_bounds import (
     Assumptions,
-    ClosedFormUnavailableError,
     EstimandSpec,
     InferenceConfig,
     InsufficientDataError,
     ValidationError,
+    anie_bounds,
+    anie_expressions,
     ate_test,
     bounds_mmr,
     clr_bounds,
@@ -255,13 +256,20 @@ class TestIntervalEstimation:
         res = clr_bounds(records, self.SPEC)
         assert res.smoothed_arms == ()
 
-    def test_rejects_lp_only_estimand(self):
+    def test_serves_every_spec(self):
+        # The CLR target is the sharp set the point bounds are evaluated from.
         records = sample_records(calibration_population(), 100, seed=43)
-        with pytest.raises(ClosedFormUnavailableError):
-            clr_bounds(
-                records,
-                EstimandSpec(reference=0, assumptions=Assumptions.MMR_POS_MEDIATOR),
-            )
+        dist = from_units(records)
+        for reference in (0, 1):
+            for sign in (1, -1):
+                spec = EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR, sign)
+                res = clr_bounds(records, spec)
+                lowers, uppers = anie_expressions(spec)
+                assert [e.label for e in res.lower_expressions] == [e.label for e in lowers]
+                assert [e.label for e in res.upper_expressions] == [e.label for e in uppers]
+                bounds = anie_bounds(dist, spec)
+                assert max(e.estimate for e in res.lower_expressions) == pytest.approx(bounds.lower, abs=1e-12)
+                assert min(e.estimate for e in res.upper_expressions) == pytest.approx(bounds.upper, abs=1e-12)
 
     def test_zero_variance_expression_sidelined(self):
         rng = make_rng(127)

@@ -16,7 +16,7 @@ from mediation_bounds import (
     Sense,
     StrataDistribution16,
     ValidationError,
-    anie_bounds_lp,
+    anie_bounds,
     atm,
     bounds_mmr,
     bounds_no_assumption,
@@ -27,7 +27,7 @@ from mediation_bounds import (
     from_probabilities,
     solve,
 )
-from mediation_bounds.lp_engine import strata_index
+from mediation_bounds.lp_engine import anie_bounds_lp, strata_index
 from conftest import arm_mediator_relabel, make_rng, random_dist, random_mmr_dist
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -160,8 +160,10 @@ class TestSolve:
         res = anie_bounds_lp(uniform_dist, EstimandSpec(reference=1))
         assert res.lower == pytest.approx(-0.5, abs=1e-9)
         assert res.upper == pytest.approx(0.5, abs=1e-9)
-        assert res.method is Method.LP
-        assert res.binding_lower is None
+        # A front door over the one evaluator: the same result, binding labels included.
+        assert res == anie_bounds(uniform_dist, EstimandSpec(reference=1))
+        assert res.method is Method.CLOSED_FORM
+        assert res.binding_lower == 0
 
     def test_benchmark_bounds(self, e1_dist):
         for reference in (0, 1):
@@ -289,15 +291,13 @@ class TestAgreement:
                 assert swapped.upper == pytest.approx(-direct.lower, abs=1e-9)
 
     def test_closed_form_equivalence_spot_check(self, e1_dist, uniform_dist):
+        # The served closed forms against the simplex optima of the same program.
         for dist in (e1_dist, uniform_dist):
             for reference in (0, 1):
-                cf = bounds_no_assumption(dist, reference)
-                lp = anie_bounds_lp(dist, EstimandSpec(reference=reference))
-                assert cf.lower == pytest.approx(lp.lower, abs=1e-12)
-                assert cf.upper == pytest.approx(lp.upper, abs=1e-12)
-                cf = bounds_mmr(dist, reference)
-                lp = anie_bounds_lp(
-                    dist, EstimandSpec(reference=reference, assumptions=Assumptions.MMR)
-                )
-                assert cf.lower == pytest.approx(lp.lower, abs=1e-12)
-                assert cf.upper == pytest.approx(lp.upper, abs=1e-12)
+                for assumptions, served in ((Assumptions.NONE, bounds_no_assumption), (Assumptions.MMR, bounds_mmr)):
+                    cf = served(dist, reference)
+                    lo, hi, _, _ = cross_world_range(dist, EstimandSpec(reference, assumptions))
+                    mean = dist.outcome_mean(reference)
+                    lp = (mean - hi, mean - lo) if reference == 1 else (lo - mean, hi - mean)
+                    assert cf.lower == pytest.approx(lp[0], abs=1e-12)
+                    assert cf.upper == pytest.approx(lp[1], abs=1e-12)

@@ -126,6 +126,18 @@ class TestConstruction:
         with pytest.raises(ValueError):
             uniform_dist.p[0, 0, 0] = 0.5
 
+    def test_cell_vector_and_fingerprint_are_computed_once(self, e1_dist):
+        vec = e1_dist.cell_vector()
+        assert vec is e1_dist.cell_vector()
+        assert e1_dist.fingerprint() is e1_dist.fingerprint()
+        assert e1_dist.fingerprint() == tuple(float(v) for v in vec) + (100, 100)
+        for view in (vec, e1_dist.arm(0), e1_dist.arm(1)):
+            with pytest.raises(ValueError):
+                view[0] = 0.5
+        np.testing.assert_array_equal(np.concatenate([e1_dist.arm(0), e1_dist.arm(1)]), vec)
+        for a in (0, 1):
+            np.testing.assert_array_equal(e1_dist.arm(a), e1_dist.p[:, :, a].reshape(4))
+
 
 class TestAccessors:
     def test_cell_vector_order(self, e1_dist):
