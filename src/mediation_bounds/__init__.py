@@ -29,7 +29,6 @@ from .model import (
     InsufficientDataError,
     Method,
     ObservedDistribution,
-    UnitRecord,
     ValidationError,
     as_record_array,
     ate,
@@ -91,7 +90,6 @@ __all__ = [
     "InsufficientDataError",
     "Method",
     "ObservedDistribution",
-    "UnitRecord",
     "ValidationError",
     "as_record_array",
     "ate",

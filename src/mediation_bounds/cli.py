@@ -30,6 +30,7 @@ from . import __version__
 from .closed_form import ande_bounds, anie_bounds
 from .inference import InferenceConfig, IntervalEstimate, WaldResult, ate_test, clr_bounds, iot_test
 from .model import (
+    MAX_TOTAL,
     AssumptionIncompatibilityError,
     Assumptions,
     BoundsResult,
@@ -710,8 +711,8 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--counts must have exactly 8 integers, got {len(counts)}")
         if any(c < 0 for c in counts):
             raise ConfigError("--counts entries must be nonnegative")
-        if sum(counts) > 2**53:  # arm sizes stay exact floats, and int64 sums cannot overflow
-            raise ConfigError(f"--counts total must be at most 2**53 = {2**53}, got {sum(counts)}")
+        if sum(counts) > MAX_TOTAL:
+            raise ConfigError(f"--counts total must be at most 2**53 = {MAX_TOTAL}, got {sum(counts)}")
     if ns.draws < 100:
         raise ConfigError(f"--draws must be at least 100, got {ns.draws}")
     if ns.seed < 0:

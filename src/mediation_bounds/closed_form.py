@@ -151,7 +151,7 @@ _ATM_FORMS = (_ATM, tuple(-x for x in _ATM))
 class Expression(NamedTuple):
     """One linear bounding expression: label plus coefficients on the cell vector.
 
-    Coefficients follow ``ObservedDistribution.cell_vector`` order: arm-0 cells
+    Coefficients follow ``ObservedDistribution.cells`` order: arm-0 cells
     (ym = 00, 01, 10, 11) then arm-1 cells.
     """
 
@@ -258,7 +258,7 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     n_bounds = n_lo + len(table.uppers)
     # cumsum adds each row's eight products in index order, so the values do
     # not depend on how a BLAS build orders a dot product.
-    values = np.cumsum(table.rows * dist.cell_vector(), axis=1)[:, -1].tolist()
+    values = np.cumsum(table.rows * dist.cells, axis=1)[:, -1].tolist()
     lo_vals, hi_vals = values[:n_lo], values[n_lo:n_bounds]
     lower, upper = max(lo_vals), min(hi_vals)
     binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)

@@ -20,8 +20,8 @@ studentization is smoothed with an add-half adjustment in any arm that has an
 empty cell, so degenerate samples still produce usable (if conservative)
 intervals; point estimates are never smoothed.
 
-Every function here takes its data as the eight cell counts (an integer
-ndarray of shape (8,)) or as unit records; see ``model.as_cell_counts``.
+Every function here takes its data as the eight cell counts (shape (8,)) or
+as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .closed_form import anie_expressions
+from .closed_form import _spec_table
 from .model import (
     _ZERO_SE_TOL,
     EstimandSpec,
@@ -138,13 +138,13 @@ def _distribution(counts: np.ndarray) -> ObservedDistribution:
     n0, n1 = int(counts[:4].sum()), int(counts[4:].sum())
     if n0 < 2 or n1 < 2:
         raise InsufficientDataError(f"need at least 2 observations per arm, got n0={n0}, n1={n1}")
-    return from_counts(counts.tolist())
+    return from_counts(counts)
 
 
 def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
     """Cell-probability estimates and their exact 8x8 sampling covariance.
 
-    Covariance rows/columns follow ``ObservedDistribution.cell_vector`` order
+    Covariance rows/columns follow ``ObservedDistribution.cells`` order
     (arm-0 cells then arm-1 cells); the two arms are independent, so the matrix
     is block diagonal with one multinomial block per arm.
     """
@@ -236,17 +236,18 @@ def _one_side(
 
     gamma0 = max(0.0, 1.0 - 1.0 / np.log(n)) if n > 1 else 0.5
 
-    def critical(idx: np.ndarray, gamma: float) -> float:
+    def critical(idx: np.ndarray, *gammas: float) -> list[float]:
+        # One row max over the usable expressions, then every level from one quantile call.
         usable = idx & studentizable
         if not usable.any():
-            return 0.0
-        return float(np.quantile(stats[:, usable].max(axis=1), gamma))
+            return [0.0] * len(gammas)
+        return np.quantile(stats[:, usable].max(axis=1), gammas).tolist()
 
     # Two-step selection: an expression stays only if it clears the best
     # slack-adjusted expression, where each competitor k is credited its own
     # se_k.  The preliminary k0 can be negative at absurdly small n, which
     # could empty the set, so the argbest expression is always retained.
-    k0 = critical(np.ones(k, dtype=bool), gamma0)
+    (k0,) = critical(np.ones(k, dtype=bool), gamma0)
     if side > 0:
         threshold = float((est + slack * k0 * se).min())
         selected = est <= threshold + 1e-12
@@ -257,8 +258,7 @@ def _one_side(
         selected = np.zeros(k, dtype=bool)
         selected[int(np.argmin(est) if side > 0 else np.argmax(est))] = True
 
-    k_half = critical(selected, 0.5)
-    k_ci = critical(selected, 1.0 - alpha / 2.0)
+    k_half, k_ci = critical(selected, 0.5, 1.0 - alpha / 2.0)
 
     # Endpoint estimators extremize over the surviving set only; dropping a
     # slack expression can only move the estimate away from the biased
@@ -286,23 +286,23 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     identified set of delta(spec.reference).
 
     Serves every (assumption set, reference, sign) spec: the intersection is
-    over the expressions of ``closed_form.anie_expressions(spec)``, the same
-    sharp sets the point bounds are evaluated from.  One seeded Gaussian
-    sample drives both sides and every quantile level, so critical values are
-    monotone across levels by construction and results are bit-reproducible
-    for a fixed config.
+    over the expressions of ``closed_form.anie_expressions(spec)``, with their
+    coefficient rows read from the bound table the point bounds use.  One
+    seeded Gaussian sample drives both sides and every quantile level, so
+    critical values are monotone across levels by construction and results
+    are bit-reproducible for a fixed config.
     """
-    lowers, uppers = anie_expressions(spec)
+    table = _spec_table(spec)
+    lowers, uppers = table.lowers, table.uppers
     counts = as_cell_counts(data)
     dist = _distribution(counts)
     n = dist.n0 + dist.n1
 
     cov, smoothed_arms = _smoothed_cov(counts[:4], counts[4:])
-    cells = dist.cell_vector()
-    c_lo = np.array([e.coeffs for e in lowers])
-    c_hi = np.array([e.coeffs for e in uppers])
-    est_lo = c_lo @ cells
-    est_hi = c_hi @ cells
+    c_lo = table.rows[: len(lowers)]
+    c_hi = table.rows[len(lowers) : len(lowers) + len(uppers)]
+    est_lo = c_lo @ dist.cells
+    est_hi = c_hi @ dist.cells
     se_lo = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", c_lo, cov, c_lo), 0.0, None))
     se_hi = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", c_hi, cov, c_hi), 0.0, None))
 

@@ -1,12 +1,15 @@
 """Core types for binary-mediation bound analyses.
 
 Everything downstream works on the observed joint distribution of
-(outcome Y, mediator M) within each treatment arm A, written
+(outcome Y, mediator M) within each treatment arm A, held as one 8-vector
 
-    p[y][m][a] = P(Y = y, M = m | A = a),
+    cells[4a + 2y + m] = P(Y = y, M = m | A = a),
 
-together with the two arm sizes.  Those eight probabilities are the
-sufficient statistic for every bound computed by this package.
+together with the two arm sizes.  Those eight probabilities, or the eight
+cell counts they are formed from, are the sufficient statistic for every
+bound computed by this package.  Every count intake runs one check: shape
+(8,), an integer dtype, no negative entry and a total of at most
+:data:`MAX_TOTAL`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ _POP_TOL = 1e-12
 # _ZERO_SE_TOL: CLR inference does not studentize an expression whose
 #   standard error is at most this; it is sidelined as known exactly.
 _ZERO_SE_TOL = 1e-12
+
+# The largest total of eight cell counts: arm sizes stay exact floats, and
+# int64 sums of the counts cannot overflow.
+MAX_TOTAL = 2**53
 
 
 class ValidationError(ValueError):
@@ -83,37 +90,13 @@ class Method(enum.Enum):
     LP = "lp"
 
 
-@dataclass(frozen=True)
-class UnitRecord:
-    """One observation: treatment ``a``, mediator ``m``, outcome ``y``, each in {0, 1}."""
-
-    a: int
-    m: int
-    y: int
-
-    def __post_init__(self) -> None:
-        for name in ("a", "m", "y"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value not in (0, 1):
-                raise ValidationError(f"{name} must be 0 or 1, got {value!r}")
-
-
 def as_record_array(records) -> np.ndarray:
-    """Canonicalize a record collection to an (n, 3) uint8 array with columns a, m, y.
+    """Canonicalize records to an (n, 3) uint8 array with columns a, m, y.
 
-    Accepts an iterable of :class:`UnitRecord`, an iterable of (a, m, y) triples,
-    or an integer array of shape (n, 3).  Values outside {0, 1} are rejected.
+    Accepts an (n, 3) array or a sequence of (a, m, y) triples.  Values outside
+    {0, 1} are rejected.
     """
-    if isinstance(records, np.ndarray):
-        arr = records
-    else:
-        rows = []
-        for rec in records:
-            if isinstance(rec, UnitRecord):
-                rows.append((rec.a, rec.m, rec.y))
-            else:
-                rows.append(tuple(rec))
-        arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    arr = np.asarray(records)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(f"record array must have shape (n, 3), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -130,36 +113,33 @@ def as_record_array(records) -> np.ndarray:
 class ObservedDistribution:
     """Joint law of (Y, M) within each arm plus the arm sizes.
 
-    ``p`` has shape (2, 2, 2), indexed ``p[y, m, a]``.  ``n1`` and ``n0`` are the
+    ``cells`` is the read-only 8-vector in :func:`from_counts` order: index
+    ``4a + 2y + m`` holds P(Y = y, M = m | A = a).  ``n1`` and ``n0`` are the
     numbers of treated and control observations; both are 0 for analytically
-    constructed distributions that have no sampling interpretation.  The cell
-    vector and the fingerprint are computed once, at construction.
+    constructed distributions that have no sampling interpretation.  The
+    fingerprint is computed once, at construction.
     """
 
-    p: np.ndarray
+    cells: np.ndarray
     n1: int = 0
     n0: int = 0
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.p, dtype=float)
-        if arr.shape != (2, 2, 2):
-            raise ValidationError(f"p must have shape (2, 2, 2), got {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        cells = np.array(self.cells, dtype=float)
+        if cells.shape != (8,):
+            raise ValidationError(f"cells must have shape (8,), got {cells.shape}")
+        if np.any(cells < 0.0) or np.any(cells > 1.0):
             raise ValidationError("cell probabilities must lie in [0, 1]")
         for a in (0, 1):
-            total = float(arr[:, :, a].sum())
+            total = float(cells[4 * a : 4 * a + 4].sum())
             if abs(total - 1.0) > SIMPLEX_TOL:
                 raise ValidationError(
                     f"arm {a} cell probabilities sum to {total!r}, expected 1 within {SIMPLEX_TOL}"
                 )
         if self.n1 < 0 or self.n0 < 0:
             raise ValidationError("arm sizes must be nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
-        cells = arr.transpose(2, 0, 1).reshape(8)  # a copy: arm 0 cells (ym order), then arm 1
         cells.flags.writeable = False
-        object.__setattr__(self, "_cells", cells)
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "_fingerprint", tuple(cells.tolist()) + (self.n1, self.n0))
 
     def __eq__(self, other) -> bool:
@@ -168,31 +148,40 @@ class ObservedDistribution:
         return (
             self.n1 == other.n1
             and self.n0 == other.n0
-            and bool(np.array_equal(self.p, other.p))
+            and bool(np.array_equal(self.cells, other.cells))
         )
 
     def prob(self, y: int, m: int, a: int) -> float:
-        return float(self.p[y, m, a])
+        return float(self.cells[4 * a + 2 * y + m])
 
     def arm(self, a: int) -> np.ndarray:
         """Cell probabilities (p00, p01, p10, p11) for arm ``a``, ym-major order; read-only."""
-        return self._cells[4 * a : 4 * a + 4]
-
-    def cell_vector(self) -> np.ndarray:
-        """All eight cells as one read-only vector: arm 0 cells (ym = 00,01,10,11) then arm 1."""
-        return self._cells
+        return self.cells[4 * a : 4 * a + 4]
 
     def mediator_margin(self, a: int) -> float:
         """P(M = 1 | A = a)."""
-        return float(self.p[0, 1, a] + self.p[1, 1, a])
+        return float(self.cells[4 * a + 1] + self.cells[4 * a + 3])
 
     def outcome_mean(self, a: int) -> float:
         """E[Y | A = a]."""
-        return float(self.p[1, 0, a] + self.p[1, 1, a])
+        return float(self.cells[4 * a + 2] + self.cells[4 * a + 3])
 
     def fingerprint(self) -> tuple:
         """Hashable identity used to guard against mixing results across distributions."""
         return self._fingerprint
+
+
+def _checked_counts(counts) -> list[int]:
+    """Eight validated cell counts as Python ints: the one check every count intake runs."""
+    arr = np.asarray(counts)
+    if arr.shape != (8,) or not np.issubdtype(arr.dtype, np.integer):
+        raise ValidationError(f"expected 8 integer counts, got shape {arr.shape} and dtype {arr.dtype}")
+    vals = arr.tolist()
+    if min(vals) < 0:
+        raise ValidationError(f"counts must be nonnegative, got {vals}")
+    if sum(vals) > MAX_TOTAL:
+        raise ValidationError(f"counts total must be at most 2**53 = {MAX_TOTAL}, got {sum(vals)}")
+    return vals
 
 
 def from_counts(counts) -> ObservedDistribution:
@@ -200,35 +189,23 @@ def from_counts(counts) -> ObservedDistribution:
 
     Parameters
     ----------
-    counts : sequence of int
+    counts : sequence or array of int, shape (8,)
         ``(n00a0, n01a0, n10a0, n11a0, n00a1, n01a1, n10a1, n11a1)`` where
-        ``n{ym}a{a}`` counts units with Y = y, M = m in arm a.
+        ``n{ym}a{a}`` counts units with Y = y, M = m in arm a.  The dtype must
+        be integer and the total at most :data:`MAX_TOTAL`.
 
     Notes
     -----
     Cell probabilities are the exact ratios ``count / arm size``; no smoothing
     is applied here or anywhere else that point estimates are formed.
     """
-    vals = list(counts)
-    if len(vals) != 8:
-        raise ValidationError(f"expected 8 counts, got {len(vals)}")
-    out = []
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValidationError(f"counts must be integers, got {v!r}")
-        if v < 0:
-            raise ValidationError(f"counts must be nonnegative, got {v}")
-        out.append(int(v))
-    n0 = sum(out[:4])
-    n1 = sum(out[4:])
+    vals = _checked_counts(counts)
+    n0 = sum(vals[:4])
+    n1 = sum(vals[4:])
     if n0 == 0 or n1 == 0:
         raise EmptyArmError(f"empty treatment arm (n0={n0}, n1={n1})")
-    p = np.empty((2, 2, 2))
-    for y in (0, 1):
-        for m in (0, 1):
-            p[y, m, 0] = out[2 * y + m] / n0
-            p[y, m, 1] = out[4 + 2 * y + m] / n1
-    return ObservedDistribution(p=p, n1=n1, n0=n0)
+    cells = [v / n0 for v in vals[:4]] + [v / n1 for v in vals[4:]]
+    return ObservedDistribution(cells, n1=n1, n0=n0)
 
 
 def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
@@ -239,23 +216,22 @@ def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
 def as_cell_counts(data) -> np.ndarray:
     """The eight cell counts of ``data`` as int64, in :func:`from_counts` order.
 
-    An integer ndarray of shape (8,) is the counts; anything else is records (:func:`as_record_array`).
+    Two-dimensional input is records (:func:`as_record_array`); anything else
+    is the eight counts.
     """
-    if isinstance(data, np.ndarray) and data.shape == (8,) and np.issubdtype(data.dtype, np.integer):
-        counts = data.astype(np.int64)
-        if (counts < 0).any():
-            raise ValidationError(f"counts must be nonnegative, got {data.tolist()}")
-        return counts
-    arr = as_record_array(data)
-    return cell_counts(arr[:, 0], arr[:, 1], arr[:, 2])
+    arr = np.asarray(data)
+    if arr.ndim == 2:
+        arr = as_record_array(arr)
+        arr = cell_counts(arr[:, 0], arr[:, 1], arr[:, 2])
+    return np.array(_checked_counts(arr), dtype=np.int64)
 
 
 def from_units(records) -> ObservedDistribution:
     """Cross-tabulate unit records and delegate to :func:`from_counts`."""
-    arr = as_record_array(records)
-    if arr.shape[0] == 0:
+    if len(records) == 0:
         raise EmptyArmError("no records supplied")
-    return from_counts(cell_counts(arr[:, 0], arr[:, 1], arr[:, 2]).tolist())
+    arr = as_record_array(records)
+    return from_counts(cell_counts(arr[:, 0], arr[:, 1], arr[:, 2]))
 
 
 def from_probabilities(arm0, arm1, *, n0: int = 0, n1: int = 0) -> ObservedDistribution:
@@ -264,13 +240,11 @@ def from_probabilities(arm0, arm1, *, n0: int = 0, n1: int = 0) -> ObservedDistr
     ``arm0`` and ``arm1`` are length-4 sequences in ym-major order
     (p00, p01, p10, p11); each must sum to 1 within 1e-12.
     """
-    p = np.empty((2, 2, 2))
-    for a, cells in ((0, arm0), (1, arm1)):
-        cells = np.asarray(cells, dtype=float)
+    arms = [np.asarray(cells, dtype=float) for cells in (arm0, arm1)]
+    for a, cells in enumerate(arms):
         if cells.shape != (4,):
             raise ValidationError(f"arm {a} must have 4 cell probabilities, got shape {cells.shape}")
-        p[:, :, a] = cells.reshape(2, 2)
-    return ObservedDistribution(p=p, n1=n1, n0=n0)
+    return ObservedDistribution(np.concatenate(arms), n1=n1, n0=n0)
 
 
 def ate(dist: ObservedDistribution) -> float:

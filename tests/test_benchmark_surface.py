@@ -8,12 +8,15 @@ perfbench/ and change nothing there.
 
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 sys.path.insert(0, str(BENCH))
 
 import checks  # noqa: E402
@@ -51,3 +54,26 @@ def test_counts_output_passes_the_deep_checks(counts):
     assert checks.check_cli_json(_cli_output(counts, "json"), {"counts": counts}, total, True) == []
     assert checks.check_cli_csv(_cli_output(counts, "csv"), counts, True) == []
     assert checks.check_cli_plotdata(_cli_output(counts, "plotdata"), counts, True) == []
+
+
+def test_inference_replications_pass_the_wald_check():
+    pool, seeds = workloads.synth_mc_pool(3, 4)
+    for records, seed in zip(pool, seeds):
+        intervals, ate, iot = workloads.replicate(records, seed)
+        assert len(intervals) == len(workloads.CLR_SPECS)
+        assert checks.check_wald(records, ate, iot) == []
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_setup_code_runs(name, tmp_path, monkeypatch):
+    # The CLI workloads write their set-up inputs in generate(); the CSV one
+    # builds its set-up argv from a 40-row file whatever CSV_ROWS is.
+    monkeypatch.setattr(workloads, "CSV_ROWS", 40)
+    workload = workloads.WORKLOADS[name]()
+    if workload.cli:
+        workload.generate(5, tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", workload.setup_code], cwd=ROOT, env=env, capture_output=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr.decode()[-2000:]

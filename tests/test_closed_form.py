@@ -114,12 +114,12 @@ PRINTED = {
 
 def expression_values(dist, spec):
     lowers, uppers = anie_expressions(spec)
-    cells = dist.cell_vector()
+    cells = dist.cells
     return [e.value(cells) for e in lowers], [e.value(cells) for e in uppers]
 
 
 def printed_values(dist, assumptions):
-    cells = dist.cell_vector()
+    cells = dist.cells
     lowers, uppers = PRINTED[(assumptions, 1)]
     return [float(np.dot(c, cells)) for _, c in lowers], [float(np.dot(c, cells)) for _, c in uppers]
 
@@ -475,10 +475,10 @@ class TestExpressionProperties:
         lowers, uppers = anie_expressions(spec)
         for _ in range(50):
             a, b = random_dist(rng), random_dist(rng)
-            gap = np.abs(a.cell_vector() - b.cell_vector()).sum()
+            gap = np.abs(a.cells - b.cells).sum()
             for expr in (*lowers, *uppers):
                 cmax = max(abs(c) for c in expr.coeffs)
-                diff = abs(expr.value(a.cell_vector()) - expr.value(b.cell_vector()))
+                diff = abs(expr.value(a.cells) - expr.value(b.cells))
                 assert diff <= cmax * gap + TOL
 
     def test_evaluator_sums_in_index_order(self):
@@ -496,8 +496,8 @@ class TestExpressionProperties:
             for spec in ALL_SPECS:
                 lowers, uppers = anie_expressions(spec)
                 res = anie_bounds(dist, spec)
-                lo_vals = [sequential(e.coeffs, dist.cell_vector()) for e in lowers]
-                hi_vals = [sequential(e.coeffs, dist.cell_vector()) for e in uppers]
+                lo_vals = [sequential(e.coeffs, dist.cells) for e in lowers]
+                hi_vals = [sequential(e.coeffs, dist.cells) for e in uppers]
                 assert res.binding_lower == lo_vals.index(max(lo_vals))
                 assert res.binding_upper == hi_vals.index(min(hi_vals))
                 assert res.lower == min(1.0, max(-1.0, max(lo_vals)))

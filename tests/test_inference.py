@@ -75,16 +75,20 @@ class TestCountsAndRecordsAgree:
         assert sum(t[:4].sum() == 2 or t[4:].sum() == 2 for t in tables) >= 20
         for counts in tables:
             records = expand(counts, rng)
+            # The counts as a list and as a tuple, and the records as a list of triples.
+            forms = (records, counts.tolist(), tuple(counts.tolist()), records.tolist())
             for spec in self.SPECS:
-                assert clr_bounds(counts, spec, config) == clr_bounds(records, spec, config)
+                want = clr_bounds(counts, spec, config)
+                assert all(clr_bounds(data, spec, config) == want for data in forms)
             dist, cov = estimate_distribution(counts)
-            dist_r, cov_r = estimate_distribution(records)
-            assert dist == dist_r
-            assert np.array_equal(cov, cov_r)
+            for data in forms:
+                dist_r, cov_r = estimate_distribution(data)
+                assert dist == dist_r
+                assert np.array_equal(cov, cov_r)
             treated = records[:, 0] == 1
             for test, column in ((iot_test, 1), (ate_test, 2)):
                 result = test(counts, config)
-                assert result == test(records, config)
+                assert all(test(data, config) == result for data in forms)
                 # The count arithmetic matches the difference of record means exactly.
                 p1, p0 = records[treated, column].mean(), records[~treated, column].mean()
                 assert result.estimate == float(p1 - p0)
@@ -97,6 +101,27 @@ class TestCountsAndRecordsAgree:
             ate_test(np.array([1, 0, 0, 0, 2, 0, 0, 0]))
         with pytest.raises(ValidationError):
             iot_test(np.array([3, 0, 0, -1, 2, 0, 0, 0]))
+
+    # The int64 arm sums of the first overflow; float and bool counts are not counts.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.array([2**62, 2**62, 2**62, 2**62 + 10, 30, 20, 10, 40]),
+            np.array([10.0, 20.0, 30.0, 40.0, 10.0, 20.0, 30.0, 40.0]),
+            np.array([True, False, True, True, True, False, True, True]),
+        ],
+        ids=["overflow", "float", "bool"],
+    )
+    def test_bad_counts_are_rejected(self, data):
+        config = InferenceConfig(draws=200)
+        for call in (
+            lambda: ate_test(data, config),
+            lambda: iot_test(data, config),
+            lambda: clr_bounds(data, EstimandSpec(reference=1), config),
+            lambda: estimate_distribution(data),
+        ):
+            with pytest.raises(ValidationError):
+                call()
 
 
 class TestCovariance:

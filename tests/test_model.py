@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mediation_bounds import (
     Assumptions,
@@ -12,7 +13,6 @@ from mediation_bounds import (
     EstimandSpec,
     Method,
     ObservedDistribution,
-    UnitRecord,
     ValidationError,
     as_record_array,
     ate,
@@ -21,7 +21,7 @@ from mediation_bounds import (
     from_probabilities,
     from_units,
 )
-from mediation_bounds.model import as_cell_counts
+from mediation_bounds.model import MAX_TOTAL, as_cell_counts
 from conftest import make_rng, random_dist
 
 
@@ -59,9 +59,21 @@ class TestConstruction:
             from_counts([1, 1, 1, 1, 1, 1, 1, -1])
         with pytest.raises(ValidationError):
             from_counts([1.5, 1, 1, 1, 1, 1, 1, 1])
+        with pytest.raises(ValidationError):
+            from_counts([True] * 8)
+
+    def test_total_bound(self):
+        dist = from_counts([MAX_TOTAL - 7, 1, 1, 1, 1, 1, 1, 1])
+        assert dist.n0 + dist.n1 == MAX_TOTAL == 2**53
+        over = [MAX_TOTAL - 6, 1, 1, 1, 1, 1, 1, 1]  # a total of 2**53 + 1
+        for counts in (over, np.array(over), np.array([2**63, 1, 1, 1, 1, 1, 1, 1], dtype=np.uint64)):
+            with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
+                from_counts(counts)
+        with pytest.raises(ValidationError):  # beyond uint64, so an object array
+            from_counts([10**20] + [1] * 7)
 
     def test_two_records_single_cell_mass(self):
-        dist = from_units([UnitRecord(a=1, m=0, y=1), UnitRecord(a=0, m=1, y=0)])
+        dist = from_units([(1, 0, 1), (0, 1, 0)])
         assert dist.prob(1, 0, 1) == 1.0
         assert dist.prob(0, 1, 0) == 1.0
         assert dist.n1 == 1
@@ -87,11 +99,9 @@ class TestConstruction:
 
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValidationError):
-            UnitRecord(a=0, m=0, y=2)
-        with pytest.raises(ValidationError):
-            UnitRecord(a=0, m=0, y=True)
-        with pytest.raises(ValidationError):
             from_units([(0, 0, 2)])
+        with pytest.raises(ValidationError):
+            from_units([(0, 0, 0.5)])
         with pytest.raises(ValidationError):
             as_record_array(np.array([[0, 0, -1]]))
 
@@ -102,10 +112,14 @@ class TestConstruction:
         records = [(a, m, y) for a in (0, 1) for y in (0, 1) for m in (0, 1) for _ in range(counts[4 * a + 2 * y + m])]
         assert as_cell_counts(records).tolist() == counts.tolist()
         assert as_cell_counts(np.array(records)).tolist() == counts.tolist()
+        assert as_cell_counts(counts.tolist()).tolist() == counts.tolist()
+        assert as_cell_counts(tuple(counts.tolist())).tolist() == counts.tolist()
         with pytest.raises(ValidationError):
             as_cell_counts(np.array([3, 0, 2, -1, 0, 4, 1, 1]))
-        with pytest.raises(ValidationError):  # not integer, so records, and 1-D records are rejected
-            as_cell_counts(counts.astype(float))
+        # Not two-dimensional, so counts, and non-integer counts are rejected.
+        for bad in (counts.astype(float), counts.astype(bool), iter(counts.tolist()), iter(records)):
+            with pytest.raises(ValidationError):
+                as_cell_counts(bad)
 
     def test_record_array_shape(self):
         arr = as_record_array([(1, 0, 1), (0, 1, 0)])
@@ -120,15 +134,20 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             from_probabilities([-0.1, 0.5, 0.3, 0.3], [0.25] * 4)
         with pytest.raises(ValidationError):
-            ObservedDistribution(p=np.full((2, 2), 0.25))
+            ObservedDistribution(np.full((2, 2, 2), 0.25))
 
     def test_cells_are_read_only(self, uniform_dist):
         with pytest.raises(ValueError):
-            uniform_dist.p[0, 0, 0] = 0.5
+            uniform_dist.cells[0] = 0.5
 
-    def test_cell_vector_and_fingerprint_are_computed_once(self, e1_dist):
-        vec = e1_dist.cell_vector()
-        assert vec is e1_dist.cell_vector()
+    def test_cells_are_copied_at_construction(self):
+        source = np.full(8, 0.25)
+        dist = ObservedDistribution(source)
+        source[0] = 1.0
+        assert dist.cells[0] == 0.25
+
+    def test_cells_and_fingerprint_are_computed_once(self, e1_dist):
+        vec = e1_dist.cells
         assert e1_dist.fingerprint() is e1_dist.fingerprint()
         assert e1_dist.fingerprint() == tuple(float(v) for v in vec) + (100, 100)
         for view in (vec, e1_dist.arm(0), e1_dist.arm(1)):
@@ -136,12 +155,31 @@ class TestConstruction:
                 view[0] = 0.5
         np.testing.assert_array_equal(np.concatenate([e1_dist.arm(0), e1_dist.arm(1)]), vec)
         for a in (0, 1):
-            np.testing.assert_array_equal(e1_dist.arm(a), e1_dist.p[:, :, a].reshape(4))
+            for y in (0, 1):
+                for m in (0, 1):
+                    assert e1_dist.prob(y, m, a) == vec[4 * a + 2 * y + m]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(np.int64, 8, elements=st.integers(0, MAX_TOTAL // 8)),
+        st.sampled_from([lambda c: c, lambda c: c.astype(np.uint64), lambda c: c.tolist(), lambda c: tuple(c.tolist())]),
+    )
+    def test_cells_are_exact_count_ratios(self, counts, form):
+        counts[0] += counts[:4].sum() == 0
+        counts[4] += counts[4:].sum() == 0
+        vals = counts.tolist()
+        assert sum(vals) <= MAX_TOTAL
+        dist = from_counts(form(counts))
+        n0, n1 = sum(vals[:4]), sum(vals[4:])
+        assert (dist.n0, dist.n1) == (n0, n1)
+        for i, v in enumerate(vals):
+            assert dist.cells[i] == v / (n0 if i < 4 else n1)  # Python int division, correctly rounded
+        assert dist.fingerprint() == tuple(dist.cells.tolist()) + (n1, n0)
 
 
 class TestAccessors:
-    def test_cell_vector_order(self, e1_dist):
-        vec = e1_dist.cell_vector()
+    def test_cells_order(self, e1_dist):
+        vec = e1_dist.cells
         np.testing.assert_allclose(vec[:4], [0.4, 0.3, 0.2, 0.1], atol=1e-15)
         np.testing.assert_allclose(vec[4:], [0.1, 0.2, 0.3, 0.4], atol=1e-15)
 

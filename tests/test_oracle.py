@@ -80,7 +80,7 @@ class TestExactEffects:
     def test_uniform_population_induces_uniform_cells(self):
         pop = FullPopulation64(q=np.full((2,) * 6, 1 / 64))
         dist = observed_from_population(pop)
-        np.testing.assert_allclose(dist.cell_vector(), np.full(8, 0.25), atol=ID_TOL)
+        np.testing.assert_allclose(dist.cells, np.full(8, 0.25), atol=ID_TOL)
 
     def test_margin_difference_is_complier_minus_defier_share(self):
         rng = make_rng(73)
@@ -257,7 +257,7 @@ class TestSampling:
         n = 100_000
         dist = from_units(sample_records(pop, n, seed=13))
         target = observed_from_population(pop)
-        gap = np.abs(dist.cell_vector() - target.cell_vector()).max()
+        gap = np.abs(dist.cells - target.cells).max()
         assert gap <= 4 / np.sqrt(n)
 
 
