@@ -21,7 +21,7 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -41,7 +41,7 @@ from .model import (
     from_units,  # not used here; perfbench's tracing tests call cli.from_units
 )
 
-SCHEMA = "mediation-bounds/3"
+SCHEMA = "mediation-bounds/4"
 _MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
 # Per byte: 0 if a blank line may hold it (ASCII whitespace as str.strip()
 # sees it, or a comma), 1 if it is a quote mark or part of a non-ASCII
@@ -405,9 +405,7 @@ class AnalysisReport:
 def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> MediatorReport:
     counts = data.counts
     dist = from_counts(counts)
-    inf_config = InferenceConfig(
-        alpha=config.alpha, draws=config.draws, seed=seed, selection_slack=2.0
-    )
+    inf_config = InferenceConfig(alpha=config.alpha, draws=config.draws, seed=seed)
     results = []
     for assumptions in config.assumptions:
         spec = EstimandSpec(
@@ -497,28 +495,9 @@ def _interval_dict(iv: IntervalEstimate | None, error: str | None) -> dict | Non
         "ci_upper": iv.ci_upper,
         "crossed": iv.crossed,
         "smoothed_arms": list(iv.smoothed_arms),
-        "lower_expressions": [
-            {"label": e.label, "estimate": e.estimate, "se": e.se} for e in iv.lower_expressions
-        ],
-        "upper_expressions": [
-            {"label": e.label, "estimate": e.estimate, "se": e.se} for e in iv.upper_expressions
-        ],
-        "selection": {
-            "lower": {
-                "selected": list(iv.lower_diagnostics.selected),
-                "k0": iv.lower_diagnostics.k0,
-                "k_half": iv.lower_diagnostics.k_half,
-                "k_ci": iv.lower_diagnostics.k_ci,
-                "zero_variance": list(iv.lower_diagnostics.zero_variance),
-            },
-            "upper": {
-                "selected": list(iv.upper_diagnostics.selected),
-                "k0": iv.upper_diagnostics.k0,
-                "k_half": iv.upper_diagnostics.k_half,
-                "k_ci": iv.upper_diagnostics.k_ci,
-                "zero_variance": list(iv.upper_diagnostics.zero_variance),
-            },
-        },
+        "lower_expressions": [asdict(e) for e in iv.lower_expressions],
+        "upper_expressions": [asdict(e) for e in iv.upper_expressions],
+        "selection": {"lower": asdict(iv.lower_diagnostics), "upper": asdict(iv.upper_diagnostics)},
     }
 
 

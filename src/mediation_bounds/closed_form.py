@@ -38,8 +38,10 @@ derivation, which ``tests/test_closed_form.py`` keeps and compares.
 :func:`anie_bounds` serves all eight (assumption set, reference, sign) specs
 with one evaluation and one incompatibility verdict; ``bounds_no_assumption``,
 ``bounds_mmr``, ``bounds_mmr_pos_mediator`` and ``lp_engine.anie_bounds_lp``
-are front doors over it.  :func:`anie_expressions` exposes the sets to the
-intersection-bounds inference code.
+are front doors over it.  :func:`anie_expressions` exposes the sets.
+``_evaluate``, an index-order sum of each row's products, is the one
+evaluator of expressions: the point bounds and ``inference.clr_bounds`` both
+read their values from it, so they report the same bits.
 """
 
 from __future__ import annotations
@@ -158,9 +160,6 @@ class Expression(NamedTuple):
     label: str
     coeffs: tuple[float, ...]
 
-    def value(self, cells: np.ndarray) -> float:
-        return float(np.dot(self.coeffs, cells))
-
 
 class _SpecTable(NamedTuple):
     lowers: tuple[Expression, ...]
@@ -238,6 +237,14 @@ def anie_expressions(spec: EstimandSpec) -> tuple[tuple[Expression, ...], tuple[
     return table.lowers, table.uppers
 
 
+def _evaluate(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``rows @ cells``, each row's eight products added in index order.
+
+    cumsum fixes the order, so no value depends on the BLAS build or on which rows are stacked.
+    """
+    return np.cumsum(rows * cells, axis=1)[:, -1]
+
+
 def _clamp(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
@@ -256,9 +263,7 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     table = _spec_table(spec)
     n_lo = len(table.lowers)
     n_bounds = n_lo + len(table.uppers)
-    # cumsum adds each row's eight products in index order, so the values do
-    # not depend on how a BLAS build orders a dot product.
-    values = np.cumsum(table.rows * dist.cells, axis=1)[:, -1].tolist()
+    values = _evaluate(table.rows, dist.cells).tolist()
     lo_vals, hi_vals = values[:n_lo], values[n_lo:n_bounds]
     lower, upper = max(lo_vals), min(hi_vals)
     binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)

@@ -12,7 +12,9 @@ slack, and endpoint estimators
     upper(level) = min_j [ theta_j + k_hi(level) * se_j ]
 
 are reported at level 1/2 (half-median-unbiased point bounds) and at
-1 - alpha/2 (confidence interval for the identified set).
+1 - alpha/2 (confidence interval for the identified set).  The max side is
+the min side run on negated estimates and deviations.  The theta_j come from
+``closed_form``'s one evaluator, so they are bit-equal to the point bounds.
 
 Standard errors come from the exact multinomial covariance of the cell
 frequencies within each arm.  The covariance matrix used for simulation and
@@ -31,7 +33,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .closed_form import _spec_table
+from .closed_form import _evaluate, _spec_table
 from .model import (
     _ZERO_SE_TOL,
     EstimandSpec,
@@ -45,18 +47,18 @@ from .model import (
 _STD_NORMAL = NormalDist()
 
 
+# Scale of the preliminary critical value that discards slack expressions;
+# 2 is the conventional choice.
+_SELECTION_SLACK = 2.0
+
+
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Knobs for the simulation-based critical values.
-
-    ``selection_slack`` scales the preliminary critical value when discarding
-    clearly-slack expressions; 2 is the conventional choice.
-    """
+    """Level, Gaussian draws and seed of the simulated critical values; the selection slack is fixed at 2."""
 
     alpha: float = 0.05
     draws: int = 2000
     seed: int = 0
-    selection_slack: float = 2.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -65,8 +67,6 @@ class InferenceConfig:
             raise ValidationError(f"draws must be at least 100, got {self.draws!r}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
-        if self.selection_slack < 0.0:
-            raise ValidationError(f"selection_slack must be nonnegative, got {self.selection_slack!r}")
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,31 @@ class IntervalEstimate:
             raise ValidationError("upper CI endpoint below the HMU upper estimate")
 
 
-def _multinomial_block(p: np.ndarray, n: int) -> np.ndarray:
-    return (np.diag(p) - np.outer(p, p)) / n
-
-
 def _distribution(counts: np.ndarray) -> ObservedDistribution:
     n0, n1 = int(counts[:4].sum()), int(counts[4:].sum())
     if n0 < 2 or n1 < 2:
         raise InsufficientDataError(f"need at least 2 observations per arm, got n0={n0}, n1={n1}")
     return from_counts(counts)
+
+
+def _multinomial_cov(counts: np.ndarray, *, smooth: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The 8x8 sampling covariance of the cell frequencies, one multinomial block per arm.
+
+    With ``smooth``, an arm with an empty cell takes add-half probabilities
+    (count + 1/2) / (n + 2); the smoothed arms are returned with the matrix.
+    """
+    cov = np.zeros((8, 8))
+    smoothed = []
+    for a in (0, 1):
+        arm = counts[4 * a : 4 * a + 4]
+        n = int(arm.sum())
+        if smooth and (arm == 0).any():
+            p = (arm + 0.5) / (n + 2.0)
+            smoothed.append(a)
+        else:
+            p = arm / n
+        cov[4 * a : 4 * a + 4, 4 * a : 4 * a + 4] = (np.diag(p) - np.outer(p, p)) / n
+    return cov, tuple(smoothed)
 
 
 def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
@@ -150,27 +166,7 @@ def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
     """
     counts = as_cell_counts(data)
     dist = _distribution(counts)
-    cov = np.zeros((8, 8))
-    cov[:4, :4] = _multinomial_block(counts[:4] / dist.n0, dist.n0)
-    cov[4:, 4:] = _multinomial_block(counts[4:] / dist.n1, dist.n1)
-    return dist, cov
-
-
-def _smoothed_cov(counts0: np.ndarray, counts1: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    # Add-half smoothing per arm, applied only when the arm has an empty cell;
-    # used for standard errors and simulation, never for point estimates.
-    cov = np.zeros((8, 8))
-    smoothed = []
-    for a, counts in ((0, counts0), (1, counts1)):
-        n = int(counts.sum())
-        if (counts == 0).any():
-            p = (counts + 0.5) / (n + 2.0)
-            smoothed.append(a)
-        else:
-            p = counts / n
-        block = _multinomial_block(p, n)
-        cov[4 * a : 4 * a + 4, 4 * a : 4 * a + 4] = block
-    return cov, tuple(smoothed)
+    return dist, _multinomial_cov(counts, smooth=False)[0]
 
 
 def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
@@ -212,27 +208,24 @@ def ate_test(data, config: InferenceConfig = InferenceConfig()) -> WaldResult:
     return _difference_of_means(as_cell_counts(data), [2, 3], config.alpha)
 
 
-def _one_side(
-    est: np.ndarray,
-    se: np.ndarray,
-    devs: np.ndarray,
-    *,
-    side: int,
-    n: int,
-    alpha: float,
-    slack: float,
+def _min_side(
+    est: np.ndarray, se: np.ndarray, devs: np.ndarray, *, n: int, alpha: float
 ) -> tuple[float, float, SideDiagnostics]:
-    """Endpoint estimates for one side; ``side`` +1 for the min/upper, -1 for the max/lower."""
+    """Endpoint estimates for a min of expressions: the upper side.
+
+    The lower side, a max, is this routine on the negated estimates and
+    deviations, with its endpoints negated back; IEEE rounding is symmetric
+    in sign, so the mirror is exact.
+    """
     k = est.size
     studentizable = se > _ZERO_SE_TOL
     zero_var = tuple(int(i) for i in np.flatnonzero(~studentizable))
 
-    # Studentized deviations of the simulated expression estimates.  For the
-    # lower (max) side the mirrored statistic enters with a minus sign so that
-    # large values correspond to overshooting the max in its biased direction.
+    # Studentized deviations of the simulated expression estimates; large
+    # values overshoot the min in its biased (inward) direction.
     stats = np.zeros_like(devs)
     if studentizable.any():
-        stats[:, studentizable] = side * devs[:, studentizable] / se[studentizable]
+        stats[:, studentizable] = devs[:, studentizable] / se[studentizable]
 
     gamma0 = max(0.0, 1.0 - 1.0 / np.log(n)) if n > 1 else 0.5
 
@@ -246,31 +239,20 @@ def _one_side(
     # Two-step selection: an expression stays only if it clears the best
     # slack-adjusted expression, where each competitor k is credited its own
     # se_k.  The preliminary k0 can be negative at absurdly small n, which
-    # could empty the set, so the argbest expression is always retained.
+    # could empty the set, so the argmin expression is always retained.
     (k0,) = critical(np.ones(k, dtype=bool), gamma0)
-    if side > 0:
-        threshold = float((est + slack * k0 * se).min())
-        selected = est <= threshold + 1e-12
-    else:
-        threshold = float((est - slack * k0 * se).max())
-        selected = est >= threshold - 1e-12
+    threshold = float((est + _SELECTION_SLACK * k0 * se).min())
+    selected = est <= threshold + 1e-12
     if not selected.any():
-        selected = np.zeros(k, dtype=bool)
-        selected[int(np.argmin(est) if side > 0 else np.argmax(est))] = True
+        selected[int(np.argmin(est))] = True
 
     k_half, k_ci = critical(selected, 0.5, 1.0 - alpha / 2.0)
 
-    # Endpoint estimators extremize over the surviving set only; dropping a
+    # Endpoint estimators minimize over the surviving set only; dropping a
     # slack expression can only move the estimate away from the biased
     # direction, so the half-median property is preserved.
-    adjusted_half = est + side * k_half * se
-    adjusted_ci = est + side * k_ci * se
-    if side > 0:
-        hmu = float(adjusted_half[selected].min())
-        ci = float(adjusted_ci[selected].min())
-    else:
-        hmu = float(adjusted_half[selected].max())
-        ci = float(adjusted_ci[selected].max())
+    hmu = float((est + k_half * se)[selected].min())
+    ci = float((est + k_ci * se)[selected].min())
     diag = SideDiagnostics(
         selected=tuple(int(i) for i in np.flatnonzero(selected)),
         k0=k0,
@@ -294,42 +276,32 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     """
     table = _spec_table(spec)
     lowers, uppers = table.lowers, table.uppers
+    n_lo = len(lowers)
+    rows = table.rows[: n_lo + len(uppers)]
     counts = as_cell_counts(data)
     dist = _distribution(counts)
     n = dist.n0 + dist.n1
 
-    cov, smoothed_arms = _smoothed_cov(counts[:4], counts[4:])
-    c_lo = table.rows[: len(lowers)]
-    c_hi = table.rows[len(lowers) : len(lowers) + len(uppers)]
-    est_lo = c_lo @ dist.cells
-    est_hi = c_hi @ dist.cells
-    se_lo = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", c_lo, cov, c_lo), 0.0, None))
-    se_hi = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", c_hi, cov, c_hi), 0.0, None))
+    cov, smoothed_arms = _multinomial_cov(counts, smooth=True)
+    est = _evaluate(rows, dist.cells)
+    se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows), 0.0, None))
 
     root = _cov_sqrt(cov)
     rng = np.random.default_rng(config.seed)
-    cell_devs = rng.standard_normal((config.draws, 8)) @ root.T
-    devs_lo = cell_devs @ c_lo.T
-    devs_hi = cell_devs @ c_hi.T
+    devs = rng.standard_normal((config.draws, 8)) @ root.T @ rows.T
 
-    hmu_up, ci_up, diag_up = _one_side(
-        est_hi, se_hi, devs_hi, side=+1, n=n, alpha=config.alpha, slack=config.selection_slack
-    )
-    hmu_lo, ci_lo, diag_lo = _one_side(
-        est_lo, se_lo, devs_lo, side=-1, n=n, alpha=config.alpha, slack=config.selection_slack
-    )
+    hmu_up, ci_up, diag_up = _min_side(est[n_lo:], se[n_lo:], devs[:, n_lo:], n=n, alpha=config.alpha)
+    hmu_lo, ci_lo, diag_lo = _min_side(-est[:n_lo], se[:n_lo], -devs[:, :n_lo], n=n, alpha=config.alpha)
+    hmu_lo, ci_lo = -hmu_lo, -ci_lo
+    exprs = [ExpressionEstimate(e.label, v, s) for e, v, s in zip(lowers + uppers, est.tolist(), se.tolist())]
 
     return IntervalEstimate(
         bound_lower_hmu=hmu_lo,
         bound_upper_hmu=hmu_up,
         ci_lower=ci_lo,
         ci_upper=ci_up,
-        lower_expressions=tuple(
-            ExpressionEstimate(e.label, float(v), float(s)) for e, v, s in zip(lowers, est_lo, se_lo)
-        ),
-        upper_expressions=tuple(
-            ExpressionEstimate(e.label, float(v), float(s)) for e, v, s in zip(uppers, est_hi, se_hi)
-        ),
+        lower_expressions=tuple(exprs[:n_lo]),
+        upper_expressions=tuple(exprs[n_lo:]),
         lower_diagnostics=diag_lo,
         upper_diagnostics=diag_up,
         smoothed_arms=smoothed_arms,

@@ -90,13 +90,21 @@ class Method(enum.Enum):
     LP = "lp"
 
 
+def _rectangular(data) -> np.ndarray:
+    """``np.asarray(data)``, with a ragged sequence reported as a :class:`ValidationError`."""
+    try:
+        return np.asarray(data)
+    except ValueError as exc:
+        raise ValidationError(f"ragged input: {exc}") from None
+
+
 def as_record_array(records) -> np.ndarray:
     """Canonicalize records to an (n, 3) uint8 array with columns a, m, y.
 
     Accepts an (n, 3) array or a sequence of (a, m, y) triples.  Values outside
     {0, 1} are rejected.
     """
-    arr = np.asarray(records)
+    arr = _rectangular(records)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(f"record array must have shape (n, 3), got {arr.shape}")
     if not np.issubdtype(arr.dtype, np.integer):
@@ -173,7 +181,7 @@ class ObservedDistribution:
 
 def _checked_counts(counts) -> list[int]:
     """Eight validated cell counts as Python ints: the one check every count intake runs."""
-    arr = np.asarray(counts)
+    arr = _rectangular(counts)
     if arr.shape != (8,) or not np.issubdtype(arr.dtype, np.integer):
         raise ValidationError(f"expected 8 integer counts, got shape {arr.shape} and dtype {arr.dtype}")
     vals = arr.tolist()
@@ -219,7 +227,7 @@ def as_cell_counts(data) -> np.ndarray:
     Two-dimensional input is records (:func:`as_record_array`); anything else
     is the eight counts.
     """
-    arr = np.asarray(data)
+    arr = _rectangular(data)
     if arr.ndim == 2:
         arr = as_record_array(arr)
         arr = cell_counts(arr[:, 0], arr[:, 1], arr[:, 2])

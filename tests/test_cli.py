@@ -539,7 +539,7 @@ class TestExitCodes:
     def test_success(self, capsys):
         code, out, _ = run_cli(capsys, "--counts", E1_COUNTS)
         assert code == 0
-        assert json.loads(out)["schema"] == "mediation-bounds/3"
+        assert json.loads(out)["schema"] == "mediation-bounds/4"
 
     def test_missing_column_is_config_error(self, capsys, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], [(0, 0, 0), (1, 1, 1)])
@@ -757,7 +757,7 @@ class TestOutputs:
     def test_json_report_shape(self, capsys):
         code, out, _ = run_cli(capsys, "--counts", E1_COUNTS, "--assumptions", "none,mmr")
         report = json.loads(out)
-        assert report["schema"] == "mediation-bounds/3"
+        assert report["schema"] == "mediation-bounds/4"
         assert report["version"] == __version__
         assert report["config"]["assumptions"] == ["none", "mmr"]
         assert report["config"]["counts"] == [40, 30, 20, 10, 10, 20, 30, 40]

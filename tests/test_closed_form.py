@@ -16,6 +16,7 @@ from mediation_bounds import (
     Assumptions,
     ConsistencyError,
     EstimandSpec,
+    InferenceConfig,
     Method,
     ValidationError,
     ande_bounds,
@@ -26,6 +27,7 @@ from mediation_bounds import (
     bounds_mmr,
     bounds_mmr_pos_mediator,
     bounds_no_assumption,
+    clr_bounds,
     cross_world_range,
     from_counts,
     from_probabilities,
@@ -112,10 +114,18 @@ PRINTED = {
 }
 
 
+def sequential(coeffs, cells):
+    """An expression's value with its eight products added in index order."""
+    total = 0.0
+    for c, x in zip(coeffs, cells.tolist()):
+        total += c * x
+    return total
+
+
 def expression_values(dist, spec):
     lowers, uppers = anie_expressions(spec)
     cells = dist.cells
-    return [e.value(cells) for e in lowers], [e.value(cells) for e in uppers]
+    return [sequential(e.coeffs, cells) for e in lowers], [sequential(e.coeffs, cells) for e in uppers]
 
 
 def printed_values(dist, assumptions):
@@ -478,30 +488,29 @@ class TestExpressionProperties:
             gap = np.abs(a.cells - b.cells).sum()
             for expr in (*lowers, *uppers):
                 cmax = max(abs(c) for c in expr.coeffs)
-                diff = abs(expr.value(a.cells) - expr.value(b.cells))
+                diff = abs(sequential(expr.coeffs, a.cells) - sequential(expr.coeffs, b.cells))
                 assert diff <= cmax * gap + TOL
 
     def test_evaluator_sums_in_index_order(self):
-        # anie_bounds adds each expression's eight products in index order; the
-        # loop below is that arithmetic written out, so results are equal.
-        def sequential(coeffs, cells):
-            total = 0.0
-            for c, x in zip(coeffs, cells.tolist()):
-                total += c * x
-            return total
-
+        # anie_bounds and clr_bounds share one evaluator, which adds each
+        # expression's eight products in index order; ``sequential`` is that
+        # arithmetic written out, so the values are equal, not just close.
+        config = InferenceConfig(draws=100)
         rng = make_rng(53)
         for i in range(200):
-            dist = random_dist(rng) if i % 2 else from_counts(rng.integers(1, 10**6, size=8).tolist())
+            counts = None if i % 2 else rng.integers(1, 10**6, size=8)
+            dist = random_dist(rng) if i % 2 else from_counts(counts.tolist())
             for spec in ALL_SPECS:
-                lowers, uppers = anie_expressions(spec)
+                lo_vals, hi_vals = expression_values(dist, spec)
                 res = anie_bounds(dist, spec)
-                lo_vals = [sequential(e.coeffs, dist.cells) for e in lowers]
-                hi_vals = [sequential(e.coeffs, dist.cells) for e in uppers]
                 assert res.binding_lower == lo_vals.index(max(lo_vals))
                 assert res.binding_upper == hi_vals.index(min(hi_vals))
                 assert res.lower == min(1.0, max(-1.0, max(lo_vals)))
                 assert res.upper == min(1.0, max(-1.0, min(hi_vals)))
+                if counts is not None:
+                    iv = clr_bounds(counts, spec, config)
+                    assert [e.estimate for e in iv.lower_expressions] == lo_vals
+                    assert [e.estimate for e in iv.upper_expressions] == hi_vals
 
     def test_closed_form_matches_lp(self):
         # Quick scan against the simplex; the acceptance suite runs the full

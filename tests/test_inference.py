@@ -15,6 +15,7 @@ from mediation_bounds import (
     bounds_mmr,
     clr_bounds,
     estimate_distribution,
+    from_counts,
     from_units,
     iot_test,
     observed_from_population,
@@ -22,7 +23,7 @@ from mediation_bounds import (
     iot_blindspot_population,
     true_estimands,
 )
-from mediation_bounds.inference import SideDiagnostics, _one_side
+from mediation_bounds.inference import SideDiagnostics, _min_side
 from conftest import calibration_population, make_rng, unique_binding_population
 
 Z975 = 1.959963984540054
@@ -123,6 +124,23 @@ class TestCountsAndRecordsAgree:
             with pytest.raises(ValidationError):
                 call()
 
+    # Ragged sequences: numpy's own error would be a bare ValueError.
+    @pytest.mark.parametrize(
+        "call, data",
+        [
+            (from_counts, [[1, 2], [3]]),
+            (from_units, [(0, 1, 1), (1, 0)]),
+            (ate_test, [(0, 1, 1), (1, 0)]),
+            (iot_test, [[1, 2], [3]]),
+            (lambda data: clr_bounds(data, EstimandSpec(reference=1)), [[1, 2], [3]]),
+            (estimate_distribution, [(0, 1, 1), (1, 0)]),
+        ],
+        ids=["from_counts", "from_units", "ate_test", "iot_test", "clr_bounds", "estimate_distribution"],
+    )
+    def test_ragged_input_is_rejected(self, call, data):
+        with pytest.raises(ValidationError, match="ragged"):
+            call(data)
+
 
 class TestCovariance:
     def test_uniform_cell_covariance(self):
@@ -198,8 +216,6 @@ class TestConfig:
             InferenceConfig(draws=50)
         with pytest.raises(ValidationError):
             InferenceConfig(seed=-1)
-        with pytest.raises(ValidationError):
-            InferenceConfig(selection_slack=-0.1)
 
 
 class TestIntervalEstimation:
@@ -301,11 +317,24 @@ class TestIntervalEstimation:
         devs = rng.standard_normal((2000, 2)) * np.array([0.02, 1e-15])
         est = np.array([0.30, 0.50])
         se = np.array([0.02, 0.0])
-        hmu, ci, diag = _one_side(est, se, devs, side=+1, n=2000, alpha=0.05, slack=2.0)
+        hmu, ci, diag = _min_side(est, se, devs, n=2000, alpha=0.05)
         assert isinstance(diag, SideDiagnostics)
         assert diag.zero_variance == (1,)
         assert 0 in diag.selected
         assert ci >= hmu
+        # The mirrored case: a max of the negated expressions, run the way
+        # clr_bounds runs its lower side, gives the negated endpoints with the
+        # same selection, and they are max_j [theta_j - k * se_j] over it.
+        est_lo, devs_lo = -est, -devs
+        hmu_lo, ci_lo, diag_lo = _min_side(-est_lo, se, -devs_lo, n=2000, alpha=0.05)
+        hmu_lo, ci_lo = -hmu_lo, -ci_lo
+        assert (hmu_lo, ci_lo) == (-hmu, -ci)
+        assert diag_lo.selected == diag.selected
+        assert diag_lo.zero_variance == diag.zero_variance == (1,)
+        sel = list(diag_lo.selected)
+        assert hmu_lo == (est_lo - diag_lo.k_half * se)[sel].max()
+        assert ci_lo == (est_lo - diag_lo.k_ci * se)[sel].max()
+        assert ci_lo <= hmu_lo
 
     def test_endpoints_are_not_clamped_to_the_parameter_space(self):
         res = clr_bounds(np.array([1, 2, 1, 1, 3, 1, 0, 1]), EstimandSpec(reference=0))
