@@ -84,8 +84,10 @@ class RunConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
+        try:
+            InferenceConfig(alpha=self.alpha, draws=self.draws, seed=self.seed)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
         if self.reference not in (0, 1):
             raise ConfigError(f"reference must be 0 or 1, got {self.reference}")
         if self.format not in ("json", "csv", "plotdata"):
@@ -373,8 +375,7 @@ class AssumptionResult:
     reference: int
     bounds: BoundsResult
     ande: BoundsResult
-    inference: IntervalEstimate | None
-    inference_error: str | None
+    inference: IntervalEstimate
 
 
 @dataclass
@@ -406,7 +407,7 @@ def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> Media
     counts = data.counts
     dist = from_counts(counts)
     inf_config = InferenceConfig(alpha=config.alpha, draws=config.draws, seed=seed)
-    results = []
+    sets = []
     for assumptions in config.assumptions:
         spec = EstimandSpec(
             reference=config.reference, assumptions=assumptions, mediator_effect_sign=1
@@ -417,22 +418,10 @@ def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> Media
                 f"mediator {data.name!r}: data are incompatible with assumption set "
                 f"{assumptions.value!r} (--strict)"
             )
-        interval: IntervalEstimate | None = None
-        interval_err: str | None = None
-        try:
-            interval = clr_bounds(counts, spec, inf_config)
-        except ValidationError as exc:
-            interval_err = str(exc)
-        results.append(
-            AssumptionResult(
-                assumptions=assumptions,
-                reference=config.reference,
-                bounds=bounds,
-                ande=ande_bounds(dist, 1 - config.reference, bounds),
-                inference=interval,
-                inference_error=interval_err,
-            )
-        )
+        sets.append((spec, bounds, ande_bounds(dist, 1 - config.reference, bounds)))
+    # The Wald tests check the arm sizes that clr_bounds needs, so they run
+    # first and a table too small for inference is a data error.
+    ate, iot = ate_test(counts, inf_config), iot_test(counts, inf_config)
     return MediatorReport(
         name=data.name,
         n_used=dist.n0 + dist.n1,
@@ -441,9 +430,18 @@ def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> Media
         n0=dist.n0,
         counts=tuple(counts.tolist()),
         rules=data.rules,
-        ate=ate_test(counts, inf_config),
-        iot=iot_test(counts, inf_config),
-        results=results,
+        ate=ate,
+        iot=iot,
+        results=[
+            AssumptionResult(
+                assumptions=spec.assumptions,
+                reference=config.reference,
+                bounds=bounds,
+                ande=ande,
+                inference=clr_bounds(counts, spec, inf_config),
+            )
+            for spec, bounds, ande in sets
+        ],
     )
 
 
@@ -465,7 +463,10 @@ def run(config: RunConfig) -> AnalysisReport:
     ]
     report = AnalysisReport(config=config, n_rows=n_rows, ate=run_ate)
     for data, seed in zip(datasets, seeds):
-        report.mediators.append(_analyze_mediator(data, config, seed))
+        try:
+            report.mediators.append(_analyze_mediator(data, config, seed))
+        except ValidationError as exc:
+            raise DataError(f"mediator {data.name!r}: {exc}") from exc
     return report
 
 
@@ -485,9 +486,7 @@ def _bounds_dict(b: BoundsResult) -> dict:
     }
 
 
-def _interval_dict(iv: IntervalEstimate | None, error: str | None) -> dict | None:
-    if iv is None:
-        return {"error": error} if error else None
+def _interval_dict(iv: IntervalEstimate) -> dict:
     return {
         "bound_lower_hmu": iv.bound_lower_hmu,
         "bound_upper_hmu": iv.bound_upper_hmu,
@@ -506,21 +505,7 @@ def _report_dict(report: AnalysisReport) -> dict:
     return {
         "schema": SCHEMA,
         "version": __version__,
-        "config": {
-            "data": cfg.data,
-            "treatment": cfg.treatment,
-            "outcome": cfg.outcome,
-            "mediators": list(cfg.mediators),
-            "dichotomize": cfg.dichotomize,
-            "assumptions": [a.value for a in cfg.assumptions],
-            "reference": cfg.reference,
-            "alpha": cfg.alpha,
-            "draws": cfg.draws,
-            "seed": cfg.seed,
-            "format": cfg.format,
-            "counts": list(cfg.counts) if cfg.counts is not None else None,
-            "strict": cfg.strict,
-        },
+        "config": {**asdict(cfg), "assumptions": [a.value for a in cfg.assumptions]},
         "n_rows": report.n_rows,
         "ate": _wald_dict(report.ate),
         "mediators": [
@@ -534,8 +519,8 @@ def _report_dict(report: AnalysisReport) -> dict:
                 "dichotomization": m.rules,
                 "ate": _wald_dict(m.ate),
                 "iot": _wald_dict(m.iot),
-                # "closed_form" and "lp" carry the same evaluation: schema /3
-                # keeps both blocks so that readers of /2 still find them.
+                # "closed_form" and "lp" carry the same evaluation: schema /4
+                # keeps both blocks so that readers of earlier schemas still find them.
                 "results": [
                     {
                         "assumptions": r.assumptions.value,
@@ -544,7 +529,7 @@ def _report_dict(report: AnalysisReport) -> dict:
                         "closed_form": _bounds_dict(r.bounds),
                         "lp": _bounds_dict(r.bounds),
                         "ande": _bounds_dict(r.ande),
-                        "inference": _interval_dict(r.inference, r.inference_error),
+                        "inference": _interval_dict(r.inference),
                     }
                     for r in m.results
                 ],
@@ -577,8 +562,7 @@ def emit_plotdata(report: AnalysisReport) -> str:
         )
         for r in m.results:
             lo, hi = _fmt(r.bounds.lower), _fmt(r.bounds.upper)
-            ci_lo = _fmt(r.inference.ci_lower) if r.inference is not None else ""
-            ci_hi = _fmt(r.inference.ci_upper) if r.inference is not None else ""
+            ci_lo, ci_hi = _fmt(r.inference.ci_lower), _fmt(r.inference.ci_upper)
             writer.writerow(
                 [m.name, _METHOD_NAMES[r.assumptions], "", lo, hi, ci_lo, ci_hi, _fmt(tau)]
             )
@@ -605,8 +589,7 @@ def emit_csv(report: AnalysisReport) -> str:
     )
     for m in report.mediators:
         for r in m.results:
-            b = r.bounds
-            notes = "; ".join(filter(None, [r.inference_error, *b.diagnostics]))
+            b, iv = r.bounds, r.inference
             writer.writerow(
                 [
                     m.name, r.assumptions.value, r.reference, m.n_used, m.n_dropped,
@@ -614,11 +597,8 @@ def emit_csv(report: AnalysisReport) -> str:
                     _fmt(m.iot.estimate), _fmt(m.iot.se), _fmt(m.iot.ci[0]), _fmt(m.iot.ci[1]),
                     _fmt(b.lower), _fmt(b.upper), _fmt(b.lower), _fmt(b.upper),
                     _fmt(r.ande.lower), _fmt(r.ande.upper),
-                    _fmt(r.inference.bound_lower_hmu) if r.inference else "",
-                    _fmt(r.inference.bound_upper_hmu) if r.inference else "",
-                    _fmt(r.inference.ci_lower) if r.inference else "",
-                    _fmt(r.inference.ci_upper) if r.inference else "",
-                    int(b.incompatible), notes,
+                    _fmt(iv.bound_lower_hmu), _fmt(iv.bound_upper_hmu), _fmt(iv.ci_lower), _fmt(iv.ci_upper),
+                    int(b.incompatible), "; ".join(b.diagnostics),
                 ]
             )
     return buf.getvalue()
@@ -692,10 +672,6 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             raise ConfigError("--counts entries must be nonnegative")
         if sum(counts) > MAX_TOTAL:
             raise ConfigError(f"--counts total must be at most 2**53 = {MAX_TOTAL}, got {sum(counts)}")
-    if ns.draws < 100:
-        raise ConfigError(f"--draws must be at least 100, got {ns.draws}")
-    if ns.seed < 0:
-        raise ConfigError(f"--seed must be nonnegative, got {ns.seed}")
     return RunConfig(
         data=ns.data,
         treatment=ns.treatment,

@@ -28,6 +28,7 @@ as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -63,9 +64,13 @@ class InferenceConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        if self.draws < 100:
+        try:
+            draws, seed = operator.index(self.draws), operator.index(self.seed)
+        except TypeError:
+            raise ValidationError(f"draws and seed must be integers, got {self.draws!r}, {self.seed!r}") from None
+        if draws < 100:
             raise ValidationError(f"draws must be at least 100, got {self.draws!r}")
-        if not (0 <= int(self.seed) < 2**64):
+        if not (0 <= seed < 2**64):
             raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 
 
@@ -130,10 +135,15 @@ class IntervalEstimate:
             raise ValidationError("upper CI endpoint below the HMU upper estimate")
 
 
-def _distribution(counts: np.ndarray) -> ObservedDistribution:
+def _arm_sizes(counts: np.ndarray) -> tuple[int, int]:
     n0, n1 = int(counts[:4].sum()), int(counts[4:].sum())
     if n0 < 2 or n1 < 2:
         raise InsufficientDataError(f"need at least 2 observations per arm, got n0={n0}, n1={n1}")
+    return n0, n1
+
+
+def _distribution(counts: np.ndarray) -> ObservedDistribution:
+    _arm_sizes(counts)
     return from_counts(counts)
 
 
@@ -181,11 +191,8 @@ def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
 def _difference_of_means(counts: np.ndarray, ones: list[int], alpha: float) -> WaldResult:
     # ``ones``: the cells (ym order 00, 01, 10, 11) where the variable is 1.
     z = _STD_NORMAL.inv_cdf(1.0 - alpha / 2.0)
-    arms = counts.reshape(2, 4)
-    n0, n1 = arms.sum(axis=1).tolist()
-    if n1 < 2 or n0 < 2:
-        raise InsufficientDataError("need at least 2 observations per arm")
-    k0, k1 = arms[:, ones].sum(axis=1).tolist()
+    n0, n1 = _arm_sizes(counts)
+    k0, k1 = counts.reshape(2, 4)[:, ones].sum(axis=1).tolist()
     p1, p0 = k1 / n1, k0 / n0
     se = float(np.sqrt(p1 * (1 - p1) / n1 + p0 * (1 - p0) / n0))
     est = float(p1 - p0)

@@ -579,6 +579,25 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--counts", E1_COUNTS, "--alpha", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [("--seed", "18446744073709551616"), ("--seed", "-1"), ("--draws", "50")])
+    def test_inference_limits_are_config_errors(self, capsys, flag):
+        code, out, err = run_cli(capsys, "--counts", E1_COUNTS, *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ")
+
+    def test_run_config_rejects_a_seed_past_64_bits(self):
+        with pytest.raises(ConfigError, match="seed"):
+            config_for(None, counts=(40, 30, 20, 10, 10, 20, 30, 40), seed=2**64)
+
+    def test_small_arm_names_the_mediator(self, capsys, tmp_path):
+        # m2's complete cases keep one treated unit: a data error for m2, and
+        # no report with an in-band inference error is written.
+        rows = [(i % 2, i // 3 % 2, i // 2 % 2, "" if i % 2 and i > 1 else i // 5 % 2) for i in range(20)]
+        path = write_csv(tmp_path / "d.csv", ["a", "y", "m", "m2"], rows)
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m,m2")
+        assert (code, out) == (3, "")
+        assert err == "data error: mediator 'm2': need at least 2 observations per arm, got n0=10, n1=1\n"
+
     def test_unknown_flag(self, capsys):
         code = main(["--counts", E1_COUNTS, "--frobnicate"])
         capsys.readouterr()

@@ -216,6 +216,10 @@ class TestConfig:
             InferenceConfig(draws=50)
         with pytest.raises(ValidationError):
             InferenceConfig(seed=-1)
+        for bad in (dict(seed=1.5), dict(seed=-0.5), dict(draws=150.5), dict(seed=2**64)):
+            with pytest.raises(ValidationError):
+                InferenceConfig(**bad)
+        assert InferenceConfig(draws=np.int64(200), seed=np.uint64(2**64 - 1)).draws == 200
 
 
 class TestIntervalEstimation:
