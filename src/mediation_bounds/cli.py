@@ -632,7 +632,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--reference", type=int, default=1, choices=(0, 1), help="reference arm for delta (default: 1)")
     parser.add_argument("--alpha", type=float, default=0.05, help="two-sided CI level complement (default: 0.05)")
-    parser.add_argument("--draws", type=int, default=2000, help="critical-value simulation draws (default: 2000)")
+    parser.add_argument(
+        "--draws", type=int, default=2000, help="critical-value simulation draws, 100 to 1000000 (default: 2000)"
+    )
     parser.add_argument("--seed", type=int, default=0, help="reproducibility seed (default: 0)")
     parser.add_argument("--format", default="json", choices=("json", "csv", "plotdata"), help="output format")
     parser.add_argument(

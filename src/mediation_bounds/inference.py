@@ -28,6 +28,7 @@ as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -52,10 +53,18 @@ _STD_NORMAL = NormalDist()
 # 2 is the conventional choice.
 _SELECTION_SLACK = 2.0
 
+# The most Gaussian draws one simulation may take: its (draws, 8) float64
+# matrix, 64 MB at the limit, is kept until a call with another table, seed
+# or draws replaces it.
+_MAX_DRAWS = 1_000_000
+
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Level, Gaussian draws and seed of the simulated critical values; the selection slack is fixed at 2."""
+    """Level, Gaussian draws (100 to 1,000,000) and seed of the simulated critical values.
+
+    The selection slack is fixed at 2.
+    """
 
     alpha: float = 0.05
     draws: int = 2000
@@ -68,8 +77,8 @@ class InferenceConfig:
             draws, seed = operator.index(self.draws), operator.index(self.seed)
         except TypeError:
             raise ValidationError(f"draws and seed must be integers, got {self.draws!r}, {self.seed!r}") from None
-        if draws < 100:
-            raise ValidationError(f"draws must be at least 100, got {self.draws!r}")
+        if not (100 <= draws <= _MAX_DRAWS):
+            raise ValidationError(f"draws must be between 100 and {_MAX_DRAWS:,}, got {self.draws!r}")
         if not (0 <= seed < 2**64):
             raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 
@@ -215,59 +224,87 @@ def ate_test(data, config: InferenceConfig = InferenceConfig()) -> WaldResult:
     return _difference_of_means(as_cell_counts(data), [2, 3], config.alpha)
 
 
-def _min_side(
-    est: np.ndarray, se: np.ndarray, devs: np.ndarray, *, n: int, alpha: float
-) -> tuple[float, float, SideDiagnostics]:
-    """Endpoint estimates for a min of expressions: the upper side.
+def _row_max(devs: np.ndarray, se: np.ndarray, usable: np.ndarray) -> np.ndarray:
+    """Per draw, the largest studentized deviation over the usable expressions.
 
-    The lower side, a max, is this routine on the negated estimates and
-    deviations, with its endpoints negated back; IEEE rounding is symmetric
-    in sign, so the mirror is exact.
+    Large values overshoot the min in its biased (inward) direction.  With no
+    usable expression the row maxima are zeros, whose quantiles are 0.
     """
-    k = est.size
-    studentizable = se > _ZERO_SE_TOL
-    zero_var = tuple(int(i) for i in np.flatnonzero(~studentizable))
+    if not usable.any():
+        return np.zeros(len(devs))
+    return (devs[:, usable] / se[usable]).max(axis=1)
 
-    # Studentized deviations of the simulated expression estimates; large
-    # values overshoot the min in its biased (inward) direction.
-    stats = np.zeros_like(devs)
-    if studentizable.any():
-        stats[:, studentizable] = devs[:, studentizable] / se[studentizable]
 
-    gamma0 = max(0.0, 1.0 - 1.0 / np.log(n)) if n > 1 else 0.5
+def _min_sides(
+    sides: list[tuple[np.ndarray, np.ndarray, np.ndarray]], *, n: int, alpha: float
+) -> list[tuple[float, float, SideDiagnostics]]:
+    """Endpoint estimates for a min of expressions, for each ``(est, se, devs)`` side.
 
-    def critical(idx: np.ndarray, *gammas: float) -> list[float]:
-        # One row max over the usable expressions, then every level from one quantile call.
-        usable = idx & studentizable
-        if not usable.any():
-            return [0.0] * len(gammas)
-        return np.quantile(stats[:, usable].max(axis=1), gammas).tolist()
+    The upper side is a min.  The lower side, a max, is a min of the negated
+    estimates and deviations, with its endpoints negated back; IEEE rounding
+    is symmetric in sign, so the mirror is exact.  The sides share only their
+    quantile calls: each stage stacks every side's row maxima as one column
+    and reads all its levels from one ``np.quantile`` call.
+    """
+    studentizable = [se > _ZERO_SE_TOL for _, se, _ in sides]
+
+    def critical(masks: list[np.ndarray], gammas) -> list:
+        maxima = [_row_max(devs, se, mask) for (_, se, devs), mask in zip(sides, masks)]
+        return np.quantile(np.column_stack(maxima), gammas, axis=0).tolist()
+
+    # _arm_sizes keeps n >= 4, so the level 1 - 1/log n is positive.
+    k0s = critical(studentizable, 1.0 - 1.0 / np.log(n))
 
     # Two-step selection: an expression stays only if it clears the best
     # slack-adjusted expression, where each competitor k is credited its own
     # se_k.  The preliminary k0 can be negative at absurdly small n, which
     # could empty the set, so the argmin expression is always retained.
-    (k0,) = critical(np.ones(k, dtype=bool), gamma0)
-    threshold = float((est + _SELECTION_SLACK * k0 * se).min())
-    selected = est <= threshold + 1e-12
-    if not selected.any():
-        selected[int(np.argmin(est))] = True
+    selections = []
+    for (est, se, _), k0 in zip(sides, k0s):
+        selected = est <= float((est + _SELECTION_SLACK * k0 * se).min()) + 1e-12
+        if not selected.any():
+            selected[int(np.argmin(est))] = True
+        selections.append(selected)
 
-    k_half, k_ci = critical(selected, 0.5, 1.0 - alpha / 2.0)
+    usable = [sel & stud for sel, stud in zip(selections, studentizable)]
+    k_halves, k_cis = critical(usable, [0.5, 1.0 - alpha / 2.0])
 
     # Endpoint estimators minimize over the surviving set only; dropping a
     # slack expression can only move the estimate away from the biased
     # direction, so the half-median property is preserved.
-    hmu = float((est + k_half * se)[selected].min())
-    ci = float((est + k_ci * se)[selected].min())
-    diag = SideDiagnostics(
-        selected=tuple(int(i) for i in np.flatnonzero(selected)),
-        k0=k0,
-        k_half=k_half,
-        k_ci=k_ci,
-        zero_variance=zero_var,
-    )
-    return hmu, ci, diag
+    results = []
+    for (est, se, _), stud, selected, k0, k_half, k_ci in zip(
+        sides, studentizable, selections, k0s, k_halves, k_cis
+    ):
+        hmu = float((est + k_half * se)[selected].min())
+        ci = float((est + k_ci * se)[selected].min())
+        diag = SideDiagnostics(
+            selected=tuple(int(i) for i in np.flatnonzero(selected)),
+            k0=k0,
+            k_half=k_half,
+            k_ci=k_ci,
+            zero_variance=tuple(int(i) for i in np.flatnonzero(~stud)),
+        )
+        results.append((hmu, ci, diag))
+    return results
+
+
+@functools.lru_cache(maxsize=1)
+def _simulation(
+    counts: tuple[int, ...], seed: int, draws: int
+) -> tuple[ObservedDistribution, np.ndarray, tuple[int, ...], np.ndarray]:
+    """The distribution, smoothed covariance, smoothed arms and simulated cell deviations of one table.
+
+    Every spec of a table with the same seed and draws shares this seeded
+    simulation, so consecutive calls reuse it; the arrays are read-only.
+    """
+    arr = np.array(counts, dtype=np.int64)
+    dist = _distribution(arr)
+    cov, smoothed_arms = _multinomial_cov(arr, smooth=True)
+    cell_devs = np.random.default_rng(seed).standard_normal((draws, 8)) @ _cov_sqrt(cov).T
+    cov.setflags(write=False)
+    cell_devs.setflags(write=False)
+    return dist, cov, smoothed_arms, cell_devs
 
 
 def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConfig()) -> IntervalEstimate:
@@ -279,26 +316,25 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     coefficient rows read from the bound table the point bounds use.  One
     seeded Gaussian sample drives both sides and every quantile level, so
     critical values are monotone across levels by construction and results
-    are bit-reproducible for a fixed config.
+    are bit-reproducible for a fixed config.  Consecutive calls on the same
+    counts, seed and draws (every spec of one table) share that sample.
     """
     table = _spec_table(spec)
     lowers, uppers = table.lowers, table.uppers
     n_lo = len(lowers)
     rows = table.rows[: n_lo + len(uppers)]
     counts = as_cell_counts(data)
-    dist = _distribution(counts)
-    n = dist.n0 + dist.n1
+    dist, cov, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), int(config.seed), int(config.draws))
 
-    cov, smoothed_arms = _multinomial_cov(counts, smooth=True)
     est = _evaluate(rows, dist.cells)
     se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows), 0.0, None))
+    devs = cell_devs @ rows.T
 
-    root = _cov_sqrt(cov)
-    rng = np.random.default_rng(config.seed)
-    devs = rng.standard_normal((config.draws, 8)) @ root.T @ rows.T
-
-    hmu_up, ci_up, diag_up = _min_side(est[n_lo:], se[n_lo:], devs[:, n_lo:], n=n, alpha=config.alpha)
-    hmu_lo, ci_lo, diag_lo = _min_side(-est[:n_lo], se[:n_lo], -devs[:, :n_lo], n=n, alpha=config.alpha)
+    (hmu_up, ci_up, diag_up), (hmu_lo, ci_lo, diag_lo) = _min_sides(
+        [(est[n_lo:], se[n_lo:], devs[:, n_lo:]), (-est[:n_lo], se[:n_lo], -devs[:, :n_lo])],
+        n=dist.n0 + dist.n1,
+        alpha=config.alpha,
+    )
     hmu_lo, ci_lo = -hmu_lo, -ci_lo
     exprs = [ExpressionEstimate(e.label, v, s) for e, v, s in zip(lowers + uppers, est.tolist(), se.tolist())]
 

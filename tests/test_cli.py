@@ -579,7 +579,10 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "--counts", E1_COUNTS, "--alpha", "1.5")
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [("--seed", "18446744073709551616"), ("--seed", "-1"), ("--draws", "50")])
+    # --draws 1000001 is refused by the limit check, before any simulation is allocated.
+    @pytest.mark.parametrize(
+        "flag", [("--seed", "18446744073709551616"), ("--seed", "-1"), ("--draws", "50"), ("--draws", "1000001")]
+    )
     def test_inference_limits_are_config_errors(self, capsys, flag):
         code, out, err = run_cli(capsys, "--counts", E1_COUNTS, *flag)
         assert (code, out) == (2, "")

@@ -1,5 +1,7 @@
 """Estimation layer: Wald tests, covariance, and intersection-bounds intervals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from mediation_bounds import (
     iot_blindspot_population,
     true_estimands,
 )
-from mediation_bounds.inference import SideDiagnostics, _min_side
+from mediation_bounds.inference import SideDiagnostics, _min_sides, _simulation
+from mediation_bounds.model import _ZERO_SE_TOL
 from conftest import calibration_population, make_rng, unique_binding_population
 
 Z975 = 1.959963984540054
@@ -216,10 +219,118 @@ class TestConfig:
             InferenceConfig(draws=50)
         with pytest.raises(ValidationError):
             InferenceConfig(seed=-1)
-        for bad in (dict(seed=1.5), dict(seed=-0.5), dict(draws=150.5), dict(seed=2**64)):
+        # The draws cap is checked on the config alone; nothing is simulated here.
+        for bad in (dict(seed=1.5), dict(seed=-0.5), dict(draws=150.5), dict(seed=2**64), dict(draws=1_000_001),
+                    dict(draws=np.int64(10**12))):
             with pytest.raises(ValidationError):
                 InferenceConfig(**bad)
         assert InferenceConfig(draws=np.int64(200), seed=np.uint64(2**64 - 1)).draws == 200
+        assert InferenceConfig(draws=1_000_000).draws == 1_000_000
+
+
+# The eight (assumption set, reference, sign) specs: the sign matters only under MMR_POS_MEDIATOR.
+ALL_SPECS = [
+    EstimandSpec(reference, assumptions, sign)
+    for assumptions, signs in (
+        (Assumptions.NONE, (1,)),
+        (Assumptions.MMR, (1,)),
+        (Assumptions.MMR_POS_MEDIATOR, (1, -1)),
+    )
+    for reference in (0, 1)
+    for sign in signs
+]
+
+
+def fields_of(result):
+    return [getattr(result, f.name) for f in dataclasses.fields(result)]
+
+
+def cold(data, spec, config):
+    _simulation.cache_clear()
+    return clr_bounds(data, spec, config)
+
+
+class TestSharedSimulation:
+    """clr_bounds keeps the last table's simulation and reuses it across specs."""
+
+    COUNTS = np.array([40, 30, 20, 10, 10, 20, 30, 40])
+    OTHER = np.array([12, 6, 8, 31, 4, 33, 2, 0])
+
+    def test_warm_calls_equal_cold_calls(self):
+        assert len(set(ALL_SPECS)) == 8
+        config = InferenceConfig(draws=500, seed=11)
+        records = expand(self.COUNTS, make_rng(5))
+        for data in (self.COUNTS, records):
+            want = [cold(data, spec, config) for spec in ALL_SPECS]
+            _simulation.cache_clear()
+            got = [clr_bounds(data, spec, config) for spec in ALL_SPECS]
+            info = _simulation.cache_info()
+            assert (info.hits, info.misses) == (len(ALL_SPECS) - 1, 1)
+            for g, w in zip(got, want):
+                assert fields_of(g) == fields_of(w)
+
+    def test_a_changed_table_or_seed_is_never_served_stale(self):
+        spec = EstimandSpec(1, Assumptions.MMR)
+        configs = {s: InferenceConfig(draws=300, seed=s) for s in (3, 4)}
+        calls = [(self.COUNTS, 3), (self.OTHER, 3), (self.COUNTS, 3), (self.COUNTS, 4), (self.COUNTS, 3)]
+        want = [cold(counts, spec, configs[seed]) for counts, seed in calls]
+        _simulation.cache_clear()
+        got = [clr_bounds(counts, spec, configs[seed]) for counts, seed in calls]
+        assert got == want
+        assert got[0] != got[1] and got[0] != got[3]
+        # The draws are part of the key too.
+        assert clr_bounds(self.COUNTS, spec, InferenceConfig(draws=301, seed=3)) == cold(
+            self.COUNTS, spec, InferenceConfig(draws=301, seed=3)
+        )
+
+    def test_numpy_integers_match_python_ints(self):
+        spec = EstimandSpec(0, Assumptions.MMR_POS_MEDIATOR)
+        want = cold(self.COUNTS, spec, InferenceConfig(draws=400, seed=2**64 - 1))
+        numpy_config = InferenceConfig(draws=np.int64(400), seed=np.uint64(2**64 - 1))
+        assert cold(self.COUNTS, spec, numpy_config) == want
+        assert clr_bounds(self.COUNTS, spec, numpy_config) == want
+        assert clr_bounds(self.COUNTS.astype(np.uint16), spec, InferenceConfig(draws=400, seed=2**64 - 1)) == want
+
+    def test_cached_arrays_are_read_only(self):
+        clr_bounds(self.OTHER, EstimandSpec(1), InferenceConfig(draws=200, seed=1))
+        dist, cov, smoothed_arms, cell_devs = _simulation(tuple(self.OTHER.tolist()), 1, 200)
+        assert _simulation.cache_info().hits >= 1
+        assert smoothed_arms == (1,)
+        for array in (dist.cells, cov, cell_devs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_stacked_quantiles_equal_per_side_quantiles(self):
+        rng = make_rng(331)
+        alpha = 0.1
+        for trial in range(40):
+            draws = int(rng.choice([100, 777]))
+            sides = []
+            for k in rng.integers(1, 6, size=2):
+                se = rng.uniform(0.01, 0.2, size=k) * (rng.random(k) > 0.3)
+                sides.append((rng.normal(0.0, 0.1, size=k), se, rng.standard_normal((draws, k)) * se))
+            if trial % 4 == 0:  # one side, upper or lower in turn, has no studentizable expression
+                est, se, devs = sides[trial % 8 // 4]
+                sides[trial % 8 // 4] = (est, np.zeros_like(se), np.zeros_like(devs))
+            n = int(rng.integers(4, 10**6))
+            results = _min_sides(sides, n=n, alpha=alpha)
+            for (est, se, devs), (_, _, diag) in zip(sides, results):
+                # Each side alone gives the same bits.
+                assert _min_sides([(est, se, devs)], n=n, alpha=alpha)[0][2] == diag
+                usable = se > _ZERO_SE_TOL
+                got = [diag.k0, diag.k_half, diag.k_ci]
+                if not usable.any():
+                    assert got == [0.0, 0.0, 0.0] and not np.signbit(got).any()
+                    continue
+                stats = devs[:, usable] / se[usable]
+                assert diag.k0 == np.quantile(stats.max(axis=1), 1.0 - 1.0 / np.log(n))
+                chosen = np.zeros(len(est), dtype=bool)
+                chosen[list(diag.selected)] = True
+                if (chosen & usable).any():
+                    row_max = (devs[:, chosen & usable] / se[chosen & usable]).max(axis=1)
+                    assert [diag.k_half, diag.k_ci] == np.quantile(row_max, [0.5, 1.0 - alpha / 2.0]).tolist()
+                else:
+                    assert [diag.k_half, diag.k_ci] == [0.0, 0.0]
 
 
 class TestIntervalEstimation:
@@ -321,16 +432,18 @@ class TestIntervalEstimation:
         devs = rng.standard_normal((2000, 2)) * np.array([0.02, 1e-15])
         est = np.array([0.30, 0.50])
         se = np.array([0.02, 0.0])
-        hmu, ci, diag = _min_side(est, se, devs, n=2000, alpha=0.05)
+        # The mirrored case runs beside it: a max of the negated expressions,
+        # run the way clr_bounds runs its lower side.
+        est_lo, devs_lo = -est, -devs
+        (hmu, ci, diag), (hmu_lo, ci_lo, diag_lo) = _min_sides(
+            [(est, se, devs), (-est_lo, se, -devs_lo)], n=2000, alpha=0.05
+        )
         assert isinstance(diag, SideDiagnostics)
         assert diag.zero_variance == (1,)
         assert 0 in diag.selected
         assert ci >= hmu
-        # The mirrored case: a max of the negated expressions, run the way
-        # clr_bounds runs its lower side, gives the negated endpoints with the
-        # same selection, and they are max_j [theta_j - k * se_j] over it.
-        est_lo, devs_lo = -est, -devs
-        hmu_lo, ci_lo, diag_lo = _min_side(-est_lo, se, -devs_lo, n=2000, alpha=0.05)
+        # The mirror gives the negated endpoints with the same selection, and
+        # they are max_j [theta_j - k * se_j] over it.
         hmu_lo, ci_lo = -hmu_lo, -ci_lo
         assert (hmu_lo, ci_lo) == (-hmu, -ci)
         assert diag_lo.selected == diag.selected
