@@ -4,8 +4,9 @@ One invocation analyzes one or more mediator columns against a binary
 treatment and outcome: dichotomization (optional), sharp bounds under each
 requested assumption set (one evaluation of the bound table per set), natural
 direct effect bounds by decomposition, intersection-bounds inference, and the
-ATE/mediator-ATE Wald tests.   Output is a versioned JSON report, a flat CSV,
-or figure-ready plotdata rows.
+ATE/mediator-ATE Wald tests.   The report is built once, as the object the
+versioned JSON schema describes; the JSON text, the flat CSV and the
+figure-ready plotdata rows all render that one object.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 assumption incompatibility (only with --strict; otherwise incompatibility is
@@ -19,9 +20,11 @@ import codecs
 import csv
 import io
 import json
+import math
+import operator
 import re
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -51,9 +54,9 @@ _BYTE_KIND = bytes(
 )
 _COLUMNS_CHANGED = re.compile(r"changed from (\d+) to (\d+) at row (\d+)")
 _METHOD_NAMES = {
-    Assumptions.NONE: "bounds-none",
-    Assumptions.MMR: "bounds-mmr",
-    Assumptions.MMR_POS_MEDIATOR: "bounds-mmr-pos",
+    Assumptions.NONE.value: "bounds-none",
+    Assumptions.MMR.value: "bounds-mmr",
+    Assumptions.MMR_POS_MEDIATOR.value: "bounds-mmr-pos",
 }
 
 
@@ -101,6 +104,17 @@ class RunConfig:
                 raise ConfigError("at least one mediator column is required")
         elif self.data is not None:
             raise ConfigError("--data and --counts are mutually exclusive")
+        else:
+            if len(self.counts) != 8:
+                raise ConfigError(f"--counts must have exactly 8 integers, got {len(self.counts)}")
+            try:
+                counts = [operator.index(c) for c in self.counts]
+            except TypeError:
+                raise ConfigError(f"--counts entries must be integers, got {self.counts!r}") from None
+            if any(c < 0 for c in counts):
+                raise ConfigError("--counts entries must be nonnegative")
+            if sum(counts) > MAX_TOTAL:
+                raise ConfigError(f"--counts total must be at most 2**53 = {MAX_TOTAL}, got {sum(counts)}")
 
 
 def _parse_rule(text: str) -> tuple[str, float | None]:
@@ -112,9 +126,13 @@ def _parse_rule(text: str) -> tuple[str, float | None]:
     if text.startswith("threshold:"):
         raw = text[len("threshold:") :]
         try:
-            return "threshold", float(raw)
+            threshold = float(raw)
         except ValueError:
             raise ConfigError(f"bad threshold value {raw!r} in dichotomize rule {text!r}") from None
+        # A threshold of nan or +-inf would turn the column into a constant.
+        if not math.isfinite(threshold):
+            raise ConfigError(f"threshold must be finite, got {raw!r} in dichotomize rule {text!r}")
+        return "threshold", threshold
     raise ConfigError(f"unknown dichotomize rule {text!r} (expected none, median-gt, or threshold:x)")
 
 
@@ -370,40 +388,17 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
 
 
 @dataclass
-class AssumptionResult:
-    assumptions: Assumptions
-    reference: int
-    bounds: BoundsResult
-    ande: BoundsResult
-    inference: IntervalEstimate
-
-
-@dataclass
-class MediatorReport:
-    name: str
-    n_used: int
-    n_dropped: int
-    n1: int
-    n0: int
-    counts: tuple[int, ...]
-    rules: dict[str, str]
-    ate: WaldResult
-    iot: WaldResult
-    results: list[AssumptionResult]
-
-
-@dataclass
 class AnalysisReport:
-    config: RunConfig
-    n_rows: int
-    ate: WaldResult  # run-level, anchors the plotdata reference line
-    mediators: list[MediatorReport] = field(default_factory=list)
+    """One run's report as the object the JSON schema describes; every output format renders it."""
+
+    body: dict
 
     def to_json_text(self) -> str:
-        return json.dumps(_report_dict(self), indent=2) + "\n"
+        return json.dumps(self.body, indent=2) + "\n"
 
 
-def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> MediatorReport:
+def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> dict:
+    """The mediator's block of the report."""
     counts = data.counts
     dist = from_counts(counts)
     inf_config = InferenceConfig(alpha=config.alpha, draws=config.draws, seed=seed)
@@ -422,27 +417,31 @@ def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> Media
     # The Wald tests check the arm sizes that clr_bounds needs, so they run
     # first and a table too small for inference is a data error.
     ate, iot = ate_test(counts, inf_config), iot_test(counts, inf_config)
-    return MediatorReport(
-        name=data.name,
-        n_used=dist.n0 + dist.n1,
-        n_dropped=data.n_dropped,
-        n1=dist.n1,
-        n0=dist.n0,
-        counts=tuple(counts.tolist()),
-        rules=data.rules,
-        ate=ate,
-        iot=iot,
-        results=[
-            AssumptionResult(
-                assumptions=spec.assumptions,
-                reference=config.reference,
-                bounds=bounds,
-                ande=ande,
-                inference=clr_bounds(counts, spec, inf_config),
-            )
+    return {
+        "name": data.name,
+        "n_used": dist.n0 + dist.n1,
+        "n_dropped": data.n_dropped,
+        "n1": dist.n1,
+        "n0": dist.n0,
+        "counts": counts.tolist(),
+        "dichotomization": data.rules,
+        "ate": _wald_dict(ate),
+        "iot": _wald_dict(iot),
+        # "closed_form" and "lp" carry the same evaluation: schema /4
+        # keeps both blocks so that readers of earlier schemas still find them.
+        "results": [
+            {
+                "assumptions": spec.assumptions.value,
+                "reference": config.reference,
+                "incompatible": bounds.incompatible,
+                "closed_form": _bounds_dict(bounds),
+                "lp": _bounds_dict(bounds),
+                "ande": _bounds_dict(ande),
+                "inference": _interval_dict(clr_bounds(counts, spec, inf_config)),
+            }
             for spec, bounds, ande in sets
         ],
-    )
+    }
 
 
 def run(config: RunConfig) -> AnalysisReport:
@@ -461,13 +460,22 @@ def run(config: RunConfig) -> AnalysisReport:
         int(child.generate_state(1, dtype=np.uint64)[0])
         for child in np.random.SeedSequence(config.seed).spawn(len(datasets))
     ]
-    report = AnalysisReport(config=config, n_rows=n_rows, ate=run_ate)
+    mediators = []
     for data, seed in zip(datasets, seeds):
         try:
-            report.mediators.append(_analyze_mediator(data, config, seed))
+            mediators.append(_analyze_mediator(data, config, seed))
         except ValidationError as exc:
             raise DataError(f"mediator {data.name!r}: {exc}") from exc
-    return report
+    return AnalysisReport(
+        {
+            "schema": SCHEMA,
+            "version": __version__,
+            "config": {**asdict(config), "assumptions": [a.value for a in config.assumptions]},
+            "n_rows": n_rows,
+            "ate": _wald_dict(run_ate),  # run-level, anchors the plotdata reference line
+            "mediators": mediators,
+        }
+    )
 
 
 def _wald_dict(w: WaldResult) -> dict:
@@ -500,45 +508,6 @@ def _interval_dict(iv: IntervalEstimate) -> dict:
     }
 
 
-def _report_dict(report: AnalysisReport) -> dict:
-    cfg = report.config
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "config": {**asdict(cfg), "assumptions": [a.value for a in cfg.assumptions]},
-        "n_rows": report.n_rows,
-        "ate": _wald_dict(report.ate),
-        "mediators": [
-            {
-                "name": m.name,
-                "n_used": m.n_used,
-                "n_dropped": m.n_dropped,
-                "n1": m.n1,
-                "n0": m.n0,
-                "counts": list(m.counts),
-                "dichotomization": m.rules,
-                "ate": _wald_dict(m.ate),
-                "iot": _wald_dict(m.iot),
-                # "closed_form" and "lp" carry the same evaluation: schema /4
-                # keeps both blocks so that readers of earlier schemas still find them.
-                "results": [
-                    {
-                        "assumptions": r.assumptions.value,
-                        "reference": r.reference,
-                        "incompatible": r.bounds.incompatible,
-                        "closed_form": _bounds_dict(r.bounds),
-                        "lp": _bounds_dict(r.bounds),
-                        "ande": _bounds_dict(r.ande),
-                        "inference": _interval_dict(r.inference),
-                    }
-                    for r in m.results
-                ],
-            }
-            for m in report.mediators
-        ],
-    }
-
-
 def _fmt(value: float | None) -> str:
     return "" if value is None else format(float(value), ".10g")
 
@@ -555,16 +524,17 @@ def emit_plotdata(report: AnalysisReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["mediator", "method", "point", "lo", "hi", "ci_lo", "ci_hi", "ate_reference_line"])
-    tau = report.ate.estimate
-    for m in report.mediators:
+    tau = report.body["ate"]["estimate"]
+    for m in report.body["mediators"]:
+        iot = m["iot"]
         writer.writerow(
-            [m.name, "iot", _fmt(m.iot.estimate), "", "", _fmt(m.iot.ci[0]), _fmt(m.iot.ci[1]), _fmt(tau)]
+            [m["name"], "iot", _fmt(iot["estimate"]), "", "", _fmt(iot["ci"][0]), _fmt(iot["ci"][1]), _fmt(tau)]
         )
-        for r in m.results:
-            lo, hi = _fmt(r.bounds.lower), _fmt(r.bounds.upper)
-            ci_lo, ci_hi = _fmt(r.inference.ci_lower), _fmt(r.inference.ci_upper)
+        for r in m["results"]:
+            lo, hi = _fmt(r["closed_form"]["lower"]), _fmt(r["closed_form"]["upper"])
+            ci_lo, ci_hi = _fmt(r["inference"]["ci_lower"]), _fmt(r["inference"]["ci_upper"])
             writer.writerow(
-                [m.name, _METHOD_NAMES[r.assumptions], "", lo, hi, ci_lo, ci_hi, _fmt(tau)]
+                [m["name"], _METHOD_NAMES[r["assumptions"]], "", lo, hi, ci_lo, ci_hi, _fmt(tau)]
             )
     return buf.getvalue()
 
@@ -587,18 +557,19 @@ def emit_csv(report: AnalysisReport) -> str:
             "incompatible", "notes",
         ]
     )
-    for m in report.mediators:
-        for r in m.results:
-            b, iv = r.bounds, r.inference
+    for m in report.body["mediators"]:
+        ate, iot = m["ate"], m["iot"]
+        for r in m["results"]:
+            cf, lp, ande, iv = r["closed_form"], r["lp"], r["ande"], r["inference"]
             writer.writerow(
                 [
-                    m.name, r.assumptions.value, r.reference, m.n_used, m.n_dropped,
-                    _fmt(m.ate.estimate), _fmt(m.ate.se), _fmt(m.ate.ci[0]), _fmt(m.ate.ci[1]),
-                    _fmt(m.iot.estimate), _fmt(m.iot.se), _fmt(m.iot.ci[0]), _fmt(m.iot.ci[1]),
-                    _fmt(b.lower), _fmt(b.upper), _fmt(b.lower), _fmt(b.upper),
-                    _fmt(r.ande.lower), _fmt(r.ande.upper),
-                    _fmt(iv.bound_lower_hmu), _fmt(iv.bound_upper_hmu), _fmt(iv.ci_lower), _fmt(iv.ci_upper),
-                    int(b.incompatible), "; ".join(b.diagnostics),
+                    m["name"], r["assumptions"], r["reference"], m["n_used"], m["n_dropped"],
+                    _fmt(ate["estimate"]), _fmt(ate["se"]), _fmt(ate["ci"][0]), _fmt(ate["ci"][1]),
+                    _fmt(iot["estimate"]), _fmt(iot["se"]), _fmt(iot["ci"][0]), _fmt(iot["ci"][1]),
+                    _fmt(cf["lower"]), _fmt(cf["upper"]), _fmt(lp["lower"]), _fmt(lp["upper"]),
+                    _fmt(ande["lower"]), _fmt(ande["upper"]),
+                    _fmt(iv["bound_lower_hmu"]), _fmt(iv["bound_upper_hmu"]), _fmt(iv["ci_lower"]), _fmt(iv["ci_upper"]),
+                    int(r["incompatible"]), "; ".join(cf["diagnostics"]),
                 ]
             )
     return buf.getvalue()
@@ -668,12 +639,6 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             counts = tuple(int(tok) for tok in ns.counts.split(","))
         except ValueError:
             raise ConfigError(f"--counts must be 8 comma-separated integers, got {ns.counts!r}") from None
-        if len(counts) != 8:
-            raise ConfigError(f"--counts must have exactly 8 integers, got {len(counts)}")
-        if any(c < 0 for c in counts):
-            raise ConfigError("--counts entries must be nonnegative")
-        if sum(counts) > MAX_TOTAL:
-            raise ConfigError(f"--counts total must be at most 2**53 = {MAX_TOTAL}, got {sum(counts)}")
     return RunConfig(
         data=ns.data,
         treatment=ns.treatment,

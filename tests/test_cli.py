@@ -1,5 +1,6 @@
 """Command-line behavior: parsing, dichotomization, outputs, exit codes."""
 
+import contextlib
 import csv
 import importlib
 import io
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mediation_bounds
 from mediation_bounds import Assumptions, __version__, ate, bounds_mmr, cli, from_counts
@@ -554,6 +557,18 @@ class TestExitCodes:
         )
         assert code == 2
 
+    # Each rule would make y and m constant columns; threshold:0.5 on the same file exits 0.
+    @pytest.mark.parametrize(
+        "rule", ["threshold:nan", "threshold:inf", "threshold:-inf", "threshold:1e400", "m=threshold:nan", "y=none,m=threshold:-inf"]
+    )
+    def test_non_finite_threshold_is_config_error(self, capsys, tmp_path, rule):
+        rows = [(i % 2, (i // 2) % 2, (i // 4) % 2) for i in range(40)]
+        path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], rows)
+        assert run_cli(capsys, "--data", path, "--mediators", "m", "--dichotomize", "threshold:0.5")[0] == 0
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m", "--dichotomize", rule)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: ")
+
     def test_no_input_is_config_error(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 2
@@ -591,6 +606,21 @@ class TestExitCodes:
     def test_run_config_rejects_a_seed_past_64_bits(self):
         with pytest.raises(ConfigError, match="seed"):
             config_for(None, counts=(40, 30, 20, 10, 10, 20, 30, 40), seed=2**64)
+
+    # The library route gets the checks that --counts gets, rather than a
+    # silently truncated 1.5 or a data error for a negative count.
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((1.5, 2, 3, 4, 5, 6, 7, 8), "must be integers"),
+            ((-1, 2, 3, 4, 5, 6, 7, 8), "must be nonnegative"),
+            ((1, 2, 3), "exactly 8 integers, got 3"),
+            ((2**53 - 6, 1, 1, 1, 1, 1, 1, 1), "at most 2\\*\\*53"),
+        ],
+    )
+    def test_run_config_checks_counts(self, counts, message):
+        with pytest.raises(ConfigError, match=message):
+            config_for(None, counts=counts)
 
     def test_small_arm_names_the_mediator(self, capsys, tmp_path):
         # m2's complete cases keep one treated unit: a data error for m2, and
@@ -895,6 +925,138 @@ class TestOutputs:
             != r2["inference"]["selection"]["upper"]["k_ci"]
         )
 
+    def test_csv_and_plotdata_cells_equal_the_json_fields(self, capsys, tmp_path):
+        # m2 follows the table 10,20,30,40,40,30,20,10, whose negative mediator
+        # ATE is incompatible with mmr; m1 = 1 - m2 is compatible with it.
+        rows = []
+        for cell, n in enumerate([10, 20, 30, 40, 40, 30, 20, 10]):
+            a, y, m = cell // 4, (cell // 2) % 2, cell % 2
+            rows += [(a, y, 1 - m, m)] * n
+        path = write_csv(tmp_path / "d.csv", ["a", "y", "m1", "m2"], rows)
+        argv = ("--data", path, "--mediators", "m1,m2", "--assumptions", "none,mmr", "--draws", "200")
+        out = {}
+        for fmt in ("json", "csv", "plotdata"):
+            code, out[fmt], _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0
+        report = json.loads(out["json"])
+        f = cli._fmt
+        tau = f(report["ate"]["estimate"])
+        methods = {"none": "bounds-none", "mmr": "bounds-mmr"}
+        table, plot = [], []
+        for m in report["mediators"]:
+            ate, iot = m["ate"], m["iot"]
+            plot.append(
+                {
+                    "mediator": m["name"], "method": "iot", "point": f(iot["estimate"]), "lo": "", "hi": "",
+                    "ci_lo": f(iot["ci"][0]), "ci_hi": f(iot["ci"][1]), "ate_reference_line": tau,
+                }
+            )
+            for r in m["results"]:
+                cf, lp, ande, iv = r["closed_form"], r["lp"], r["ande"], r["inference"]
+                plot.append(
+                    {
+                        "mediator": m["name"], "method": methods[r["assumptions"]], "point": "",
+                        "lo": f(cf["lower"]), "hi": f(cf["upper"]),
+                        "ci_lo": f(iv["ci_lower"]), "ci_hi": f(iv["ci_upper"]), "ate_reference_line": tau,
+                    }
+                )
+                table.append(
+                    {
+                        "mediator": m["name"], "assumptions": r["assumptions"], "reference": str(r["reference"]),
+                        "n_used": str(m["n_used"]), "n_dropped": str(m["n_dropped"]),
+                        "ate": f(ate["estimate"]), "ate_se": f(ate["se"]),
+                        "ate_ci_lo": f(ate["ci"][0]), "ate_ci_hi": f(ate["ci"][1]),
+                        "iot": f(iot["estimate"]), "iot_se": f(iot["se"]),
+                        "iot_ci_lo": f(iot["ci"][0]), "iot_ci_hi": f(iot["ci"][1]),
+                        "cf_lower": f(cf["lower"]), "cf_upper": f(cf["upper"]),
+                        "lp_lower": f(lp["lower"]), "lp_upper": f(lp["upper"]),
+                        "ande_lower": f(ande["lower"]), "ande_upper": f(ande["upper"]),
+                        "hmu_lower": f(iv["bound_lower_hmu"]), "hmu_upper": f(iv["bound_upper_hmu"]),
+                        "ci_lower": f(iv["ci_lower"]), "ci_upper": f(iv["ci_upper"]),
+                        "incompatible": str(int(r["incompatible"])), "notes": "; ".join(cf["diagnostics"]),
+                    }
+                )
+        for text, expected in ((out["csv"], table), (out["plotdata"], plot)):
+            assert next(csv.reader(io.StringIO(text))) == list(expected[0])
+            assert list(csv.DictReader(io.StringIO(text))) == expected
+        flagged = [row for row in table if row["incompatible"] == "1"]
+        assert [(row["mediator"], row["assumptions"]) for row in flagged] == [("m2", "mmr")]
+        assert flagged[0]["notes"]
+
+
+def run_main(argv):
+    """Exit code and stdout of an in-process ``main``, stderr discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def assert_exit_contract(argv):
+    code, out = run_main(argv)
+    assert code in (0, 2, 3, 4)
+    if code != 0:
+        assert out == ""
+    assert run_main(argv) == (code, out)
+
+
+FUZZ_CSV = b"a,y,m\n" + b"".join(f"{i % 2},{(i // 2) % 2},{(i // 4) % 2}\n".encode() for i in range(16))
+FUZZ_BYTES = [
+    b"\xef\xbb\xbf", b"\r", b"\r\n", b'"', b'""', b"\x00", b"\xff", b"\xc3", b"inf", b"-inf", b"1e400",
+    b"nan", b"NA", b",", b"\n", b" ", b"a,", b"m,", b"2", b"0.5",
+]
+NUMBER_TEXT = st.sampled_from(
+    ["0", "1", "-1", "0.05", "0.5", "1.5", "250", "nan", "inf", "-inf", "1e400", "", "x", " 7", "1_0", "1e3", str(2**64), "9" * 30]
+)
+RULE_TEXT = st.sampled_from(["", "none", "median-gt", "threshold:0.5", "sigmoid", "m=median-gt", "m=threshold:"]) | (
+    st.sampled_from(["threshold:", "m=threshold:", "y=none,m=threshold:"]).flatmap(
+        lambda prefix: NUMBER_TEXT.map(lambda x: prefix + x)
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "d.csv"
+
+
+class TestExitCodeContract:
+    """Any input exits 0, 2, 3 or 4, writes nothing to stdout unless it exits 0, and reruns byte for byte."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(st.integers(0, len(FUZZ_CSV)), st.integers(0, 2), st.sampled_from(FUZZ_BYTES)), max_size=4
+        ),
+        rule=RULE_TEXT,
+    )
+    def test_mutated_csv(self, fuzz_path, edits, rule):
+        data = bytearray(FUZZ_CSV)
+        for at, cut, insert in edits:
+            data[at : at + cut] = insert
+        fuzz_path.write_bytes(bytes(data))
+        assert_exit_contract(
+            ["--data", str(fuzz_path), "--mediators", "m", f"--dichotomize={rule}", "--draws", "100",
+             "--assumptions", "none,mmr"]
+        )
+
+    # Each example sets at most two flags to arbitrary text over valid defaults,
+    # so that most runs get past the first check.
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 30).map(str), min_size=8, max_size=8).map(",".join)
+        | st.lists(st.integers(-1, 30).map(str) | NUMBER_TEXT, max_size=9).map(",".join)
+        | st.text(alphabet="0123456789,.-+eE nai_", max_size=20),
+        flags=st.dictionaries(
+            st.sampled_from(["--alpha", "--seed", "--draws"]), NUMBER_TEXT, max_size=2
+        ).map(lambda d: [f"{k}={v}" for k, v in d.items()]),
+        rule=RULE_TEXT,
+    )
+    def test_random_flags(self, counts, flags, rule):
+        assert_exit_contract(
+            [f"--counts={counts}", "--draws=100", *flags, f"--dichotomize={rule}", "--assumptions", "none,mmr"]
+        )
+
 
 class TestConsoleScript:
     """The `mediation-bounds` console script.
@@ -949,6 +1111,21 @@ class TestConsoleScript:
         assert proc.stdout.startswith(b"mediator,assumptions,")
         assert main(argv) == 0
         assert proc.stdout == capsysbinary.readouterr().out
+
+    def test_runs_without_test_only_packages(self, tmp_path):
+        # The runtime dependency is numpy alone: a src/ import of a test-only
+        # package fails here as an ImportError.
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = sys.modules['pytest'] = None\n"
+            "import mediation_bounds, mediation_bounds.cli\n"
+            f"sys.exit(mediation_bounds.cli.main(['--counts', {E1_COUNTS!r}, '--draws', '100']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mediation_bounds.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, cwd=tmp_path, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
     @pytest.mark.skipif(shutil.which("mediation-bounds") is None, reason="console script not installed")
     def test_script_on_path(self):
