@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
 import re
 import sys
@@ -91,7 +92,7 @@ class RunConfig:
             InferenceConfig(alpha=self.alpha, draws=self.draws, seed=self.seed)
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
-        if self.reference not in (0, 1):
+        if not isinstance(self.reference, numbers.Integral) or self.reference not in (0, 1):
             raise ConfigError(f"reference must be 0 or 1, got {self.reference}")
         if self.format not in ("json", "csv", "plotdata"):
             raise ConfigError(f"format must be json, csv, or plotdata, got {self.format!r}")
@@ -115,14 +116,18 @@ class RunConfig:
                 raise ConfigError("--counts entries must be nonnegative")
             if sum(counts) > MAX_TOTAL:
                 raise ConfigError(f"--counts total must be at most 2**53 = {MAX_TOTAL}, got {sum(counts)}")
+            if self.mediators or self.dichotomize:
+                raise ConfigError("--counts takes no --mediators or --dichotomize; they select and recode --data columns")
+            object.__setattr__(self, "counts", tuple(counts))
+        # The report echoes the config as JSON, so numpy scalars are stored as Python values.
+        for name, cast in (("reference", int), ("alpha", float), ("draws", int), ("seed", int), ("strict", bool)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
 
 def _parse_rule(text: str) -> tuple[str, float | None]:
     # -> (kind, threshold); kind in {"none", "median-gt", "threshold"}
-    if text == "none":
-        return "none", None
-    if text == "median-gt":
-        return "median-gt", None
+    if text in ("none", "median-gt"):
+        return text, None
     if text.startswith("threshold:"):
         raw = text[len("threshold:") :]
         try:
@@ -165,13 +170,6 @@ def _rule_table(spec_text: str, columns: list[str]) -> dict[str, tuple[str, floa
             raise ConfigError(f"dichotomize rule targets unknown column {col!r}")
         table[col] = _parse_rule(rule_text.strip())
     return table
-
-
-def _lower_median(values: np.ndarray) -> float:
-    # Lower-median convention: for even counts take the smaller middle value,
-    # so the median is always an observed value and > comparisons stay crisp.
-    ordered = np.sort(values)
-    return float(ordered[(ordered.size - 1) // 2])
 
 
 @dataclass
@@ -252,6 +250,9 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
         raise DataError(f"{path} is empty")
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\x00" in raw:  # stripping would drop a NUL at a cell's end, where float() rejects it
+        line = raw.count(b"\n", 0, raw.index(b"\x00")) + 1
+        raise DataError(f"{path} contains a NUL byte: line {line}")
     header_line, _, body = raw.partition(b"\n")
     del raw
     header = [h.strip() for h in next(csv.reader([header_line.decode("utf-8")]))]
@@ -323,16 +324,17 @@ def _dichotomize(name: str, cells: np.ndarray, rule: tuple[str, float | None]) -
                 f"row {row + 2}: column {name!r} has non-binary value {observed[np.flatnonzero(bad)[0]]:g} "
                 "with dichotomize rule 'none'"
             )
-        binary = np.where(missing, 0, values == 1.0).astype(np.uint8)
-        rule_text = "none"
+        cut, rule_text = 0.5, "none"
     elif kind == "median-gt":
-        # Median over non-missing values, before any cross-column row dropping.
-        med = _lower_median(observed)
-        binary = np.where(missing, 0, values > med).astype(np.uint8)
-        rule_text = f"median-gt(median={med:g})"
+        # The lower median of the non-missing values, before any cross-column
+        # row dropping: for even counts the smaller middle value, so the cut
+        # is an observed value and > comparisons stay crisp.
+        cut = float(np.sort(observed)[(observed.size - 1) // 2])
+        rule_text = f"median-gt(median={cut:g})"
     else:
-        binary = np.where(missing, 0, values > threshold).astype(np.uint8)
-        rule_text = f"threshold:{threshold:g}"
+        cut, rule_text = threshold, f"threshold:{threshold:g}"
+    # NaN > cut is False, so missing rows read 0.
+    binary = (values > cut).astype(np.uint8)
     return _Column(name=name, binary=binary, missing=missing, rule_text=rule_text)
 
 
@@ -508,8 +510,8 @@ def _interval_dict(iv: IntervalEstimate) -> dict:
     }
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else format(float(value), ".10g")
+def _fmt(value: float) -> str:
+    return format(float(value), ".10g")
 
 
 def emit_plotdata(report: AnalysisReport) -> str:
@@ -584,16 +586,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--data", help="CSV file with a header row (UTF-8)")
-    parser.add_argument("--treatment", default="a", help="treatment column name (default: a)")
-    parser.add_argument("--outcome", default="y", help="outcome column name (default: y)")
-    parser.add_argument("--mediators", default="", help="comma-separated mediator column names")
+    parser.add_argument("--treatment", default="a", help="treatment column name, a label with --counts (default: a)")
+    parser.add_argument("--outcome", default="y", help="outcome column name, a label with --counts (default: y)")
+    parser.add_argument("--mediators", default="", help="comma-separated mediator column names (--data only)")
     parser.add_argument(
         "--dichotomize",
         default="",
         help=(
             "either one global rule for outcome and mediators, or comma-separated col=rule "
             "entries; rules: none | median-gt | threshold:x (strictly-greater comparisons; "
-            "medians use the lower-median convention on non-missing values)"
+            "medians use the lower-median convention on non-missing values; --data only)"
         ),
     )
     parser.add_argument(
@@ -624,6 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(ns: argparse.Namespace) -> RunConfig:
+    # The parser's dest names are RunConfig's fields; only the text lists are converted.
     mediators = tuple(m.strip() for m in ns.mediators.split(",") if m.strip())
     assumption_names = [a.strip() for a in ns.assumptions.split(",") if a.strip()]
     assumptions = []
@@ -639,21 +642,7 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             counts = tuple(int(tok) for tok in ns.counts.split(","))
         except ValueError:
             raise ConfigError(f"--counts must be 8 comma-separated integers, got {ns.counts!r}") from None
-    return RunConfig(
-        data=ns.data,
-        treatment=ns.treatment,
-        outcome=ns.outcome,
-        mediators=mediators,
-        dichotomize=ns.dichotomize,
-        assumptions=tuple(assumptions),
-        reference=ns.reference,
-        alpha=ns.alpha,
-        draws=ns.draws,
-        seed=ns.seed,
-        format=ns.format,
-        counts=counts,
-        strict=ns.strict,
-    )
+    return RunConfig(**{**vars(ns), "mediators": mediators, "assumptions": tuple(assumptions), "counts": counts})
 
 
 def main(argv=None) -> int:
@@ -677,10 +666,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except ValidationError as exc:
+    except (DataError, ValidationError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except AssumptionIncompatibilityError as exc:

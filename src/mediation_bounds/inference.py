@@ -37,7 +37,9 @@ import numpy as np
 
 from .closed_form import _evaluate, _spec_table
 from .model import (
+    _TIE_TOL,
     _ZERO_SE_TOL,
+    ORDER_TOL,
     EstimandSpec,
     InsufficientDataError,
     ObservedDistribution,
@@ -138,9 +140,9 @@ class IntervalEstimate:
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.ci_lower > self.bound_lower_hmu + 1e-9:
+        if self.ci_lower > self.bound_lower_hmu + ORDER_TOL:
             raise ValidationError("lower CI endpoint above the HMU lower estimate")
-        if self.ci_upper < self.bound_upper_hmu - 1e-9:
+        if self.ci_upper < self.bound_upper_hmu - ORDER_TOL:
             raise ValidationError("upper CI endpoint below the HMU upper estimate")
 
 
@@ -261,7 +263,7 @@ def _min_sides(
     # could empty the set, so the argmin expression is always retained.
     selections = []
     for (est, se, _), k0 in zip(sides, k0s):
-        selected = est <= float((est + _SELECTION_SLACK * k0 * se).min()) + 1e-12
+        selected = est <= float((est + _SELECTION_SLACK * k0 * se).min()) + _TIE_TOL
         if not selected.any():
             selected[int(np.argmin(est))] = True
         selections.append(selected)
@@ -348,6 +350,6 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
         lower_diagnostics=diag_lo,
         upper_diagnostics=diag_up,
         smoothed_arms=smoothed_arms,
-        crossed=hmu_lo > hmu_up + 1e-9,
+        crossed=hmu_lo > hmu_up + ORDER_TOL,
         alpha=config.alpha,
     )

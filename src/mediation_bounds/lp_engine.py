@@ -42,6 +42,7 @@ import numpy as np
 
 from .closed_form import anie_bounds
 from .model import (
+    _TIE_TOL,
     FEAS_TOL,
     PIVOT_TOL,
     SIMPLEX_TOL,
@@ -267,7 +268,7 @@ def _bland(T: np.ndarray, basis: np.ndarray, ncols: int) -> None:
         ratios = np.full(m, np.inf)
         ratios[positive] = T[:m, -1][positive] / column[positive]
         best = ratios.min()
-        candidates = np.flatnonzero(ratios <= best + 1e-12)
+        candidates = np.flatnonzero(ratios <= best + _TIE_TOL)
         row = int(candidates[np.argmin(basis[candidates])])
         _pivot(T, basis, row, col)
     raise RuntimeError("simplex failed to terminate within the pivot budget")

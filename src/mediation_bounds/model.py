@@ -44,6 +44,10 @@ _POP_TOL = 1e-12
 # _ZERO_SE_TOL: CLR inference does not studentize an expression whose
 #   standard error is at most this; it is sidelined as known exactly.
 _ZERO_SE_TOL = 1e-12
+# _TIE_TOL: values this close above a minimum tie with it: the simplex's ratio
+#   test (Bland's rule then takes the lowest basic index) and CLR's selection
+#   of the expressions that clear the best one.
+_TIE_TOL = 1e-12
 
 # The largest total of eight cell counts: arm sizes stay exact floats, and
 # int64 sums of the counts cannot overflow.

@@ -26,6 +26,7 @@ import numpy as np
 from . import closed_form, lp_engine
 from .model import (
     _POP_TOL,
+    ORDER_TOL,
     Assumptions,
     EstimandSpec,
     ObservedDistribution,
@@ -195,7 +196,7 @@ def sample_records(pop: FullPopulation64, n_per_arm: int, seed: int) -> np.ndarr
     return out
 
 
-def soundness_check(pop: FullPopulation64, spec: EstimandSpec, tol: float = 1e-9) -> bool:
+def soundness_check(pop: FullPopulation64, spec: EstimandSpec, tol: float = ORDER_TOL) -> bool:
     """True when the population's actual delta lies inside the interval computed
     from its induced observables.  The population must satisfy the assumption
     set being tested; violations make the claim vacuous, not false.
@@ -206,13 +207,13 @@ def soundness_check(pop: FullPopulation64, spec: EstimandSpec, tol: float = 1e-9
     return bounds.lower - tol <= truth <= bounds.upper + tol
 
 
-def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec, tol: float = 1e-9) -> bool:
+def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec, tol: float = ORDER_TOL) -> bool:
     """True when both LP endpoints are attained by witness populations.
 
     For each endpoint the LP witness is extended to a full population, which
     must (a) reproduce the reference-arm cells and the opposite-arm mediator
     margin of ``dist`` and (b) have a true delta equal to the endpoint.  An
-    infeasible program propagates as AssumptionIncompatibilityError; that is an
+    infeasible program raises ``lp_engine.InfeasibleError``; that is an
     incompatibility report, not a sharpness failure.
     """
     cross_min, cross_max, wit_min, wit_max = lp_engine.cross_world_range(dist, spec)

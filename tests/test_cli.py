@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import importlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import mediation_bounds
 from mediation_bounds import Assumptions, __version__, ate, bounds_mmr, cli, from_counts
-from mediation_bounds.cli import ConfigError, DataError, RunConfig, _rule_table, ingest, main
+from mediation_bounds.cli import ConfigError, DataError, RunConfig, _rule_table, ingest, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -190,7 +191,7 @@ def reference_ingest(path, config):
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     rules = _rule_table(config.dichotomize, columns)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader)]
         index = {col: header.index(col) for col in columns}
@@ -198,8 +199,10 @@ def reference_ingest(path, config):
         for row in reader:
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) != len(header):
+                raise DataError(f"row {len(raw[columns[0]]) + 2}: {len(row)} fields, but the header has {len(header)}")
             for col, i in index.items():
-                raw[col].append(row[i].strip() if i < len(row) else "")
+                raw[col].append(row[i].strip())
     n_rows = len(raw[columns[0]])
     binary, missing, rule_text = {}, {}, {}
     for name in columns:
@@ -522,6 +525,30 @@ class TestCsvInputRules:
         assert (code, out) == (3, "")
         assert "not valid UTF-8: line 3" in err
 
+    # Stripping would drop a NUL at either end of a cell, so ``\x00`` would
+    # read as missing and ``1\x00`` as 1; float() rejects both, and a NUL
+    # anywhere in the file is a data error that names its line.
+    @pytest.mark.parametrize(
+        "row, line_end, line",
+        [
+            ("1,1,\x00,", "\n", 10),
+            ("0,0,1\x00,", "\n", 10),
+            ("0,0,\x001,", "\r\n", 10),
+            ("1,1,0,\x00", "\r", 10),
+            ('1,1,0,"x\n\x00"', "\n", 11),
+        ],
+    )
+    def test_nul_byte_is_data_error(self, capsys, tmp_path, row, line_end, line):
+        lines = ["a,y,m,note", *(f"{i % 2},{(i // 2) % 2},{(i // 4) % 2}," for i in range(8)), row, "1,0,1,"]
+        text = line_end.join(lines) + line_end
+        path = write_text(tmp_path / "d.csv", text)
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert (code, out) == (3, "")
+        assert err == f"data error: {path} contains a NUL byte: line {line}\n"
+        # The same file without the NUL is accepted.
+        write_text(tmp_path / "d.csv", text.replace("\x00", ""))
+        assert run_cli(capsys, "--data", path, "--mediators", "m")[0] == 0
+
     @pytest.mark.parametrize("variant", ["bom", "crlf", "cr"])
     def test_bom_and_line_ends_give_identical_output(self, capsys, tmp_path, variant):
         text = (GOLDEN / "synth_input.csv").read_text()
@@ -616,11 +643,46 @@ class TestExitCodes:
             ((-1, 2, 3, 4, 5, 6, 7, 8), "must be nonnegative"),
             ((1, 2, 3), "exactly 8 integers, got 3"),
             ((2**53 - 6, 1, 1, 1, 1, 1, 1, 1), "at most 2\\*\\*53"),
+            ((40, 30, 20, 10, 10, 20, 30, 40), "--counts takes no --mediators"),  # config_for names a mediator
         ],
     )
     def test_run_config_checks_counts(self, counts, message):
         with pytest.raises(ConfigError, match=message):
             config_for(None, counts=counts)
+
+    # --mediators and --dichotomize select and recode --data columns; --counts
+    # would ignore them, so it refuses them rather than drop them silently.
+    @pytest.mark.parametrize(
+        "flags",
+        [("--mediators", "zzz"), ("--dichotomize", "sigmoid"), ("--dichotomize", "median-gt"),
+         ("--mediators", "m", "--dichotomize", "m=threshold:0.5")],
+    )
+    def test_counts_refuses_data_only_flags(self, capsys, flags):
+        code, out, err = run_cli(capsys, "--counts", E1_COUNTS, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: --counts takes no --mediators or --dichotomize")
+
+    def test_counts_echoes_treatment_and_outcome_as_labels(self, capsys):
+        code, out, _ = run_cli(capsys, "--counts", E1_COUNTS, "--treatment", "drug", "--outcome", "cured")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert (config["treatment"], config["outcome"]) == ("drug", "cured")
+
+    def test_run_config_stores_python_scalars(self):
+        # The report echoes the config as JSON, which cannot hold numpy scalars.
+        counts = (40, 30, 20, 10, 10, 20, 30, 40)
+        plain = config_for(None, counts=counts, mediators=(), seed=3, draws=200, reference=0, alpha=0.1, strict=False)
+        numpy = config_for(
+            None, counts=tuple(np.array(counts, dtype=np.int64)), mediators=(), seed=np.int64(3),
+            draws=np.int32(200), reference=np.int8(0), alpha=np.float64(0.1), strict=np.bool_(False),
+        )
+        assert numpy == plain
+        assert [type(v) for v in vars(numpy).values()] == [type(v) for v in vars(plain).values()]
+        assert run(numpy).to_json_text() == run(plain).to_json_text()
+
+    def test_parser_dests_are_run_config_fields(self):
+        dests = {action.dest for action in cli._build_parser()._actions} - {"help"}
+        assert dests == {field.name for field in dataclasses.fields(RunConfig)}
 
     def test_small_arm_names_the_mediator(self, capsys, tmp_path):
         # m2's complete cases keep one treated unit: a data error for m2, and
@@ -998,6 +1060,7 @@ def assert_exit_contract(argv):
     if code != 0:
         assert out == ""
     assert run_main(argv) == (code, out)
+    return code
 
 
 FUZZ_CSV = b"a,y,m\n" + b"".join(f"{i % 2},{(i // 2) % 2},{(i // 4) % 2}\n".encode() for i in range(16))
@@ -1035,10 +1098,12 @@ class TestExitCodeContract:
         for at, cut, insert in edits:
             data[at : at + cut] = insert
         fuzz_path.write_bytes(bytes(data))
-        assert_exit_contract(
+        code = assert_exit_contract(
             ["--data", str(fuzz_path), "--mediators", "m", f"--dichotomize={rule}", "--draws", "100",
              "--assumptions", "none,mmr"]
         )
+        if code == 0:  # an accepted file tabulates as the csv-module reference does
+            assert_same_ingest(str(fuzz_path), config_for(str(fuzz_path), dichotomize=rule))
 
     # Each example sets at most two flags to arbitrary text over valid defaults,
     # so that most runs get past the first check.
@@ -1050,12 +1115,11 @@ class TestExitCodeContract:
         flags=st.dictionaries(
             st.sampled_from(["--alpha", "--seed", "--draws"]), NUMBER_TEXT, max_size=2
         ).map(lambda d: [f"{k}={v}" for k, v in d.items()]),
-        rule=RULE_TEXT,
     )
-    def test_random_flags(self, counts, flags, rule):
-        assert_exit_contract(
-            [f"--counts={counts}", "--draws=100", *flags, f"--dichotomize={rule}", "--assumptions", "none,mmr"]
-        )
+    def test_random_flags(self, counts, flags):
+        # No --dichotomize: with --counts it is a config error before any of
+        # these flags is read.  test_mutated_csv fuzzes the rule text.
+        assert_exit_contract([f"--counts={counts}", "--draws=100", *flags, "--assumptions", "none,mmr"])
 
 
 class TestConsoleScript:

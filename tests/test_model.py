@@ -1,11 +1,16 @@
 """Construction, validation, and point identities of the observed-data model."""
 
+import ast
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mediation_bounds
 from mediation_bounds import (
     Assumptions,
     BoundsResult,
@@ -263,3 +268,22 @@ class TestSpecAndResult:
         assert res.contains(0.0)
         assert res.contains(0.2)
         assert not res.contains(0.25)
+
+
+class TestTolerancesHaveOneHome:
+    def test_no_tolerance_literal_outside_model(self):
+        # model.py names each tolerance with the decision it governs; a small
+        # float literal anywhere else is an unnamed tolerance.  Comments and
+        # docstrings are not number tokens, so they may quote the values.
+        found = []
+        for path in sorted(Path(mediation_bounds.__file__).parent.glob("*.py")):
+            if path.name == "model.py":
+                continue
+            with open(path, "rb") as fh:
+                for tok in tokenize.tokenize(fh.readline):
+                    if tok.type != tokenize.NUMBER:
+                        continue
+                    value = ast.literal_eval(tok.string)
+                    if isinstance(value, float) and 0 < value < 1e-6:
+                        found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+        assert found == []

@@ -14,6 +14,7 @@ from mediation_bounds import (
     build_lp,
     cross_world_range,
     extend_witness,
+    from_counts,
     from_units,
     iot_blindspot_population,
     observed_from_population,
@@ -25,6 +26,7 @@ from mediation_bounds import (
     strata_proportions,
     true_estimands,
 )
+from mediation_bounds import lp_engine
 from conftest import make_rng
 
 ID_TOL = 1e-12
@@ -227,6 +229,14 @@ class TestRandomPopulations:
                 for reference in (0, 1):
                     spec = EstimandSpec(reference=reference, assumptions=assumptions)
                     assert sharpness_check(dist, spec)
+
+    @pytest.mark.parametrize("reference", [0, 1])
+    def test_sharpness_of_an_infeasible_program_raises_infeasible_error(self, reference):
+        # A negative mediator ATE contradicts MMR: the program has no feasible point.
+        dist = from_counts([10, 20, 30, 40, 40, 30, 20, 10])
+        spec = EstimandSpec(reference=reference, assumptions=Assumptions.MMR)
+        with pytest.raises(lp_engine.InfeasibleError):
+            sharpness_check(dist, spec)
 
 
 class TestSampling:
