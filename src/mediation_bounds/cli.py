@@ -21,8 +21,7 @@ import csv
 import io
 import json
 import math
-import numbers
-import operator
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -34,12 +33,12 @@ from . import __version__
 from .closed_form import ande_bounds, anie_bounds
 from .inference import InferenceConfig, IntervalEstimate, WaldResult, ate_test, clr_bounds, iot_test
 from .model import (
-    MAX_TOTAL,
     AssumptionIncompatibilityError,
     Assumptions,
     BoundsResult,
     EstimandSpec,
     ValidationError,
+    _checked_counts,
     cell_counts,
     from_counts,
     from_units,  # not used here; perfbench's tracing tests call cli.from_units
@@ -88,16 +87,15 @@ class RunConfig:
     strict: bool = False
 
     def __post_init__(self) -> None:
-        try:
-            InferenceConfig(alpha=self.alpha, draws=self.draws, seed=self.seed)
-        except ValidationError as exc:
-            raise ConfigError(str(exc)) from None
-        if not isinstance(self.reference, numbers.Integral) or self.reference not in (0, 1):
-            raise ConfigError(f"reference must be 0 or 1, got {self.reference}")
-        if self.format not in ("json", "csv", "plotdata"):
-            raise ConfigError(f"format must be json, csv, or plotdata, got {self.format!r}")
         if not self.assumptions:
             raise ConfigError("at least one assumption set is required")
+        try:
+            InferenceConfig(alpha=self.alpha, draws=self.draws, seed=self.seed)
+            self.specs()
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.format not in ("json", "csv", "plotdata"):
+            raise ConfigError(f"format must be json, csv, or plotdata, got {self.format!r}")
         if self.counts is None:
             if self.data is None:
                 raise ConfigError("either --data or --counts is required")
@@ -106,22 +104,22 @@ class RunConfig:
         elif self.data is not None:
             raise ConfigError("--data and --counts are mutually exclusive")
         else:
-            if len(self.counts) != 8:
-                raise ConfigError(f"--counts must have exactly 8 integers, got {len(self.counts)}")
             try:
-                counts = [operator.index(c) for c in self.counts]
-            except TypeError:
-                raise ConfigError(f"--counts entries must be integers, got {self.counts!r}") from None
-            if any(c < 0 for c in counts):
-                raise ConfigError("--counts entries must be nonnegative")
-            if sum(counts) > MAX_TOTAL:
-                raise ConfigError(f"--counts total must be at most 2**53 = {MAX_TOTAL}, got {sum(counts)}")
+                counts = _checked_counts(self.counts)  # the library's count rule, as from_counts applies it
+            except ValidationError as exc:
+                raise ConfigError(f"--{exc}") from None
             if self.mediators or self.dichotomize:
                 raise ConfigError("--counts takes no --mediators or --dichotomize; they select and recode --data columns")
             object.__setattr__(self, "counts", tuple(counts))
-        # The report echoes the config as JSON, so numpy scalars are stored as Python values.
-        for name, cast in (("reference", int), ("alpha", float), ("draws", int), ("seed", int), ("strict", bool)):
+        # The report echoes the config as JSON, so numpy scalars and paths are stored as Python values.
+        casts = (("data", lambda path: path and os.fspath(path)), ("reference", int), ("alpha", float),
+                 ("draws", int), ("seed", int), ("strict", bool))
+        for name, cast in casts:
             object.__setattr__(self, name, cast(getattr(self, name)))
+
+    def specs(self) -> list[EstimandSpec]:
+        """The spec of each assumption set, at the configured reference arm."""
+        return [EstimandSpec(reference=self.reference, assumptions=a) for a in self.assumptions]
 
 
 def _parse_rule(text: str) -> tuple[str, float | None]:
@@ -232,6 +230,11 @@ def _drop_blank_lines(body: bytes) -> bytes:
     return b[np.repeat(~blank, lengths)].tobytes()
 
 
+def _newlines_only(raw: bytes) -> bytes:
+    """``raw`` with each ``\\r\\n`` or lone ``\\r`` line end made ``\\n``; ``raw`` itself if it has none."""
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
 def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], int]:
     """The unstripped string cells of ``columns``, one per non-blank data row, and the row count."""
     try:
@@ -244,12 +247,11 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line = _newlines_only(raw[: exc.start]).count(b"\n") + 1
         raise DataError(f"{path} is not valid UTF-8: line {line}, byte {exc.start}: {exc.reason}") from None
     if not raw:
         raise DataError(f"{path} is empty")
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    raw = _newlines_only(raw)
     if b"\x00" in raw:  # stripping would drop a NUL at a cell's end, where float() rejects it
         line = raw.count(b"\n", 0, raw.index(b"\x00")) + 1
         raise DataError(f"{path} contains a NUL byte: line {line}")
@@ -405,15 +407,12 @@ def _analyze_mediator(data: MediatorData, config: RunConfig, seed: int) -> dict:
     dist = from_counts(counts)
     inf_config = InferenceConfig(alpha=config.alpha, draws=config.draws, seed=seed)
     sets = []
-    for assumptions in config.assumptions:
-        spec = EstimandSpec(
-            reference=config.reference, assumptions=assumptions, mediator_effect_sign=1
-        )
+    for spec in config.specs():
         bounds = anie_bounds(dist, spec)
         if bounds.incompatible and config.strict:
             raise AssumptionIncompatibilityError(
                 f"mediator {data.name!r}: data are incompatible with assumption set "
-                f"{assumptions.value!r} (--strict)"
+                f"{spec.assumptions.value!r} (--strict)"
             )
         sets.append((spec, bounds, ande_bounds(dist, 1 - config.reference, bounds)))
     # The Wald tests check the arm sizes that clr_bounds needs, so they run

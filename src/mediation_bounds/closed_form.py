@@ -325,8 +325,6 @@ def ande_bounds(dist: ObservedDistribution, reference: int, anie: BoundsResult) 
     level computed from the same distribution; both conditions are enforced via
     the stored fingerprint so intervals from different datasets cannot be mixed.
     """
-    if reference not in (0, 1):
-        raise ConsistencyError(f"reference must be 0 or 1, got {reference!r}")
     if anie.estimand != "anie":
         raise ConsistencyError(f"expected an ANIE result, got estimand={anie.estimand!r}")
     if anie.spec.reference != 1 - reference:

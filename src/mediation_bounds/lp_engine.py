@@ -52,6 +52,7 @@ from .model import (
     EstimandSpec,
     ObservedDistribution,
     ValidationError,
+    _checked_masses,
 )
 
 _MAX_PIVOTS = 10_000
@@ -78,13 +79,7 @@ class StrataDistribution16:
     reference: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.psi, dtype=float)
-        if arr.shape != (16,):
-            raise ValidationError(f"psi must have shape (16,), got {arr.shape}")
-        if np.any(arr < -FEAS_TOL):
-            raise ValidationError(f"negative stratum mass {arr.min()!r}")
-        if abs(arr.sum() - 1.0) > FEAS_TOL:
-            raise ValidationError(f"stratum masses sum to {arr.sum()!r}, expected 1")
+        arr = _checked_masses(self.psi, (16,), "stratum masses", -FEAS_TOL, np.inf, 1, FEAS_TOL)
         if self.reference not in (0, 1):
             raise ValidationError(f"reference must be 0 or 1, got {self.reference!r}")
         arr = np.clip(arr, 0.0, None)

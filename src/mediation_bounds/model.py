@@ -8,13 +8,14 @@ Everything downstream works on the observed joint distribution of
 together with the two arm sizes.  Those eight probabilities, or the eight
 cell counts they are formed from, are the sufficient statistic for every
 bound computed by this package.  Every count intake runs one check: shape
-(8,), an integer dtype, no negative entry and a total of at most
-:data:`MAX_TOTAL`.
+(8,), integer entries (an integer dtype, or Python ints of any size; never
+bools or floats), no negative entry and a total of at most :data:`MAX_TOTAL`.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,17 +138,7 @@ class ObservedDistribution:
     n0: int = 0
 
     def __post_init__(self) -> None:
-        cells = np.array(self.cells, dtype=float)
-        if cells.shape != (8,):
-            raise ValidationError(f"cells must have shape (8,), got {cells.shape}")
-        if np.any(cells < 0.0) or np.any(cells > 1.0):
-            raise ValidationError("cell probabilities must lie in [0, 1]")
-        for a in (0, 1):
-            total = float(cells[4 * a : 4 * a + 4].sum())
-            if abs(total - 1.0) > SIMPLEX_TOL:
-                raise ValidationError(
-                    f"arm {a} cell probabilities sum to {total!r}, expected 1 within {SIMPLEX_TOL}"
-                )
+        cells = _checked_masses(self.cells, (8,), "cell probabilities", 0.0, 1.0, 2, SIMPLEX_TOL)
         if self.n1 < 0 or self.n0 < 0:
             raise ValidationError("arm sizes must be nonnegative")
         cells.flags.writeable = False
@@ -183,12 +174,34 @@ class ObservedDistribution:
         return self._fingerprint
 
 
+def _checked_masses(values, shape, name, floor, ceiling, parts, tol) -> np.ndarray:
+    """``values`` as a new float array of ``shape``: the one check of every probability vector.
+
+    Entries lie in [``floor``, ``ceiling``] and each of ``parts`` equal slices sums to 1 within ``tol``; NaN fails.
+    """
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not (arr.min() >= floor and arr.max() <= ceiling):
+        raise ValidationError(f"{name} must lie in [{floor}, {ceiling}], got {arr.min()} to {arr.max()}")
+    sums = arr.reshape(parts, -1).sum(axis=1)
+    if not np.all(np.abs(sums - 1.0) <= tol):
+        raise ValidationError(f"{name} must sum to 1 within {tol}, got sums {sums.tolist()}")
+    return arr
+
+
 def _checked_counts(counts) -> list[int]:
     """Eight validated cell counts as Python ints: the one check every count intake runs."""
     arr = _rectangular(counts)
-    if arr.shape != (8,) or not np.issubdtype(arr.dtype, np.integer):
-        raise ValidationError(f"expected 8 integer counts, got shape {arr.shape} and dtype {arr.dtype}")
-    vals = arr.tolist()
+    if arr.shape != (8,):
+        raise ValidationError(f"counts must have exactly 8 integers, got {arr.size} in shape {arr.shape}")
+    # A sequence's entries are checked as given: numpy reads (1, True) as ints
+    # and (2**63, 1) as floats.  Numpy integer scalars are ints; bools are not.
+    vals = arr.tolist() if isinstance(counts, np.ndarray) else list(counts)
+    if any(type(v) is not int for v in vals):
+        if not all(type(v) is int or isinstance(v, np.integer) for v in vals):
+            raise ValidationError(f"counts must be integers, got {vals}")
+        vals = [int(v) for v in vals]
     if min(vals) < 0:
         raise ValidationError(f"counts must be nonnegative, got {vals}")
     if sum(vals) > MAX_TOTAL:
@@ -203,8 +216,8 @@ def from_counts(counts) -> ObservedDistribution:
     ----------
     counts : sequence or array of int, shape (8,)
         ``(n00a0, n01a0, n10a0, n11a0, n00a1, n01a1, n10a1, n11a1)`` where
-        ``n{ym}a{a}`` counts units with Y = y, M = m in arm a.  The dtype must
-        be integer and the total at most :data:`MAX_TOTAL`.
+        ``n{ym}a{a}`` counts units with Y = y, M = m in arm a.  The entries
+        must be integers (not bools) and the total at most :data:`MAX_TOTAL`.
 
     Notes
     -----
@@ -225,6 +238,12 @@ def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
     return np.bincount(a.astype(np.int64) * 4 + y.astype(np.int64) * 2 + m, minlength=8)
 
 
+def _record_counts(records) -> np.ndarray:
+    """The eight cell counts of unit records (:func:`as_record_array`)."""
+    arr = as_record_array(records)
+    return cell_counts(arr[:, 0], arr[:, 1], arr[:, 2])
+
+
 def as_cell_counts(data) -> np.ndarray:
     """The eight cell counts of ``data`` as int64, in :func:`from_counts` order.
 
@@ -233,8 +252,7 @@ def as_cell_counts(data) -> np.ndarray:
     """
     arr = _rectangular(data)
     if arr.ndim == 2:
-        arr = as_record_array(arr)
-        arr = cell_counts(arr[:, 0], arr[:, 1], arr[:, 2])
+        arr = _record_counts(arr)
     return np.array(_checked_counts(arr), dtype=np.int64)
 
 
@@ -242,21 +260,20 @@ def from_units(records) -> ObservedDistribution:
     """Cross-tabulate unit records and delegate to :func:`from_counts`."""
     if len(records) == 0:
         raise EmptyArmError("no records supplied")
-    arr = as_record_array(records)
-    return from_counts(cell_counts(arr[:, 0], arr[:, 1], arr[:, 2]))
+    return from_counts(_record_counts(records))
 
 
-def from_probabilities(arm0, arm1, *, n0: int = 0, n1: int = 0) -> ObservedDistribution:
+def from_probabilities(arm0, arm1) -> ObservedDistribution:
     """Build a distribution directly from per-arm cell probabilities.
 
     ``arm0`` and ``arm1`` are length-4 sequences in ym-major order
-    (p00, p01, p10, p11); each must sum to 1 within 1e-12.
+    (p00, p01, p10, p11); each must sum to 1 within :data:`SIMPLEX_TOL`.
+    The result has no sampling interpretation, so both arm sizes are 0.
     """
-    arms = [np.asarray(cells, dtype=float) for cells in (arm0, arm1)]
-    for a, cells in enumerate(arms):
-        if cells.shape != (4,):
-            raise ValidationError(f"arm {a} must have 4 cell probabilities, got shape {cells.shape}")
-    return ObservedDistribution(np.concatenate(arms), n1=n1, n0=n0)
+    arms = _rectangular((arm0, arm1))
+    if arms.shape != (2, 4):
+        raise ValidationError(f"arm0 and arm1 must each have 4 cell probabilities, got shape {arms.shape}")
+    return ObservedDistribution(arms.reshape(8))
 
 
 def ate(dist: ObservedDistribution) -> float:
@@ -282,6 +299,7 @@ class EstimandSpec:
     ``mediator_effect_sign`` is consulted only under
     :attr:`Assumptions.MMR_POS_MEDIATOR`; +1 maintains that the mediator does
     not decrease the reference-arm outcome, -1 that it does not increase it.
+    Both must be integers (not 1.0) and are stored as Python ints.
     """
 
     reference: int
@@ -289,12 +307,19 @@ class EstimandSpec:
     mediator_effect_sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.reference not in (0, 1):
+        try:
+            reference, sign = operator.index(self.reference), operator.index(self.mediator_effect_sign)
+        except TypeError:
+            fields = (self.reference, self.mediator_effect_sign)
+            raise ValidationError(f"reference and mediator_effect_sign must be integers, got {fields}") from None
+        if reference not in (0, 1):
             raise ValidationError(f"reference must be 0 or 1, got {self.reference!r}")
         if not isinstance(self.assumptions, Assumptions):
             raise ValidationError(f"assumptions must be an Assumptions member, got {self.assumptions!r}")
-        if self.mediator_effect_sign not in (1, -1):
+        if sign not in (1, -1):
             raise ValidationError(f"mediator_effect_sign must be +1 or -1, got {self.mediator_effect_sign!r}")
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "mediator_effect_sign", sign)
 
 
 @dataclass(frozen=True)
@@ -344,5 +369,5 @@ class BoundsResult:
     def width(self) -> float:
         return self.upper - self.lower
 
-    def contains(self, value: float, tol: float = ORDER_TOL) -> bool:
-        return self.lower - tol <= value <= self.upper + tol
+    def contains(self, value: float) -> bool:
+        return self.lower - ORDER_TOL <= value <= self.upper + ORDER_TOL

@@ -31,6 +31,7 @@ from .model import (
     EstimandSpec,
     ObservedDistribution,
     ValidationError,
+    _checked_masses,
     from_probabilities,
 )
 
@@ -54,14 +55,7 @@ class FullPopulation64:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.q, dtype=float)
-        if arr.shape != (2,) * 6:
-            raise ValidationError(f"q must have shape {(2,) * 6}, got {arr.shape}")
-        if np.any(arr < 0.0):
-            raise ValidationError(f"negative population mass {arr.min()!r}")
-        if abs(arr.sum() - 1.0) > _POP_TOL:
-            raise ValidationError(f"population masses sum to {arr.sum()!r}, expected 1")
-        arr = arr.copy()
+        arr = _checked_masses(self.q, (2,) * 6, "population masses", 0.0, np.inf, 1, _POP_TOL)
         arr.flags.writeable = False
         object.__setattr__(self, "q", arr)
 
@@ -176,45 +170,33 @@ def sample_records(pop: FullPopulation64, n_per_arm: int, seed: int) -> np.ndarr
     flat = pop.q.reshape(64)
     flat = flat / flat.sum()  # exact renormalization for the sampler
     out = np.empty((2 * n_per_arm, 3), dtype=np.uint8)
-    for a, sl in ((1, slice(0, n_per_arm)), (0, slice(n_per_arm, 2 * n_per_arm))):
-        draws = rng.choice(64, size=n_per_arm, p=flat)
-        m1 = (draws >> 1) & 1
-        m0 = draws & 1
-        y11 = (draws >> 5) & 1
-        y10 = (draws >> 4) & 1
-        y01 = (draws >> 3) & 1
-        y00 = (draws >> 2) & 1
-        if a == 1:
-            m = m1
-            y = np.where(m == 1, y11, y10)
-        else:
-            m = m0
-            y = np.where(m == 1, y01, y00)
+    arms = ((1, slice(0, n_per_arm), _M1, _Y_TREATED), (0, slice(n_per_arm, 2 * n_per_arm), _M0, _Y_CONTROL))
+    for a, sl, m, y in arms:
+        draws = rng.choice(64, size=n_per_arm, p=flat)  # flat indices into the six axes
         out[sl, 0] = a
-        out[sl, 1] = m
-        out[sl, 2] = y
+        out[sl, 1] = m.reshape(64)[draws]
+        out[sl, 2] = y.reshape(64)[draws]
     return out
 
 
-def soundness_check(pop: FullPopulation64, spec: EstimandSpec, tol: float = ORDER_TOL) -> bool:
-    """True when the population's actual delta lies inside the interval computed
-    from its induced observables.  The population must satisfy the assumption
-    set being tested; violations make the claim vacuous, not false.
+def soundness_check(pop: FullPopulation64, spec: EstimandSpec) -> bool:
+    """True when the population's actual delta lies inside (within ``ORDER_TOL``) the interval
+    computed from its induced observables.  The population must satisfy the
+    assumption set being tested; violations make the claim vacuous, not false.
     """
     dist = observed_from_population(pop)
     bounds = closed_form.anie_bounds(dist, spec)
-    truth = true_estimands(pop).delta(spec.reference)
-    return bounds.lower - tol <= truth <= bounds.upper + tol
+    return bounds.contains(true_estimands(pop).delta(spec.reference))
 
 
-def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec, tol: float = ORDER_TOL) -> bool:
+def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec) -> bool:
     """True when both LP endpoints are attained by witness populations.
 
     For each endpoint the LP witness is extended to a full population, which
     must (a) reproduce the reference-arm cells and the opposite-arm mediator
-    margin of ``dist`` and (b) have a true delta equal to the endpoint.  An
-    infeasible program raises ``lp_engine.InfeasibleError``; that is an
-    incompatibility report, not a sharpness failure.
+    margin of ``dist`` and (b) have a true delta equal to the endpoint, all within
+    ``ORDER_TOL``.  An infeasible program raises ``lp_engine.InfeasibleError``;
+    that is an incompatibility report, not a sharpness failure.
     """
     cross_min, cross_max, wit_min, wit_max = lp_engine.cross_world_range(dist, spec)
     ref = spec.reference
@@ -227,11 +209,11 @@ def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec, tol: float =
     for endpoint, witness in zip(endpoints, witnesses):
         pop = extend_witness(witness)
         induced = observed_from_population(pop)
-        if np.abs(induced.arm(ref) - dist.arm(ref)).max() > tol:
+        if np.abs(induced.arm(ref) - dist.arm(ref)).max() > ORDER_TOL:
             return False
-        if abs(induced.mediator_margin(1 - ref) - dist.mediator_margin(1 - ref)) > tol:
+        if abs(induced.mediator_margin(1 - ref) - dist.mediator_margin(1 - ref)) > ORDER_TOL:
             return False
-        if abs(true_estimands(pop).delta(ref) - endpoint) > tol:
+        if abs(true_estimands(pop).delta(ref) - endpoint) > ORDER_TOL:
             return False
     return True
 

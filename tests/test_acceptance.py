@@ -232,7 +232,7 @@ def test_criterion_06_bounds_are_sharp():
                     random_population(rng, assumptions, reference=reference)
                 )
             spec = EstimandSpec(reference=reference, assumptions=assumptions)
-            if not sharpness_check(dist, spec, tol=1e-9):
+            if not sharpness_check(dist, spec):
                 bad += 1
         failures[assumptions.value] = bad
     ok = all(bad == 0 for bad in failures.values())

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mediation_bounds
-from mediation_bounds import Assumptions, __version__, ate, bounds_mmr, cli, from_counts
+from mediation_bounds import Assumptions, ValidationError, __version__, ate, bounds_mmr, cli, from_counts
 from mediation_bounds.cli import ConfigError, DataError, RunConfig, _rule_table, ingest, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -525,6 +525,15 @@ class TestCsvInputRules:
         assert (code, out) == (3, "")
         assert "not valid UTF-8: line 3" in err
 
+    # Lines end in \r, \r\n or \n alike; the byte offset is into the file as read.
+    @pytest.mark.parametrize("line_end, byte", [("\n", 18), ("\r", 18), ("\r\n", 21)])
+    def test_invalid_utf8_names_its_line_for_every_line_end(self, capsys, tmp_path, line_end, byte):
+        text = line_end.join(["a,y,m", "0,0,1", "1,1,0", "\udcff,1,0", "0,1,1"]) + line_end
+        path = write_text(tmp_path / "d.csv", text.encode("utf-8", "surrogateescape"))
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert (code, out) == (3, "")
+        assert f"not valid UTF-8: line 4, byte {byte}: " in err
+
     # Stripping would drop a NUL at either end of a cell, so ``\x00`` would
     # read as missing and ``1\x00`` as 1; float() rejects both, and a NUL
     # anywhere in the file is a data error that names its line.
@@ -649,6 +658,64 @@ class TestExitCodes:
     def test_run_config_checks_counts(self, counts, message):
         with pytest.raises(ConfigError, match=message):
             config_for(None, counts=counts)
+
+    # from_counts and RunConfig(counts=...) run the one count check, so they
+    # accept and refuse the same inputs with the same message; a count beyond
+    # int64 is refused for its total, as --counts refuses it.
+    @pytest.mark.parametrize(
+        "counts, refusal",
+        [
+            ((40, 30, 20, 10, 10, 20, 30, 40), None),
+            (tuple(np.array([4, 3, 2, 1, 1, 2, 3, 4], dtype=np.int64)), None),
+            (np.array([4, 3, 2, 1, 1, 2, 3, 4], dtype=np.uint64), None),
+            ((2**53 - 7, 1, 1, 1, 1, 1, 1, 1), None),
+            ((True,) * 8, "must be integers"),
+            ((1, True, 1, 1, 1, 1, 1, 1), "must be integers"),
+            ((1.0,) * 8, "must be integers"),
+            ((1.5, 2, 3, 4, 5, 6, 7, 8), "must be integers"),
+            (("1", 2, 3, 4, 5, 6, 7, 8), "must be integers"),
+            ((-1, 2, 3, 4, 5, 6, 7, 8), "must be nonnegative"),
+            ((2**63, 1, 1, 1, 1, 1, 1, 1), "total must be at most 2**53"),
+            ((10**20, 1, 1, 1, 1, 1, 1, 1), "total must be at most 2**53"),
+            ((2**53 - 6, 1, 1, 1, 1, 1, 1, 1), "total must be at most 2**53"),
+            ((1, 2, 3), "exactly 8 integers"),
+            ((1,) * 9, "exactly 8 integers"),
+            ((), "exactly 8 integers"),
+        ],
+    )
+    def test_counts_rule_is_from_counts_rule(self, counts, refusal):
+        try:
+            from_counts(counts)
+        except ValidationError as exc:
+            library = f"--{exc}"
+        else:
+            library = None
+        try:
+            config = config_for(None, counts=counts, mediators=())
+        except ConfigError as exc:
+            assert str(exc) == library
+        else:
+            assert library is None
+            assert config.counts == tuple(int(c) for c in counts)
+            assert all(type(c) is int for c in config.counts)
+        if refusal is None:
+            assert library is None
+        else:
+            assert library.startswith("--counts ") and refusal in library
+
+    # An unknown assumption set or a float reference is a bad configuration,
+    # refused when the config is built rather than reported as a data error.
+    @pytest.mark.parametrize("fields", [{"assumptions": ("none",)}, {"assumptions": (Assumptions.NONE, "mmr")},
+                                        {"reference": 1.0}, {"reference": 2}])
+    def test_run_config_checks_its_specs(self, fields):
+        with pytest.raises(ConfigError):
+            config_for(None, counts=(40, 30, 20, 10, 10, 20, 30, 40), mediators=(), **fields)
+
+    def test_path_and_str_give_identical_reports(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], [(i % 2, (i // 2) % 2, (i // 4) % 2) for i in range(16)])
+        by_str = run(config_for(path, draws=200)).to_json_text()
+        by_path = run(config_for(Path(path), draws=200)).to_json_text()
+        assert by_path.encode() == by_str.encode()
 
     # --mediators and --dichotomize select and recode --data columns; --counts
     # would ignore them, so it refuses them rather than drop them silently.

@@ -26,7 +26,9 @@ from mediation_bounds import (
     from_probabilities,
     from_units,
 )
+from mediation_bounds.lp_engine import StrataDistribution16
 from mediation_bounds.model import MAX_TOTAL, as_cell_counts
+from mediation_bounds.oracle import FullPopulation64
 from conftest import make_rng, random_dist
 
 
@@ -141,6 +143,38 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ObservedDistribution(np.full((2, 2, 2), 0.25))
 
+    # A NaN compares false with everything, so a check written as "x < lo"
+    # or "|sum - 1| > tol" lets it through; each probability vector refuses it.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_probability_vectors_reject_non_finite_entries(self, bad):
+        cells = np.full(8, 0.25)
+        psi = np.full(16, 1 / 16)
+        q = np.full((2,) * 6, 1 / 64)
+        ObservedDistribution(cells)  # each vector is valid before its first entry is replaced
+        StrataDistribution16(psi, reference=1)
+        FullPopulation64(q)
+        cells[0] = psi[0] = q[(0,) * 6] = bad
+        with pytest.raises(ValidationError):
+            ObservedDistribution(cells)
+        with pytest.raises(ValidationError):
+            StrataDistribution16(psi, reference=1)
+        with pytest.raises(ValidationError):
+            FullPopulation64(q)
+        with pytest.raises(ValidationError):
+            from_probabilities([bad, 0, 0, 1], [0.25] * 4)
+
+    # Each vector keeps its own bounds and tolerance.
+    def test_probability_vectors_keep_their_own_limits(self):
+        StrataDistribution16(np.r_[-1e-10, 1 + 1e-10, np.zeros(14)], reference=1)  # within FEAS_TOL
+        with pytest.raises(ValidationError):
+            StrataDistribution16(np.r_[-1e-8, 1 + 1e-8, np.zeros(14)], reference=1)
+        with pytest.raises(ValidationError):
+            ObservedDistribution(np.r_[-1e-13, 1 + 1e-13, 0, 0, np.full(4, 0.25)])
+        with pytest.raises(ValidationError):
+            ObservedDistribution(np.r_[1 - 1e-11, 0, 0, 0, np.full(4, 0.25)])  # beyond SIMPLEX_TOL
+        with pytest.raises(ValidationError):
+            FullPopulation64(np.r_[-1e-13, 1 + 1e-13, np.zeros(62)].reshape((2,) * 6))
+
     def test_cells_are_read_only(self, uniform_dist):
         with pytest.raises(ValueError):
             uniform_dist.cells[0] = 0.5
@@ -229,6 +263,19 @@ class TestSpecAndResult:
         with pytest.raises(ValidationError):
             EstimandSpec(reference=1, mediator_effect_sign=0)
 
+    # 1.0 == 1, so a float would pass a membership test and reach code that
+    # indexes with it; spec fields must be integers and are stored as ints.
+    @pytest.mark.parametrize("fields", [{"reference": 1.0}, {"reference": 0.0}, {"mediator_effect_sign": -1.0},
+                                        {"reference": "1"}, {"reference": None}])
+    def test_spec_fields_must_be_integers(self, fields):
+        with pytest.raises(ValidationError, match="must be integers"):
+            EstimandSpec(**{"reference": 1, **fields})
+
+    def test_spec_stores_python_ints(self):
+        spec = EstimandSpec(reference=np.int64(0), mediator_effect_sign=np.int8(-1))
+        assert (type(spec.reference), type(spec.mediator_effect_sign)) == (int, int)
+        assert spec == EstimandSpec(reference=0, mediator_effect_sign=-1)
+
     def test_crossed_interval_needs_flag(self):
         spec = EstimandSpec(reference=1, assumptions=Assumptions.MMR)
         with pytest.raises(ValidationError):
@@ -271,6 +318,19 @@ class TestSpecAndResult:
 
 
 class TestTolerancesHaveOneHome:
+    def test_count_limit_named_only_in_model(self):
+        # The count rule lives in model._checked_counts; a module that names
+        # MAX_TOTAL is checking counts a second time.
+        found = []
+        for path in sorted(Path(mediation_bounds.__file__).parent.glob("*.py")):
+            if path.name == "model.py":
+                continue
+            with open(path, "rb") as fh:
+                for tok in tokenize.tokenize(fh.readline):
+                    if tok.type == tokenize.NAME and tok.string == "MAX_TOTAL":
+                        found.append(f"{path.name}:{tok.start[0]}")
+        assert found == []
+
     def test_no_tolerance_literal_outside_model(self):
         # model.py names each tolerance with the decision it governs; a small
         # float literal anywhere else is an unnamed tolerance.  Comments and

@@ -262,6 +262,34 @@ class TestSampling:
         assert (a == b).all()
         assert (a != c).any()
 
+    @staticmethod
+    def _hand_decoded(pop, n_per_arm, seed):
+        # The 64-cell index decoded bit by bit, axes (y11, y10, y01, y00, m1, m0)
+        # from the most significant bit down.
+        rng = np.random.default_rng(seed)
+        flat = pop.q.reshape(64)
+        flat = flat / flat.sum()
+        out = np.empty((2 * n_per_arm, 3), dtype=np.uint8)
+        for a, sl in ((1, slice(0, n_per_arm)), (0, slice(n_per_arm, 2 * n_per_arm))):
+            draws = rng.choice(64, size=n_per_arm, p=flat)
+            y11, y10, y01, y00, m1, m0 = ((draws >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
+            m = m1 if a == 1 else m0
+            y = np.where(m == 1, y11, y10) if a == 1 else np.where(m == 1, y01, y00)
+            out[sl] = np.column_stack([np.full(n_per_arm, a), m, y])
+        return out
+
+    # perfbench's inference_mc pool is drawn by sample_records, so its records
+    # must not change with the way the index is decoded.
+    def test_records_match_the_bitwise_decode(self):
+        rng = make_rng(41)
+        pops = [iot_blindspot_population(), point_mass(1, 0, 1, 0, 1, 0)]
+        pops += [random_population(rng, assumptions) for assumptions in Assumptions]
+        for pop in pops:
+            for n_per_arm, seed in ((1, 0), (37, 5), (2000, 123)):
+                got = sample_records(pop, n_per_arm, seed)
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, self._hand_decoded(pop, n_per_arm, seed))
+
     def test_empirical_cells_concentrate(self):
         pop = iot_blindspot_population()
         n = 100_000
