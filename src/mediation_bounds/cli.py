@@ -230,13 +230,66 @@ def _drop_blank_lines(body: bytes) -> bytes:
     return b[np.repeat(~blank, lengths)].tobytes()
 
 
+def _needs_parser(body: bytes) -> bool:
+    """Whether ``body`` has a quote mark, a non-ASCII byte, or one of ``\\x1c``-``\\x1f``.
+
+    Only such a body needs ``loadtxt``: quote marks carry parser state, and
+    ``str.strip()`` strips non-ASCII whitespace and ``\\x1c``-``\\x1f``, which
+    ``bytes.strip()`` keeps.
+    """
+    return not body.isascii() or any(c in body for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+
+
+def _plain_columns(body: bytes, width: int, wanted: list[int]) -> list[np.ndarray] | None:
+    """The fixed-width bytes cells of columns ``wanted`` of a body that needs no parser.
+
+    None when a row has other than ``width`` fields, so that ``loadtxt``
+    reports it, or when the cells would take more memory than ``loadtxt``'s
+    16 bytes per cell of the whole table.
+    """
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    b = np.frombuffer(body, dtype=np.uint8)
+    n_rows = body.count(b"\n")
+    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))  # each field's end
+    if ends.size != n_rows * width:
+        return None
+    ends = ends.astype(np.int32 if b.size < 2**31 else np.int64).reshape(n_rows, width)
+    # The body has n_rows line ends, so if each row's last end is one, every
+    # row has ``width`` fields; a total count alone would pass a short row
+    # followed by a long one.
+    if not (b[ends[:, -1]] == ord("\n")).all():
+        return None
+    line_starts = np.concatenate(([0], ends[:-1, -1] + 1)).astype(ends.dtype)
+    budget = 16 * width
+    columns = []
+    for j in wanted:
+        starts = line_starts if j == 0 else ends[:, j - 1] + 1
+        lengths = ends[:, j] - starts
+        size = max(int(lengths.max()), 1)
+        budget -= size
+        if budget < 0:
+            return None
+        # Byte k of every cell at once; bytes past a cell's end are padding.
+        cells = np.zeros((n_rows, size), dtype=np.uint8)
+        for k in range(size):
+            cells[:, k] = np.where(lengths > k, b.take(starts + k, mode="clip"), 0)
+        columns.append(cells.view(f"S{size}").ravel())
+    return columns
+
+
 def _newlines_only(raw: bytes) -> bytes:
     """``raw`` with each ``\\r\\n`` or lone ``\\r`` line end made ``\\n``; ``raw`` itself if it has none."""
     return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], int]:
-    """The unstripped string cells of ``columns``, one per non-blank data row, and the row count."""
+    """The unstripped cells of ``columns``, one per non-blank data row, and the row count.
+
+    A body that needs no parser (:func:`_needs_parser`) is cut into bytes
+    cells at its commas and line ends; any other body, or one with a ragged
+    row, is read by ``loadtxt`` into str cells.
+    """
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -267,6 +320,10 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
     if not body:
         raise DataError(f"{path} has a header but no data rows")
     width = len(header)
+    wanted = [header.index(col) for col in columns]
+    cells = None if _needs_parser(body) else _plain_columns(body, width, wanted)
+    if cells is not None:
+        return dict(zip(columns, cells)), cells[0].size
     try:
         table = _load_cells(body)
     except ValueError as exc:
@@ -280,29 +337,32 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
         raise DataError(f"row {row + 1}: {found} fields, but the header has {width}") from None
     if table.shape[1] != width:
         raise DataError(f"row 2: {table.shape[1]} fields, but the header has {width}")
-    return {col: table[:, header.index(col)] for col in columns}, table.shape[0]
+    return {col: table[:, i] for col, i in zip(columns, wanted)}, table.shape[0]
 
 
 def _parse_numbers(name: str, cells: np.ndarray) -> np.ndarray:
-    """The float value of each cell after stripping, NaN for a missing token."""
+    """The float value of each cell after stripping, NaN for a missing token; ``cells`` are str or bytes."""
+    # The tokens in the cells' own type: a str never equals a bytes cell.
+    zero_token, one_token, *missing_tokens = (cells.dtype.type(t) for t in ("0", "1", *_MISSING_TOKENS))
     values = np.full(cells.size, np.nan)
     # Cells exactly "0" or "1" need no stripping; the rest are stripped first.
-    zero = cells == "0"
-    one = cells == "1"
+    zero = cells == zero_token
+    one = cells == one_token
     values[zero] = 0.0
     values[one] = 1.0
     rest = np.flatnonzero(~(zero | one))
     tokens = np.strings.strip(cells[rest])
     # Missing tokens are empty or alphabetic, so only those cells are case-folded.
-    maybe = np.flatnonzero(np.strings.isalpha(tokens) | (tokens == ""))
+    maybe = np.flatnonzero(np.strings.isalpha(tokens) | (np.strings.str_len(tokens) == 0))
     numeric = np.ones(rest.size, dtype=bool)
-    numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), _MISSING_TOKENS)]] = False
+    numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), missing_tokens)]] = False
     rest, tokens = rest[numeric], tokens[numeric]
     try:
         values[rest] = tokens.astype(np.float64)
     except ValueError:
         # numpy's string-to-float cast accepts exactly what float() accepts.
         for row, token in zip(rest.tolist(), tokens.tolist()):
+            token = token.decode("ascii") if isinstance(token, bytes) else token
             try:
                 float(token)
             except ValueError:

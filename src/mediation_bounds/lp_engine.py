@@ -52,6 +52,7 @@ from .model import (
     EstimandSpec,
     ObservedDistribution,
     ValidationError,
+    _checked_ints,
     _checked_masses,
 )
 
@@ -80,11 +81,13 @@ class StrataDistribution16:
 
     def __post_init__(self) -> None:
         arr = _checked_masses(self.psi, (16,), "stratum masses", -FEAS_TOL, np.inf, 1, FEAS_TOL)
-        if self.reference not in (0, 1):
-            raise ValidationError(f"reference must be 0 or 1, got {self.reference!r}")
+        (reference,) = _checked_ints("reference must be an integer", self.reference)
+        if reference not in (0, 1):
+            raise ValidationError(f"reference must be 0 or 1, got {reference}")
         arr = np.clip(arr, 0.0, None)
         arr.flags.writeable = False
         object.__setattr__(self, "psi", arr)
+        object.__setattr__(self, "reference", reference)
 
     def mass(self, y_a: int, y_b: int, m1: int, m0: int) -> float:
         return float(self.psi[strata_index(y_a, y_b, m1, m0)])

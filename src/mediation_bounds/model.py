@@ -128,9 +128,10 @@ class ObservedDistribution:
 
     ``cells`` is the read-only 8-vector in :func:`from_counts` order: index
     ``4a + 2y + m`` holds P(Y = y, M = m | A = a).  ``n1`` and ``n0`` are the
-    numbers of treated and control observations; both are 0 for analytically
-    constructed distributions that have no sampling interpretation.  The
-    fingerprint is computed once, at construction.
+    numbers of treated and control observations, nonnegative integers stored
+    as Python ints; both are 0 for analytically constructed distributions
+    that have no sampling interpretation.  The fingerprint is computed once,
+    at construction.
     """
 
     cells: np.ndarray
@@ -139,11 +140,14 @@ class ObservedDistribution:
 
     def __post_init__(self) -> None:
         cells = _checked_masses(self.cells, (8,), "cell probabilities", 0.0, 1.0, 2, SIMPLEX_TOL)
-        if self.n1 < 0 or self.n0 < 0:
-            raise ValidationError("arm sizes must be nonnegative")
+        n1, n0 = _checked_ints("arm sizes n1 and n0 must be integers", self.n1, self.n0)
+        if n1 < 0 or n0 < 0:
+            raise ValidationError(f"arm sizes must be nonnegative, got n1={n1}, n0={n0}")
         cells.flags.writeable = False
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_fingerprint", tuple(cells.tolist()) + (self.n1, self.n0))
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "_fingerprint", tuple(cells.tolist()) + (n1, n0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservedDistribution):
@@ -172,6 +176,25 @@ class ObservedDistribution:
     def fingerprint(self) -> tuple:
         """Hashable identity used to guard against mixing results across distributions."""
         return self._fingerprint
+
+
+def _checked_ints(message: str, *values) -> tuple[int, ...]:
+    """``values`` as Python ints, for the integer fields of specs and distributions.
+
+    A bool or a non-integer such as 1.0 (which equals 1) raises ``message``.
+    """
+    # Plain ints, the common case, return at once: every bound call builds a spec.
+    for v in values:
+        if type(v) is not int:
+            break
+    else:
+        return values
+    if bool not in map(type, values):
+        try:
+            return tuple(map(operator.index, values))
+        except TypeError:
+            pass
+    raise ValidationError(f"{message}, got {values[0] if len(values) == 1 else values!r}")
 
 
 def _checked_masses(values, shape, name, floor, ceiling, parts, tol) -> np.ndarray:
@@ -299,7 +322,7 @@ class EstimandSpec:
     ``mediator_effect_sign`` is consulted only under
     :attr:`Assumptions.MMR_POS_MEDIATOR`; +1 maintains that the mediator does
     not decrease the reference-arm outcome, -1 that it does not increase it.
-    Both must be integers (not 1.0) and are stored as Python ints.
+    Both must be integers (not 1.0 or True) and are stored as Python ints.
     """
 
     reference: int
@@ -307,11 +330,9 @@ class EstimandSpec:
     mediator_effect_sign: int = 1
 
     def __post_init__(self) -> None:
-        try:
-            reference, sign = operator.index(self.reference), operator.index(self.mediator_effect_sign)
-        except TypeError:
-            fields = (self.reference, self.mediator_effect_sign)
-            raise ValidationError(f"reference and mediator_effect_sign must be integers, got {fields}") from None
+        reference, sign = _checked_ints(
+            "reference and mediator_effect_sign must be integers", self.reference, self.mediator_effect_sign
+        )
         if reference not in (0, 1):
             raise ValidationError(f"reference must be 0 or 1, got {self.reference!r}")
         if not isinstance(self.assumptions, Assumptions):

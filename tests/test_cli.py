@@ -277,7 +277,8 @@ def _cell(rng, text):
     return text
 
 
-def _seeded_csv(seed, rows=60):
+def _seeded_csv(seed, rows=60, quotes=True):
+    """A seeded file of varied tokens; with ``quotes=False`` its cells unquoted, so it takes the byte route."""
     rng = np.random.default_rng(seed)
     lines = ["a,y,m_bin,m_score,m_level,note"]
     for _ in range(rows):
@@ -298,8 +299,31 @@ def _seeded_csv(seed, rows=60):
                 cells.append([f"{v:.3f}", f"{v:g}", f"{v:e}", f"{v:+.2f}", str(round(v))][rng.integers(5)])
         note = ["ok", '"late, then on time"', "", '"said ""no"""'][rng.integers(4)]
         lines.append(",".join(_cell(rng, c) for c in cells) + "," + note)
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    if quotes:
+        return text
+    return text.replace('"late, then on time"', "late then on time").replace('"said ""no"""', "said no").replace('"', "")
 
+
+@pytest.fixture
+def parser_calls(monkeypatch):
+    """The bodies ``loadtxt`` reads during the test; empty while every read takes the byte route."""
+    calls = []
+    load = cli._load_cells
+
+    def spy(body):
+        calls.append(body)
+        return load(body)
+
+    monkeypatch.setattr(cli, "_load_cells", spy)
+    return calls
+
+
+EDGE_TOKENS = [
+    "1_000", "Infinity", "-inf", " 1.5", "1.5e", "0x10", "\u0661\u0662", "1e500", "-nan",
+    "+.5", "5.", "1__0", "nan(1)", "\u00a01.5", "True", "0001", "1e-400", "\u0967.5",
+    "\tNA", "\u00a0none", "1\t",
+]
 
 EQUIVALENCE_RUNS = [
     ("m_score=median-gt,m_level=threshold:0.25", ("m_bin", "m_score", "m_level")),
@@ -321,6 +345,32 @@ class TestColumnReaderMatchesReference:
         reference_data, _, _, _ = reference_ingest(str(path), config)
         assert any(dropped for _, _, dropped, _ in reference_data)
         assert_same_ingest(str(path), config)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_plain_files(self, tmp_path, parser_calls, seed):
+        path = tmp_path / "d.csv"
+        path.write_text(_seeded_csv(seed, quotes=False))
+        rules, mediators = EQUIVALENCE_RUNS[seed % len(EQUIVALENCE_RUNS)]
+        config = config_for(str(path), mediators=mediators, dichotomize=rules)
+        assert any(line in BLANK_LINES for line in path.read_text().splitlines()[1:])
+        reference_data, _, _, _ = reference_ingest(str(path), config)
+        assert any(dropped for _, _, dropped, _ in reference_data)
+        assert_same_ingest(str(path), config)
+        assert parser_calls == []
+
+    # One byte that only the parser reads as str.strip() does, anywhere in an
+    # otherwise plain file, sends the whole file to loadtxt.
+    @pytest.mark.parametrize("char", ['"', "\u00a0", "\x1c"])
+    def test_one_parser_byte_anywhere(self, tmp_path, parser_calls, char):
+        rng = np.random.default_rng(ord(char))
+        text = _seeded_csv(5, quotes=False)
+        path = str(tmp_path / "d.csv")
+        config = config_for(path, mediators=("m_bin", "m_score"), dichotomize="m_score=median-gt")
+        for at in rng.integers(text.index("\n") + 1, len(text), size=25).tolist():
+            write_text(Path(path), text[:at] + char + text[at:])
+            parser_calls.clear()
+            assert_same_ingest(path, config)
+            assert parser_calls
 
     @staticmethod
     def _with_token(tmp_path, seed, col, token):
@@ -349,18 +399,30 @@ class TestColumnReaderMatchesReference:
             reference_ingest(path, config)
         assert_same_ingest(path, config)
 
-    @pytest.mark.parametrize(
-        "token",
-        ["1_000", "Infinity", "-inf", " 1.5", "1.5e", "0x10", "\u0661\u0662", "1e500", "-nan",
-         "+.5", "5.", "1__0", "nan(1)", "\u00a01.5", "True", "0001", "1e-400", "\u0967.5",
-         "\tNA", "\u00a0none", "1\t"],
-    )
+    @pytest.mark.parametrize("token", EDGE_TOKENS)
     def test_edge_tokens(self, tmp_path, token):
         path = tmp_path / "d.csv"
         rows = [f"{i % 2},{(i // 2) % 2},{i * 0.5}" for i in range(8)]
         rows[5] = f'1,0,"{token}"'
         path.write_text("a,y,m\n" + "\n".join(rows) + "\n", encoding="utf-8")
         assert_same_ingest(str(path), config_for(str(path), dichotomize="m=threshold:1"))
+
+    @pytest.mark.parametrize("token", [t for t in EDGE_TOKENS if t.isascii()])
+    def test_edge_tokens_unquoted(self, tmp_path, parser_calls, token):
+        path = tmp_path / "d.csv"
+        rows = [f"{i % 2},{(i // 2) % 2},{i * 0.5}" for i in range(8)]
+        rows[5] = f"1,0,{token}"
+        path.write_text("a,y,m\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert_same_ingest(str(path), config_for(str(path), dichotomize="m=threshold:1"))
+        assert parser_calls == []
+
+    def test_wide_cell_is_read_by_the_parser(self, tmp_path, parser_calls):
+        # Held as fixed-width bytes, every cell of the column would be as wide as this one.
+        rows = [f"{i % 2},{(i // 2) % 2},{i % 3}" for i in range(50)]
+        rows[7] = "1,0," + "0" * 1000 + "1"
+        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
+        assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
+        assert parser_calls
 
 
 QUOTING_FRAGMENTS = ['"', '""', ",", "\n", " ", "x", "'", "\n\n", ",,"]
@@ -499,7 +561,7 @@ class TestCsvInputRules:
         assert n_rows == 2
 
     def test_unrecognised_parser_error_is_data_error(self, monkeypatch, tmp_path):
-        path = write_text(tmp_path / "d.csv", "a,y,m\n0,0,1\n1,1,0\n")
+        path = write_text(tmp_path / "d.csv", 'a,y,m\n0,0,"1"\n1,1,0\n')
 
         def fail(body):
             raise ValueError("unexpected tokenizer state")
@@ -507,6 +569,17 @@ class TestCsvInputRules:
         monkeypatch.setattr(cli, "_load_cells", fail)
         with pytest.raises(DataError, match="d.csv: unexpected tokenizer state"):
             ingest(path, config_for(path))
+
+    def test_plain_file_is_never_parsed(self, monkeypatch, tmp_path):
+        path = write_text(tmp_path / "d.csv", "a,y,m,note\n0,0,1,x\n \n,,,\n1,1,0,y z\n 0 ,NA,1,\n1,0,nan,")
+
+        def fail(body):
+            raise AssertionError("loadtxt read a plain file")
+
+        monkeypatch.setattr(cli, "_load_cells", fail)
+        data, n_rows, _ = ingest(path, config_for(path))
+        assert (n_rows, data[0].n_dropped) == (4, 2)
+        assert data[0].counts.tolist() == tally([[0, 1, 0], [1, 0, 1]])
 
     def test_duplicate_requested_header_is_data_error(self, capsys, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,y,m,m\n0,0,1,1\n1,1,0,0\n")

@@ -175,6 +175,25 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             FullPopulation64(np.r_[-1e-13, 1 + 1e-13, np.zeros(62)].reshape((2,) * 6))
 
+    # Arm sizes feed inference and the fingerprint; the stratum distribution's
+    # reference arm follows EstimandSpec's rule, so 1.0 and True are refused.
+    @pytest.mark.parametrize("n1, n0", [(float("nan"), 2), (3, 2.5), (True, 2), (3, np.float64(2)), (-1, 2), (3, -2)])
+    def test_arm_sizes_must_be_nonnegative_integers(self, n1, n0):
+        with pytest.raises(ValidationError, match="arm sizes"):
+            ObservedDistribution(np.full(8, 0.25), n1=n1, n0=n0)
+
+    @pytest.mark.parametrize("reference", [1.0, True, np.float64(0)])
+    def test_stratum_reference_refused_as_the_spec_refuses_it(self, reference):
+        with pytest.raises(ValidationError, match="must be integers"):
+            EstimandSpec(reference=reference)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            StrataDistribution16(np.full(16, 1 / 16), reference=reference)
+
+    def test_integer_fields_are_stored_as_python_ints(self):
+        dist = ObservedDistribution(np.full(8, 0.25), n1=np.int64(3), n0=np.uint32(2))
+        assert (type(dist.n1), type(dist.n0), dist.fingerprint()[-2:]) == (int, int, (3, 2))
+        assert type(StrataDistribution16(np.full(16, 1 / 16), reference=np.int8(1)).reference) is int
+
     def test_cells_are_read_only(self, uniform_dist):
         with pytest.raises(ValueError):
             uniform_dist.cells[0] = 0.5
@@ -266,7 +285,8 @@ class TestSpecAndResult:
     # 1.0 == 1, so a float would pass a membership test and reach code that
     # indexes with it; spec fields must be integers and are stored as ints.
     @pytest.mark.parametrize("fields", [{"reference": 1.0}, {"reference": 0.0}, {"mediator_effect_sign": -1.0},
-                                        {"reference": "1"}, {"reference": None}])
+                                        {"reference": "1"}, {"reference": None}, {"reference": True},
+                                        {"mediator_effect_sign": True}])
     def test_spec_fields_must_be_integers(self, fields):
         with pytest.raises(ValidationError, match="must be integers"):
             EstimandSpec(**{"reference": 1, **fields})

@@ -1,0 +1,122 @@
+"""Alternating parent/change pairs of ``perfbench/run.py``, summarised as a ``BENCH_<n>.json`` block.
+
+Run from the repository root, after committing the change:
+
+    python3 tools/bench_pairs.py --parent <rev> --change HEAD --workload csv_250k \\
+        --pairs 10 --first-seed 1401 --out BENCH_14.json
+
+Each side runs from its own clean checkout (``git archive`` of the revision,
+in a directory named by its tree id under ``--workdir``), so both sides use
+their own benchmark code and package source.  Pair ``i`` uses seed
+``first_seed + i`` on both sides; even pairs run the parent first, odd pairs
+the change.  Run length is the ``run_seconds`` of ``BENCHMARK.json``.  The
+workload's block in ``--out`` is replaced; the rest of the file is kept.
+
+For each end-to-end metric the block holds every run, each side's median and
+quartiles (``statistics.quantiles(n=4, method="inclusive")``), the change's
+wins (pairs where it reads better; ties count for neither), the median change
+in percent and the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True, text=True).stdout.strip()
+
+
+def checkout(rev: str, workdir: Path) -> tuple[dict, Path]:
+    """The revision's commit and tree ids, and a clean checkout of its tree."""
+    ids = {"commit": git("rev-parse", f"{rev}^{{commit}}"), "tree": git("rev-parse", f"{rev}^{{tree}}")}
+    ids["src_tree"] = git("rev-parse", f"{rev}:src")
+    target = workdir / ids["tree"]
+    if not target.exists():
+        with tempfile.TemporaryFile() as archive:
+            subprocess.run(["git", "archive", ids["commit"]], check=True, stdout=archive)
+            archive.seek(0)
+            with tarfile.open(fileobj=archive) as tar:
+                tar.extractall(target, filter="data")
+    return ids, target
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run's result line, with the output digest it printed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1])
+    result["sha256"] = next(line.split()[1] for line in lines if line.startswith("sha256 "))
+    return result
+
+
+def summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "runs": [round(r, 6) for r in runs]}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", default="HEAD")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workdir", type=Path, default=Path(".bench_pairs"))
+    args = parser.parse_args()
+
+    bench = json.loads(Path("BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    sides = {}
+    roots = {}
+    for side in ("parent", "change"):
+        sides[side], roots[side] = checkout(getattr(args, side), args.workdir)
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    first = ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)]
+    results = {"parent": [], "change": []}
+    for seed, lead in zip(seeds, first):
+        for side in (lead, "change" if lead == "parent" else "parent"):
+            results[side].append(run_once(roots[side], args.workload, seed, bench["run_seconds"]))
+            r = results[side][-1]
+            print(f"{args.workload} seed={seed} {side}: op_ms_p50={r['metrics']['op_ms_p50']['value']:.3f} "
+                  f"peak_rss_mb={r['metrics']['peak_rss_mb']['value']:.2f}", flush=True)
+
+    metrics = {}
+    for name, direction in better.items():
+        runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in results}
+        sign = 1 if direction == "lower" else -1
+        block = {"better": direction, **{side: summary(runs[side]) for side in runs}}
+        block["change_wins"] = sum(sign * (c - p) < 0 for p, c in zip(runs["parent"], runs["change"]))
+        block["pairs"] = args.pairs
+        parent_median, change_median = block["parent"]["median"], block["change"]["median"]
+        block["median_change_pct"] = round(100 * (change_median - parent_median) / parent_median, 2)
+        block["parent_iqr"] = round(block["parent"]["q3"] - block["parent"]["q1"], 6)
+        metrics[name] = block
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    record.setdefault("sides", {}).update(sides)
+    record.setdefault("workloads", {})[args.workload] = {
+        "seeds": seeds,
+        "first_side": first,
+        "sha256_equal_in_every_pair": all(
+            p["sha256"] == c["sha256"] for p, c in zip(results["parent"], results["change"])
+        ),
+        "correct": {side: [r["correct"] for r in results[side]] for side in results},
+        "attempted": {side: [r["attempted"] for r in results[side]] for side in results},
+        "failed": {side: [r["failed"] for r in results[side]] for side in results},
+        "metrics": metrics,
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()
