@@ -399,21 +399,21 @@ class TestColumnReaderMatchesReference:
             reference_ingest(path, config)
         assert_same_ingest(path, config)
 
+    @staticmethod
+    def _with_m_cell(tmp_path, cell):
+        rows = [f"{i % 2},{(i // 2) % 2},{i * 0.5}" for i in range(8)]
+        rows[5] = f"1,0,{cell}"
+        return write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
+
     @pytest.mark.parametrize("token", EDGE_TOKENS)
     def test_edge_tokens(self, tmp_path, token):
-        path = tmp_path / "d.csv"
-        rows = [f"{i % 2},{(i // 2) % 2},{i * 0.5}" for i in range(8)]
-        rows[5] = f'1,0,"{token}"'
-        path.write_text("a,y,m\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        assert_same_ingest(str(path), config_for(str(path), dichotomize="m=threshold:1"))
+        path = self._with_m_cell(tmp_path, f'"{token}"')
+        assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
 
     @pytest.mark.parametrize("token", [t for t in EDGE_TOKENS if t.isascii()])
     def test_edge_tokens_unquoted(self, tmp_path, parser_calls, token):
-        path = tmp_path / "d.csv"
-        rows = [f"{i % 2},{(i // 2) % 2},{i * 0.5}" for i in range(8)]
-        rows[5] = f"1,0,{token}"
-        path.write_text("a,y,m\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        assert_same_ingest(str(path), config_for(str(path), dichotomize="m=threshold:1"))
+        path = self._with_m_cell(tmp_path, token)
+        assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
         assert parser_calls == []
 
     def test_wide_cell_is_read_by_the_parser(self, tmp_path, parser_calls):
