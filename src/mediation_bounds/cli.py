@@ -22,7 +22,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -46,13 +45,16 @@ from .model import (
 
 SCHEMA = "mediation-bounds/4"
 _MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
-# Per byte: 0 if a blank line may hold it (ASCII whitespace as str.strip()
-# sees it, or a comma), 1 if it is a quote mark or part of a non-ASCII
-# character, 2 otherwise.
+# Two flags per byte, OR-ed over each record.  Bit 0: the byte makes a cell
+# non-blank (ASCII, and not a comma, a quote mark or whitespace as str.strip()
+# sees it).  Bit 1, a parser byte: only loadtxt reads it right.  A quote mark
+# carries parser state, and str.strip() strips non-ASCII whitespace and
+# \x1c-\x1f, which bytes.strip() keeps.
 _BYTE_KIND = bytes(
-    0 if chr(c).isspace() or chr(c) == "," else 1 if c == ord('"') or c > 127 else 2 for c in range(256)
+    (c < 128 and not chr(c).isspace() and chr(c) not in ',"')
+    + 2 * (c == ord('"') or c > 127 or (chr(c).isspace() and not bytes([c]).isspace()))
+    for c in range(256)
 )
-_COLUMNS_CHANGED = re.compile(r"changed from (\d+) to (\d+) at row (\d+)")
 _METHOD_NAMES = {
     Assumptions.NONE.value: "bounds-none",
     Assumptions.MMR.value: "bounds-mmr",
@@ -186,18 +188,13 @@ def _load_cells(body: bytes) -> np.ndarray:
     return np.loadtxt(stream, delimiter=",", quotechar='"', comments=None, dtype=StringDType(), ndmin=2)
 
 
-def _is_blank(record: bytes) -> bool:
-    try:
-        cells = _load_cells(record)
-    except ValueError:
-        return False  # left for the full read to report
-    return not np.strings.strip(cells).astype(bool).any()
-
-
-def _record_starts(b: np.ndarray) -> np.ndarray:
-    """Offsets of the lines of ``b`` that start a record rather than continue a quoted cell."""
+def _record_starts(body: bytes) -> np.ndarray:
+    """Offsets of the lines of ``body`` that start a record rather than continue a quoted cell."""
+    b = np.frombuffer(body, dtype=np.uint8)
     starts = np.concatenate(([0], np.flatnonzero(b == ord("\n")) + 1))
     starts = starts[starts < b.size]
+    if b'"' not in body:
+        return starts
     # Only a run of quote marks of odd length changes the parser's state. At
     # a field start it opens or closes a quoted cell; inside a field it
     # closes an open cell and is text otherwise. So a line starts inside a
@@ -216,28 +213,23 @@ def _record_starts(b: np.ndarray) -> np.ndarray:
     return starts[~inside]
 
 
-def _drop_blank_lines(body: bytes) -> bytes:
-    """``body`` without the records whose every cell is empty or whitespace."""
-    b = np.frombuffer(body, dtype=np.uint8)
-    starts = _record_starts(b)
-    lengths = np.diff(starts, append=b.size)
-    kind = np.maximum.reduceat(np.frombuffer(body.translate(_BYTE_KIND), dtype=np.uint8), starts)
+def _drop_blank_lines(body: bytes) -> tuple[bytes, bool]:
+    """``body`` without its blank records (every cell empty or whitespace), and whether a parser byte is left."""
+    starts = _record_starts(body)
+    lengths = np.diff(starts, append=len(body))
+    kind = np.bitwise_or.reduceat(np.frombuffer(body.translate(_BYTE_KIND), dtype=np.uint8), starts)
     blank = kind == 0
-    # Quote marks and non-ASCII whitespace such as U+00A0 need the parser to
-    # tell; records of only those and blanks are few, so parse each.
-    for i in np.flatnonzero(kind == 1):
-        blank[i] = _is_blank(body[starts[i] : starts[i] + lengths[i]])
-    return b[np.repeat(~blank, lengths)].tobytes()
-
-
-def _needs_parser(body: bytes) -> bool:
-    """Whether ``body`` has a quote mark, a non-ASCII byte, or one of ``\\x1c``-``\\x1f``.
-
-    Only such a body needs ``loadtxt``: quote marks carry parser state, and
-    ``str.strip()`` strips non-ASCII whitespace and ``\\x1c``-``\\x1f``, which
-    ``bytes.strip()`` keeps.
-    """
-    return not body.isascii() or any(c in body for c in (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f"))
+    # Only the parser can tell whether blanks and parser bytes alone are blank; such records are few.
+    for i in np.flatnonzero(kind == 2):
+        try:
+            cells = _load_cells(body[starts[i] : starts[i] + lengths[i]])
+        except ValueError:
+            continue  # kept, for the full read to report
+        blank[i] = not np.strings.strip(cells).astype(bool).any()
+    needs_parser = bool((kind[~blank] & 2).any())
+    if blank.any():
+        body = np.frombuffer(body, dtype=np.uint8)[np.repeat(~blank, lengths)].tobytes()
+    return body, needs_parser
 
 
 def _plain_columns(body: bytes, width: int, wanted: list[int]) -> list[np.ndarray] | None:
@@ -286,9 +278,9 @@ def _newlines_only(raw: bytes) -> bytes:
 def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], int]:
     """The unstripped cells of ``columns``, one per non-blank data row, and the row count.
 
-    A body that needs no parser (:func:`_needs_parser`) is cut into bytes
+    A body that needs no parser (:func:`_drop_blank_lines`) is cut into bytes
     cells at its commas and line ends; any other body, or one with a ragged
-    row, is read by ``loadtxt`` into str cells.
+    row, is read by ``loadtxt`` into str cells.  :func:`_ragged_row` names a ragged row.
     """
     try:
         with open(path, "rb") as handle:
@@ -316,28 +308,32 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
             raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
         if header.count(col) > 1:
             raise DataError(f"column {col!r} appears {header.count(col)} times in the header of {path}")
-    body = _drop_blank_lines(body)
+    body, needs_parser = _drop_blank_lines(body)
     if not body:
         raise DataError(f"{path} has a header but no data rows")
     width = len(header)
     wanted = [header.index(col) for col in columns]
-    cells = None if _needs_parser(body) else _plain_columns(body, width, wanted)
+    cells = None if needs_parser else _plain_columns(body, width, wanted)
     if cells is not None:
         return dict(zip(columns, cells)), cells[0].size
     try:
         table = _load_cells(body)
+        if table.shape[1] != width:
+            raise ValueError(f"{table.shape[1]} fields, but the header has {width}")
     except ValueError as exc:
-        # loadtxt requires every row to have the first row's field count.
-        changed = _COLUMNS_CHANGED.search(str(exc))
-        if changed is None:
-            raise DataError(f"{path}: {exc}") from None
-        first, found, row = (int(g) for g in changed.groups())
-        if first != width:
-            found, row = first, 1
-        raise DataError(f"row {row + 1}: {found} fields, but the header has {width}") from None
-    if table.shape[1] != width:
-        raise DataError(f"row 2: {table.shape[1]} fields, but the header has {width}")
+        raise DataError(_ragged_row(body, width) or f"{path}: {exc}") from None
     return {col: table[:, i] for col, i in zip(columns, wanted)}, table.shape[0]
+
+
+def _ragged_row(body: bytes, width: int) -> str | None:
+    """The first record without ``width`` fields, as the csv module counts them; None if none, or on a csv error."""
+    try:
+        for row, record in enumerate(csv.reader(io.StringIO(body.decode("utf-8"), newline="")), start=2):
+            if len(record) != width:
+                return f"row {row}: {len(record)} fields, but the header has {width}"
+    except csv.Error:
+        pass
+    return None
 
 
 def _parse_numbers(name: str, cells: np.ndarray) -> np.ndarray:

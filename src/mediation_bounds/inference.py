@@ -29,7 +29,6 @@ as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -44,6 +43,7 @@ from .model import (
     InsufficientDataError,
     ObservedDistribution,
     ValidationError,
+    _checked_ints,
     as_cell_counts,
     from_counts,
 )
@@ -65,6 +65,7 @@ _MAX_DRAWS = 1_000_000
 class InferenceConfig:
     """Level, Gaussian draws (100 to 1,000,000) and seed of the simulated critical values.
 
+    Draws and seed must be integers (not bools) and are stored as Python ints.
     The selection slack is fixed at 2.
     """
 
@@ -75,14 +76,13 @@ class InferenceConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        try:
-            draws, seed = operator.index(self.draws), operator.index(self.seed)
-        except TypeError:
-            raise ValidationError(f"draws and seed must be integers, got {self.draws!r}, {self.seed!r}") from None
+        draws, seed = _checked_ints("draws and seed must be integers", self.draws, self.seed)
         if not (100 <= draws <= _MAX_DRAWS):
-            raise ValidationError(f"draws must be between 100 and {_MAX_DRAWS:,}, got {self.draws!r}")
+            raise ValidationError(f"draws must be between 100 and {_MAX_DRAWS:,}, got {draws!r}")
         if not (0 <= seed < 2**64):
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
+            raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -326,7 +326,7 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     n_lo = len(lowers)
     rows = table.rows[: n_lo + len(uppers)]
     counts = as_cell_counts(data)
-    dist, cov, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), int(config.seed), int(config.draws))
+    dist, cov, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), config.seed, config.draws)
 
     est = _evaluate(rows, dist.cells)
     se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows), 0.0, None))

@@ -179,9 +179,10 @@ class ObservedDistribution:
 
 
 def _checked_ints(message: str, *values) -> tuple[int, ...]:
-    """``values`` as Python ints, for the integer fields of specs and distributions.
+    """``values`` as Python ints: the package's one integer check.
 
-    A bool or a non-integer such as 1.0 (which equals 1) raises ``message``.
+    Python ints of any size and numpy integer scalars pass; a bool or a
+    non-integer such as 1.0 (which equals 1) raises ``message``.
     """
     # Plain ints, the common case, return at once: every bound call builds a spec.
     for v in values:
@@ -219,12 +220,8 @@ def _checked_counts(counts) -> list[int]:
     if arr.shape != (8,):
         raise ValidationError(f"counts must have exactly 8 integers, got {arr.size} in shape {arr.shape}")
     # A sequence's entries are checked as given: numpy reads (1, True) as ints
-    # and (2**63, 1) as floats.  Numpy integer scalars are ints; bools are not.
-    vals = arr.tolist() if isinstance(counts, np.ndarray) else list(counts)
-    if any(type(v) is not int for v in vals):
-        if not all(type(v) is int or isinstance(v, np.integer) for v in vals):
-            raise ValidationError(f"counts must be integers, got {vals}")
-        vals = [int(v) for v in vals]
+    # and (2**63, 1) as floats.
+    vals = list(_checked_ints("counts must be integers", *(arr.tolist() if isinstance(counts, np.ndarray) else counts)))
     if min(vals) < 0:
         raise ValidationError(f"counts must be nonnegative, got {vals}")
     if sum(vals) > MAX_TOTAL:

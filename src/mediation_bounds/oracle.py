@@ -31,6 +31,7 @@ from .model import (
     EstimandSpec,
     ObservedDistribution,
     ValidationError,
+    _checked_ints,
     _checked_masses,
     from_probabilities,
 )
@@ -140,21 +141,23 @@ def random_population(
     ``MMR`` zeroes the mediator-defier cells; ``MMR_POS_MEDIATOR`` additionally
     enforces the signed mediator effect on the reference-arm outcome,
     sign * E[Y(reference, 1) - Y(reference, 0)] >= 0, by rejection (acceptance
-    is about one half, so this terminates quickly).
+    is about one half, so this terminates quickly).  The arguments are checked
+    as :class:`EstimandSpec` checks them.
     """
+    spec = EstimandSpec(reference, assumptions, mediator_effect_sign)
     defier = (_M1 == 0) & (_M0 == 1)
     while True:
         q = np.zeros((2,) * 6)
-        if assumptions is Assumptions.NONE:
+        if spec.assumptions is Assumptions.NONE:
             q = rng.dirichlet(np.ones(64)).reshape((2,) * 6)
         else:
             support = ~defier
             q[support] = rng.dirichlet(np.ones(int(support.sum())))
         pop = FullPopulation64(q=q)
-        if assumptions is not Assumptions.MMR_POS_MEDIATOR:
+        if spec.assumptions is not Assumptions.MMR_POS_MEDIATOR:
             return pop
-        gap = _Y11 - _Y10 if reference == 1 else _Y01 - _Y00
-        if mediator_effect_sign * float((q * gap).sum()) >= 0.0:
+        gap = _Y11 - _Y10 if spec.reference == 1 else _Y01 - _Y00
+        if spec.mediator_effect_sign * float((q * gap).sum()) >= 0.0:
             return pop
 
 
@@ -162,8 +165,9 @@ def sample_records(pop: FullPopulation64, n_per_arm: int, seed: int) -> np.ndarr
     """Simulate a balanced randomized study; returns an (2 * n_per_arm, 3) record array.
 
     Treated units report (1, M(1), Y(1, M(1))), controls (0, M(0), Y(0, M(0))).
-    Deterministic in ``seed``.
+    Deterministic in ``seed``; ``n_per_arm`` and ``seed`` must be integers (not bools).
     """
+    n_per_arm, seed = _checked_ints("n_per_arm and seed must be integers", n_per_arm, seed)
     if n_per_arm <= 0:
         raise ValidationError(f"n_per_arm must be positive, got {n_per_arm}")
     rng = np.random.default_rng(seed)

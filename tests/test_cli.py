@@ -570,6 +570,22 @@ class TestCsvInputRules:
         with pytest.raises(DataError, match="d.csv: unexpected tokenizer state"):
             ingest(path, config_for(path))
 
+    # Ragged rows are named by the csv module's field count, whatever the
+    # parser's error says; a plain file and a quoted one alike.
+    @pytest.mark.parametrize(
+        "text", ["a,y,m\n0,0,1\n\n1,1\n0,1,0\n", 'a,y,m\n0,0,1\n\n1,"1,0"\n0,1,0\n'], ids=["plain", "quoted"]
+    )
+    def test_ragged_row_is_named_by_its_field_count(self, monkeypatch, tmp_path, text):
+        path = write_text(tmp_path / "d.csv", text)
+
+        def fail(body):
+            raise ValueError("some other wording")
+
+        monkeypatch.setattr(cli, "_load_cells", fail)
+        with pytest.raises(DataError) as info:
+            ingest(path, config_for(path))
+        assert str(info.value) == "row 3: 2 fields, but the header has 3"
+
     def test_plain_file_is_never_parsed(self, monkeypatch, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,y,m,note\n0,0,1,x\n \n,,,\n1,1,0,y z\n 0 ,NA,1,\n1,0,nan,")
 
@@ -1204,6 +1220,8 @@ def assert_exit_contract(argv):
 
 
 FUZZ_CSV = b"a,y,m\n" + b"".join(f"{i % 2},{(i // 2) % 2},{(i // 4) % 2}\n".encode() for i in range(16))
+# The header line deleted, blanked, short of one name, with one name twice, or a data row.
+FUZZ_HEADERS = [b"", b"\n", b"y,m\n", b"a,m\n", b"a,y\n", b"a,a,y,m\n", b"a,y,y,m\n", b"a,y,m,m\n", b"1,0,1\n"]
 FUZZ_BYTES = [
     b"\xef\xbb\xbf", b"\r", b"\r\n", b'"', b'""', b"\x00", b"\xff", b"\xc3", b"inf", b"-inf", b"1e400",
     b"nan", b"NA", b",", b"\n", b" ", b"a,", b"m,", b"2", b"0.5",
@@ -1232,9 +1250,10 @@ class TestExitCodeContract:
             st.tuples(st.integers(0, len(FUZZ_CSV)), st.integers(0, 2), st.sampled_from(FUZZ_BYTES)), max_size=4
         ),
         rule=RULE_TEXT,
+        header=st.just(b"a,y,m\n") | st.sampled_from(FUZZ_HEADERS),
     )
-    def test_mutated_csv(self, fuzz_path, edits, rule):
-        data = bytearray(FUZZ_CSV)
+    def test_mutated_csv(self, fuzz_path, edits, header, rule):
+        data = bytearray(header + FUZZ_CSV[FUZZ_CSV.index(b"\n") + 1 :])
         for at, cut, insert in edits:
             data[at : at + cut] = insert
         fuzz_path.write_bytes(bytes(data))

@@ -220,11 +220,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             InferenceConfig(seed=-1)
         # The draws cap is checked on the config alone; nothing is simulated here.
+        # A bool is not an integer: seed=True would be read as seed 1.
         for bad in (dict(seed=1.5), dict(seed=-0.5), dict(draws=150.5), dict(seed=2**64), dict(draws=1_000_001),
-                    dict(draws=np.int64(10**12))):
+                    dict(draws=np.int64(10**12)), dict(seed=True), dict(seed=np.True_)):
             with pytest.raises(ValidationError):
                 InferenceConfig(**bad)
-        assert InferenceConfig(draws=np.int64(200), seed=np.uint64(2**64 - 1)).draws == 200
+        numpy_config = InferenceConfig(draws=np.int64(200), seed=np.uint64(2**64 - 1))
+        assert (type(numpy_config.draws), type(numpy_config.seed)) == (int, int)
+        assert numpy_config == InferenceConfig(draws=200, seed=2**64 - 1)
         assert InferenceConfig(draws=1_000_000).draws == 1_000_000
 
 

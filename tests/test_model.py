@@ -351,6 +351,21 @@ class TestTolerancesHaveOneHome:
                         found.append(f"{path.name}:{tok.start[0]}")
         assert found == []
 
+    def test_integer_rule_only_in_checked_ints(self):
+        # model._checked_ints is the one integer check; an operator.index
+        # anywhere else is a second copy of the rule.
+        found = []
+        for path in sorted(Path(mediation_bounds.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            # ast.walk reaches a nested function after its parent, so the innermost one wins.
+            owner = {id(node): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for node in ast.walk(f)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                    found.append(f"{path.name}: from operator import")
+                if isinstance(node, ast.Attribute) and node.attr == "index" and getattr(node.value, "id", None) == "operator":
+                    found.append(f"{path.name}:{owner.get(id(node))}")
+        assert found == ["model.py:_checked_ints"]
+
     def test_no_tolerance_literal_outside_model(self):
         # model.py names each tolerance with the decision it governs; a small
         # float literal anywhere else is an unnamed tolerance.  Comments and

@@ -205,6 +205,25 @@ class TestRandomPopulations:
                 gap = float((pop.q * (grid[0] - grid[1])).sum())
                 assert sign * gap >= 0.0
 
+    # Each was read as another population: "none" (a str, not the member) as
+    # MMR, a sign of 0 or 0.5 as no sign restriction, reference 2 as 0.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            {"assumptions": "none"},
+            {"assumptions": "mmr-pos-mediator"},
+            {"assumptions": Assumptions.MMR_POS_MEDIATOR, "mediator_effect_sign": 0},
+            {"assumptions": Assumptions.MMR_POS_MEDIATOR, "mediator_effect_sign": 0.5},
+            {"assumptions": Assumptions.MMR_POS_MEDIATOR, "mediator_effect_sign": True},
+            {"reference": 2},
+            {"reference": 1.0},
+            {"reference": True},
+        ],
+    )
+    def test_arguments_are_checked_as_a_spec(self, args):
+        with pytest.raises(ValidationError):
+            random_population(make_rng(113), **args)
+
     def test_soundness_sample(self):
         rng = make_rng(107)
         cases = [
@@ -244,6 +263,16 @@ class TestSampling:
         pop = iot_blindspot_population()
         with pytest.raises(ValidationError):
             sample_records(pop, 0, seed=1)
+
+    # seed=True was read as seed 1, and a float or bool arm size raised TypeError.
+    @pytest.mark.parametrize("n_per_arm, seed", [(200, True), (200, 1.0), (200, "1"), (2.0, 11), (True, 11)])
+    def test_arm_size_and_seed_must_be_integers(self, n_per_arm, seed):
+        with pytest.raises(ValidationError, match="n_per_arm and seed must be integers"):
+            sample_records(iot_blindspot_population(), n_per_arm, seed)
+
+    def test_numpy_integers_draw_as_python_ints(self):
+        pop = iot_blindspot_population()
+        assert np.array_equal(sample_records(pop, np.int32(200), np.uint64(11)), sample_records(pop, 200, 11))
 
     def test_point_mass_is_deterministic(self):
         pop = point_mass(1, 1, 0, 0, 1, 0)

@@ -10,7 +10,9 @@ in a directory named by its tree id under ``--workdir``), so both sides use
 their own benchmark code and package source.  Pair ``i`` uses seed
 ``first_seed + i`` on both sides; even pairs run the parent first, odd pairs
 the change.  Run length is the ``run_seconds`` of ``BENCHMARK.json``.  The
-workload's block in ``--out`` is replaced; the rest of the file is kept.
+workload's block in ``--out`` is replaced; the rest of the file is kept.  An
+``--out`` file whose ``sides`` name other commits is refused before any run,
+so that every block in a file was measured on the commits it names.
 
 For each end-to-end metric the block holds every run, each side's median and
 quartiles (``statistics.quantiles(n=4, method="inclusive")``), the change's
@@ -81,6 +83,9 @@ def main() -> None:
     roots = {}
     for side in ("parent", "change"):
         sides[side], roots[side] = checkout(getattr(args, side), args.workdir)
+    record = json.loads(args.out.read_text()) if args.out.exists() else {}
+    if record.setdefault("sides", sides) != sides:
+        parser.error(f"{args.out} holds blocks measured on other commits ({record['sides']}); use a new --out file")
     seeds = [args.first_seed + i for i in range(args.pairs)]
     first = ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)]
     results = {"parent": [], "change": []}
@@ -102,8 +107,6 @@ def main() -> None:
         block["median_change_pct"] = round(100 * (change_median - parent_median) / parent_median, 2)
         block["parent_iqr"] = round(block["parent"]["q3"] - block["parent"]["q1"], 6)
         metrics[name] = block
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("sides", {}).update(sides)
     record.setdefault("workloads", {})[args.workload] = {
         "seeds": seeds,
         "first_side": first,
