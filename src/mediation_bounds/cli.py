@@ -327,12 +327,15 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
 
 def _ragged_row(body: bytes, width: int) -> str | None:
     """The first record without ``width`` fields, as the csv module counts them; None if none, or on a csv error."""
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(body)))  # loadtxt reads cells of any length
     try:
         for row, record in enumerate(csv.reader(io.StringIO(body.decode("utf-8"), newline="")), start=2):
             if len(record) != width:
                 return f"row {row}: {len(record)} fields, but the header has {width}"
     except csv.Error:
         pass
+    finally:
+        csv.field_size_limit(limit)
     return None
 
 

@@ -179,10 +179,9 @@ class ObservedDistribution:
 
 
 def _checked_ints(message: str, *values) -> tuple[int, ...]:
-    """``values`` as Python ints: the package's one integer check.
+    """``values`` as Python ints, numpy integers included: the package's one integer check.
 
-    Python ints of any size and numpy integer scalars pass; a bool or a
-    non-integer such as 1.0 (which equals 1) raises ``message``.
+    A bool or a non-integer such as 1.0 (which equals 1) raises ``message``.
     """
     # Plain ints, the common case, return at once: every bound call builds a spec.
     for v in values:

@@ -503,6 +503,8 @@ class TestCsvInputRules:
             (["0,0", "1,1"], "row 2: 2 fields, but the header has 3"),
             (["0,0,1,5", "1,1,0", "0,1,0"], "row 2: 4 fields, but the header has 3"),
             (["0,0,1", "", "1,0,0", '1,"1,0"'], "row 4: 2 fields, but the header has 3"),
+            # A cell longer than the csv module's default field size limit.
+            (["0,0,1", "1,1," + "7" * 200_000, "1,1", "0,1,0"], "row 4: 2 fields, but the header has 3"),
         ],
     )
     def test_ragged_rows_are_data_errors(self, capsys, tmp_path, rows, message):
