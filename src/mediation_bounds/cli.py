@@ -414,6 +414,10 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     treatment, outcome, and that mediator only), the total row count, and the
     (a, 0, y) cell counts of the rows complete in treatment and outcome, which
     anchor the run-level ATE reference line.
+
+    Not thread-safe: naming a ragged row raises the csv module's process-wide
+    ``csv.field_size_limit`` until the row is found, so a thread reading CSV
+    meanwhile sees the raised limit.
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     if len(set(columns)) != len(columns):

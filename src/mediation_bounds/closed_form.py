@@ -238,7 +238,7 @@ def anie_expressions(spec: EstimandSpec) -> tuple[tuple[Expression, ...], tuple[
 
 
 def _evaluate(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """``rows @ cells``, each row's eight products added in index order.
+    """``rows @ cells``, each row's products added in index order.
 
     cumsum fixes the order, so no value depends on the BLAS build or on which rows are stacked.
     """

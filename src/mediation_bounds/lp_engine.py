@@ -15,6 +15,10 @@ need is linear in psi:
   sign * (P(yA=1, yB=0) - P(yA=0, yB=1)) >= 0,
 * the cross-world mean E[Y(ref, M(1-ref))] is the objective.
 
+Each row is a sixteen-stratum slice of one set of six-axis potential-outcome
+grids, defined here once; ``oracle`` builds its maps to the observables and the
+true effects from the same grids, so the LP and its ground truth share one model.
+
 Extremizing the objective over this polytope and translating back to
 delta(ref) gives bounds that are sharp by construction.  Only the program's
 right-hand side depends on the data, so by LP duality its optima are maxima
@@ -69,7 +73,22 @@ def strata_index(y_a: int, y_b: int, m1: int, m0: int) -> int:
     return 8 * y_a + 4 * y_b + 2 * m1 + m0
 
 
-_BITS = [(a, b, c, d) for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]
+# Index grids over the six binary potential variables, axes (y11, y10, y01, y00, m1, m0),
+# where y{a}{m} is Y(a, m) and m{a} is M(a).  The LP rows and the oracle's maps use only these.
+_Y11, _Y10, _Y01, _Y00, _M1, _M0 = np.indices((2,) * 6)
+_M = (_M0, _M1)  # _M[a] = M(a)
+_Y = ((_Y00, _Y01), (_Y10, _Y11))  # _Y[a][m] = Y(a, m)
+_FACTUAL = tuple(np.where(_M[a] == 1, _Y[a][1], _Y[a][0]) for a in (0, 1))  # Y(a, M(a))
+_CROSS = tuple(np.where(_M[1 - a] == 1, _Y[a][1], _Y[a][0]) for a in (0, 1))  # Y(a, M(1-a))
+_DEFIER = (_M1 == 0) & (_M0 == 1)
+
+
+def _strata(grid: np.ndarray, reference: int) -> np.ndarray:
+    """A six-axis grid as sixteen stratum coefficients at ``reference``.
+
+    Holding the other arm's outcome axes at 0 leaves (Y(ref, 1), Y(ref, 0), M(1), M(0)) in ``strata_index`` order.
+    """
+    return (grid[:, :, 0, 0] if reference == 1 else grid[0, 0]).reshape(16)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +112,7 @@ class StrataDistribution16:
         return float(self.psi[strata_index(y_a, y_b, m1, m0)])
 
     def defier_mass(self) -> float:
-        return float(sum(self.psi[strata_index(a, b, 0, 1)] for a in (0, 1) for b in (0, 1)))
+        return float(self.psi[_strata(_DEFIER, self.reference)].sum())
 
 
 @dataclass(frozen=True)
@@ -154,63 +173,35 @@ def build_lp(dist: ObservedDistribution, spec: EstimandSpec, sense: Sense) -> Li
     """
     ref = spec.reference
     p_ref = dist.arm(ref)
-    opp_margin = dist.mediator_margin(1 - ref)
 
-    equalities: list[tuple[tuple[float, ...], float]] = []
+    def row(grid: np.ndarray) -> tuple[float, ...]:
+        return tuple(_strata(grid, ref).astype(float))
+
+    equalities: list[tuple[tuple[float, ...], float]] = [((1.0,) * 16, 1.0)]
     labels: list[str] = ["simplex: total mass = 1"]
-    equalities.append((tuple(1.0 for _ in range(16)), 1.0))
-
-    # Reference-arm joint cells: in arm ref the realized mediator is m1 when
-    # ref = 1 and m0 when ref = 0, and the realized outcome is yA or yB
-    # according to that mediator value.
+    # Reference-arm joint cells: arm ref reveals its factual outcome and mediator.
     for y in (0, 1):
         for m in (0, 1):
-            row = np.zeros(16)
-            for a, b, c, d in _BITS:
-                m_obs = c if ref == 1 else d
-                y_obs = a if m_obs == 1 else b
-                if m_obs == m and y_obs == y:
-                    row[strata_index(a, b, c, d)] = 1.0
-            equalities.append((tuple(row), float(p_ref[2 * y + m])))
+            equalities.append((row((_FACTUAL[ref] == y) & (_M[ref] == m)), float(p_ref[2 * y + m])))
             labels.append(f"arm {ref} joint cell (y={y}, m={m})")
-
     # The opposite arm identifies only its mediator margin.
-    row = np.zeros(16)
-    for a, b, c, d in _BITS:
-        m_opp = d if ref == 1 else c
-        if m_opp == 1:
-            row[strata_index(a, b, c, d)] = 1.0
-    equalities.append((tuple(row), float(opp_margin)))
+    equalities.append((row(_M[1 - ref]), float(dist.mediator_margin(1 - ref))))
     labels.append(f"arm {1 - ref} mediator margin P(M=1|A={1 - ref})")
 
     if spec.assumptions in (Assumptions.MMR, Assumptions.MMR_POS_MEDIATOR):
         for a in (0, 1):
             for b in (0, 1):
-                row = np.zeros(16)
-                row[strata_index(a, b, 0, 1)] = 1.0
-                equalities.append((tuple(row), 0.0))
+                equalities.append((row(_DEFIER & (_Y[ref][1] == a) & (_Y[ref][0] == b)), 0.0))
                 labels.append(f"no mediator defiers: psi({a},{b},0,1) = 0")
 
     inequalities: list[tuple[tuple[float, ...], float]] = []
     if spec.assumptions is Assumptions.MMR_POS_MEDIATOR:
-        sign = float(spec.mediator_effect_sign)
-        row = np.zeros(16)
-        for c in (0, 1):
-            for d in (0, 1):
-                row[strata_index(1, 0, c, d)] += sign
-                row[strata_index(0, 1, c, d)] -= sign
-        inequalities.append((tuple(row), 0.0))
+        # Signed in integers, so a zero coefficient prints as 0, never -0.
+        inequalities.append((row(spec.mediator_effect_sign * (_Y[ref][1] - _Y[ref][0])), 0.0))
         labels.append(f"mediator effect on arm-{ref} outcome has sign {spec.mediator_effect_sign:+d}")
 
-    objective = np.zeros(16)
-    for a, b, c, d in _BITS:
-        m_cross = d if ref == 1 else c
-        y_cross = a if m_cross == 1 else b
-        if y_cross == 1:
-            objective[strata_index(a, b, c, d)] = 1.0
-
     return LinearProgram(
-        objective=tuple(objective),
+        objective=row(_CROSS[ref]),
         equalities=tuple(equalities),
         inequalities=tuple(inequalities),
         sense=sense,

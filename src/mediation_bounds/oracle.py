@@ -5,16 +5,18 @@ variables
 
     (Y(1,1), Y(1,0), Y(0,1), Y(0,0), M(1), M(0)),
 
-which is everything there is to know about a binary mediation population.  All
-estimands have exact summation formulas here, and marginalizing yields both the
-observable distribution and the sixteen-stratum distributions the LP engine
-works with.  Tests use this module in two directions:
+which is everything there is to know about a binary mediation population.  The
+observables and the true effects are two fixed linear maps of the law, built
+from the same six-axis grids that give ``lp_engine``'s program its rows, and
+marginalizing yields the sixteen-stratum distributions that program works with.
+Tests use this module in two directions:
 
 * soundness: for populations satisfying an assumption set, the true effect must
   land inside the interval computed from the induced observables;
 * sharpness: each LP endpoint must be attained by some full population that is
   observationally indistinguishable from the input, obtained by extending the
-  LP witness with an independent fill of the unconstrained potential outcomes.
+  LP witness with an independent fill of the unconstrained potential outcomes,
+  which must also satisfy the assumption set.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_form, lp_engine
+from .closed_form import _evaluate
+from .lp_engine import _CROSS, _DEFIER, _FACTUAL, _M, _Y
 from .model import (
     _POP_TOL,
     ORDER_TOL,
@@ -33,16 +37,21 @@ from .model import (
     ValidationError,
     _checked_ints,
     _checked_masses,
-    from_probabilities,
 )
 
-# Index grids over the six potential-variable axes, in the canonical axis order
-# (y11, y10, y01, y00, m1, m0).
-_Y11, _Y10, _Y01, _Y00, _M1, _M0 = np.indices((2,) * 6)
-_Y_TREATED = np.where(_M1 == 1, _Y11, _Y10)  # Y(1, M(1)): factual under treatment
-_Y_CONTROL = np.where(_M0 == 1, _Y01, _Y00)  # Y(0, M(0)): factual under control
-_Y_CROSS_1 = np.where(_M0 == 1, _Y11, _Y10)  # Y(1, M(0)): cross-world, reference 1
-_Y_CROSS_0 = np.where(_M1 == 1, _Y01, _Y00)  # Y(0, M(1)): cross-world, reference 0
+
+def _linear_map(grids: list[np.ndarray]) -> np.ndarray:
+    """Six-axis grids as the rows of a fixed linear map of the flattened law q, for ``_evaluate``."""
+    return np.array(grids, dtype=float).reshape(len(grids), 64)
+
+
+# One row per observed cell (arm 0's four, then arm 1's, in (y, m) order), and one per
+# TrueEstimands field (tau, alpha, delta0, delta1, zeta0, zeta1).
+_OBSERVED = _linear_map([(_FACTUAL[a] == y) & (_M[a] == m) for a in (0, 1) for y in (0, 1) for m in (0, 1)])
+_ESTIMANDS = _linear_map(
+    [_FACTUAL[1] - _FACTUAL[0], _M[1] - _M[0], _CROSS[0] - _FACTUAL[0],
+     _FACTUAL[1] - _CROSS[1], _CROSS[1] - _FACTUAL[0], _FACTUAL[1] - _CROSS[0]]
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +89,8 @@ class TrueEstimands:
 
 
 def true_estimands(pop: FullPopulation64) -> TrueEstimands:
-    """Treatment, mediator, indirect, and direct effects by direct summation."""
-    q = pop.q
-    tau = float((q * (_Y_TREATED - _Y_CONTROL)).sum())
-    alpha = float((q * (_M1 - _M0)).sum())
-    delta1 = float((q * (_Y_TREATED - _Y_CROSS_1)).sum())
-    delta0 = float((q * (_Y_CROSS_0 - _Y_CONTROL)).sum())
-    zeta1 = float((q * (_Y_TREATED - _Y_CROSS_0)).sum())
-    zeta0 = float((q * (_Y_CROSS_1 - _Y_CONTROL)).sum())
-    return TrueEstimands(tau=tau, alpha=alpha, delta0=delta0, delta1=delta1, zeta0=zeta0, zeta1=zeta1)
+    """Treatment, mediator, indirect, and direct effects, one fixed linear map of the law."""
+    return TrueEstimands(*_evaluate(_ESTIMANDS, pop.q.reshape(64)).tolist())
 
 
 def strata_proportions(pop: FullPopulation64) -> np.ndarray:
@@ -98,10 +100,7 @@ def strata_proportions(pop: FullPopulation64) -> np.ndarray:
 
 def observed_from_population(pop: FullPopulation64) -> ObservedDistribution:
     """Observable cell probabilities induced by randomized treatment (analytic, n = 0)."""
-    q = pop.q
-    arm1 = [float(q[(_Y_TREATED == y) & (_M1 == m)].sum()) for y in (0, 1) for m in (0, 1)]
-    arm0 = [float(q[(_Y_CONTROL == y) & (_M0 == m)].sum()) for y in (0, 1) for m in (0, 1)]
-    return from_probabilities(arm0, arm1)
+    return ObservedDistribution(_evaluate(_OBSERVED, pop.q.reshape(64)))
 
 
 def strata16_from_population(pop: FullPopulation64, reference: int) -> lp_engine.StrataDistribution16:
@@ -145,20 +144,15 @@ def random_population(
     as :class:`EstimandSpec` checks them.
     """
     spec = EstimandSpec(reference, assumptions, mediator_effect_sign)
-    defier = (_M1 == 0) & (_M0 == 1)
+    support = np.full((2,) * 6, True) if spec.assumptions is Assumptions.NONE else ~_DEFIER
+    alpha = np.ones(int(support.sum()))
+    signed = spec.assumptions is Assumptions.MMR_POS_MEDIATOR
+    gap = _Y[spec.reference][1] - _Y[spec.reference][0]
     while True:
         q = np.zeros((2,) * 6)
-        if spec.assumptions is Assumptions.NONE:
-            q = rng.dirichlet(np.ones(64)).reshape((2,) * 6)
-        else:
-            support = ~defier
-            q[support] = rng.dirichlet(np.ones(int(support.sum())))
-        pop = FullPopulation64(q=q)
-        if spec.assumptions is not Assumptions.MMR_POS_MEDIATOR:
-            return pop
-        gap = _Y11 - _Y10 if spec.reference == 1 else _Y01 - _Y00
-        if spec.mediator_effect_sign * float((q * gap).sum()) >= 0.0:
-            return pop
+        q[support] = rng.dirichlet(alpha)
+        if not signed or spec.mediator_effect_sign * float((q * gap).sum()) >= 0.0:
+            return FullPopulation64(q=q)
 
 
 def sample_records(pop: FullPopulation64, n_per_arm: int, seed: int) -> np.ndarray:
@@ -174,12 +168,11 @@ def sample_records(pop: FullPopulation64, n_per_arm: int, seed: int) -> np.ndarr
     flat = pop.q.reshape(64)
     flat = flat / flat.sum()  # exact renormalization for the sampler
     out = np.empty((2 * n_per_arm, 3), dtype=np.uint8)
-    arms = ((1, slice(0, n_per_arm), _M1, _Y_TREATED), (0, slice(n_per_arm, 2 * n_per_arm), _M0, _Y_CONTROL))
-    for a, sl, m, y in arms:
+    for a, sl in ((1, slice(0, n_per_arm)), (0, slice(n_per_arm, 2 * n_per_arm))):
         draws = rng.choice(64, size=n_per_arm, p=flat)  # flat indices into the six axes
         out[sl, 0] = a
-        out[sl, 1] = m.reshape(64)[draws]
-        out[sl, 2] = y.reshape(64)[draws]
+        out[sl, 1] = _M[a].reshape(64)[draws]
+        out[sl, 2] = _FACTUAL[a].reshape(64)[draws]
     return out
 
 
@@ -198,12 +191,19 @@ def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec) -> bool:
 
     For each endpoint the LP witness is extended to a full population, which
     must (a) reproduce the reference-arm cells and the opposite-arm mediator
-    margin of ``dist`` and (b) have a true delta equal to the endpoint, all within
-    ``ORDER_TOL``.  An infeasible program raises ``lp_engine.InfeasibleError``;
-    that is an incompatibility report, not a sharpness failure.
+    margin of ``dist``, (b) have a true delta equal to the endpoint and (c)
+    satisfy the assumption set: no defier mass under ``mmr`` and
+    ``mmr-pos-mediator``, and sign * E[Y(ref, 1) - Y(ref, 0)] >= 0 under
+    ``mmr-pos-mediator``; all within ``ORDER_TOL``.  Check (c) fails a program
+    that lost a constraint row, whose witnesses still pass (a) and (b).  An
+    infeasible program raises ``lp_engine.InfeasibleError``; that is an
+    incompatibility report, not a sharpness failure.
     """
     cross_min, cross_max, wit_min, wit_max = lp_engine.cross_world_range(dist, spec)
     ref = spec.reference
+    restricted = spec.assumptions is not Assumptions.NONE
+    signed = spec.assumptions is Assumptions.MMR_POS_MEDIATOR
+    assumption_rows = _linear_map([_DEFIER, spec.mediator_effect_sign * (_Y[ref][1] - _Y[ref][0])])
     if ref == 1:
         endpoints = (dist.outcome_mean(1) - cross_max, dist.outcome_mean(1) - cross_min)
         witnesses = (wit_max, wit_min)
@@ -218,6 +218,9 @@ def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec) -> bool:
         if abs(induced.mediator_margin(1 - ref) - dist.mediator_margin(1 - ref)) > ORDER_TOL:
             return False
         if abs(true_estimands(pop).delta(ref) - endpoint) > ORDER_TOL:
+            return False
+        defiers, signed_gap = _evaluate(assumption_rows, pop.q.reshape(64))
+        if (restricted and defiers > ORDER_TOL) or (signed and signed_gap < -ORDER_TOL):
             return False
     return True
 

@@ -200,6 +200,14 @@ def test_criterion_05_bounds_are_sound_on_simulated_populations():
             if not soundness_check(pop, spec):
                 bad += 1
         failures[assumptions.value] = bad
+    # The sign -1 specs, drawn after the three sets above so their draws stay as they were.
+    bad = 0
+    for i in range(n_pops):
+        reference = i & 1
+        pop = random_population(rng, Assumptions.MMR_POS_MEDIATOR, -1, reference)
+        if not soundness_check(pop, EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR, -1)):
+            bad += 1
+    failures["mmr-pos-mediator sign -1"] = bad
     ok = all(bad == 0 for bad in failures.values())
     summary = ", ".join(
         f"{name}: {n_pops - bad}/{n_pops}" for name, bad in failures.items()
@@ -235,6 +243,16 @@ def test_criterion_06_bounds_are_sharp():
             if not sharpness_check(dist, spec):
                 bad += 1
         failures[assumptions.value] = bad
+    # The sign -1 specs, drawn after the three sets above so their draws stay as they were.
+    bad = 0
+    for i in range(n_dists):
+        reference = i & 1
+        dist = observed_from_population(
+            random_population(rng, Assumptions.MMR_POS_MEDIATOR, -1, reference)
+        )
+        if not sharpness_check(dist, EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR, -1)):
+            bad += 1
+    failures["mmr-pos-mediator sign -1"] = bad
     ok = all(bad == 0 for bad in failures.values())
     summary = ", ".join(
         f"{name}: {n_dists - bad}/{n_dists}" for name, bad in failures.items()
@@ -242,8 +260,8 @@ def test_criterion_06_bounds_are_sharp():
     _line(
         6,
         "PASS" if ok else "FAIL",
-        f"witness populations reproduce the constrained observables and attain both "
-        f"endpoints within 1e-9 ({summary}; references alternating)",
+        f"witness populations reproduce the constrained observables, satisfy the assumption "
+        f"set and attain both endpoints within 1e-9 ({summary}; references alternating)",
     )
     assert ok, failures
 

@@ -1,5 +1,6 @@
 """LP construction, the bespoke simplex, and agreement with an external solver."""
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,27 @@ ALL_SPECS = [
     EstimandSpec(reference=0, assumptions=Assumptions.MMR_POS_MEDIATOR),
     EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR, mediator_effect_sign=-1),
 ]
+
+# sha256 of format_lp's text for every (spec, sense) program on the e1 table,
+# keyed by (assumptions, reference, mediator_effect_sign, sense).
+PROGRAM_SHA256 = {
+    ("none", 0, 1, "MIN"): "d9e71f794ee7a3e73159f45ef42e98403604d4dd64b2e9615d600b19dce02804",
+    ("none", 0, 1, "MAX"): "456752a2af4aa639f335e751de8148e9fbd59b06649925005115f6ae7696a718",
+    ("none", 1, 1, "MIN"): "7c35feaeaed165963ea2964411359d031078dac70d64970d3bf3abe35eacaa4c",
+    ("none", 1, 1, "MAX"): "2e96c08cdf2093d16df27cd9b5a74ec015b9cc1e1b97f3e569d0ffad8efab2f4",
+    ("mmr", 0, 1, "MIN"): "083cdcc112f77e62cfdffb8ce3c2f96757ba405b883a47eb90ae7e57ab71019f",
+    ("mmr", 0, 1, "MAX"): "d058aec223ae44912c4f7d87ae20130a2baad2f278e2ee1c66ead6e0148ee24d",
+    ("mmr", 1, 1, "MIN"): "af5821f05528526440758b12d7ed9def4d5b77508bbe294cef7f34a466c7f8c0",
+    ("mmr", 1, 1, "MAX"): "28f1614a00aba1bfc5ebe1064bc5b54ed6815861309e8e22287db298541bef20",
+    ("mmr-pos-mediator", 0, 1, "MIN"): "d66126c7b75d19716b4e1ba34c7ade991e546e992b06d05a633f6e202ed224f1",
+    ("mmr-pos-mediator", 0, 1, "MAX"): "0eeda8905a9ffcee8bba944fe8896c58968139e7e5c9917e73d633bfd6ccd94f",
+    ("mmr-pos-mediator", 1, 1, "MIN"): "f27488f8a5acabd8fa7981b25aa087e2b772f81f16487d4abae50b5c39bef47c",
+    ("mmr-pos-mediator", 1, 1, "MAX"): "dbd65fb6e2e100154486c5818a1499ff3dc404e28ecf5feb40083386f8f7bebf",
+    ("mmr-pos-mediator", 0, -1, "MIN"): "1c423fe3a6870a1d16e683c08e1e46b4d5d95c87dbd3f2d61281b6a4ffcb7b17",
+    ("mmr-pos-mediator", 0, -1, "MAX"): "0ebeac4709502334d0b09aacc282b04f9e9db274baf8b413ec3e3857b221a5a1",
+    ("mmr-pos-mediator", 1, -1, "MIN"): "54812cb8ea060fd6d6a8c0b83fca3125ebbe4c96c1cd6e99b445128e9ed05721",
+    ("mmr-pos-mediator", 1, -1, "MAX"): "97e4cf2442ffe092af9fb6cef16dfef43fedc8493a70ca9972c81cc81e72eb51",
+}
 
 
 def scipy_optimum(lp: LinearProgram) -> float:
@@ -96,6 +118,12 @@ class TestConstruction:
         )
         expected = (GOLDEN / "lp_e1_mmr_ref1.txt").read_text()
         assert format_lp(lp) == expected
+
+    @pytest.mark.parametrize("key", sorted(PROGRAM_SHA256), ids=lambda key: "-".join(map(str, key)))
+    def test_program_text_is_pinned(self, e1_dist, key):
+        assumptions, reference, sign, sense = key
+        lp = build_lp(e1_dist, EstimandSpec(reference, Assumptions(assumptions), sign), Sense[sense])
+        assert hashlib.sha256(format_lp(lp).encode()).hexdigest() == PROGRAM_SHA256[key]
 
     def test_program_validation(self):
         good = build_lp(from_counts([25] * 8), EstimandSpec(reference=1), Sense.MIN)

@@ -7,6 +7,7 @@ from mediation_bounds import (
     Assumptions,
     EstimandSpec,
     FullPopulation64,
+    LinearProgram,
     Sense,
     ValidationError,
     ate,
@@ -238,6 +239,11 @@ class TestRandomPopulations:
             for _ in range(60):
                 pop = random_population(rng, assumptions, reference=reference)
                 assert soundness_check(pop, spec)
+        for reference in (1, 0):
+            spec = EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR, -1)
+            for _ in range(60):
+                pop = random_population(rng, Assumptions.MMR_POS_MEDIATOR, -1, reference)
+                assert soundness_check(pop, spec)
 
     def test_sharpness_sample(self):
         rng = make_rng(109)
@@ -248,6 +254,10 @@ class TestRandomPopulations:
                 for reference in (0, 1):
                     spec = EstimandSpec(reference=reference, assumptions=assumptions)
                     assert sharpness_check(dist, spec)
+        for _ in range(20):
+            dist = observed_from_population(random_population(rng, Assumptions.MMR_POS_MEDIATOR, -1))
+            for reference in (0, 1):
+                assert sharpness_check(dist, EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR, -1))
 
     @pytest.mark.parametrize("reference", [0, 1])
     def test_sharpness_of_an_infeasible_program_raises_infeasible_error(self, reference):
@@ -256,6 +266,46 @@ class TestRandomPopulations:
         spec = EstimandSpec(reference=reference, assumptions=Assumptions.MMR)
         with pytest.raises(lp_engine.InfeasibleError):
             sharpness_check(dist, spec)
+
+
+class TestWitnessAssumptions:
+    """``sharpness_check`` checks each witness against the assumption set, not only the program."""
+
+    @staticmethod
+    def _dropping(prefix):
+        # build_lp without the rows whose labels start with ``prefix``.
+        build = lp_engine.build_lp
+
+        def patched(dist, spec, sense):
+            lp = build(dist, spec, sense)
+            n_eq = len(lp.equalities)
+            keep = [i for i, label in enumerate(lp.row_labels) if not label.startswith(prefix)]
+            return LinearProgram(
+                objective=lp.objective,
+                equalities=tuple(lp.equalities[i] for i in keep if i < n_eq),
+                inequalities=tuple(lp.inequalities[i - n_eq] for i in keep if i >= n_eq),
+                sense=lp.sense,
+                reference=lp.reference,
+                row_labels=tuple(lp.row_labels[i] for i in keep),
+            )
+
+        return patched
+
+    @pytest.mark.parametrize("reference", [0, 1])
+    @pytest.mark.parametrize(
+        "assumptions, sign, prefix",
+        [
+            (Assumptions.MMR, 1, "no mediator defiers"),
+            (Assumptions.MMR_POS_MEDIATOR, 1, "no mediator defiers"),
+            (Assumptions.MMR_POS_MEDIATOR, 1, "mediator effect"),
+            (Assumptions.MMR_POS_MEDIATOR, -1, "mediator effect"),
+        ],
+    )
+    def test_a_dropped_constraint_row_fails(self, monkeypatch, e1_dist, reference, assumptions, sign, prefix):
+        spec = EstimandSpec(reference, assumptions, sign)
+        assert sharpness_check(e1_dist, spec)
+        monkeypatch.setattr(lp_engine, "build_lp", self._dropping(prefix))
+        assert not sharpness_check(e1_dist, spec)
 
 
 class TestSampling:
