@@ -45,17 +45,6 @@ from .closed_form import (
     bounds_mmr_pos_mediator,
     bounds_no_assumption,
 )
-from .lp_engine import (
-    InfeasibleError,
-    LinearProgram,
-    Sense,
-    StrataDistribution16,
-    UnboundedError,
-    build_lp,
-    cross_world_range,
-    format_lp,
-    solve,
-)
 from .inference import (
     InferenceConfig,
     IntervalEstimate,
@@ -65,20 +54,54 @@ from .inference import (
     estimate_distribution,
     iot_test,
 )
-from .oracle import (
-    FullPopulation64,
-    TrueEstimands,
-    extend_witness,
-    iot_blindspot_population,
-    observed_from_population,
-    random_population,
-    sample_records,
-    sharpness_check,
-    soundness_check,
-    strata16_from_population,
-    strata_proportions,
-    true_estimands,
-)
+
+# The stratum LP and the oracle serve validation and the tests; the command
+# line needs neither, so they load on first use.  Their names are looked up
+# on each access and never stored here, so a function rebound in its own
+# module (as tracing does) is what the package serves too.
+_LAZY = {
+    "lp_engine": (
+        "InfeasibleError",
+        "LinearProgram",
+        "Sense",
+        "StrataDistribution16",
+        "UnboundedError",
+        "build_lp",
+        "cross_world_range",
+        "format_lp",
+        "solve",
+    ),
+    "oracle": (
+        "FullPopulation64",
+        "TrueEstimands",
+        "extend_witness",
+        "iot_blindspot_population",
+        "observed_from_population",
+        "random_population",
+        "sample_records",
+        "sharpness_check",
+        "soundness_check",
+        "strata16_from_population",
+        "strata_proportions",
+        "true_estimands",
+    ),
+}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    import importlib
+
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _LAZY_HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_LAZY_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
+
 
 __all__ = [
     "Assumptions",

@@ -15,6 +15,8 @@ are reported at level 1/2 (half-median-unbiased point bounds) and at
 1 - alpha/2 (confidence interval for the identified set).  The max side is
 the min side run on negated estimates and deviations.  The theta_j come from
 ``closed_form``'s one evaluator, so they are bit-equal to the point bounds.
+Each k is ``np.quantile``'s default (linear) value of the studentized row
+maxima, read off one sort per selection stage rather than computed by it.
 
 Standard errors come from the exact multinomial covariance of the cell
 frequencies within each arm.  The covariance matrix used for simulation and
@@ -237,6 +239,28 @@ def _row_max(devs: np.ndarray, se: np.ndarray, usable: np.ndarray) -> np.ndarray
     return (devs[:, usable] / se[usable]).max(axis=1)
 
 
+def _quantiles(rows, gammas: list[float]) -> np.ndarray:
+    """``np.quantile(rows, gammas, axis=1)``, read off one sort of each row.
+
+    ``rows`` is a 2-D array or a list of equal-length rows.  This is numpy's
+    default ``linear`` method, written out: the virtual index (draws - 1) *
+    gamma falls between the order statistics at its floor and at floor + 1
+    (both the largest once it reaches draws - 1), and numpy's lerp form
+    interpolates them.  The values are ``np.quantile``'s bit for bit.
+    """
+    ordered = np.array(rows)
+    ordered.sort(axis=1)
+    last = ordered.shape[1] - 1
+    virtual = last * np.array(gammas, dtype=float)
+    below = np.floor(virtual)
+    at_end = virtual >= last
+    a = ordered[:, np.where(at_end, last, below).astype(np.intp)]
+    b = ordered[:, np.where(at_end, last, below + 1).astype(np.intp)]
+    t = virtual - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t).T
+
+
 def _min_sides(
     sides: list[tuple[np.ndarray, np.ndarray, np.ndarray]], *, n: int, alpha: float
 ) -> list[tuple[float, float, SideDiagnostics]]:
@@ -245,17 +269,21 @@ def _min_sides(
     The upper side is a min.  The lower side, a max, is a min of the negated
     estimates and deviations, with its endpoints negated back; IEEE rounding
     is symmetric in sign, so the mirror is exact.  The sides share only their
-    quantile calls: each stage stacks every side's row maxima as one column
-    and reads all its levels from one ``np.quantile`` call.
+    sorts: each stage stacks every side's row maxima as one row of
+    ``_quantiles``, which sorts each row once and reads all the stage's levels
+    off it.  That gives ``np.quantile``'s values exactly.  Only a tie between
+    +0.0 and -0.0 could sort into a different sign bit, and none arises: a
+    side with no studentizable expression has an all +0.0 row, and row maxima
+    of continuous Gaussian draws do not tie at zero.
     """
     studentizable = [se > _ZERO_SE_TOL for _, se, _ in sides]
 
-    def critical(masks: list[np.ndarray], gammas) -> list:
+    def critical(masks: list[np.ndarray], gammas: list[float]) -> list[list[float]]:
         maxima = [_row_max(devs, se, mask) for (_, se, devs), mask in zip(sides, masks)]
-        return np.quantile(np.column_stack(maxima), gammas, axis=0).tolist()
+        return _quantiles(maxima, gammas).tolist()
 
     # _arm_sizes keeps n >= 4, so the level 1 - 1/log n is positive.
-    k0s = critical(studentizable, 1.0 - 1.0 / np.log(n))
+    (k0s,) = critical(studentizable, [1.0 - 1.0 / np.log(n)])
 
     # Two-step selection: an expression stays only if it clears the best
     # slack-adjusted expression, where each competitor k is credited its own

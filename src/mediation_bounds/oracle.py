@@ -159,11 +159,14 @@ def sample_records(pop: FullPopulation64, n_per_arm: int, seed: int) -> np.ndarr
     """Simulate a balanced randomized study; returns an (2 * n_per_arm, 3) record array.
 
     Treated units report (1, M(1), Y(1, M(1))), controls (0, M(0), Y(0, M(0))).
-    Deterministic in ``seed``; ``n_per_arm`` and ``seed`` must be integers (not bools).
+    Deterministic in ``seed``; ``n_per_arm`` and ``seed`` must be integers (not bools),
+    and ``seed`` nonnegative, of any size.
     """
     n_per_arm, seed = _checked_ints("n_per_arm and seed must be integers", n_per_arm, seed)
     if n_per_arm <= 0:
         raise ValidationError(f"n_per_arm must be positive, got {n_per_arm}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     flat = pop.q.reshape(64)
     flat = flat / flat.sum()  # exact renormalization for the sampler

@@ -1352,6 +1352,31 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr.decode(errors="replace")
 
+    def test_counts_run_loads_neither_the_lp_nor_the_oracle(self, tmp_path):
+        # The package serves lp_engine's and oracle's names on first use and
+        # never stores them in its own namespace.
+        code = (
+            "import sys\n"
+            "import mediation_bounds, mediation_bounds.cli\n"
+            f"assert mediation_bounds.cli.main(['--counts', {E1_COUNTS!r}, '--draws', '100']) == 0\n"
+            "lazy = {'mediation_bounds.lp_engine', 'mediation_bounds.oracle'}\n"
+            "assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))\n"
+            "names = mediation_bounds.__all__\n"
+            "assert len(names) == len(set(names)) == 51 and set(names) <= set(dir(mediation_bounds))\n"
+            "star = {}\n"
+            "exec('from mediation_bounds import *', star)\n"
+            "assert all(star[name] is getattr(mediation_bounds, name) for name in names)\n"
+            "assert lazy <= set(sys.modules)\n"
+            "assert 'solve' not in vars(mediation_bounds) and 'sample_records' not in vars(mediation_bounds)\n"
+            "assert mediation_bounds.solve is mediation_bounds.lp_engine.solve\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(mediation_bounds.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, cwd=tmp_path, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stdout.startswith(b"{")
+
     @pytest.mark.skipif(shutil.which("mediation-bounds") is None, reason="console script not installed")
     def test_script_on_path(self):
         proc = subprocess.run(

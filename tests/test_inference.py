@@ -25,7 +25,7 @@ from mediation_bounds import (
     iot_blindspot_population,
     true_estimands,
 )
-from mediation_bounds.inference import SideDiagnostics, _min_sides, _simulation
+from mediation_bounds.inference import SideDiagnostics, _min_sides, _quantiles, _simulation
 from mediation_bounds.model import _ZERO_SE_TOL
 from conftest import calibration_population, make_rng, unique_binding_population
 
@@ -334,6 +334,50 @@ class TestSharedSimulation:
                     assert [diag.k_half, diag.k_ci] == np.quantile(row_max, [0.5, 1.0 - alpha / 2.0]).tolist()
                 else:
                     assert [diag.k_half, diag.k_ci] == [0.0, 0.0]
+
+
+class TestSortedQuantiles:
+    """``_quantiles`` reads ``np.quantile``'s linear-method values off one sort, byte for byte."""
+
+    ALPHAS = (1e-9, 0.001, 0.01, 0.05, 0.1, 0.2, 0.32, 0.5, 0.8, 0.999)
+    # The selection level 1 - 1/log n over the sample sizes _min_sides can see.
+    SELECTION = tuple(1.0 - 1.0 / np.log(n) for n in (4, 5, 9, 100, 10**4, 10**6, 2**31, 2**53))
+    # Level 0 and 1 and the quartiles: virtual indices that are exact integers
+    # at every draw count (0, 1) or where 4 divides draws - 1 (0.25, 0.75).
+    EXACT = (0.0, 0.25, 0.75, 1.0)
+
+    def columns(self, rng, draws):
+        """Gaussian columns on three scales, 40 signed columns of log-uniform
+        magnitude, a heavily tied column and an all-zero column."""
+        cols = rng.standard_normal((draws, 45))
+        cols[:, :3] *= [1.0, 1e-3, 40.0]
+        cols[:, 3:43] *= 10.0 ** rng.uniform(-6, 2, (draws, 40))
+        cols[:, 43] = rng.integers(-2, 3, size=draws) / 4.0
+        cols[:, 44] = 0.0
+        return cols
+
+    def test_equals_np_quantile_bytewise(self):
+        rng = make_rng(1717)
+        gammas = [0.5, *(1.0 - a / 2.0 for a in self.ALPHAS), *self.SELECTION, *self.EXACT]
+        sizes = [100, 101, 4001, 5000, *rng.integers(100, 5001, size=16).tolist()]
+        assert {d % 2 for d in sizes} == {0, 1} and any((d - 1) % 4 == 0 for d in sizes)
+        forms_differ = 0
+        for draws in sizes:
+            cols = self.columns(rng, draws)
+            if draws % 2 == 0:
+                # The median's weight is exactly 1/2, where numpy's lerp switches
+                # form; count the columns on which the two forms round apart.
+                a, b = np.sort(cols, axis=0)[draws // 2 - 1 : draws // 2 + 1]
+                forms_differ += int((a + (b - a) * 0.5 != b - (b - a) * 0.5).sum())
+            want = np.quantile(cols, gammas, axis=0)
+            got = _quantiles(cols.T, gammas)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), draws
+            # The list form _min_sides passes gives the same bytes, and the input is not sorted in place.
+            rows = list(cols.T)
+            assert _quantiles(rows, gammas).tobytes() == want.tobytes()
+            assert np.array_equal(np.column_stack(rows), cols)
+        assert forms_differ > 0
 
 
 class TestIntervalEstimation:

@@ -320,6 +320,19 @@ class TestSampling:
         with pytest.raises(ValidationError, match="n_per_arm and seed must be integers"):
             sample_records(iot_blindspot_population(), n_per_arm, seed)
 
+    # numpy's generator raised a bare ValueError that did not name the seed.
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), -(2**70)])
+    def test_negative_seed_is_refused(self, seed):
+        with pytest.raises(ValidationError, match=f"seed must be nonnegative, got {int(seed)}"):
+            sample_records(iot_blindspot_population(), 10, seed)
+
+    def test_seeds_past_64_bits_draw(self):
+        pop = iot_blindspot_population()
+        for seed in (2**64 - 1, 2**64, 2**200):
+            rec = sample_records(pop, 50, seed)
+            assert rec.shape == (100, 3) and np.array_equal(rec, sample_records(pop, 50, seed))
+        assert not np.array_equal(sample_records(pop, 200, 2**64), sample_records(pop, 200, 2**64 + 1))
+
     def test_numpy_integers_draw_as_python_ints(self):
         pop = iot_blindspot_population()
         assert np.array_equal(sample_records(pop, np.int32(200), np.uint64(11)), sample_records(pop, 200, 11))
