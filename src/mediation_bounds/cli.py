@@ -55,6 +55,10 @@ _BYTE_KIND = bytes(
     + 2 * (c == ord('"') or c > 127 or (chr(c).isspace() and not bytes([c]).isspace()))
     for c in range(256)
 )
+# A plain decimal's most bytes: a sign, 15 digits and a dot.  _DIVISORS holds
+# 10.0**f, then -10.0**f, for f from 0 to the span; those up to 10**15 are exact.
+_PLAIN_SPAN = 17
+_DIVISORS = np.concatenate([10.0 ** np.arange(_PLAIN_SPAN + 1), -(10.0 ** np.arange(_PLAIN_SPAN + 1))])
 _METHOD_NAMES = {
     Assumptions.NONE.value: "bounds-none",
     Assumptions.MMR.value: "bounds-mmr",
@@ -339,28 +343,90 @@ def _ragged_row(body: bytes, width: int) -> str | None:
     return None
 
 
+def _plain_decimals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float value of each bytes cell that is a plain decimal, NaN elsewhere, and which cells are.
+
+    A plain decimal is an optional ``+`` or ``-`` at byte 0, then 1 to 15
+    digits with at most one ``.``, and nothing else.  Its significand m is
+    below 10**15 and its f fraction digits give an exact 10.0**f, so the one
+    rounding of m / 10.0**f is float()'s, bit for bit; a ``-`` divides by
+    -10.0**f, which gives -0.0 for ``-0`` as float() does.
+
+    A zero byte is padding only because ``_read_table`` refuses a NUL: a
+    fixed-width cell is its bytes followed by zeros.  The cells are walked
+    column-major, byte k of every cell at once.  A plain decimal has at most
+    17 bytes, so only the first 17 are walked and a cell with an 18th is
+    refused; no counter exceeds 17, however wide the cells.
+    """
+    n, width = cells.size, cells.dtype.itemsize
+    grid = cells.view(np.uint8).reshape(n, width)
+    span = min(width, _PLAIN_SPAN)
+    columns = np.ascontiguousarray(grid[:, :span].T)
+    significand = np.zeros(n)
+    digits, dots, fraction, padding = (np.zeros(n, dtype=np.uint8) for _ in range(4))
+    for byte in columns:
+        digit = byte - ord("0")  # wraps below "0"
+        is_digit = digit < 10
+        # 10 m + d as m + (9 m + d): no branch per cell, and exact below 2**53.
+        significand += is_digit * (9 * significand + digit)
+        fraction += is_digit & (dots > 0)
+        digits += is_digit
+        dots += byte == ord(".")
+        padding += byte == 0
+    negative = columns[0] == ord("-")
+    signed = negative | (columns[0] == ord("+"))
+    # Every walked byte is a digit, a dot, padding or the sign at byte 0.
+    plain = (digits + dots + padding + signed == span) & (digits > 0) & (digits <= 15) & (dots <= 1)
+    if width > span:
+        plain &= grid[:, span] == 0
+    values = significand / _DIVISORS[fraction + (_PLAIN_SPAN + 1) * negative]
+    values[~plain] = np.nan
+    return values, plain
+
+
 def _parse_numbers(name: str, cells: np.ndarray) -> np.ndarray:
-    """The float value of each cell after stripping, NaN for a missing token; ``cells`` are str or bytes."""
+    """The float value of each cell after stripping, NaN for a missing token.
+
+    ``cells`` are loadtxt's str cells or the byte route's fixed-width bytes
+    cells.  Bytes cells that are plain decimals are decoded from their bytes
+    (:func:`_plain_decimals`), and str cells exactly "0" or "1" are read by
+    comparison; both give float()'s values.  Every other cell goes to
+    :func:`_cast_cells`.
+    """
+    if cells.dtype.kind == "S":
+        values, done = _plain_decimals(cells)
+    else:
+        values = np.full(cells.size, np.nan)
+        zero = cells == "0"
+        one = cells == "1"
+        values[zero] = 0.0
+        values[one] = 1.0
+        done = zero | one
+    rest = np.flatnonzero(~done)
+    values[rest] = _cast_cells(name, cells[rest], rest)
+    return values
+
+
+def _cast_cells(name: str, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The float value of each cell after stripping, NaN for a missing token.
+
+    The cast reads exactly what float() reads.  A cell that float() refuses
+    is a DataError naming its data row, from ``rows``, each cell's index
+    among the data rows.
+    """
     # The tokens in the cells' own type: a str never equals a bytes cell.
-    zero_token, one_token, *missing_tokens = (cells.dtype.type(t) for t in ("0", "1", *_MISSING_TOKENS))
+    missing_tokens = [cells.dtype.type(t) for t in _MISSING_TOKENS]
     values = np.full(cells.size, np.nan)
-    # Cells exactly "0" or "1" need no stripping; the rest are stripped first.
-    zero = cells == zero_token
-    one = cells == one_token
-    values[zero] = 0.0
-    values[one] = 1.0
-    rest = np.flatnonzero(~(zero | one))
-    tokens = np.strings.strip(cells[rest])
+    tokens = np.strings.strip(cells)
     # Missing tokens are empty or alphabetic, so only those cells are case-folded.
     maybe = np.flatnonzero(np.strings.isalpha(tokens) | (np.strings.str_len(tokens) == 0))
-    numeric = np.ones(rest.size, dtype=bool)
+    numeric = np.ones(cells.size, dtype=bool)
     numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), missing_tokens)]] = False
-    rest, tokens = rest[numeric], tokens[numeric]
     try:
-        values[rest] = tokens.astype(np.float64)
+        values[numeric] = tokens[numeric].astype(np.float64)
     except ValueError:
         # numpy's string-to-float cast accepts exactly what float() accepts.
-        for row, token in zip(rest.tolist(), tokens.tolist()):
+        for row, token in zip(rows[numeric].tolist(), tokens[numeric].tolist()):
             token = token.decode("ascii") if isinstance(token, bytes) else token
             try:
                 float(token)

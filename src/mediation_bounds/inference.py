@@ -31,6 +31,7 @@ as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -67,8 +68,9 @@ _MAX_DRAWS = 1_000_000
 class InferenceConfig:
     """Level, Gaussian draws (100 to 1,000,000) and seed of the simulated critical values.
 
-    Draws and seed must be integers (not bools) and are stored as Python ints.
-    The selection slack is fixed at 2.
+    Alpha must be a real number (not a bool) in (0, 1) and is stored as a
+    Python float.  Draws and seed must be integers (not bools) and are stored
+    as Python ints.  The selection slack is fixed at 2.
     """
 
     alpha: float = 0.05
@@ -76,13 +78,17 @@ class InferenceConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise ValidationError(f"alpha must be a real number, got {self.alpha!r}")
+        # NaN fails both; a huge int fails before its cast, a Fraction that rounds to 0 or 1 after it.
+        if not (0 < self.alpha < 1 and 0.0 < float(self.alpha) < 1.0):
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
         draws, seed = _checked_ints("draws and seed must be integers", self.draws, self.seed)
         if not (100 <= draws <= _MAX_DRAWS):
             raise ValidationError(f"draws must be between 100 and {_MAX_DRAWS:,}, got {draws!r}")
         if not (0 <= seed < 2**64):
             raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "seed", seed)
 

@@ -319,11 +319,50 @@ def parser_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def cast_calls(monkeypatch):
+    """Each column's cells that reach ``cli._cast_cells``, and their rows, from the last parse of that column."""
+    calls = {}
+    cast = cli._cast_cells
+
+    def spy(name, cells, rows):
+        calls[name] = (cells.tolist(), rows.tolist())
+        return cast(name, cells, rows)
+
+    monkeypatch.setattr(cli, "_cast_cells", spy)
+    return calls
+
+
 EDGE_TOKENS = [
     "1_000", "Infinity", "-inf", " 1.5", "1.5e", "0x10", "\u0661\u0662", "1e500", "-nan",
     "+.5", "5.", "1__0", "nan(1)", "\u00a01.5", "True", "0001", "1e-400", "\u0967.5",
     "\tNA", "\u00a0none", "1\t",
 ]
+
+# Plain decimals (a sign at byte 0, 1 to 15 digits, at most one dot) and the
+# tokens just past each of the decoder's guards.  Past 15 digits m / 10**f
+# can round twice: 9.999999999999999 would read 10.0, not 9.999999999999998.
+DECODER_EDGE_TOKENS = [
+    "-0", "-0.000", "+0", "0.", ".0", "+.5", "-.5", "5.", "007.50", "-007.50",
+    "1" * 15, "-9." + "9" * 14, "." + "0" * 14 + "1", "-" + "9" * 15 + ".",
+    "9.999999999999999", "1" * 16, "-1.234567890123456", "0.9007199254740993", "9" * 17,
+    "1.2.3", "1..", "--1", "+-1", "-+1", "1-", "1+1", "0.5-", ".", "-", "+", "-.", "+.",
+]
+
+
+def assert_decoded_as_float(path, column, row, token):
+    """The byte route reads ``token``, at data row ``row`` of ``column``, as float() does, sign bit included."""
+    cells = cli._read_table(path, [column])[0][column]
+    assert cells.dtype.kind == "S"
+    try:
+        want = float(token)
+    except ValueError:
+        with pytest.raises(DataError, match=f"row {row + 2}: non-numeric value"):
+            cli._parse_numbers(column, cells)
+        return
+    got = cli._parse_numbers(column, cells)[row]
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+
 
 EQUIVALENCE_RUNS = [
     ("m_score=median-gt,m_level=threshold:0.25", ("m_bin", "m_score", "m_level")),
@@ -416,6 +455,32 @@ class TestColumnReaderMatchesReference:
         assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
         assert parser_calls == []
 
+    # The plain-decimal decoder's edges on the byte route.  The m values are
+    # -2, -1, token, 0.5, 1, 2, so the lower median is the token whenever its
+    # value lies in [-1, 0.5]: "-0" must print median=-0, as float() reads it.
+    @pytest.mark.parametrize("token", DECODER_EDGE_TOKENS)
+    def test_decoder_edge_tokens(self, tmp_path, parser_calls, token):
+        rows = ["0,0,-2", "1,0,-1", f"0,1,{token}", "1,1,0.5", "0,0,2", "1,1,1"]
+        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
+        for rule in ("m=threshold:1", "m=median-gt"):
+            assert_same_ingest(path, config_for(path, dichotomize=rule))
+        assert_decoded_as_float(path, "m", 2, token)
+        assert parser_calls == []
+
+    def test_decoder_reads_a_261_digit_cell_as_float_does(self, tmp_path, parser_calls, cast_calls):
+        # 20 columns let the requested cells take 16 x 20 bytes, so the byte
+        # route holds the 262-byte cell; 261 digits wrap an 8-bit counter to 5.
+        # Only that cell goes to the cast: the column's other cells are still decoded.
+        wide = "0" * 259 + "1.5"
+        header = ",".join(["a", "y", "m"] + [f"x{i}" for i in range(17)])
+        rows = [f"{i % 2},{(i // 2) % 2},{0.25 * i}," + ",".join(str(i + j) for j in range(17)) for i in range(12)]
+        rows[4] = rows[4].replace(",1.0,", f",{wide},", 1)
+        path = write_text(tmp_path / "d.csv", header + "\n" + "\n".join(rows) + "\n")
+        assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1.25"))
+        assert_decoded_as_float(path, "m", 4, wide)
+        assert parser_calls == []
+        assert cast_calls["m"] == ([wide.encode("ascii")], [4])
+
     def test_wide_cell_is_read_by_the_parser(self, tmp_path, parser_calls):
         # Held as fixed-width bytes, every cell of the column would be as wide as this one.
         rows = [f"{i % 2},{(i // 2) % 2},{i % 3}" for i in range(50)]
@@ -423,6 +488,55 @@ class TestColumnReaderMatchesReference:
         path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
         assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
         assert parser_calls
+
+
+def parent_parse(name, tokens):
+    """float() of each stripped token, NaN for a missing token, or the DataError that names the first bad one."""
+    values = np.full(len(tokens), np.nan)
+    for i, token in enumerate(tokens):
+        token = token.strip()
+        if token.lower() in ("", "na", "nan", "null", "none"):
+            continue
+        try:
+            values[i] = float(token)
+        except ValueError:
+            raise DataError(f"row {i + 2}: non-numeric value {token!r} in column {name!r}") from None
+    return values
+
+
+TOKEN_TEXT = (
+    st.text(alphabet="0123456789+-. e", min_size=1, max_size=300)
+    | st.from_regex(r"[+-]?[0-9]{0,17}\.?[0-9]{0,17}", fullmatch=True)
+    | st.sampled_from(DECODER_EDGE_TOKENS)
+)
+
+
+class TestPlainDecimalDecoder:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(tokens=st.lists(TOKEN_TEXT, min_size=1, max_size=8))
+    def test_bytes_cells_parse_as_float_does(self, tokens):
+        cells = np.array([t.encode("ascii") for t in tokens], dtype=bytes)
+        try:
+            want = parent_parse("m", tokens)
+        except DataError as exc:
+            with pytest.raises(DataError) as info:
+                cli._parse_numbers("m", cells)
+            assert str(info.value) == str(exc)
+            return
+        assert np.array_equal(cli._parse_numbers("m", cells).view(np.int64), want.view(np.int64))
+
+    def test_only_other_cells_reach_the_cast(self, tmp_path, parser_calls, cast_calls):
+        # On a plain file the cast sees only its missing and other tokens, so
+        # the decoder cannot quietly hand every cell back to it.
+        rows = [f"{i % 2},{(i // 2) % 2},{-1.25 + 0.125 * i:+.3f}" for i in range(40)]
+        others = {3: "NA", 11: " 0.5", 17: "1e-1", 23: "", 31: "2.50 ", 37: "-0.5e0"}
+        for i, token in others.items():
+            rows[i] = rows[i].rsplit(",", 1)[0] + "," + token
+        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
+        assert_same_ingest(path, config_for(path, dichotomize="m=median-gt"))
+        assert parser_calls == []
+        want = ([t.encode("ascii") for t in others.values()], list(others))
+        assert cast_calls == {"a": ([], []), "y": ([], []), "m": want}
 
 
 QUOTING_FRAGMENTS = ['"', '""', ",", "\n", " ", "x", "'", "\n\n", ",,"]
@@ -720,6 +834,12 @@ class TestExitCodes:
     def test_bad_alpha(self, capsys):
         code, _, _ = run_cli(capsys, "--counts", E1_COUNTS, "--alpha", "1.5")
         assert code == 2
+
+    # A str or None alpha used to escape RunConfig as a TypeError.
+    @pytest.mark.parametrize("alpha", ["0.05", None, True])
+    def test_run_config_refuses_a_non_real_alpha(self, alpha):
+        with pytest.raises(ConfigError, match="alpha must be a real number"):
+            config_for(None, counts=(40, 30, 20, 10, 10, 20, 30, 40), mediators=(), alpha=alpha)
 
     # --draws 1000001 is refused by the limit check, before any simulation is allocated.
     @pytest.mark.parametrize(

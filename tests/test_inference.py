@@ -1,6 +1,7 @@
 """Estimation layer: Wald tests, covariance, and intersection-bounds intervals."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,6 +230,26 @@ class TestConfig:
         assert (type(numpy_config.draws), type(numpy_config.seed)) == (int, int)
         assert numpy_config == InferenceConfig(draws=200, seed=2**64 - 1)
         assert InferenceConfig(draws=1_000_000).draws == 1_000_000
+
+    # A str or None used to escape as the comparison's TypeError; a bool was read as 1 or 0.
+    @pytest.mark.parametrize("alpha", ["0.05", None, True, np.True_, 0.05j, [0.05]])
+    def test_alpha_must_be_real(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be a real number"):
+            InferenceConfig(alpha=alpha)
+
+    @pytest.mark.parametrize(
+        "alpha", [float("nan"), float("inf"), -float("inf"), 0, 1, -0.5, 10**400,
+                  Fraction(10**20 - 1, 10**20), Fraction(1, 10**400), np.float64(1.0)]
+    )
+    def test_alpha_must_lie_strictly_between_0_and_1(self, alpha):
+        with pytest.raises(ValidationError, match=r"alpha must be in \(0, 1\)"):
+            InferenceConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [np.float64(0.05), np.float32(0.25), Fraction(1, 20), np.longdouble(0.1)])
+    def test_alpha_is_stored_as_a_python_float(self, alpha):
+        config = InferenceConfig(alpha=alpha)
+        assert type(config.alpha) is float
+        assert config.alpha == float(alpha)
 
 
 # The eight (assumption set, reference, sign) specs: the sign matters only under MMR_POS_MEDIATOR.

@@ -76,6 +76,8 @@ def main() -> None:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workdir", type=Path, default=Path(".bench_pairs"))
     args = parser.parse_args()
+    if args.pairs < 2:  # the quartiles need two runs a side; refuse before any checkout or run
+        parser.error(f"--pairs must be at least 2, got {args.pairs}")
 
     bench = json.loads(Path("BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
