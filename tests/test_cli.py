@@ -183,6 +183,20 @@ class TestIngest:
             ingest(path, config_for(path, mediators=("m", "m")))
 
 
+def reference_numbers(name, tokens):
+    """float() of each stripped token, NaN for a missing token, or the DataError that names the first bad one."""
+    values = np.full(len(tokens), np.nan)
+    for i, token in enumerate(tokens):
+        token = token.strip()
+        if token.lower() in ("", "na", "nan", "null", "none"):
+            continue
+        try:
+            values[i] = float(token)
+        except ValueError:
+            raise DataError(f"row {i + 2}: non-numeric value {token!r} in column {name!r}") from None
+    return values
+
+
 def reference_ingest(path, config):
     """Cell-by-cell csv-module ingest, the reference for the column-wise reader.
 
@@ -207,14 +221,7 @@ def reference_ingest(path, config):
     binary, missing, rule_text = {}, {}, {}
     for name in columns:
         kind, threshold = rules[name]
-        values = np.full(n_rows, np.nan)
-        for i, tok in enumerate(raw[name]):
-            if tok.lower() in {"", "na", "nan", "null", "none"}:
-                continue
-            try:
-                values[i] = float(tok)
-            except ValueError:
-                raise DataError(f"row {i + 2}: non-numeric value {tok!r} in column {name!r}") from None
+        values = reference_numbers(name, raw[name])
         missing[name] = np.isnan(values)
         if missing[name].all():
             raise DataError(f"column {name!r} has no non-missing values")
@@ -340,28 +347,29 @@ EDGE_TOKENS = [
 ]
 
 # Plain decimals (a sign at byte 0, 1 to 15 digits, at most one dot) and the
-# tokens just past each of the decoder's guards.  Past 15 digits m / 10**f
-# can round twice: 9.999999999999999 would read 10.0, not 9.999999999999998.
+# tokens just past each of the decoder's guards; EDGE_TOKENS holds "+.5" and
+# "5.".  Past 15 digits m / 10**f can round twice: 9.999999999999999 would
+# read 10.0, not 9.999999999999998.
 DECODER_EDGE_TOKENS = [
-    "-0", "-0.000", "+0", "0.", ".0", "+.5", "-.5", "5.", "007.50", "-007.50",
+    "-0", "-0.000", "+0", "0.", ".0", "-.5", "007.50", "-007.50",
     "1" * 15, "-9." + "9" * 14, "." + "0" * 14 + "1", "-" + "9" * 15 + ".",
     "9.999999999999999", "1" * 16, "-1.234567890123456", "0.9007199254740993", "9" * 17,
     "1.2.3", "1..", "--1", "+-1", "-+1", "1-", "1+1", "0.5-", ".", "-", "+", "-.", "+.",
 ]
 
 
-def assert_decoded_as_float(path, column, row, token):
-    """The byte route reads ``token``, at data row ``row`` of ``column``, as float() does, sign bit included."""
+def assert_parsed_as_float(path, column, row, token):
+    """The byte route reads ``token``, at data row ``row`` of ``column``, as float() does, sign bit included.
+
+    A token that float() refuses is left to assert_same_ingest, which compares the messages.
+    """
+    try:
+        want = reference_numbers(column, [token])
+    except DataError:
+        return
     cells = cli._read_table(path, [column])[0][column]
     assert cells.dtype.kind == "S"
-    try:
-        want = float(token)
-    except ValueError:
-        with pytest.raises(DataError, match=f"row {row + 2}: non-numeric value"):
-            cli._parse_numbers(column, cells)
-        return
-    got = cli._parse_numbers(column, cells)[row]
-    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
+    assert cli._parse_numbers(column, cells)[row : row + 1].view(np.int64) == want.view(np.int64)
 
 
 EQUIVALENCE_RUNS = [
@@ -440,7 +448,8 @@ class TestColumnReaderMatchesReference:
 
     @staticmethod
     def _with_m_cell(tmp_path, cell):
-        rows = [f"{i % 2},{(i // 2) % 2},{i * 0.5}" for i in range(8)]
+        # The lower median of m is the cell's value whenever that lies in [-1, 1].
+        rows = [f"{i % 2},{(i // 2) % 2},{m}" for i, m in enumerate([-3, -2, -1, 1, 2, None, 4, 5])]
         rows[5] = f"1,0,{cell}"
         return write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
 
@@ -449,22 +458,14 @@ class TestColumnReaderMatchesReference:
         path = self._with_m_cell(tmp_path, f'"{token}"')
         assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
 
-    @pytest.mark.parametrize("token", [t for t in EDGE_TOKENS if t.isascii()])
+    # On the byte route, with the decoder's edges too.  Under median-gt, "-0"
+    # must print median=-0, as float() reads it.
+    @pytest.mark.parametrize("token", [t for t in EDGE_TOKENS if t.isascii()] + DECODER_EDGE_TOKENS)
     def test_edge_tokens_unquoted(self, tmp_path, parser_calls, token):
         path = self._with_m_cell(tmp_path, token)
-        assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
-        assert parser_calls == []
-
-    # The plain-decimal decoder's edges on the byte route.  The m values are
-    # -2, -1, token, 0.5, 1, 2, so the lower median is the token whenever its
-    # value lies in [-1, 0.5]: "-0" must print median=-0, as float() reads it.
-    @pytest.mark.parametrize("token", DECODER_EDGE_TOKENS)
-    def test_decoder_edge_tokens(self, tmp_path, parser_calls, token):
-        rows = ["0,0,-2", "1,0,-1", f"0,1,{token}", "1,1,0.5", "0,0,2", "1,1,1"]
-        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
         for rule in ("m=threshold:1", "m=median-gt"):
             assert_same_ingest(path, config_for(path, dichotomize=rule))
-        assert_decoded_as_float(path, "m", 2, token)
+        assert_parsed_as_float(path, "m", 5, token)
         assert parser_calls == []
 
     def test_decoder_reads_a_261_digit_cell_as_float_does(self, tmp_path, parser_calls, cast_calls):
@@ -477,7 +478,7 @@ class TestColumnReaderMatchesReference:
         rows[4] = rows[4].replace(",1.0,", f",{wide},", 1)
         path = write_text(tmp_path / "d.csv", header + "\n" + "\n".join(rows) + "\n")
         assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1.25"))
-        assert_decoded_as_float(path, "m", 4, wide)
+        assert_parsed_as_float(path, "m", 4, wide)
         assert parser_calls == []
         assert cast_calls["m"] == ([wide.encode("ascii")], [4])
 
@@ -488,20 +489,6 @@ class TestColumnReaderMatchesReference:
         path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
         assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
         assert parser_calls
-
-
-def parent_parse(name, tokens):
-    """float() of each stripped token, NaN for a missing token, or the DataError that names the first bad one."""
-    values = np.full(len(tokens), np.nan)
-    for i, token in enumerate(tokens):
-        token = token.strip()
-        if token.lower() in ("", "na", "nan", "null", "none"):
-            continue
-        try:
-            values[i] = float(token)
-        except ValueError:
-            raise DataError(f"row {i + 2}: non-numeric value {token!r} in column {name!r}") from None
-    return values
 
 
 TOKEN_TEXT = (
@@ -517,7 +504,7 @@ class TestPlainDecimalDecoder:
     def test_bytes_cells_parse_as_float_does(self, tokens):
         cells = np.array([t.encode("ascii") for t in tokens], dtype=bytes)
         try:
-            want = parent_parse("m", tokens)
+            want = reference_numbers("m", tokens)
         except DataError as exc:
             with pytest.raises(DataError) as info:
                 cli._parse_numbers("m", cells)
