@@ -17,9 +17,9 @@ from mediation_bounds import (
     bounds_mmr,
     bounds_mmr_pos_mediator,
     bounds_no_assumption,
-    cross_world_range,
     from_counts,
 )
+from mediation_bounds.lp_engine import cross_world_range
 
 # Counts in the order (y=0,m=0), (y=0,m=1), (y=1,m=0), (y=1,m=1),
 # control arm first.

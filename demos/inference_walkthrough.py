@@ -18,6 +18,8 @@ from mediation_bounds import (
     bounds_mmr,
     clr_bounds,
     iot_test,
+)
+from mediation_bounds.oracle import (
     observed_from_population,
     random_population,
     sample_records,

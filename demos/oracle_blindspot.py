@@ -15,6 +15,8 @@ from mediation_bounds import (
     ate,
     atm,
     bounds_no_assumption,
+)
+from mediation_bounds.oracle import (
     iot_blindspot_population,
     observed_from_population,
     soundness_check,

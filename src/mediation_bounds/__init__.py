@@ -11,10 +11,15 @@ Layout:
 * :mod:`mediation_bounds.model` observed-data types, estimand specs, results
 * :mod:`mediation_bounds.closed_form` the bound table: expressions derived from the
   stratum LP's dual vertices, and the one evaluator :func:`anie_bounds`
-* :mod:`mediation_bounds.lp_engine` the stratum LP and a witness simplex
 * :mod:`mediation_bounds.inference` intersection-bounds estimation and CIs
-* :mod:`mediation_bounds.oracle` full potential-outcome populations for validation
 * :mod:`mediation_bounds.cli` the ``mediation-bounds`` command
+
+The package root exports the public names of the first three.  Two more
+modules validate the intervals rather than serve them; their names are
+imported from the modules themselves:
+
+* :mod:`mediation_bounds.lp_engine` the stratum LP and a witness simplex
+* :mod:`mediation_bounds.oracle` full potential-outcome populations
 """
 
 __version__ = "0.1.0"
@@ -55,54 +60,6 @@ from .inference import (
     iot_test,
 )
 
-# The stratum LP and the oracle serve validation and the tests; the command
-# line needs neither, so they load on first use.  Their names are looked up
-# on each access and never stored here, so a function rebound in its own
-# module (as tracing does) is what the package serves too.
-_LAZY = {
-    "lp_engine": (
-        "InfeasibleError",
-        "LinearProgram",
-        "Sense",
-        "StrataDistribution16",
-        "UnboundedError",
-        "build_lp",
-        "cross_world_range",
-        "format_lp",
-        "solve",
-    ),
-    "oracle": (
-        "FullPopulation64",
-        "TrueEstimands",
-        "extend_witness",
-        "iot_blindspot_population",
-        "observed_from_population",
-        "random_population",
-        "sample_records",
-        "sharpness_check",
-        "soundness_check",
-        "strata16_from_population",
-        "strata_proportions",
-        "true_estimands",
-    ),
-}
-_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
-
-
-def __getattr__(name: str):
-    import importlib
-
-    if name in _LAZY:
-        return importlib.import_module(f"{__name__}.{name}")
-    if name in _LAZY_HOME:
-        return getattr(importlib.import_module(f"{__name__}.{_LAZY_HOME[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_LAZY_HOME})
-
-
 __all__ = [
     "Assumptions",
     "AssumptionIncompatibilityError",
@@ -126,15 +83,6 @@ __all__ = [
     "bounds_mmr",
     "bounds_mmr_pos_mediator",
     "bounds_no_assumption",
-    "InfeasibleError",
-    "LinearProgram",
-    "Sense",
-    "StrataDistribution16",
-    "UnboundedError",
-    "build_lp",
-    "cross_world_range",
-    "format_lp",
-    "solve",
     "InferenceConfig",
     "IntervalEstimate",
     "WaldResult",
@@ -142,17 +90,5 @@ __all__ = [
     "clr_bounds",
     "estimate_distribution",
     "iot_test",
-    "FullPopulation64",
-    "TrueEstimands",
-    "extend_witness",
-    "iot_blindspot_population",
-    "observed_from_population",
-    "random_population",
-    "sample_records",
-    "sharpness_check",
-    "soundness_check",
-    "strata16_from_population",
-    "strata_proportions",
-    "true_estimands",
     "__version__",
 ]

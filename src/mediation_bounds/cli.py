@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -304,9 +305,13 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
     if b"\x00" in raw:  # stripping would drop a NUL at a cell's end, where float() rejects it
         line = raw.count(b"\n", 0, raw.index(b"\x00")) + 1
         raise DataError(f"{path} contains a NUL byte: line {line}")
-    header_line, _, body = raw.partition(b"\n")
+    end = raw.find(b"\n") + 1 or len(raw)
+    if b'"' in raw[:end]:  # a quoted cell may hold line breaks
+        starts = _record_starts(raw)
+        end = int(starts[1]) if starts.size > 1 else len(raw)
+    header_text, body = raw[:end].decode("utf-8"), raw[end:]
     del raw
-    header = [h.strip() for h in next(csv.reader([header_line.decode("utf-8")]))]
+    header = [h.strip() for h in next(_csv_records(header_text), [])]
     for col in columns:
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
@@ -329,17 +334,23 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
     return {col: table[:, i] for col, i in zip(columns, wanted)}, table.shape[0]
 
 
+def _csv_records(text: str) -> Iterator[list[str]]:
+    """The csv module's records of ``text``, read with its field size limit raised to ``len(text)``."""
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))  # loadtxt reads cells of any length
+    try:
+        yield from csv.reader(io.StringIO(text, newline=""))
+    finally:
+        csv.field_size_limit(limit)
+
+
 def _ragged_row(body: bytes, width: int) -> str | None:
     """The first record without ``width`` fields, as the csv module counts them; None if none, or on a csv error."""
-    limit = csv.field_size_limit(max(csv.field_size_limit(), len(body)))  # loadtxt reads cells of any length
     try:
-        for row, record in enumerate(csv.reader(io.StringIO(body.decode("utf-8"), newline="")), start=2):
+        for row, record in enumerate(_csv_records(body.decode("utf-8")), start=2):
             if len(record) != width:
                 return f"row {row}: {len(record)} fields, but the header has {width}"
     except csv.Error:
         pass
-    finally:
-        csv.field_size_limit(limit)
     return None
 
 
@@ -423,7 +434,8 @@ def _cast_cells(name: str, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
     numeric = np.ones(cells.size, dtype=bool)
     numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), missing_tokens)]] = False
     try:
-        values[numeric] = tokens[numeric].astype(np.float64)
+        with np.errstate(over="ignore"):  # float() reads an overflowing token as inf, silently
+            values[numeric] = tokens[numeric].astype(np.float64)
     except ValueError:
         # numpy's string-to-float cast accepts exactly what float() accepts.
         for row, token in zip(rows[numeric].tolist(), tokens[numeric].tolist()):
@@ -481,9 +493,9 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     (a, 0, y) cell counts of the rows complete in treatment and outcome, which
     anchor the run-level ATE reference line.
 
-    Not thread-safe: naming a ragged row raises the csv module's process-wide
-    ``csv.field_size_limit`` until the row is found, so a thread reading CSV
-    meanwhile sees the raised limit.
+    Not thread-safe: reading the header, or naming a ragged row, raises the
+    csv module's process-wide ``csv.field_size_limit`` while it reads, so a
+    thread reading CSV meanwhile sees the raised limit.
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     if len(set(columns)) != len(columns):

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from mediation_bounds import (
-    FullPopulation64,
     ObservedDistribution,
     atm,
     from_counts,
     from_probabilities,
 )
+from mediation_bounds.lp_engine import LinearProgram, Sense
+from mediation_bounds.oracle import FullPopulation64
 
 
 @pytest.fixture
@@ -56,6 +57,38 @@ def arm_mediator_relabel(dist: ObservedDistribution) -> ObservedDistribution:
     """
     swap_m = [1, 0, 3, 2]
     return from_probabilities(dist.arm(1)[swap_m], dist.arm(0)[swap_m])
+
+
+# HiGHS's default primal feasibility tolerance (1e-7) is looser than the
+# package's phase-1 tolerance (1e-9); tighten it so verdicts are comparable.
+_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def highs_optimum(lp: LinearProgram) -> float | None:
+    """Reference optimum from scipy's HiGHS solver on the same program, or None when it is infeasible."""
+    import scipy.optimize
+
+    c = np.array(lp.objective)
+    if lp.sense is Sense.MAX:
+        c = -c
+    a_ub = b_ub = None
+    if lp.inequalities:
+        a_ub = -np.array([row for row, _ in lp.inequalities])
+        b_ub = -np.array([rhs for _, rhs in lp.inequalities])
+    res = scipy.optimize.linprog(
+        c,
+        A_eq=np.array([row for row, _ in lp.equalities]),
+        b_eq=np.array([rhs for _, rhs in lp.equalities]),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        bounds=(0, None),
+        method="highs",
+        options=_HIGHS,
+    )
+    if res.status == 2:
+        return None
+    assert res.success, res.message
+    return -float(res.fun) if lp.sense is Sense.MAX else float(res.fun)
 
 
 def _product_stratum(

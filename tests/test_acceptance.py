@@ -27,8 +27,10 @@ from mediation_bounds import (
     bounds_mmr_pos_mediator,
     bounds_no_assumption,
     clr_bounds,
-    cross_world_range,
     from_counts,
+)
+from mediation_bounds.lp_engine import cross_world_range
+from mediation_bounds.oracle import (
     iot_blindspot_population,
     observed_from_population,
     random_population,

@@ -28,12 +28,11 @@ from mediation_bounds import (
     bounds_mmr_pos_mediator,
     bounds_no_assumption,
     clr_bounds,
-    cross_world_range,
     from_counts,
     from_probabilities,
 )
 from mediation_bounds import lp_engine
-from mediation_bounds.lp_engine import anie_bounds_lp
+from mediation_bounds.lp_engine import anie_bounds_lp, cross_world_range
 from conftest import make_rng, random_dist, random_mmr_dist
 
 TOL = 1e-12

@@ -9,22 +9,23 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mediation_bounds import (
     AssumptionIncompatibilityError,
     Assumptions,
     EstimandSpec,
-    InfeasibleError,
-    Sense,
     anie_bounds,
-    build_lp,
     closed_form,
-    cross_world_range,
     from_counts,
 )
-from mediation_bounds.lp_engine import anie_bounds_lp
-from conftest import make_rng, random_dist
+from mediation_bounds.lp_engine import (
+    InfeasibleError,
+    Sense,
+    anie_bounds_lp,
+    build_lp,
+    cross_world_range,
+)
+from conftest import highs_optimum, make_rng, random_dist
 
 TABLE_KEYS = [
     (Assumptions.NONE, 0, 1),
@@ -38,9 +39,6 @@ TABLE_KEYS = [
 ]
 ALL_SPECS = [EstimandSpec(ref, assumptions, sign) for assumptions, ref, sign in TABLE_KEYS]
 TOL = 1e-12
-# HiGHS's default primal feasibility tolerance (1e-7) is looser than the
-# package's phase-1 tolerance (1e-9); tighten it so verdicts are comparable.
-_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 # --- derivation ---------------------------------------------------------------
@@ -159,34 +157,10 @@ def simplex_anie(dist, spec):
     return _translate(dist, spec, cross_min, cross_max)
 
 
-def _scipy_optimum(lp) -> float | None:
-    c = np.array(lp.objective)
-    if lp.sense is Sense.MAX:
-        c = -c
-    a_ub = b_ub = None
-    if lp.inequalities:
-        a_ub = -np.array([row for row, _ in lp.inequalities])
-        b_ub = -np.array([rhs for _, rhs in lp.inequalities])
-    res = scipy.optimize.linprog(
-        c,
-        A_eq=np.array([row for row, _ in lp.equalities]),
-        b_eq=np.array([rhs for _, rhs in lp.equalities]),
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=(0, None),
-        method="highs",
-        options=_HIGHS,
-    )
-    if res.status == 2:
-        return None
-    assert res.success, res.message
-    return -float(res.fun) if lp.sense is Sense.MAX else float(res.fun)
-
-
 def scipy_anie(dist, spec):
     """delta bounds from HiGHS's optima of the same program, or None when it is infeasible."""
-    cross_min = _scipy_optimum(build_lp(dist, spec, Sense.MIN))
-    cross_max = _scipy_optimum(build_lp(dist, spec, Sense.MAX))
+    cross_min = highs_optimum(build_lp(dist, spec, Sense.MIN))
+    cross_max = highs_optimum(build_lp(dist, spec, Sense.MAX))
     if cross_min is None or cross_max is None:
         assert cross_min is None and cross_max is None
         return None

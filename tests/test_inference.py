@@ -21,6 +21,8 @@ from mediation_bounds import (
     from_counts,
     from_units,
     iot_test,
+)
+from mediation_bounds.oracle import (
     observed_from_population,
     sample_records,
     iot_blindspot_population,

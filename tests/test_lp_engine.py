@@ -5,31 +5,33 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from mediation_bounds import (
     AssumptionIncompatibilityError,
     Assumptions,
     EstimandSpec,
-    InfeasibleError,
-    LinearProgram,
     Method,
-    Sense,
-    StrataDistribution16,
     ValidationError,
     anie_bounds,
     atm,
     bounds_mmr,
     bounds_no_assumption,
+    from_counts,
+    from_probabilities,
+)
+from mediation_bounds.lp_engine import (
+    InfeasibleError,
+    LinearProgram,
+    Sense,
+    StrataDistribution16,
+    anie_bounds_lp,
     build_lp,
     cross_world_range,
     format_lp,
-    from_counts,
-    from_probabilities,
     solve,
+    strata_index,
 )
-from mediation_bounds.lp_engine import anie_bounds_lp, strata_index
-from conftest import arm_mediator_relabel, make_rng, random_dist, random_mmr_dist
+from conftest import arm_mediator_relabel, highs_optimum, make_rng, random_dist, random_mmr_dist
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -63,27 +65,6 @@ PROGRAM_SHA256 = {
     ("mmr-pos-mediator", 1, -1, "MIN"): "54812cb8ea060fd6d6a8c0b83fca3125ebbe4c96c1cd6e99b445128e9ed05721",
     ("mmr-pos-mediator", 1, -1, "MAX"): "97e4cf2442ffe092af9fb6cef16dfef43fedc8493a70ca9972c81cc81e72eb51",
 }
-
-
-def scipy_optimum(lp: LinearProgram) -> float:
-    """Reference optimum from scipy's HiGHS solver on the same program."""
-    c = np.array(lp.objective)
-    if lp.sense is Sense.MAX:
-        c = -c
-    A_eq = np.array([row for row, _ in lp.equalities])
-    b_eq = np.array([rhs for _, rhs in lp.equalities])
-    if lp.inequalities:
-        A_ub = -np.array([row for row, _ in lp.inequalities])
-        b_ub = -np.array([rhs for _, rhs in lp.inequalities])
-    else:
-        A_ub = b_ub = None
-    res = scipy.optimize.linprog(
-        c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub, bounds=(0, None), method="highs"
-    )
-    if not res.success:
-        raise InfeasibleError("scipy reports infeasible", constraint="scipy", residual=np.nan)
-    value = float(res.fun)
-    return -value if lp.sense is Sense.MAX else value
 
 
 class TestConstruction:
@@ -265,7 +246,9 @@ class TestAgreement:
                 for sense in (Sense.MIN, Sense.MAX):
                     lp = build_lp(dist, spec, sense)
                     value, _ = solve(lp)
-                    assert value == pytest.approx(scipy_optimum(lp), abs=1e-8)
+                    optimum = highs_optimum(lp)
+                    assert optimum is not None
+                    assert value == pytest.approx(optimum, abs=1e-8)
 
     def test_matches_external_solver_on_sparse_tables(self):
         # Tables with empty cells exercise degenerate bases.
@@ -278,7 +261,9 @@ class TestAgreement:
                 for sense in (Sense.MIN, Sense.MAX):
                     lp = build_lp(dist, EstimandSpec(reference=reference), sense)
                     value, _ = solve(lp)
-                    assert value == pytest.approx(scipy_optimum(lp), abs=1e-8)
+                    optimum = highs_optimum(lp)
+                    assert optimum is not None
+                    assert value == pytest.approx(optimum, abs=1e-8)
 
     def test_assumptions_tighten_monotonically(self):
         rng = make_rng(67)

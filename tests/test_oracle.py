@@ -6,17 +6,21 @@ import pytest
 from mediation_bounds import (
     Assumptions,
     EstimandSpec,
-    FullPopulation64,
-    LinearProgram,
-    Sense,
     ValidationError,
     ate,
     atm,
-    build_lp,
-    cross_world_range,
-    extend_witness,
     from_counts,
     from_units,
+)
+from mediation_bounds.lp_engine import (
+    LinearProgram,
+    Sense,
+    build_lp,
+    cross_world_range,
+)
+from mediation_bounds.oracle import (
+    FullPopulation64,
+    extend_witness,
     iot_blindspot_population,
     observed_from_population,
     random_population,
