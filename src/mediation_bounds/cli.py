@@ -48,8 +48,8 @@ SCHEMA = "mediation-bounds/4"
 _MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
 # Two flags per byte, OR-ed over each record.  Bit 0: the byte makes a cell
 # non-blank (ASCII, and not a comma, a quote mark or whitespace as str.strip()
-# sees it).  Bit 1, a parser byte: only loadtxt reads it right.  A quote mark
-# carries parser state, and str.strip() strips non-ASCII whitespace and
+# sees it).  Bit 1: only the csv module can tell whether it does.  A quote
+# mark may be syntax or text, and str.strip() strips non-ASCII whitespace and
 # \x1c-\x1f, which bytes.strip() keeps.
 _BYTE_KIND = bytes(
     (c < 128 and not chr(c).isspace() and chr(c) not in ',"')
@@ -60,6 +60,14 @@ _BYTE_KIND = bytes(
 # 10.0**f, then -10.0**f, for f from 0 to the span; those up to 10**15 are exact.
 _PLAIN_SPAN = 17
 _DIVISORS = np.concatenate([10.0 ** np.arange(_PLAIN_SPAN + 1), -(10.0 ** np.arange(_PLAIN_SPAN + 1))])
+# Rows decoded at a time.  The file and its field ends stay in memory while a
+# column is decoded, so a block's temporaries (about 70 bytes a row) are what
+# the decoder adds to the peak; whole columns of a 250,000-row file raised the
+# peak by 5.7 MB, more than the 4.6 MB file itself.
+_DECODE_ROWS = 65_536
+# The longest cell that _Cells.texts cuts out with the others of a block:
+# every number a CSV writer prints fits, and a block's grid stays within 2 MB.
+_GRID_BYTES = 32
 _METHOD_NAMES = {
     Assumptions.NONE.value: "bounds-none",
     Assumptions.MMR.value: "bounds-mmr",
@@ -185,94 +193,78 @@ class _Column:
     rule_text: str
 
 
-def _load_cells(body: bytes) -> np.ndarray:
-    # A fresh StringDType for each call: loadtxt keeps long strings in the
-    # arena of the dtype instance it is given, and arrays sharing one
-    # instance corrupt each other's strings.
-    stream = io.TextIOWrapper(io.BytesIO(body), encoding="utf-8")
-    return np.loadtxt(stream, delimiter=",", quotechar='"', comments=None, dtype=StringDType(), ndmin=2)
+@dataclass(frozen=True)
+class _Cells:
+    """Column ``j`` of a file cut into cells: data row i's cell is ``raw[cuts[i, j] + 1 : cuts[i, j + 1]]``."""
+
+    raw: bytes
+    cuts: np.ndarray  # a row per data row: the end of the record before it, then its field ends
+    j: int
+    quotes: np.ndarray  # the offsets of the file's quote marks
+
+    def __len__(self) -> int:
+        return self.cuts.shape[0]
+
+    def spans(self, rows: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The start and end offsets of the cells of ``rows``; a cell wrapped whole in one pair of quotes loses them."""
+        starts, ends = self.cuts[rows, self.j] + 1, self.cuts[rows, self.j + 1].copy()
+        if self.quotes.size:
+            b = np.frombuffer(self.raw, dtype=np.uint8)
+            pair = np.flatnonzero((b[starts] == ord('"')) & (b[ends - 1] == ord('"')))
+            pair = pair[np.searchsorted(self.quotes, ends[pair]) - np.searchsorted(self.quotes, starts[pair]) == 2]
+            starts[pair] += 1
+            ends[pair] -= 1
+        return starts, ends
+
+    def texts(self, rows: np.ndarray) -> np.ndarray:
+        """The cells of ``rows`` as str; a cell with quote marks left after :meth:`spans` is read by the csv module."""
+        starts, ends = self.spans(rows)
+        lengths = ends - starts
+        # Cells of up to _GRID_BYTES are cut out a byte position at a time, as
+        # fixed-width bytes that decode to str in one cast; longer ones are
+        # left empty there and decoded one by one.
+        cut = np.where(lengths <= _GRID_BYTES, lengths, 0)
+        b = np.frombuffer(self.raw, dtype=np.uint8)
+        grid = np.empty((max(int(cut.max(initial=0)), 1), rows.size), dtype=np.uint8)
+        for k, column in enumerate(grid):
+            np.multiply(b[k:].take(starts, mode="clip"), cut > k, out=column)
+        texts = np.ascontiguousarray(grid.T).view(f"S{grid.shape[0]}").ravel().astype(StringDType())
+        for i in np.flatnonzero(lengths > _GRID_BYTES).tolist():
+            texts[i] = self.raw[starts[i] : ends[i]].decode("utf-8")
+        if self.quotes.size:
+            for i in np.flatnonzero(np.strings.find(texts, '"') >= 0).tolist():
+                texts[i] = next(_csv_records(texts[i]))[0]
+        return texts
 
 
-def _record_starts(body: bytes) -> np.ndarray:
-    """Offsets of the lines of ``body`` that start a record rather than continue a quoted cell."""
-    b = np.frombuffer(body, dtype=np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(b == ord("\n")) + 1))
-    starts = starts[starts < b.size]
-    if b'"' not in body:
-        return starts
-    # Only a run of quote marks of odd length changes the parser's state. At
-    # a field start it opens or closes a quoted cell; inside a field it
-    # closes an open cell and is text otherwise. So a line starts inside a
-    # quoted cell when an odd number of field-start runs follow the last
-    # inside-field run before it.
-    quotes = np.flatnonzero(b == ord('"'))
-    first = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
-    odd = np.diff(first, append=quotes.size) % 2 == 1
-    at = quotes[first]
-    field_start = (at == 0) | np.isin(b[at - 1], (ord(","), ord("\n")))
-    toggles = np.concatenate(([0], np.cumsum(odd & field_start)))
-    closes = np.where(odd & ~field_start, np.arange(1, at.size + 1), 0)
-    last_close = np.maximum.accumulate(np.concatenate(([0], closes)))
-    runs = np.searchsorted(at, starts)
-    inside = (toggles[runs] - toggles[last_close[runs]]) % 2 == 1
-    return starts[~inside]
+def _field_ends(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets of the commas and line ends of ``b`` that end a field, outside quoted cells, and of its quote marks.
 
-
-def _drop_blank_lines(body: bytes) -> tuple[bytes, bool]:
-    """``body`` without its blank records (every cell empty or whitespace), and whether a parser byte is left."""
-    starts = _record_starts(body)
-    lengths = np.diff(starts, append=len(body))
-    kind = np.bitwise_or.reduceat(np.frombuffer(body.translate(_BYTE_KIND), dtype=np.uint8), starts)
-    blank = kind == 0
-    # Only the parser can tell whether blanks and parser bytes alone are blank; such records are few.
-    for i in np.flatnonzero(kind == 2):
-        try:
-            cells = _load_cells(body[starts[i] : starts[i] + lengths[i]])
-        except ValueError:
-            continue  # kept, for the full read to report
-        blank[i] = not np.strings.strip(cells).astype(bool).any()
-    needs_parser = bool((kind[~blank] & 2).any())
-    if blank.any():
-        body = np.frombuffer(body, dtype=np.uint8)[np.repeat(~blank, lengths)].tobytes()
-    return body, needs_parser
-
-
-def _plain_columns(body: bytes, width: int, wanted: list[int]) -> list[np.ndarray] | None:
-    """The fixed-width bytes cells of columns ``wanted`` of a body that needs no parser.
-
-    None when a row has other than ``width`` fields, so that ``loadtxt``
-    reports it, or when the cells would take more memory than ``loadtxt``'s
-    16 bytes per cell of the whole table.
+    ``b`` ends in a line end, which ends a field even inside a quoted cell,
+    as the end of the file ends one for the csv module.
     """
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    b = np.frombuffer(body, dtype=np.uint8)
-    n_rows = body.count(b"\n")
-    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n")))  # each field's end
-    if ends.size != n_rows * width:
-        return None
-    ends = ends.astype(np.int32 if b.size < 2**31 else np.int64).reshape(n_rows, width)
-    # The body has n_rows line ends, so if each row's last end is one, every
-    # row has ``width`` fields; a total count alone would pass a short row
-    # followed by a long one.
-    if not (b[ends[:, -1]] == ord("\n")).all():
-        return None
-    line_starts = np.concatenate(([0], ends[:-1, -1] + 1)).astype(ends.dtype)
-    budget = 16 * width
-    columns = []
-    for j in wanted:
-        starts = line_starts if j == 0 else ends[:, j - 1] + 1
-        lengths = ends[:, j] - starts
-        size = max(int(lengths.max()), 1)
-        budget -= size
-        if budget < 0:
-            return None
-        # Byte k of every cell at once; bytes past a cell's end are padding.
-        cells = np.zeros((n_rows, size), dtype=np.uint8)
-        for k in range(size):
-            cells[:, k] = np.where(lengths > k, b.take(starts + k, mode="clip"), 0)
-        columns.append(cells.view(f"S{size}").ravel())
-    return columns
+    quotes = np.flatnonzero(b == ord('"'))
+    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n"))).astype(np.int32 if b.size < 2**31 else np.int64)
+    if quotes.size:
+        # Only a run of quote marks of odd length changes the csv module's
+        # state.  At a field start it opens or closes a quoted cell; inside a
+        # field it closes an open cell and is text otherwise.  A run at offset
+        # 0 follows b[-1], the final line end, so it is at a field start too.
+        first = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
+        odd = np.diff(first, append=quotes.size) % 2 == 1
+        at = quotes[first]
+        before = b[at - 1]
+        field_start = (before == ord(",")) | (before == ord("\n"))
+        # After k runs a cell is open when an odd number of toggling runs
+        # follow the last closing run: 1 in this uint8 state, which is spread
+        # over the bytes up to the next run to make one state mask.
+        toggles = np.cumsum(np.concatenate(([False], odd & field_start)), dtype=np.int32)
+        closes = np.concatenate(([False], odd & ~field_start))
+        inside = ((toggles - np.maximum.accumulate(toggles * closes)) % 2).astype(np.uint8)
+        state = np.repeat(inside, np.diff(at, prepend=0, append=b.size))
+        state[-1] = 0
+        ends = ends[state[ends] == 0]
+    return ends, quotes
 
 
 def _newlines_only(raw: bytes) -> bytes:
@@ -280,12 +272,15 @@ def _newlines_only(raw: bytes) -> bytes:
     return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
-def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], int]:
-    """The unstripped cells of ``columns``, one per non-blank data row, and the row count.
+def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
+    """The cells of ``columns``, one per non-blank data row, and the row count.
 
-    A body that needs no parser (:func:`_drop_blank_lines`) is cut into bytes
-    cells at its commas and line ends; any other body, or one with a ragged
-    row, is read by ``loadtxt`` into str cells.  :func:`_ragged_row` names a ragged row.
+    One scan (:func:`_field_ends`) finds the commas and line ends outside
+    quoted cells.  They end the header record, count each record's fields
+    and cut the data rows into cells.  A record whose every cell is empty or
+    whitespace is skipped; the csv module reads a record to tell only when
+    it holds nothing but those, quote marks and non-ASCII bytes.  A record
+    of other than the header's field count is ragged: :func:`_ragged_row` names it.
     """
     try:
         with open(path, "rb") as handle:
@@ -305,57 +300,57 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, np.ndarray], i
     if b"\x00" in raw:  # stripping would drop a NUL at a cell's end, where float() rejects it
         line = raw.count(b"\n", 0, raw.index(b"\x00")) + 1
         raise DataError(f"{path} contains a NUL byte: line {line}")
-    end = raw.find(b"\n") + 1 or len(raw)
-    if b'"' in raw[:end]:  # a quoted cell may hold line breaks
-        starts = _record_starts(raw)
-        end = int(starts[1]) if starts.size > 1 else len(raw)
-    header_text, body = raw[:end].decode("utf-8"), raw[end:]
-    del raw
-    header = [h.strip() for h in next(_csv_records(header_text), [])]
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    b = np.frombuffer(raw, dtype=np.uint8)
+    ends, quotes = _field_ends(b)
+    lines = np.flatnonzero(b[ends] == ord("\n"))  # where in ``ends`` each record ends
+    body = int(ends[lines[0]]) + 1
+    header = [h.strip() for h in next(_csv_records(raw[:body].decode("utf-8")), [])]
     for col in columns:
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
         if header.count(col) > 1:
             raise DataError(f"column {col!r} appears {header.count(col)} times in the header of {path}")
-    body, needs_parser = _drop_blank_lines(body)
-    if not body:
+    kind = np.bitwise_or.reduceat(np.frombuffer(raw.translate(_BYTE_KIND), dtype=np.uint8), ends[lines[:-1]] + 1)
+    blank = kind == 0
+    # Only the csv module can tell whether blanks, quote marks and non-ASCII
+    # bytes alone are blank; such records are few.
+    for i in np.flatnonzero(kind == 2).tolist():
+        record = next(_csv_records(raw[ends[lines[i]] + 1 : ends[lines[i + 1]] + 1].decode("utf-8")), [])
+        blank[i] = not any(cell.strip() for cell in record)
+    if blank.all():
         raise DataError(f"{path} has a header but no data rows")
     width = len(header)
-    wanted = [header.index(col) for col in columns]
-    cells = None if needs_parser else _plain_columns(body, width, wanted)
-    if cells is not None:
-        return dict(zip(columns, cells)), cells[0].size
-    try:
-        table = _load_cells(body)
-        if table.shape[1] != width:
-            raise ValueError(f"{table.shape[1]} fields, but the header has {width}")
-    except ValueError as exc:
-        raise DataError(_ragged_row(body, width) or f"{path}: {exc}") from None
-    return {col: table[:, i] for col, i in zip(columns, wanted)}, table.shape[0]
+    if (np.diff(lines)[~blank] != width).any():
+        raise DataError(_ragged_row(raw[body:], width))
+    # Each data row's window: the end before it, then its own field ends.
+    # Without blank records they are every width-th window, a view of ``ends``.
+    windows = np.lib.stride_tricks.sliding_window_view(ends, width + 1)
+    cuts = windows[lines[:-1][~blank]] if blank.any() else windows[lines[0] :: width]
+    return {col: _Cells(raw, cuts, header.index(col), quotes) for col in columns}, cuts.shape[0]
 
 
 def _csv_records(text: str) -> Iterator[list[str]]:
     """The csv module's records of ``text``, read with its field size limit raised to ``len(text)``."""
-    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))  # loadtxt reads cells of any length
+    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))  # a cell may be of any length
     try:
         yield from csv.reader(io.StringIO(text, newline=""))
     finally:
         csv.field_size_limit(limit)
 
 
-def _ragged_row(body: bytes, width: int) -> str | None:
-    """The first record without ``width`` fields, as the csv module counts them; None if none, or on a csv error."""
-    try:
-        for row, record in enumerate(_csv_records(body.decode("utf-8")), start=2):
-            if len(record) != width:
-                return f"row {row}: {len(record)} fields, but the header has {width}"
-    except csv.Error:
-        pass
-    return None
+def _ragged_row(body: bytes, width: int) -> str:
+    """The first non-blank record without ``width`` fields, as the csv module counts them, named by its data row."""
+    records = (r for r in _csv_records(body.decode("utf-8")) if any(cell.strip() for cell in r))
+    for row, record in enumerate(records, start=2):
+        if len(record) != width:
+            return f"row {row}: {len(record)} fields, but the header has {width}"
+    raise RuntimeError(f"the csv module finds no record of other than {width} fields")
 
 
-def _plain_decimals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float value of each bytes cell that is a plain decimal, NaN elsewhere, and which cells are.
+def _plain_decimals(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The float value of each span of ``b`` that is a plain decimal, NaN elsewhere, and which spans are.
 
     A plain decimal is an optional ``+`` or ``-`` at byte 0, then 1 to 15
     digits with at most one ``.``, and nothing else.  Its significand m is
@@ -363,19 +358,21 @@ def _plain_decimals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rounding of m / 10.0**f is float()'s, bit for bit; a ``-`` divides by
     -10.0**f, which gives -0.0 for ``-0`` as float() does.
 
-    A zero byte is padding only because ``_read_table`` refuses a NUL: a
-    fixed-width cell is its bytes followed by zeros.  The cells are walked
-    column-major, byte k of every cell at once.  A plain decimal has at most
-    17 bytes, so only the first 17 are walked and a cell with an 18th is
-    refused; no counter exceeds 17, however wide the cells.
+    The spans are walked byte k of every span at once, and a byte past a
+    span's end reads as 0, which is no digit, dot or sign.  A plain decimal
+    has at most 17 bytes, so only the first 17 are walked; no counter
+    exceeds 17, however long the spans.
     """
-    n, width = cells.size, cells.dtype.itemsize
-    grid = cells.view(np.uint8).reshape(n, width)
-    span = min(width, _PLAIN_SPAN)
-    columns = np.ascontiguousarray(grid[:, :span].T)
-    significand = np.zeros(n)
-    digits, dots, fraction, padding = (np.zeros(n, dtype=np.uint8) for _ in range(4))
-    for byte in columns:
+    lengths = ends - starts
+    significand = np.zeros(starts.size)
+    digits, dots, fraction = (np.zeros(starts.size, dtype=np.uint8) for _ in range(3))
+    negative = signed = np.zeros(starts.size, dtype=bool)
+    for k in range(min(int(lengths.max(initial=0)), _PLAIN_SPAN)):
+        byte = b[k:].take(starts, mode="clip")
+        byte *= lengths > k
+        if k == 0:
+            negative = byte == ord("-")
+            signed = negative | (byte == ord("+"))
         digit = byte - ord("0")  # wraps below "0"
         is_digit = digit < 10
         # 10 m + d as m + (9 m + d): no branch per cell, and exact below 2**53.
@@ -383,63 +380,49 @@ def _plain_decimals(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         fraction += is_digit & (dots > 0)
         digits += is_digit
         dots += byte == ord(".")
-        padding += byte == 0
-    negative = columns[0] == ord("-")
-    signed = negative | (columns[0] == ord("+"))
-    # Every walked byte is a digit, a dot, padding or the sign at byte 0.
-    plain = (digits + dots + padding + signed == span) & (digits > 0) & (digits <= 15) & (dots <= 1)
-    if width > span:
-        plain &= grid[:, span] == 0
+    # Every byte of the span is a digit, a dot or the sign at byte 0.
+    plain = (digits + dots + signed == lengths) & (digits > 0) & (digits <= 15) & (dots <= 1)
     values = significand / _DIVISORS[fraction + (_PLAIN_SPAN + 1) * negative]
     values[~plain] = np.nan
     return values, plain
 
 
-def _parse_numbers(name: str, cells: np.ndarray) -> np.ndarray:
+def _parse_numbers(name: str, cells: _Cells) -> np.ndarray:
     """The float value of each cell after stripping, NaN for a missing token.
 
-    ``cells`` are loadtxt's str cells or the byte route's fixed-width bytes
-    cells.  Bytes cells that are plain decimals are decoded from their bytes
-    (:func:`_plain_decimals`), and str cells exactly "0" or "1" are read by
-    comparison; both give float()'s values.  Every other cell goes to
-    :func:`_cast_cells`.
+    Cells that are plain decimals are decoded from their bytes
+    (:func:`_plain_decimals`), ``_DECODE_ROWS`` rows at a time; every other
+    cell goes to :func:`_cast_cells` as a str.  Both give float()'s values.
     """
-    if cells.dtype.kind == "S":
-        values, done = _plain_decimals(cells)
-    else:
-        values = np.full(cells.size, np.nan)
-        zero = cells == "0"
-        one = cells == "1"
-        values[zero] = 0.0
-        values[one] = 1.0
-        done = zero | one
-    rest = np.flatnonzero(~done)
-    values[rest] = _cast_cells(name, cells[rest], rest)
+    values = np.empty(len(cells))
+    b = np.frombuffer(cells.raw, dtype=np.uint8)
+    for lo in range(0, len(cells), _DECODE_ROWS):
+        block = slice(lo, lo + _DECODE_ROWS)
+        values[block], plain = _plain_decimals(b, *cells.spans(block))
+        rest = lo + np.flatnonzero(~plain)
+        values[rest] = _cast_cells(name, cells.texts(rest), rest)
     return values
 
 
 def _cast_cells(name: str, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The float value of each cell after stripping, NaN for a missing token.
+    """The float value of each str cell after stripping, NaN for a missing token.
 
-    The cast reads exactly what float() reads.  A cell that float() refuses
-    is a DataError naming its data row, from ``rows``, each cell's index
-    among the data rows.
+    The cast reads exactly what float() reads, and the strip strips what
+    str.strip() strips.  A cell that float() refuses is a DataError naming
+    its data row, from ``rows``, each cell's index among the data rows.
     """
-    # The tokens in the cells' own type: a str never equals a bytes cell.
-    missing_tokens = [cells.dtype.type(t) for t in _MISSING_TOKENS]
     values = np.full(cells.size, np.nan)
     tokens = np.strings.strip(cells)
     # Missing tokens are empty or alphabetic, so only those cells are case-folded.
     maybe = np.flatnonzero(np.strings.isalpha(tokens) | (np.strings.str_len(tokens) == 0))
     numeric = np.ones(cells.size, dtype=bool)
-    numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), missing_tokens)]] = False
+    numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), _MISSING_TOKENS)]] = False
     try:
         with np.errstate(over="ignore"):  # float() reads an overflowing token as inf, silently
             values[numeric] = tokens[numeric].astype(np.float64)
     except ValueError:
         # numpy's string-to-float cast accepts exactly what float() accepts.
         for row, token in zip(rows[numeric].tolist(), tokens[numeric].tolist()):
-            token = token.decode("ascii") if isinstance(token, bytes) else token
             try:
                 float(token)
             except ValueError:
@@ -448,7 +431,7 @@ def _cast_cells(name: str, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _dichotomize(name: str, cells: np.ndarray, rule: tuple[str, float | None]) -> _Column:
+def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _Column:
     kind, threshold = rule
     values = _parse_numbers(name, cells)
     missing = np.isnan(values)
@@ -493,9 +476,14 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     (a, 0, y) cell counts of the rows complete in treatment and outcome, which
     anchor the run-level ATE reference line.
 
-    Not thread-safe: reading the header, or naming a ragged row, raises the
-    csv module's process-wide ``csv.field_size_limit`` while it reads, so a
-    thread reading CSV meanwhile sees the raised limit.
+    :func:`_read_table` cuts the file into cells in one pass over its bytes;
+    the csv module reads only the few cells and records whose quote marks or
+    non-ASCII bytes that pass leaves open.
+
+    Not thread-safe: reading the header, a blank-looking record or a cell
+    with quote marks inside, or naming a ragged row, raises the csv module's
+    process-wide ``csv.field_size_limit`` while it reads, so a thread
+    reading CSV meanwhile sees the raised limit.
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     if len(set(columns)) != len(columns):

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -285,7 +286,7 @@ def _cell(rng, text):
 
 
 def _seeded_csv(seed, rows=60, quotes=True):
-    """A seeded file of varied tokens; with ``quotes=False`` its cells unquoted, so it takes the byte route."""
+    """A seeded file of varied tokens; with ``quotes=False`` its cells unquoted and no quote mark in it."""
     rng = np.random.default_rng(seed)
     lines = ["a,y,m_bin,m_score,m_level,note"]
     for _ in range(rows):
@@ -312,18 +313,16 @@ def _seeded_csv(seed, rows=60, quotes=True):
     return text.replace('"late, then on time"', "late then on time").replace('"said ""no"""', "said no").replace('"', "")
 
 
-@pytest.fixture
-def parser_calls(monkeypatch):
-    """The bodies ``loadtxt`` reads during the test; empty while every read takes the byte route."""
-    calls = []
-    load = cli._load_cells
+@pytest.fixture(scope="class")
+def no_loadtxt():
+    """``np.loadtxt`` raises while the class's tests run: the CLI reads every CSV without it."""
 
-    def spy(body):
-        calls.append(body)
-        return load(body)
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt was called")
 
-    monkeypatch.setattr(cli, "_load_cells", spy)
-    return calls
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        yield
 
 
 @pytest.fixture
@@ -359,7 +358,7 @@ DECODER_EDGE_TOKENS = [
 
 
 def assert_parsed_as_float(path, column, row, token):
-    """The byte route reads ``token``, at data row ``row`` of ``column``, as float() does, sign bit included.
+    """The reader reads ``token``, at data row ``row`` of ``column``, as float() does, sign bit included.
 
     A token that float() refuses is left to assert_same_ingest, which compares the messages.
     """
@@ -368,7 +367,6 @@ def assert_parsed_as_float(path, column, row, token):
     except DataError:
         return
     cells = cli._read_table(path, [column])[0][column]
-    assert cells.dtype.kind == "S"
     assert cli._parse_numbers(column, cells)[row : row + 1].view(np.int64) == want.view(np.int64)
 
 
@@ -379,6 +377,7 @@ EQUIVALENCE_RUNS = [
 ]
 
 
+@pytest.mark.usefixtures("no_loadtxt")
 class TestColumnReaderMatchesReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_files(self, tmp_path, seed):
@@ -394,7 +393,7 @@ class TestColumnReaderMatchesReference:
         assert_same_ingest(str(path), config)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_seeded_plain_files(self, tmp_path, parser_calls, seed):
+    def test_seeded_plain_files(self, tmp_path, seed):
         path = tmp_path / "d.csv"
         path.write_text(_seeded_csv(seed, quotes=False))
         rules, mediators = EQUIVALENCE_RUNS[seed % len(EQUIVALENCE_RUNS)]
@@ -403,21 +402,19 @@ class TestColumnReaderMatchesReference:
         reference_data, _, _, _ = reference_ingest(str(path), config)
         assert any(dropped for _, _, dropped, _ in reference_data)
         assert_same_ingest(str(path), config)
-        assert parser_calls == []
 
-    # One byte that only the parser reads as str.strip() does, anywhere in an
-    # otherwise plain file, sends the whole file to loadtxt.
+    # A byte whose effect on a record only the csv module knows (a quote mark
+    # may open a cell; str.strip() strips \u00a0 and \x1c, bytes.strip() does
+    # not), anywhere in an otherwise plain file, in a cell or beside a blank record.
     @pytest.mark.parametrize("char", ['"', "\u00a0", "\x1c"])
-    def test_one_parser_byte_anywhere(self, tmp_path, parser_calls, char):
+    def test_one_parser_byte_anywhere(self, tmp_path, char):
         rng = np.random.default_rng(ord(char))
         text = _seeded_csv(5, quotes=False)
         path = str(tmp_path / "d.csv")
         config = config_for(path, mediators=("m_bin", "m_score"), dichotomize="m_score=median-gt")
         for at in rng.integers(text.index("\n") + 1, len(text), size=25).tolist():
             write_text(Path(path), text[:at] + char + text[at:])
-            parser_calls.clear()
             assert_same_ingest(path, config)
-            assert parser_calls
 
     @staticmethod
     def _with_token(tmp_path, seed, col, token):
@@ -458,20 +455,32 @@ class TestColumnReaderMatchesReference:
         path = self._with_m_cell(tmp_path, f'"{token}"')
         assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
 
-    # On the byte route, with the decoder's edges too.  Under median-gt, "-0"
-    # must print median=-0, as float() reads it.
+    # A requested cell loses its quote marks by narrowing only when it holds
+    # exactly two, at its first and its last byte; the csv module reads every
+    # other shape, and both must read as the reference does.
+    @pytest.mark.parametrize(
+        "cell",
+        ['"0"5', '0"5"', '""0"', '"0""5"', '"0.5"""', '"""0.5"', '"0.5" ', ' "0.5"', '"-0"', '""', '"NA"',
+         '"0."5', '""0.5', '0.5""', '"0.5\n"', '"\n-0.5"'],
+    )
+    def test_quote_shapes(self, tmp_path, cell):
+        path = self._with_m_cell(tmp_path, cell)
+        for rule in ("m=threshold:0.25", "m=median-gt"):
+            assert_same_ingest(path, config_for(path, dichotomize=rule))
+
+    # Unquoted, with the decoder's edges too.  Under median-gt, "-0" must
+    # print median=-0, as float() reads it.
     @pytest.mark.parametrize("token", [t for t in EDGE_TOKENS if t.isascii()] + DECODER_EDGE_TOKENS)
-    def test_edge_tokens_unquoted(self, tmp_path, parser_calls, token):
+    def test_edge_tokens_unquoted(self, tmp_path, token):
         path = self._with_m_cell(tmp_path, token)
         for rule in ("m=threshold:1", "m=median-gt"):
             assert_same_ingest(path, config_for(path, dichotomize=rule))
         assert_parsed_as_float(path, "m", 5, token)
-        assert parser_calls == []
 
-    def test_decoder_reads_a_261_digit_cell_as_float_does(self, tmp_path, parser_calls, cast_calls):
-        # 20 columns let the requested cells take 16 x 20 bytes, so the byte
-        # route holds the 262-byte cell; 261 digits wrap an 8-bit counter to 5.
-        # Only that cell goes to the cast: the column's other cells are still decoded.
+    def test_decoder_reads_a_261_digit_cell_as_float_does(self, tmp_path, cast_calls):
+        # 261 digits would wrap an 8-bit digit counter to 5 if the decoder
+        # walked past a cell's 17th byte.  Only that cell goes to the cast:
+        # the column's other cells are still decoded.
         wide = "0" * 259 + "1.5"
         header = ",".join(["a", "y", "m"] + [f"x{i}" for i in range(17)])
         rows = [f"{i % 2},{(i // 2) % 2},{0.25 * i}," + ",".join(str(i + j) for j in range(17)) for i in range(12)]
@@ -479,16 +488,33 @@ class TestColumnReaderMatchesReference:
         path = write_text(tmp_path / "d.csv", header + "\n" + "\n".join(rows) + "\n")
         assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1.25"))
         assert_parsed_as_float(path, "m", 4, wide)
-        assert parser_calls == []
-        assert cast_calls["m"] == ([wide.encode("ascii")], [4])
+        assert cast_calls["m"] == ([wide], [4])
 
-    def test_wide_cell_is_read_by_the_parser(self, tmp_path, parser_calls):
-        # Held as fixed-width bytes, every cell of the column would be as wide as this one.
-        rows = [f"{i % 2},{(i // 2) % 2},{i % 3}" for i in range(50)]
-        rows[7] = "1,0," + "0" * 1000 + "1"
+    def test_wide_cell_is_not_held_at_its_width(self, tmp_path):
+        # Held at a fixed width, each of the column's 2,000 cells would take
+        # the 20,000 bytes of the widest: 40 MB.
+        rows = [f"{i % 2},{(i // 2) % 2},{i % 3}" for i in range(2000)]
+        rows[7] = "1,0," + "0" * 19_999 + "1"
         path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
-        assert_same_ingest(path, config_for(path, dichotomize="m=threshold:1"))
-        assert parser_calls
+        config = config_for(path, dichotomize="m=threshold:1")
+        assert_same_ingest(path, config)
+        tracemalloc.start()
+        try:
+            ingest(path, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    # Blocks of a few rows put block boundaries next to blank records, quoted
+    # cells and the cells that the decoder refuses.
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_decoding_in_blocks_matches_the_reference(self, monkeypatch, tmp_path, rows):
+        monkeypatch.setattr(cli, "_DECODE_ROWS", rows)
+        for seed in range(3):
+            path = write_text(tmp_path / "d.csv", _seeded_csv(seed))
+            rules, mediators = EQUIVALENCE_RUNS[seed]
+            assert_same_ingest(path, config_for(path, mediators=mediators, dichotomize=rules))
 
 
 TOKEN_TEXT = (
@@ -498,11 +524,18 @@ TOKEN_TEXT = (
 )
 
 
+def token_cells(tokens):
+    """``tokens``, which hold no comma, quote mark or line end, as the cells of a one-column file."""
+    raw = ("\n" + "\n".join(tokens) + "\n").encode("utf-8")
+    ends = np.flatnonzero(np.frombuffer(raw, dtype=np.uint8) == ord("\n"))
+    return cli._Cells(raw, np.lib.stride_tricks.sliding_window_view(ends, 2), 0, np.array([], dtype=np.int64))
+
+
 class TestPlainDecimalDecoder:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(tokens=st.lists(TOKEN_TEXT, min_size=1, max_size=8))
     def test_bytes_cells_parse_as_float_does(self, tokens):
-        cells = np.array([t.encode("ascii") for t in tokens], dtype=bytes)
+        cells = token_cells(tokens)
         try:
             want = reference_numbers("m", tokens)
         except DataError as exc:
@@ -512,7 +545,7 @@ class TestPlainDecimalDecoder:
             return
         assert np.array_equal(cli._parse_numbers("m", cells).view(np.int64), want.view(np.int64))
 
-    def test_only_other_cells_reach_the_cast(self, tmp_path, parser_calls, cast_calls):
+    def test_only_other_cells_reach_the_cast(self, tmp_path, cast_calls):
         # On a plain file the cast sees only its missing and other tokens, so
         # the decoder cannot quietly hand every cell back to it.
         rows = [f"{i % 2},{(i // 2) % 2},{-1.25 + 0.125 * i:+.3f}" for i in range(40)]
@@ -521,8 +554,7 @@ class TestPlainDecimalDecoder:
             rows[i] = rows[i].rsplit(",", 1)[0] + "," + token
         path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
         assert_same_ingest(path, config_for(path, dichotomize="m=median-gt"))
-        assert parser_calls == []
-        want = ([t.encode("ascii") for t in others.values()], list(others))
+        want = (list(others.values()), list(others))
         assert cast_calls == {"a": ([], []), "y": ([], []), "m": want}
 
 
@@ -547,12 +579,13 @@ def _quoting_csv(rng):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.usefixtures("no_loadtxt")
 class TestRecordStructureMatchesReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_quoting(self, tmp_path, seed):
         # A file is ragged if the csv module finds a non-blank row of other
-        # than five fields; ingest must reject exactly those and match the
-        # reference on the rest.
+        # than five fields; ingest must reject exactly those, with the
+        # reference's message, and match the reference on the rest.
         rng = np.random.default_rng(seed)
         path = str(tmp_path / "d.csv")
         compared = 0
@@ -560,12 +593,12 @@ class TestRecordStructureMatchesReference:
             text = _quoting_csv(rng)
             write_text(Path(path), text)
             rows = [r for r in csv.reader(io.StringIO(text, newline=""))][1:]
-            if all(len(r) == 5 for r in rows if any(cell.strip() for cell in r)):
-                assert_same_ingest(path, config_for(path))
-                compared += 1
-            else:
+            ragged = not all(len(r) == 5 for r in rows if any(cell.strip() for cell in r))
+            if ragged:
                 with pytest.raises(DataError, match="fields, but the header has 5"):
-                    ingest(path, config_for(path))
+                    reference_ingest(path, config_for(path))
+            assert_same_ingest(path, config_for(path))
+            compared += not ragged
         assert compared >= 20
 
 
@@ -574,6 +607,7 @@ def write_text(path, text, encoding="utf-8"):
     return str(path)
 
 
+@pytest.mark.usefixtures("no_loadtxt")
 class TestCsvInputRules:
     def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
         text = "a,y,m\n\n0,0,1\n   \n,,\n1,1,0\n \u00a0 , \n,,,\n\"\",\"\",\n0,1,1\n\t\n"
@@ -663,42 +697,44 @@ class TestCsvInputRules:
         _, n_rows, _ = ingest(path, config_for(path))
         assert n_rows == 2
 
-    def test_unrecognised_parser_error_is_data_error(self, monkeypatch, tmp_path):
-        path = write_text(tmp_path / "d.csv", 'a,y,m\n0,0,"1"\n1,1,0\n')
-
-        def fail(body):
-            raise ValueError("unexpected tokenizer state")
-
-        monkeypatch.setattr(cli, "_load_cells", fail)
-        with pytest.raises(DataError, match="d.csv: unexpected tokenizer state"):
-            ingest(path, config_for(path))
-
-    # Ragged rows are named by the csv module's field count, whatever the
-    # parser's error says; a plain file and a quoted one alike.
+    # Ragged rows are named by the csv module's field count, with blank
+    # records left out of the row number; a plain file and a quoted one alike.
     @pytest.mark.parametrize(
         "text", ["a,y,m\n0,0,1\n\n1,1\n0,1,0\n", 'a,y,m\n0,0,1\n\n1,"1,0"\n0,1,0\n'], ids=["plain", "quoted"]
     )
-    def test_ragged_row_is_named_by_its_field_count(self, monkeypatch, tmp_path, text):
+    def test_ragged_row_is_named_by_its_field_count(self, tmp_path, text):
         path = write_text(tmp_path / "d.csv", text)
-
-        def fail(body):
-            raise ValueError("some other wording")
-
-        monkeypatch.setattr(cli, "_load_cells", fail)
         with pytest.raises(DataError) as info:
             ingest(path, config_for(path))
         assert str(info.value) == "row 3: 2 fields, but the header has 3"
 
-    def test_plain_file_is_never_parsed(self, monkeypatch, tmp_path):
+    def test_plain_file_is_never_parsed(self, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,y,m,note\n0,0,1,x\n \n,,,\n1,1,0,y z\n 0 ,NA,1,\n1,0,nan,")
-
-        def fail(body):
-            raise AssertionError("loadtxt read a plain file")
-
-        monkeypatch.setattr(cli, "_load_cells", fail)
         data, n_rows, _ = ingest(path, config_for(path))
         assert (n_rows, data[0].n_dropped) == (4, 2)
         assert data[0].counts.tolist() == tally([[0, 1, 0], [1, 0, 1]])
+
+    def test_r_write_csv_export_reads_as_its_plain_twin(self, capsys, tmp_path):
+        # R's write.csv quotes every header name, the first of them empty, the
+        # row names and every string cell, doubling the quote marks inside.
+        rng = np.random.default_rng(20)
+        notes = ['said "no", then yes', "late, then on time", "", 'a "quoted" word']
+        export, twin = ['"","treat","y","m","note"'], [",treat,y,m,note"]
+        for i in range(80):
+            a, y = rng.integers(2, size=2).tolist()
+            m = f"{rng.normal(0.4 * a, 1.0):.4f}"
+            note = notes[i % len(notes)]
+            export.append(f'"{i + 1}",{a},{y},{m},"{note.replace(chr(34), 2 * chr(34))}"')
+            twin.append(f"{i + 1},{a},{y},{m},{note.replace(chr(34), '').replace(',', '')}")
+        argv = ["--treatment", "treat", "--mediators", "m", "--dichotomize", "m=median-gt", "--draws", "300",
+                "--format", "csv"]
+        outputs = []
+        for stem, lines in (("export", export), ("twin", twin)):
+            path = write_text(tmp_path / f"{stem}.csv", "\n".join(lines) + "\n")
+            code, out, err = run_cli(capsys, "--data", path, *argv)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_duplicate_requested_header_is_data_error(self, capsys, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,y,m,m\n0,0,1,1\n1,1,0,0\n")
@@ -1368,6 +1404,7 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "d.csv"
 
 
+@pytest.mark.usefixtures("no_loadtxt")
 class TestExitCodeContract:
     """Any input exits 0, 2, 3 or 4, writes nothing to stdout unless it exits 0, and reruns byte for byte."""
 

@@ -50,11 +50,19 @@ def checkout(rev: str, workdir: Path) -> tuple[dict, Path]:
     return ids, target
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run's result line, with the output digest it printed."""
+def run_once(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run's result line, with the output digest it printed.
+
+    A run that fails stops the script with exit code 2 and the last 20 lines of the run's stderr.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{seconds:g}", "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        print(f"{workload} seed={seed} {side}: perfbench/run.py exited {proc.returncode}; its stderr ends:\n{tail}",
+              file=sys.stderr)
+        sys.exit(2)
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1])
     result["sha256"] = next(line.split()[1] for line in lines if line.startswith("sha256 "))
@@ -93,7 +101,7 @@ def main() -> None:
     results = {"parent": [], "change": []}
     for seed, lead in zip(seeds, first):
         for side in (lead, "change" if lead == "parent" else "parent"):
-            results[side].append(run_once(roots[side], args.workload, seed, bench["run_seconds"]))
+            results[side].append(run_once(roots[side], side, args.workload, seed, bench["run_seconds"]))
             r = results[side][-1]
             print(f"{args.workload} seed={seed} {side}: op_ms_p50={r['metrics']['op_ms_p50']['value']:.3f} "
                   f"peak_rss_mb={r['metrics']['peak_rss_mb']['value']:.2f}", flush=True)
