@@ -27,7 +27,6 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.dtypes import StringDType
 
 from . import __version__
 from .closed_form import ande_bounds, anie_bounds
@@ -61,13 +60,12 @@ _BYTE_KIND = bytes(
 _PLAIN_SPAN = 17
 _DIVISORS = np.concatenate([10.0 ** np.arange(_PLAIN_SPAN + 1), -(10.0 ** np.arange(_PLAIN_SPAN + 1))])
 # Rows decoded at a time.  The file and its field ends stay in memory while a
-# column is decoded, so a block's temporaries (about 70 bytes a row) are what
-# the decoder adds to the peak; whole columns of a 250,000-row file raised the
-# peak by 5.7 MB, more than the 4.6 MB file itself.
-_DECODE_ROWS = 65_536
-# The longest cell that _Cells.texts cuts out with the others of a block:
-# every number a CSV writer prints fits, and a block's grid stays within 2 MB.
-_GRID_BYTES = 32
+# column is decoded, so a block's temporaries are what the decoder adds to the
+# peak: about 70 bytes a row, and about 110 more for each cell that float()
+# reads, held as Python str and float objects until its block is done.  Blocks
+# of 65,536 rows took the CLI's peak RSS on an 11 MB, 250,000-row R export
+# from 117.3 to 120.4 MB.
+_DECODE_ROWS = 32_768
 _METHOD_NAMES = {
     Assumptions.NONE.value: "bounds-none",
     Assumptions.MMR.value: "bounds-mmr",
@@ -215,26 +213,6 @@ class _Cells:
             starts[pair] += 1
             ends[pair] -= 1
         return starts, ends
-
-    def texts(self, rows: np.ndarray) -> np.ndarray:
-        """The cells of ``rows`` as str; a cell with quote marks left after :meth:`spans` is read by the csv module."""
-        starts, ends = self.spans(rows)
-        lengths = ends - starts
-        # Cells of up to _GRID_BYTES are cut out a byte position at a time, as
-        # fixed-width bytes that decode to str in one cast; longer ones are
-        # left empty there and decoded one by one.
-        cut = np.where(lengths <= _GRID_BYTES, lengths, 0)
-        b = np.frombuffer(self.raw, dtype=np.uint8)
-        grid = np.empty((max(int(cut.max(initial=0)), 1), rows.size), dtype=np.uint8)
-        for k, column in enumerate(grid):
-            np.multiply(b[k:].take(starts, mode="clip"), cut > k, out=column)
-        texts = np.ascontiguousarray(grid.T).view(f"S{grid.shape[0]}").ravel().astype(StringDType())
-        for i in np.flatnonzero(lengths > _GRID_BYTES).tolist():
-            texts[i] = self.raw[starts[i] : ends[i]].decode("utf-8")
-        if self.quotes.size:
-            for i in np.flatnonzero(np.strings.find(texts, '"') >= 0).tolist():
-                texts[i] = next(_csv_records(texts[i]))[0]
-        return texts
 
 
 def _field_ends(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,45 +368,41 @@ def _plain_decimals(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
 def _parse_numbers(name: str, cells: _Cells) -> np.ndarray:
     """The float value of each cell after stripping, NaN for a missing token.
 
-    Cells that are plain decimals are decoded from their bytes
-    (:func:`_plain_decimals`), ``_DECODE_ROWS`` rows at a time; every other
-    cell goes to :func:`_cast_cells` as a str.  Both give float()'s values.
+    ``_DECODE_ROWS`` rows at a time, the cells that are plain decimals are
+    decoded from their bytes (:func:`_plain_decimals`) and the spans of the
+    others go to :func:`_cast_cells`.  Both give float()'s values.
     """
     values = np.empty(len(cells))
     b = np.frombuffer(cells.raw, dtype=np.uint8)
     for lo in range(0, len(cells), _DECODE_ROWS):
         block = slice(lo, lo + _DECODE_ROWS)
-        values[block], plain = _plain_decimals(b, *cells.spans(block))
-        rest = lo + np.flatnonzero(~plain)
-        values[rest] = _cast_cells(name, cells.texts(rest), rest)
+        starts, ends = cells.spans(block)
+        values[block], plain = _plain_decimals(b, starts, ends)
+        rest = np.flatnonzero(~plain)
+        values[lo + rest] = _cast_cells(name, cells.raw, starts[rest], ends[rest], lo + rest)
     return values
 
 
-def _cast_cells(name: str, cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The float value of each str cell after stripping, NaN for a missing token.
+def _cast_cells(name: str, raw: bytes, starts: np.ndarray, ends: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """float() of each span of ``raw`` after str.strip(), NaN for a missing token.
 
-    The cast reads exactly what float() reads, and the strip strips what
-    str.strip() strips.  A cell that float() refuses is a DataError naming
-    its data row, from ``rows``, each cell's index among the data rows.
+    A span with a quote mark in it is read by the csv module first.  A token
+    that float() refuses is a DataError naming its data row, from ``rows``,
+    each span's index among the data rows.
     """
-    values = np.full(cells.size, np.nan)
-    tokens = np.strings.strip(cells)
-    # Missing tokens are empty or alphabetic, so only those cells are case-folded.
-    maybe = np.flatnonzero(np.strings.isalpha(tokens) | (np.strings.str_len(tokens) == 0))
-    numeric = np.ones(cells.size, dtype=bool)
-    numeric[maybe[np.isin(np.strings.lower(tokens[maybe]), _MISSING_TOKENS)]] = False
+    tokens = [
+        (next(_csv_records(text))[0] if '"' in (text := raw[s:e].decode("utf-8")) else text).strip()
+        for s, e in zip(memoryview(starts), memoryview(ends))
+    ]
     try:
-        with np.errstate(over="ignore"):  # float() reads an overflowing token as inf, silently
-            values[numeric] = tokens[numeric].astype(np.float64)
+        return np.array([math.nan if token.lower() in _MISSING_TOKENS else float(token) for token in tokens])
     except ValueError:
-        # numpy's string-to-float cast accepts exactly what float() accepts.
-        for row, token in zip(rows[numeric].tolist(), tokens[numeric].tolist()):
+        for row, token in zip(rows.tolist(), tokens):
             try:
-                float(token)
+                token.lower() in _MISSING_TOKENS or float(token)
             except ValueError:
                 raise DataError(f"row {row + 2}: non-numeric value {token!r} in column {name!r}") from None
         raise
-    return values
 
 
 def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _Column:
@@ -478,7 +452,9 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
 
     :func:`_read_table` cuts the file into cells in one pass over its bytes;
     the csv module reads only the few cells and records whose quote marks or
-    non-ASCII bytes that pass leaves open.
+    non-ASCII bytes that pass leaves open.  :func:`_parse_numbers` decodes
+    the plain decimals among the requested cells from their bytes and reads
+    every other one with float() itself.
 
     Not thread-safe: reading the header, a blank-looking record or a cell
     with quote marks inside, or naming a ragged row, raises the csv module's

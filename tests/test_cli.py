@@ -331,9 +331,9 @@ def cast_calls(monkeypatch):
     calls = {}
     cast = cli._cast_cells
 
-    def spy(name, cells, rows):
-        calls[name] = (cells.tolist(), rows.tolist())
-        return cast(name, cells, rows)
+    def spy(name, raw, starts, ends, rows):
+        calls[name] = ([raw[s:e].decode("utf-8") for s, e in zip(starts.tolist(), ends.tolist())], rows.tolist())
+        return cast(name, raw, starts, ends, rows)
 
     monkeypatch.setattr(cli, "_cast_cells", spy)
     return calls
@@ -515,6 +515,21 @@ class TestColumnReaderMatchesReference:
             path = write_text(tmp_path / "d.csv", _seeded_csv(seed))
             rules, mediators = EQUIVALENCE_RUNS[seed]
             assert_same_ingest(path, config_for(path, mediators=mediators, dichotomize=rules))
+
+    # A block's refused cells are named by their data row in the file, not in
+    # the block: blank records come before the bad token at data row 10, and a
+    # missing token sends an earlier block's cell to the cast too.
+    @pytest.mark.parametrize("rows", [2, 7])
+    def test_refused_cell_past_the_first_block_names_its_data_row(self, monkeypatch, tmp_path, rows):
+        monkeypatch.setattr(cli, "_DECODE_ROWS", rows)
+        lines = [f"{i % 2},{(i // 2) % 2},{0.25 * i}" for i in range(12)]
+        lines[1], lines[9] = "0,1,NA", "1,0,0.5x"
+        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(lines[:4] + ["", " ,,"] + lines[4:]) + "\n")
+        config = config_for(path, dichotomize="m=median-gt")
+        with pytest.raises(DataError) as info:
+            reference_ingest(path, config)
+        assert str(info.value) == "row 11: non-numeric value '0.5x' in column 'm'"
+        assert_same_ingest(path, config)
 
 
 TOKEN_TEXT = (
@@ -714,6 +729,16 @@ class TestCsvInputRules:
         assert (n_rows, data[0].n_dropped) == (4, 2)
         assert data[0].counts.tolist() == tally([[0, 1, 0], [1, 0, 1]])
 
+    def test_signed_nan_spellings_are_missing(self, tmp_path):
+        # float() reads -nan and +NaN as NaN, so they drop their rows as NA does.
+        rows = [f"{i % 2},{(i // 2) % 2},{(i // 4) % 2}" for i in range(10)]
+        rows[2], rows[7] = "0,1,-nan", "1,1,+NaN"
+        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
+        twin = write_text(tmp_path / "twin.csv", "a,y,m\n" + "\n".join(rows).replace("-nan", "NA").replace("+NaN", "NA"))
+        data, twin_data = ingest(path, config_for(path))[0][0], ingest(twin, config_for(twin))[0][0]
+        assert data.n_dropped == twin_data.n_dropped == 2
+        assert data.counts.tolist() == twin_data.counts.tolist()
+
     def test_r_write_csv_export_reads_as_its_plain_twin(self, capsys, tmp_path):
         # R's write.csv quotes every header name, the first of them empty, the
         # row names and every string cell, doubling the quote marks inside.
@@ -818,6 +843,53 @@ class TestCsvInputRules:
         code, changed_out, _ = run_cli(capsys, "--data", changed, *argv)
         assert code == 0
         assert changed_out == plain_out
+
+
+def spellings(x):
+    """Other spellings of the double ``x``, each of which reads back as ``x``: 1.0, +1.0, 1.0e0, 01.0, padded, quoted."""
+    r = repr(x)
+    sign, digits = ("-", r[1:]) if r.startswith("-") else ("+", r)
+    return [r, sign + digits, r if "e" in r else r + "e0", sign + "0" + digits, f" {r}\t", f'"{r}"']
+
+
+MISSING_SPELLINGS = ["NA", "nan", "null", "None", ""]
+
+
+class TestRespelledCells:
+    ARGV = ["--mediators", "m_bin,m_score,m_level", "--dichotomize", EQUIVALENCE_RUNS[0][0],
+            "--assumptions", "none,mmr", "--draws", "100"]
+
+    @staticmethod
+    def _main(path):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--data", path, *TestRespelledCells.ARGV])
+        return code, out.getvalue()
+
+    # Rewriting requested cells as other spellings of the same double, and
+    # missing tokens as other missing tokens, keeps every count, so the
+    # report is byte for byte the same.  The note column is never empty, so
+    # no rewrite makes a record blank or a blank one not.
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 5), rewrite_seed=st.integers(0, 2**32 - 1))
+    def test_respelled_cells_give_identical_stdout(self, tmp_path_factory, seed, rewrite_seed):
+        rng = np.random.default_rng(rewrite_seed)
+        lines = _seeded_csv(seed, quotes=False).splitlines()
+        path = write_text(tmp_path_factory.mktemp("respelled") / "d.csv", "\n".join(lines) + "\n")
+        before = self._main(path)
+        for i, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            if line in BLANK_LINES or not cells[-1].strip():
+                continue
+            for j in np.flatnonzero(rng.random(5) < 0.5).tolist():
+                token = cells[j].strip()
+                if token.lower() in ("", "na", "nan", "null", "none"):
+                    cells[j] = MISSING_SPELLINGS[rng.integers(len(MISSING_SPELLINGS))]
+                else:
+                    cells[j] = spellings(float(token))[rng.integers(6)]
+            lines[i] = ",".join(cells)
+        write_text(Path(path), "\n".join(lines) + "\n")
+        assert self._main(path) == before
 
 
 class TestExitCodes:
