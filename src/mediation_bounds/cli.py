@@ -398,10 +398,11 @@ def _cast_cells(name: str, raw: bytes, starts: np.ndarray, ends: np.ndarray, row
         return np.array([math.nan if token.lower() in _MISSING_TOKENS else float(token) for token in tokens])
     except ValueError:
         for row, token in zip(rows.tolist(), tokens):
-            try:
-                token.lower() in _MISSING_TOKENS or float(token)
-            except ValueError:
-                raise DataError(f"row {row + 2}: non-numeric value {token!r} in column {name!r}") from None
+            if token.lower() not in _MISSING_TOKENS:
+                try:
+                    float(token)
+                except ValueError:
+                    raise DataError(f"row {row + 2}: non-numeric value {token!r} in column {name!r}") from None
         raise
 
 

@@ -733,8 +733,9 @@ class TestCsvInputRules:
         # float() reads -nan and +NaN as NaN, so they drop their rows as NA does.
         rows = [f"{i % 2},{(i // 2) % 2},{(i // 4) % 2}" for i in range(10)]
         rows[2], rows[7] = "0,1,-nan", "1,1,+NaN"
-        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
-        twin = write_text(tmp_path / "twin.csv", "a,y,m\n" + "\n".join(rows).replace("-nan", "NA").replace("+NaN", "NA"))
+        text = "a,y,m\n" + "\n".join(rows) + "\n"
+        path = write_text(tmp_path / "d.csv", text)
+        twin = write_text(tmp_path / "twin.csv", text.replace("-nan", "NA").replace("+NaN", "NA"))
         data, twin_data = ingest(path, config_for(path))[0][0], ingest(twin, config_for(twin))[0][0]
         assert data.n_dropped == twin_data.n_dropped == 2
         assert data.counts.tolist() == twin_data.counts.tolist()
@@ -846,7 +847,7 @@ class TestCsvInputRules:
 
 
 def spellings(x):
-    """Other spellings of the double ``x``, each of which reads back as ``x``: 1.0, +1.0, 1.0e0, 01.0, padded, quoted."""
+    """Spellings of the double ``x`` that float() reads back as ``x``: 1.0, +1.0, 1.0e0, 01.0, padded, quoted."""
     r = repr(x)
     sign, digits = ("-", r[1:]) if r.startswith("-") else ("+", r)
     return [r, sign + digits, r if "e" in r else r + "e0", sign + "0" + digits, f" {r}\t", f'"{r}"']
