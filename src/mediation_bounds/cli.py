@@ -22,8 +22,8 @@ import io
 import json
 import math
 import os
+import re
 import sys
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,9 +47,9 @@ SCHEMA = "mediation-bounds/4"
 _MISSING_TOKENS = ("", "na", "nan", "null", "none")  # matched after strip, case-insensitively
 # Two flags per byte, OR-ed over each record.  Bit 0: the byte makes a cell
 # non-blank (ASCII, and not a comma, a quote mark or whitespace as str.strip()
-# sees it).  Bit 1: only the csv module can tell whether it does.  A quote
-# mark may be syntax or text, and str.strip() strips non-ASCII whitespace and
-# \x1c-\x1f, which bytes.strip() keeps.
+# sees it).  Bit 1: only reading the record's cells (:func:`_cell`) can tell
+# whether it does.  A quote mark may be syntax or text, and str.strip() strips
+# non-ASCII whitespace and \x1c-\x1f, which bytes.strip() keeps.
 _BYTE_KIND = bytes(
     (c < 128 and not chr(c).isspace() and chr(c) not in ',"')
     + 2 * (c == ord('"') or c > 127 or (chr(c).isspace() and not bytes([c]).isspace()))
@@ -66,6 +66,9 @@ _DIVISORS = np.concatenate([10.0 ** np.arange(_PLAIN_SPAN + 1), -(10.0 ** np.ara
 # of 65,536 rows took the CLI's peak RSS on an 11 MB, 250,000-row R export
 # from 117.3 to 120.4 MB.
 _DECODE_ROWS = 32_768
+# A quoted cell's parts (see _cell).  A run of other characters than quote marks is one
+# step of the match, so a long cell costs the regex engine no memory per character.
+_QUOTED = re.compile(r'"([^"]*(?:""[^"]*)*)"?(.*)', re.S)
 _METHOD_NAMES = {
     Assumptions.NONE.value: "bounds-none",
     Assumptions.MMR.value: "bounds-mmr",
@@ -247,18 +250,38 @@ def _field_ends(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _newlines_only(raw: bytes) -> bytes:
     """``raw`` with each ``\\r\\n`` or lone ``\\r`` line end made ``\\n``; ``raw`` itself if it has none."""
-    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in raw else raw
+
+
+def _cell(text: str) -> str:
+    """A cell's text as the csv module reads it, after str.strip().
+
+    A cell that starts with a quote mark keeps its quoted part, with each
+    ``""`` in it read as ``"``, then any text after the closing quote; every
+    other cell is literal.
+    """
+    if text.startswith('"'):
+        quoted, after = _QUOTED.match(text).groups()
+        text = quoted.replace('""', '"') + after
+    return text.strip()
+
+
+def _record(raw: bytes, cuts: list[int]) -> list[str]:
+    """The cells of the record after the line end at ``cuts[0]``, whose fields end at ``cuts[1:]``; none if empty."""
+    if cuts[-1] == cuts[0] + 1:
+        return []
+    return [_cell(raw[s + 1 : e].decode("utf-8")) for s, e in zip(cuts, cuts[1:])]
 
 
 def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     """The cells of ``columns``, one per non-blank data row, and the row count.
 
-    One scan (:func:`_field_ends`) finds the commas and line ends outside
-    quoted cells.  They end the header record, count each record's fields
-    and cut the data rows into cells.  A record whose every cell is empty or
-    whitespace is skipped; the csv module reads a record to tell only when
-    it holds nothing but those, quote marks and non-ASCII bytes.  A record
-    of other than the header's field count is ragged: :func:`_ragged_row` names it.
+    One scan (:func:`_field_ends`) finds the commas and line ends outside quoted
+    cells.  They end the header record, count each record's fields and cut the
+    records into cells, which :func:`_cell` reads where text is needed.  A
+    record whose every cell is empty or whitespace is skipped; its cells are
+    read to tell only when it holds nothing but those, quote marks and non-ASCII
+    bytes.  Any other record of another field count than the header's is ragged.
     """
     try:
         with open(path, "rb") as handle:
@@ -267,11 +290,12 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if raw.startswith(codecs.BOM_UTF8):
         raw = raw[len(codecs.BOM_UTF8) :]
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = _newlines_only(raw[: exc.start]).count(b"\n") + 1
-        raise DataError(f"{path} is not valid UTF-8: line {line}, byte {exc.start}: {exc.reason}") from None
+    if not raw.isascii():  # ASCII is UTF-8, and the test makes no str
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = _newlines_only(raw[: exc.start]).count(b"\n") + 1
+            raise DataError(f"{path} is not valid UTF-8: line {line}, byte {exc.start}: {exc.reason}") from None
     if not raw:
         raise DataError(f"{path} is empty")
     raw = _newlines_only(raw)
@@ -283,8 +307,7 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     b = np.frombuffer(raw, dtype=np.uint8)
     ends, quotes = _field_ends(b)
     lines = np.flatnonzero(b[ends] == ord("\n"))  # where in ``ends`` each record ends
-    body = int(ends[lines[0]]) + 1
-    header = [h.strip() for h in next(_csv_records(raw[:body].decode("utf-8")), [])]
+    header = _record(raw, [-1, *ends[: lines[0] + 1].tolist()])
     for col in columns:
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
@@ -292,39 +315,21 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
             raise DataError(f"column {col!r} appears {header.count(col)} times in the header of {path}")
     kind = np.bitwise_or.reduceat(np.frombuffer(raw.translate(_BYTE_KIND), dtype=np.uint8), ends[lines[:-1]] + 1)
     blank = kind == 0
-    # Only the csv module can tell whether blanks, quote marks and non-ASCII
-    # bytes alone are blank; such records are few.
+    # Only their cells tell whether blanks, quote marks and non-ASCII bytes alone are blank; such records are few.
     for i in np.flatnonzero(kind == 2).tolist():
-        record = next(_csv_records(raw[ends[lines[i]] + 1 : ends[lines[i + 1]] + 1].decode("utf-8")), [])
-        blank[i] = not any(cell.strip() for cell in record)
+        blank[i] = not any(_record(raw, ends[lines[i] : lines[i + 1] + 1].tolist()))
     if blank.all():
         raise DataError(f"{path} has a header but no data rows")
     width = len(header)
-    if (np.diff(lines)[~blank] != width).any():
-        raise DataError(_ragged_row(raw[body:], width))
+    fields = np.diff(lines)[~blank]
+    ragged = np.flatnonzero(fields != width)
+    if ragged.size:
+        raise DataError(f"row {ragged[0] + 2}: {fields[ragged[0]]} fields, but the header has {width}")
     # Each data row's window: the end before it, then its own field ends.
     # Without blank records they are every width-th window, a view of ``ends``.
     windows = np.lib.stride_tricks.sliding_window_view(ends, width + 1)
     cuts = windows[lines[:-1][~blank]] if blank.any() else windows[lines[0] :: width]
     return {col: _Cells(raw, cuts, header.index(col), quotes) for col in columns}, cuts.shape[0]
-
-
-def _csv_records(text: str) -> Iterator[list[str]]:
-    """The csv module's records of ``text``, read with its field size limit raised to ``len(text)``."""
-    limit = csv.field_size_limit(max(csv.field_size_limit(), len(text)))  # a cell may be of any length
-    try:
-        yield from csv.reader(io.StringIO(text, newline=""))
-    finally:
-        csv.field_size_limit(limit)
-
-
-def _ragged_row(body: bytes, width: int) -> str:
-    """The first non-blank record without ``width`` fields, as the csv module counts them, named by its data row."""
-    records = (r for r in _csv_records(body.decode("utf-8")) if any(cell.strip() for cell in r))
-    for row, record in enumerate(records, start=2):
-        if len(record) != width:
-            return f"row {row}: {len(record)} fields, but the header has {width}"
-    raise RuntimeError(f"the csv module finds no record of other than {width} fields")
 
 
 def _plain_decimals(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,14 +389,13 @@ def _parse_numbers(name: str, cells: _Cells) -> np.ndarray:
 
 
 def _cast_cells(name: str, raw: bytes, starts: np.ndarray, ends: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """float() of each span of ``raw`` after str.strip(), NaN for a missing token.
+    """float() of each span of ``raw`` read by :func:`_cell`, NaN for a missing token.
 
-    A span with a quote mark in it is read by the csv module first.  A token
-    that float() refuses is a DataError naming its data row, from ``rows``,
-    each span's index among the data rows.
+    A token that float() refuses is a DataError naming its data row, from
+    ``rows``, each span's index among the data rows.
     """
-    tokens = [
-        (next(_csv_records(text))[0] if '"' in (text := raw[s:e].decode("utf-8")) else text).strip()
+    tokens = [  # a text with no quote mark is stripped here, which saves most cells a call
+        _cell(text) if '"' in (text := raw[s:e].decode("utf-8")) else text.strip()
         for s, e in zip(memoryview(starts), memoryview(ends))
     ]
     try:
@@ -451,16 +455,11 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     (a, 0, y) cell counts of the rows complete in treatment and outcome, which
     anchor the run-level ATE reference line.
 
-    :func:`_read_table` cuts the file into cells in one pass over its bytes;
-    the csv module reads only the few cells and records whose quote marks or
-    non-ASCII bytes that pass leaves open.  :func:`_parse_numbers` decodes
-    the plain decimals among the requested cells from their bytes and reads
-    every other one with float() itself.
-
-    Not thread-safe: reading the header, a blank-looking record or a cell
-    with quote marks inside, or naming a ragged row, raises the csv module's
-    process-wide ``csv.field_size_limit`` while it reads, so a thread
-    reading CSV meanwhile sees the raised limit.
+    :func:`_read_table` cuts the file into cells in one pass over its bytes,
+    and reads as text only the header and the cells that need it, each by
+    one rule (:func:`_cell`).  :func:`_parse_numbers` decodes the plain
+    decimals among the requested cells from their bytes and reads every
+    other one with float() itself.
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     if len(set(columns)) != len(columns):

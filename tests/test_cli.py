@@ -11,11 +11,12 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mediation_bounds
@@ -314,14 +315,20 @@ def _seeded_csv(seed, rows=60, quotes=True):
 
 
 @pytest.fixture(scope="class")
-def no_loadtxt():
-    """``np.loadtxt`` raises while the class's tests run: the CLI reads every CSV without it."""
+def one_parser():
+    """While the class's tests run, ``np.loadtxt`` raises and ``cli.csv`` has only ``writer``.
+
+    The cuts of :func:`cli._field_ends` are the CLI's only record parser, so
+    no read of a CSV file may call ``np.loadtxt`` or any reader of the csv
+    module; only the emitters write with ``csv.writer``.
+    """
 
     def refuse(*args, **kwargs):
         raise AssertionError("np.loadtxt was called")
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np, "loadtxt", refuse)
+        patch.setattr(cli, "csv", types.SimpleNamespace(writer=csv.writer))
         yield
 
 
@@ -377,7 +384,7 @@ EQUIVALENCE_RUNS = [
 ]
 
 
-@pytest.mark.usefixtures("no_loadtxt")
+@pytest.mark.usefixtures("one_parser")
 class TestColumnReaderMatchesReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_files(self, tmp_path, seed):
@@ -594,7 +601,7 @@ def _quoting_csv(rng):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.usefixtures("no_loadtxt")
+@pytest.mark.usefixtures("one_parser")
 class TestRecordStructureMatchesReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_random_quoting(self, tmp_path, seed):
@@ -616,13 +623,29 @@ class TestRecordStructureMatchesReference:
             compared += not ragged
         assert compared >= 20
 
+    # Every record that the field ends cut, each cell read by the cell rule,
+    # is the csv module's record after str.strip(), an empty line included.
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(text=st.text(alphabet='a1", \n\u3000\x1c', min_size=1, max_size=40))
+    @example(text='a,"1\n 1')  # an unterminated quote at the end of the file
+    @example(text='"a""\n"",\n\n"')
+    @example(text='\n"1"a"1,""" 1\n')
+    def test_records_are_the_csv_modules(self, text):
+        want = [[cell.strip() for cell in record] for record in csv.reader(io.StringIO(text, newline=""))]
+        raw = text.encode("utf-8") + b"\n" * (not text.endswith("\n"))
+        b = np.frombuffer(raw, dtype=np.uint8)
+        ends = cli._field_ends(b)[0].tolist()
+        cuts = [-1, *ends]
+        starts = [0] + [i + 1 for i, end in enumerate(ends) if b[end] == ord("\n")]
+        assert [cli._record(raw, cuts[lo : hi + 1]) for lo, hi in zip(starts, starts[1:])] == want
+
 
 def write_text(path, text, encoding="utf-8"):
     path.write_bytes(text.encode(encoding) if isinstance(text, str) else text)
     return str(path)
 
 
-@pytest.mark.usefixtures("no_loadtxt")
+@pytest.mark.usefixtures("one_parser")
 class TestCsvInputRules:
     def test_blank_lines_are_skipped_and_not_counted(self, tmp_path):
         text = "a,y,m\n\n0,0,1\n   \n,,\n1,1,0\n \u00a0 , \n,,,\n\"\",\"\",\n0,1,1\n\t\n"
@@ -761,6 +784,15 @@ class TestCsvInputRules:
             assert (code, err) == (0, "")
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    # The header is the first record as the csv module reads it: an empty
+    # line has no names, and an empty quoted cell one empty name.
+    @pytest.mark.parametrize("first, names", [("", "[]"), ('""', "['']"), (' "a" ', "['\"a\"']")])
+    def test_header_without_the_requested_names_is_config_error(self, capsys, tmp_path, first, names):
+        path = write_text(tmp_path / "d.csv", first + "\na,y,m\n0,0,1\n1,1,0\n")
+        code, out, err = run_cli(capsys, "--data", path, "--mediators", "m")
+        assert (code, out) == (2, "")
+        assert err == f"config error: column 'a' not found in {path} (header: {names})\n"
 
     def test_duplicate_requested_header_is_data_error(self, capsys, tmp_path):
         path = write_text(tmp_path / "d.csv", "a,y,m,m\n0,0,1,1\n1,1,0,0\n")
@@ -1477,7 +1509,7 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "d.csv"
 
 
-@pytest.mark.usefixtures("no_loadtxt")
+@pytest.mark.usefixtures("one_parser")
 class TestExitCodeContract:
     """Any input exits 0, 2, 3 or 4, writes nothing to stdout unless it exits 0, and reruns byte for byte."""
 
