@@ -22,7 +22,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import asdict, dataclass
 
@@ -55,6 +54,12 @@ _BYTE_KIND = bytes(
     + 2 * (c == ord('"') or c > 127 or (chr(c).isspace() and not bytes([c]).isspace()))
     for c in range(256)
 )
+_KIND = np.frombuffer(_BYTE_KIND, dtype=np.uint8)
+_PADDING = np.isin(np.arange(256), (ord(" "), ord("\t")))  # the bytes that _unpadded narrows a span past
+# Bytes scanned at a time.  A scan's temporaries are a few of its blocks: a
+# bool mask per byte, and an offset per hit, so the file's own offsets are the
+# only arrays that grow with it.
+_SCAN_BYTES = 1 << 18
 # A plain decimal's most bytes: a sign, 15 digits and a dot.  _DIVISORS holds
 # 10.0**f, then -10.0**f, for f from 0 to the span; those up to 10**15 are exact.
 _PLAIN_SPAN = 17
@@ -66,9 +71,6 @@ _DIVISORS = np.concatenate([10.0 ** np.arange(_PLAIN_SPAN + 1), -(10.0 ** np.ara
 # of 65,536 rows took the CLI's peak RSS on an 11 MB, 250,000-row R export
 # from 117.3 to 120.4 MB.
 _DECODE_ROWS = 32_768
-# A quoted cell's parts (see _cell).  A run of other characters than quote marks is one
-# step of the match, so a long cell costs the regex engine no memory per character.
-_QUOTED = re.compile(r'"([^"]*(?:""[^"]*)*)"?(.*)', re.S)
 _METHOD_NAMES = {
     Assumptions.NONE.value: "bounds-none",
     Assumptions.MMR.value: "bounds-mmr",
@@ -218,34 +220,115 @@ class _Cells:
         return starts, ends
 
 
-def _field_ends(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets of the commas and line ends of ``b`` that end a field, outside quoted cells, and of its quote marks.
+def _unpadded(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spans of ``b`` without their leading and trailing ASCII spaces and tabs, up to ``_PLAIN_SPAN`` of each.
 
-    ``b`` ends in a line end, which ends a field even inside a quoted cell,
+    ``ends`` is narrowed in place.  float() and the cell rule (:func:`_cell`) read a span the same with or
+    without them, so a padded plain decimal can be decoded from its bytes;
+    a longer padding is left to :func:`_cast_cells`, which strips it.  A span
+    is not narrowed onto a leading quote mark: the cell rule reads ``"0.5"``
+    as quoted but `` "0.5"`` as text.
+    """
+    for _ in range(_PLAIN_SPAN):
+        step = _PADDING[b[ends - 1]] & (starts < ends)
+        if not step.any():
+            break
+        ends -= step
+    lead = starts.copy()
+    for _ in range(_PLAIN_SPAN):
+        step = _PADDING[b[lead]] & (lead < ends)
+        if not step.any():
+            break
+        lead += step
+    return np.where(b[lead] == ord('"'), starts, lead), ends
+
+
+def _offsets(a: np.ndarray, hits, keep=None) -> np.ndarray:
+    """The indices where ``hits`` and ``keep`` of a block of ``a`` are both true, in int32 below 2**31.
+
+    ``hits(block)`` and ``keep(lo, hi)`` give a bool per item of ``a[lo:hi]``.
+    ``a`` is read ``_SCAN_BYTES`` items at a time, twice: once to count the
+    hits, once to write those kept into the one array sized by the count.
+    Nothing as large as ``a`` is made beside the result, which is a view of
+    the first items written when ``keep`` drops some.
+    """
+    blocks = range(0, a.size, _SCAN_BYTES)
+    dtype = np.int32 if a.size < 2**31 else np.int64
+    out = np.empty(sum(np.count_nonzero(hits(a[lo : lo + _SCAN_BYTES])) for lo in blocks), dtype=dtype)
+    n = 0
+    for lo in blocks:
+        mask = hits(a[lo : lo + _SCAN_BYTES])
+        if keep is not None:
+            mask &= keep(lo, lo + mask.size)
+        found = np.flatnonzero(mask).astype(dtype)
+        found += lo
+        out[n : n + found.size] = found
+        n += found.size
+    return out[:n]
+
+
+def _field_ends(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets of the commas and line ends of ``raw`` that end a field, outside quoted cells, and of its quotes.
+
+    ``raw`` ends in a line end, which ends a field even inside a quoted cell,
     as the end of the file ends one for the csv module.
     """
-    quotes = np.flatnonzero(b == ord('"'))
-    ends = np.flatnonzero((b == ord(",")) | (b == ord("\n"))).astype(np.int32 if b.size < 2**31 else np.int64)
-    if quotes.size:
-        # Only a run of quote marks of odd length changes the csv module's
-        # state.  At a field start it opens or closes a quoted cell; inside a
-        # field it closes an open cell and is text otherwise.  A run at offset
-        # 0 follows b[-1], the final line end, so it is at a field start too.
-        first = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
-        odd = np.diff(first, append=quotes.size) % 2 == 1
-        at = quotes[first]
-        before = b[at - 1]
-        field_start = (before == ord(",")) | (before == ord("\n"))
-        # After k runs a cell is open when an odd number of toggling runs
-        # follow the last closing run: 1 in this uint8 state, which is spread
-        # over the bytes up to the next run to make one state mask.
-        toggles = np.cumsum(np.concatenate(([False], odd & field_start)), dtype=np.int32)
-        closes = np.concatenate(([False], odd & ~field_start))
-        inside = ((toggles - np.maximum.accumulate(toggles * closes)) % 2).astype(np.uint8)
-        state = np.repeat(inside, np.diff(at, prepend=0, append=b.size))
-        state[-1] = 0
-        ends = ends[state[ends] == 0]
-    return ends, quotes
+    b = np.frombuffer(raw, dtype=np.uint8)
+
+    def separators(block: np.ndarray) -> np.ndarray:
+        return (block == ord(",")) | (block == ord("\n"))
+
+    if b'"' not in raw:
+        return _offsets(b, separators), np.empty(0, dtype=np.int32)
+    quotes = _offsets(b, lambda block: block == ord('"'))
+    # Only a run of quote marks of odd length changes the csv module's state.
+    # At a field start it opens or closes a quoted cell; inside a field it
+    # closes an open cell and is text otherwise.  A run at offset 0 follows
+    # b[-1], the final line end, so it is at a field start too.
+    first = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
+    odd = np.diff(first, append=quotes.size) % 2 == 1
+    at = quotes[first]
+    before = b[at - 1]
+    field_start = (before == ord(",")) | (before == ord("\n"))
+    # After k runs a cell is open when an odd number of toggling runs follow
+    # the last closing run: inside[k], the state of the bytes from run k - 1
+    # up to run k.
+    toggles = np.cumsum(np.concatenate(([False], odd & field_start)), dtype=np.int32)
+    closes = np.concatenate(([False], odd & ~field_start))
+    inside = (toggles - np.maximum.accumulate(toggles * closes)) % 2 == 1
+
+    def outside(lo: int, hi: int) -> np.ndarray:
+        k0, k1 = np.searchsorted(at, np.array((lo, hi), dtype=at.dtype)).tolist()
+        state = np.repeat(inside[k0 : k1 + 1], np.diff(at[k0:k1], prepend=lo, append=hi))
+        if hi == b.size:
+            state[-1] = False
+        return ~state
+
+    return _offsets(b, separators, outside), quotes
+
+
+def _blank_kinds(raw: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """:data:`_BYTE_KIND` OR-ed over the bytes of each record, from ``starts[i]`` to its line end at ``stops[i]``.
+
+    A record whose first or last byte has bit 0 is not blank, whatever its
+    other bytes, so it gets only those two bytes' kinds.  The others go
+    through the byte table a block of records at a time, each block read
+    from its first such record to its last, so a file of them costs one
+    pass over its bytes.
+    """
+    b = np.frombuffer(raw, dtype=np.uint8)
+    kinds = _KIND.take(b.take(starts)) | _KIND.take(b.take(stops - 1))
+    edges = np.searchsorted(starts, np.arange(_SCAN_BYTES, b.size, _SCAN_BYTES, dtype=starts.dtype)).tolist()
+    for lo, hi in zip([0, *edges], [*edges, starts.size]):
+        maybe = lo + np.flatnonzero(kinds[lo:hi] & 1 == 0)
+        if not maybe.size:
+            continue
+        first, last = int(starts[maybe[0]]), int(stops[maybe[-1]]) + 1
+        # reduceat between each record's start and the byte past its line
+        # end, which reads the gaps between the records too; [::2] drops them.
+        cuts = np.column_stack((starts[maybe], stops[maybe] + 1)).ravel()[:-1] - first
+        kinds[maybe] = np.bitwise_or.reduceat(np.frombuffer(raw[first:last].translate(_BYTE_KIND), np.uint8), cuts)[::2]
+    return kinds
 
 
 def _newlines_only(raw: bytes) -> bytes:
@@ -261,8 +344,11 @@ def _cell(text: str) -> str:
     other cell is literal.
     """
     if text.startswith('"'):
-        quoted, after = _QUOTED.match(text).groups()
-        text = quoted.replace('""', '"') + after
+        # After the opening quote, marks pair up from the start of each run,
+        # as str.replace() pairs them, and the first mark left over closes the
+        # quoted part; with none left over it runs to the end of the cell.
+        close = text[1:].replace('""', "__").find('"') + 1 or len(text)
+        text = text[1:close].replace('""', '"') + text[close + 1 :]
     return text.strip()
 
 
@@ -282,6 +368,11 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     record whose every cell is empty or whitespace is skipped; its cells are
     read to tell only when it holds nothing but those, quote marks and non-ASCII
     bytes.  Any other record of another field count than the header's is ragged.
+
+    Beside the file, the read keeps an int32 offset per field end, which
+    the cells are a view of (a copy of the data rows' windows of them if
+    there are blank records).  While it reads it adds an int32 index and a
+    few bytes per record and arrays of a fixed block size.
     """
     try:
         with open(path, "rb") as handle:
@@ -305,15 +396,15 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     if not raw.endswith(b"\n"):
         raw += b"\n"
     b = np.frombuffer(raw, dtype=np.uint8)
-    ends, quotes = _field_ends(b)
-    lines = np.flatnonzero(b[ends] == ord("\n"))  # where in ``ends`` each record ends
+    ends, quotes = _field_ends(raw)
+    lines = _offsets(ends, lambda block: b[block] == ord("\n"))  # where in ``ends`` each record ends
     header = _record(raw, [-1, *ends[: lines[0] + 1].tolist()])
     for col in columns:
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
         if header.count(col) > 1:
             raise DataError(f"column {col!r} appears {header.count(col)} times in the header of {path}")
-    kind = np.bitwise_or.reduceat(np.frombuffer(raw.translate(_BYTE_KIND), dtype=np.uint8), ends[lines[:-1]] + 1)
+    kind = _blank_kinds(raw, ends[lines[:-1]] + 1, ends[lines[1:]])
     blank = kind == 0
     # Only their cells tell whether blanks, quote marks and non-ASCII bytes alone are blank; such records are few.
     for i in np.flatnonzero(kind == 2).tolist():
@@ -374,8 +465,11 @@ def _parse_numbers(name: str, cells: _Cells) -> np.ndarray:
     """The float value of each cell after stripping, NaN for a missing token.
 
     ``_DECODE_ROWS`` rows at a time, the cells that are plain decimals are
-    decoded from their bytes (:func:`_plain_decimals`) and the spans of the
-    others go to :func:`_cast_cells`.  Both give float()'s values.
+    decoded from their bytes (:func:`_plain_decimals`), and so are those
+    that are once unpadded (:func:`_unpadded`); the spans of the others go to
+    :func:`_cast_cells`.  Both give float()'s values.  Only the cells that
+    the decoder refuses are unpadded, which costs a file without padding
+    nothing.
     """
     values = np.empty(len(cells))
     b = np.frombuffer(cells.raw, dtype=np.uint8)
@@ -384,7 +478,12 @@ def _parse_numbers(name: str, cells: _Cells) -> np.ndarray:
         starts, ends = cells.spans(block)
         values[block], plain = _plain_decimals(b, starts, ends)
         rest = np.flatnonzero(~plain)
-        values[lo + rest] = _cast_cells(name, cells.raw, starts[rest], ends[rest], lo + rest)
+        rest, starts, ends = lo + rest, starts[rest], ends[rest]
+        if rest.size:
+            starts, ends = _unpadded(b, starts, ends)
+            values[rest], plain = _plain_decimals(b, starts, ends)
+            rest, starts, ends = rest[~plain], starts[~plain], ends[~plain]
+        values[rest] = _cast_cells(name, cells.raw, starts, ends, rest)
     return values
 
 
@@ -399,15 +498,20 @@ def _cast_cells(name: str, raw: bytes, starts: np.ndarray, ends: np.ndarray, row
         for s, e in zip(memoryview(starts), memoryview(ends))
     ]
     try:
-        return np.array([math.nan if token.lower() in _MISSING_TOKENS else float(token) for token in tokens])
+        return np.array([math.nan if _missing(token) else float(token) for token in tokens])
     except ValueError:
         for row, token in zip(rows.tolist(), tokens):
-            if token.lower() not in _MISSING_TOKENS:
+            if not _missing(token):
                 try:
                     float(token)
                 except ValueError:
                     raise DataError(f"row {row + 2}: non-numeric value {token!r} in column {name!r}") from None
         raise
+
+
+def _missing(token: str) -> bool:
+    """Whether a stripped token is a missing token; each is empty or starts with n, so only those are case-folded."""
+    return not token or token[0] in "nN" and token.lower() in _MISSING_TOKENS
 
 
 def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _Column:
@@ -416,21 +520,28 @@ def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _C
     missing = np.isnan(values)
     if missing.all():
         raise DataError(f"column {name!r} has no non-missing values")
-    observed = values[~missing]
     if kind == "none":
-        bad = ~np.isin(observed, (0.0, 1.0))
+        bad = ~(missing | (values == 0.0) | (values == 1.0))
         if bad.any():
-            row = int(np.flatnonzero(~missing)[np.flatnonzero(bad)[0]])
+            row = int(np.flatnonzero(bad)[0])
             raise DataError(
-                f"row {row + 2}: column {name!r} has non-binary value {observed[np.flatnonzero(bad)[0]]:g} "
-                "with dichotomize rule 'none'"
+                f"row {row + 2}: column {name!r} has non-binary value {values[row]:g} with dichotomize rule 'none'"
             )
         cut, rule_text = 0.5, "none"
     elif kind == "median-gt":
         # The lower median of the non-missing values, before any cross-column
         # row dropping: for even counts the smaller middle value, so the cut
-        # is an observed value and > comparisons stay crisp.
-        cut = float(np.sort(observed)[(observed.size - 1) // 2])
+        # is an observed value and > comparisons stay crisp.  NaN partitions
+        # after every number, so the k-th of a copy of all the values is the
+        # k-th observed one.  -0.0 and 0.0 tie, so a zero median takes the
+        # sign of the zero at its place in file order, as a stable sort has it.
+        k = (values.size - np.count_nonzero(missing) - 1) // 2
+        ordered = values.copy()
+        ordered.partition(k)
+        cut = float(ordered[k])
+        del ordered
+        if cut == 0.0:
+            cut = float(values[values == 0.0][k - np.count_nonzero(values < 0.0)])
         rule_text = f"median-gt(median={cut:g})"
     else:
         cut, rule_text = threshold, f"threshold:{threshold:g}"
@@ -465,8 +576,9 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     if len(set(columns)) != len(columns):
         raise ConfigError(f"duplicate column names in {columns}")
     rules = _rule_table(config.dichotomize, columns)
-    raw, n_rows = _read_table(path, columns)
-    cols = {name: _dichotomize(name, raw[name], rules[name]) for name in columns}
+    table, n_rows = _read_table(path, columns)
+    cols = {name: _dichotomize(name, table[name], rules[name]) for name in columns}
+    del table  # the file and its field ends; tabulating needs only the 0/1 columns
 
     treat, out = cols[config.treatment], cols[config.outcome]
     ay_mask = ~(treat.missing | out.missing)

@@ -148,6 +148,21 @@ class TestDichotomization:
         assert "median=3" in data[0].rules["m"]
         assert data[0].counts.tolist() == tally([(0, 0, 0), (1, 0, 1), (1, 0, 0), (0, 1, 1)])
 
+    # -0.0 and 0.0 tie, and the lower median takes the sign of the zero that
+    # a stable sort puts in its place: the first of the tied zeros it reaches
+    # in file order.
+    @pytest.mark.parametrize(
+        "scores, median",
+        [(["-1", "0", "-0", "2"], "0"), (["-1", "-0", "0", "2"], "-0"), (["-0", "0", "0.0", "-0.0", "1"], "0"),
+         (["-0", "-0.0", "0", "1"], "-0"), (["0", "-0", "-0", "-1", "NA"], "0"),
+         (["-3", "0", "-0", "-0", "5", "NA", "-0"], "-0")],
+    )
+    def test_zero_median_takes_the_sign_of_its_zero_in_file_order(self, tmp_path, scores, median):
+        path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], [(i % 2, 0, v) for i, v in enumerate(scores)])
+        config = config_for(path, dichotomize="m=median-gt")
+        assert ingest(path, config)[0][0].rules["m"] == f"median-gt(median={median})"
+        assert_same_ingest(path, config)
+
     def test_rule_validation(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", ["a", "y", "m"], [(0, 0, 0), (1, 1, 1)])
         with pytest.raises(ConfigError):
@@ -236,7 +251,7 @@ def reference_ingest(path, config):
                     )
             cut, rule_text[name] = 0.5, "none"
         elif kind == "median-gt":
-            observed = np.sort(values[~missing[name]])
+            observed = np.sort(values[~missing[name]], kind="stable")
             cut = float(observed[(observed.size - 1) // 2])
             rule_text[name] = f"median-gt(median={cut:g})"
         else:
@@ -523,6 +538,38 @@ class TestColumnReaderMatchesReference:
             rules, mediators = EQUIVALENCE_RUNS[seed]
             assert_same_ingest(path, config_for(path, mediators=mediators, dichotomize=rules))
 
+    # Scan blocks of a few bytes put block boundaries inside quote runs,
+    # quoted cells, records and blank records, for the field-end scan and the
+    # blank-record check alike.
+    @pytest.mark.parametrize("scan", [1, 3, 64])
+    def test_scanning_in_blocks_matches_the_reference(self, monkeypatch, tmp_path, scan):
+        monkeypatch.setattr(cli, "_SCAN_BYTES", scan)
+        for seed in range(2):
+            path = write_text(tmp_path / "d.csv", _seeded_csv(seed, rows=30))
+            rules, mediators = EQUIVALENCE_RUNS[seed]
+            assert_same_ingest(path, config_for(path, mediators=mediators, dichotomize=rules))
+        rng = np.random.default_rng(scan)
+        for _ in range(20):
+            path = write_text(tmp_path / "d.csv", _quoting_csv(rng))
+            assert_same_ingest(path, config_for(path))
+
+    # Padded cells are unpadded for the decoder only where float() and the
+    # cell rule read them the same: a cell that starts with a space and then
+    # a quote mark is text to the cell rule, so ' "0.5"' stays a data error.
+    @pytest.mark.parametrize(
+        "cell",
+        [" 0.123", "0.123\t", "\t -1.5 \t", " " * 17 + "2", " " * 18 + "2", "2" + " " * 18, '" 0.5 "', '"\t-0 "',
+         ' "0.5"', '  "0.5"  ', '"0.5" ', '\t"NA"', " NA ", "\t", "  ", " + 0.5", " 0 .5", " \x1c0.5", "\u00a0 0.5 "],
+    )
+    def test_padded_cells(self, tmp_path, cell):
+        path = self._with_m_cell(tmp_path, cell)
+        for rule in ("m=threshold:0.25", "m=median-gt"):
+            assert_same_ingest(path, config_for(path, dichotomize=rule))
+        token = cell.strip()
+        if token.startswith('"') and not cell[0].isspace():
+            token = token[1:-1]
+        assert_parsed_as_float(path, "m", 5, token)
+
     # A block's refused cells are named by their data row in the file, not in
     # the block: blank records come before the bad token at data row 10, and a
     # missing token sends an earlier block's cell to the cast too.
@@ -569,10 +616,12 @@ class TestPlainDecimalDecoder:
 
     def test_only_other_cells_reach_the_cast(self, tmp_path, cast_calls):
         # On a plain file the cast sees only its missing and other tokens, so
-        # the decoder cannot quietly hand every cell back to it.
+        # the decoder cannot quietly hand every cell back to it.  A plain
+        # decimal padded with spaces and tabs is decoded too.
         rows = [f"{i % 2},{(i // 2) % 2},{-1.25 + 0.125 * i:+.3f}" for i in range(40)]
-        others = {3: "NA", 11: " 0.5", 17: "1e-1", 23: "", 31: "2.50 ", 37: "-0.5e0"}
-        for i, token in others.items():
+        others = {3: "NA", 17: "1e-1", 23: "", 37: "-0.5e0"}
+        padded = {11: " 0.5", 29: "\t-0.25 \t", 31: "2.50 "}
+        for i, token in {**others, **padded}.items():
             rows[i] = rows[i].rsplit(",", 1)[0] + "," + token
         path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
         assert_same_ingest(path, config_for(path, dichotomize="m=median-gt"))
@@ -634,10 +683,96 @@ class TestRecordStructureMatchesReference:
         want = [[cell.strip() for cell in record] for record in csv.reader(io.StringIO(text, newline=""))]
         raw = text.encode("utf-8") + b"\n" * (not text.endswith("\n"))
         b = np.frombuffer(raw, dtype=np.uint8)
-        ends = cli._field_ends(b)[0].tolist()
+        ends = cli._field_ends(raw)[0].tolist()
         cuts = [-1, *ends]
         starts = [0] + [i + 1 for i, end in enumerate(ends) if b[end] == ord("\n")]
         assert [cli._record(raw, cuts[lo : hi + 1]) for lo, hi in zip(starts, starts[1:])] == want
+
+    # The same with the field ends, quote marks and record ends found a few
+    # bytes at a time, as the reader finds them.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=st.text(alphabet='a1", \n\u3000\x1c', min_size=1, max_size=40), scan=st.sampled_from([1, 2, 3, 5]))
+    @example(text='"a""\n"",\n\n"', scan=1)
+    def test_records_are_the_csv_modules_at_any_scan_block(self, text, scan):
+        want = [[cell.strip() for cell in record] for record in csv.reader(io.StringIO(text, newline=""))]
+        raw = text.encode("utf-8") + b"\n" * (not text.endswith("\n"))
+        b = np.frombuffer(raw, dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_SCAN_BYTES", scan)
+            ends, quotes = cli._field_ends(raw)
+            lines = cli._offsets(ends, lambda block: b[block] == ord("\n"))
+        assert quotes.tolist() == [i for i, byte in enumerate(raw) if byte == ord('"')]
+        cuts = [-1, *ends.tolist()]
+        assert [cli._record(raw, cuts[lo + 1 : hi + 2]) for lo, hi in zip([-1, *lines.tolist()], lines.tolist())] == want
+
+
+EDGE_CHARACTERS = [" ", "\x1c", '"', ",", "\u3000", "1"]
+RECORD_CORES = ["", " ", ",", ",,", '""', '"",,""', "0,1,", "1,0,1", "0,1", ", ,\t,", '"\n"', "\u3000,"]
+# A record: empty, or a core with each of its first and last characters any
+# of the edge characters, so the reader's first- and last-byte test meets
+# every kind of byte at both ends of blank-looking and non-blank records.
+EDGE_RECORD = st.just("") | st.builds(
+    lambda first, core, last: first + core + last,
+    st.sampled_from(EDGE_CHARACTERS), st.sampled_from(RECORD_CORES), st.sampled_from(EDGE_CHARACTERS),
+)
+
+
+@pytest.mark.usefixtures("one_parser")
+class TestRecordEdges:
+    # Records, blank records, row numbers and ragged-row messages are the
+    # reference's, with data rows between the drawn records so that many
+    # files read, at the default scan block and at blocks of a few bytes.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(records=st.lists(EDGE_RECORD, min_size=1, max_size=6), scan=st.sampled_from([1, 5, 1 << 18]))
+    def test_edge_bytes_give_the_references_records(self, fuzz_path, records, scan):
+        lines = ["a,y,m"]
+        for i, record in enumerate(records):
+            lines += [f"{i % 2},{(i // 2) % 2},1", record]
+        write_text(fuzz_path, "\n".join([*lines, "1,1,0", "0,0,0"]) + "\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_SCAN_BYTES", scan)
+            assert_same_ingest(str(fuzz_path), config_for(str(fuzz_path)))
+
+
+class TestReadMemory:
+    def test_ingest_holds_little_more_than_the_file(self, tmp_path):
+        # A 200,000-row file shaped like the benchmark's: while ingest reads
+        # it, it holds the file, an int32 per field end, blocks of fixed size
+        # and a few bytes per row.  The whole-file masks and int64 offsets of
+        # a read that scans the file at once peak at 4.3 times its size.
+        rng = np.random.default_rng(23)
+        n = 200_000
+        a, m_bin, y = (rng.random((3, n)) < 0.5).astype(int)
+        m_cont = [f"{v:.3f}" for v in rng.normal(0.4 * a, 1.0).tolist()]
+        for i in np.flatnonzero(rng.random(n) < 0.02).tolist():
+            m_cont[i] = "NA"
+        m_skew = [f"{v:.3f}" for v in np.exp(rng.normal(0.3 * a, 0.8)).tolist()]
+        rows = zip(a.tolist(), m_bin.tolist(), m_cont, m_skew, y.tolist())
+        text = "treat,m_bin,m_cont,m_skew,y\n" + "".join(f"{r[0]},{r[1]},{r[2]},{r[3]},{r[4]}\n" for r in rows)
+        path = write_text(tmp_path / "d.csv", text)
+        config = config_for(path, treatment="treat", mediators=("m_bin", "m_cont", "m_skew"),
+                            dichotomize="m_cont=median-gt,m_skew=threshold:1.5")
+        tracemalloc.start()
+        try:
+            ingest(path, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.8 * len(text)
+
+    def test_doubled_quotes_cost_no_memory_per_pair(self):
+        # A cell of 500,000 doubled quote marks is read in a few copies of
+        # its text; a regex that backtracks over each pair keeps state for
+        # each, about 78 MB here.
+        text = '"' + '""' * 500_000 + '" x\t'
+        tracemalloc.start()
+        try:
+            cell = cli._cell(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cell == '"' * 500_000 + " x"
+        assert peak < 4 * len(text)
 
 
 def write_text(path, text, encoding="utf-8"):
