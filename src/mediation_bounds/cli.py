@@ -213,8 +213,9 @@ class _Cells:
         starts, ends = self.cuts[rows, self.j] + 1, self.cuts[rows, self.j + 1].copy()
         if self.quotes.size:
             b = np.frombuffer(self.raw, dtype=np.uint8)
-            pair = np.flatnonzero((b[starts] == ord('"')) & (b[ends - 1] == ord('"')))
-            pair = pair[np.searchsorted(self.quotes, ends[pair]) - np.searchsorted(self.quotes, starts[pair]) == 2]
+            pair = np.flatnonzero((b[starts] == ord('"')) & (b[ends - 1] == ord('"')) & (ends - starts >= 2))
+            # The pair is the cell's only quote marks when the next one after its first is its last.
+            pair = pair[self.quotes[np.searchsorted(self.quotes, starts[pair]) + 1] == ends[pair] - 1]
             starts[pair] += 1
             ends[pair] -= 1
         return starts, ends
@@ -223,11 +224,12 @@ class _Cells:
 def _unpadded(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The spans of ``b`` without their leading and trailing ASCII spaces and tabs, up to ``_PLAIN_SPAN`` of each.
 
-    ``ends`` is narrowed in place.  float() and the cell rule (:func:`_cell`) read a span the same with or
-    without them, so a padded plain decimal can be decoded from its bytes;
-    a longer padding is left to :func:`_cast_cells`, which strips it.  A span
-    is not narrowed onto a leading quote mark: the cell rule reads ``"0.5"``
-    as quoted but `` "0.5"`` as text.
+    ``ends`` is narrowed in place.  float() and the cell rule (:func:`_cell`)
+    read a span the same with or without them, so a padded plain decimal can
+    be decoded from its bytes; a longer padding is left to
+    :func:`_cast_cells`, which strips it.  A span is not narrowed onto a
+    leading quote mark: the cell rule reads ``"0.5"`` as quoted but
+    `` "0.5"`` as text.
     """
     for _ in range(_PLAIN_SPAN):
         step = _PADDING[b[ends - 1]] & (starts < ends)
@@ -243,91 +245,95 @@ def _unpadded(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.n
     return np.where(b[lead] == ord('"'), starts, lead), ends
 
 
-def _offsets(a: np.ndarray, hits, keep=None) -> np.ndarray:
-    """The indices where ``hits`` and ``keep`` of a block of ``a`` are both true, in int32 below 2**31.
-
-    ``hits(block)`` and ``keep(lo, hi)`` give a bool per item of ``a[lo:hi]``.
-    ``a`` is read ``_SCAN_BYTES`` items at a time, twice: once to count the
-    hits, once to write those kept into the one array sized by the count.
-    Nothing as large as ``a`` is made beside the result, which is a view of
-    the first items written when ``keep`` drops some.
-    """
-    blocks = range(0, a.size, _SCAN_BYTES)
-    dtype = np.int32 if a.size < 2**31 else np.int64
-    out = np.empty(sum(np.count_nonzero(hits(a[lo : lo + _SCAN_BYTES])) for lo in blocks), dtype=dtype)
+def _offsets(b: np.ndarray, byte: int, dtype: type) -> np.ndarray:
+    """The offsets of ``byte`` in ``b``, counted a block at a time, then written a block at a time into one array."""
+    blocks = range(0, b.size, _SCAN_BYTES)
+    out = np.empty(sum(np.count_nonzero(b[lo : lo + _SCAN_BYTES] == byte) for lo in blocks), dtype=dtype)
     n = 0
     for lo in blocks:
-        mask = hits(a[lo : lo + _SCAN_BYTES])
-        if keep is not None:
-            mask &= keep(lo, lo + mask.size)
-        found = np.flatnonzero(mask).astype(dtype)
-        found += lo
-        out[n : n + found.size] = found
+        found = np.flatnonzero(b[lo : lo + _SCAN_BYTES] == byte)
+        out[n : n + found.size] = found + lo
         n += found.size
-    return out[:n]
+    return out
 
 
-def _field_ends(raw: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The offsets of the commas and line ends of ``raw`` that end a field, outside quoted cells, and of its quotes.
+def _field_ends(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The field ends of ``raw``, where among them each record ends, and the offsets of its quote marks.
 
-    ``raw`` ends in a line end, which ends a field even inside a quoted cell,
-    as the end of the file ends one for the csv module.
+    A field end is a comma or line end outside quoted cells.  ``raw`` ends in
+    a line end, which ends a field even inside a quoted cell, as the end of
+    the file ends one for the csv module.  The file is read ``_SCAN_BYTES`` at
+    a time, twice: once to count the commas and line ends, once to write
+    those outside quoted cells into arrays sized by the counts, so nothing as
+    large as the file is made beside them.  When quoted cells drop some, the
+    arrays are views of the items written.
     """
     b = np.frombuffer(raw, dtype=np.uint8)
+    dtype = np.int32 if b.size < 2**31 else np.int64
+    quotes = _offsets(b, ord('"'), dtype) if b'"' in raw else np.empty(0, dtype=dtype)
+    if quotes.size:
+        # Only a run of quote marks of odd length changes the csv module's
+        # state.  At a field start it opens or closes a quoted cell; inside a
+        # field it closes an open cell and is text otherwise.  A run at offset
+        # 0 follows b[-1], the final line end, so it is at a field start too.
+        first = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
+        odd = np.diff(first, append=quotes.size) % 2 == 1
+        at = quotes[first]
+        before = b[at - 1]
+        field_start = (before == ord(",")) | (before == ord("\n"))
+        # After k runs a cell is open when an odd number of toggling runs
+        # follow the last closing run: inside[k], the state of the bytes from
+        # run k - 1 up to run k.
+        toggles = np.cumsum(np.concatenate(([False], odd & field_start)), dtype=np.int32)
+        closes = np.concatenate(([False], odd & ~field_start))
+        inside = (toggles - np.maximum.accumulate(toggles * closes)) % 2 == 1
+    blocks = range(0, b.size, _SCAN_BYTES)
+    newlines = commas = 0
+    for lo in blocks:
+        block = b[lo : lo + _SCAN_BYTES]
+        newlines += np.count_nonzero(block == ord("\n"))
+        commas += np.count_nonzero(block == ord(","))
+    ends, lines = np.empty(commas + newlines, dtype=dtype), np.empty(newlines, dtype=dtype)
+    n = m = 0
+    for lo in blocks:
+        block = b[lo : lo + _SCAN_BYTES]
+        found = (block == ord(",")) | (block == ord("\n"))
+        if quotes.size:
+            k0, k1 = np.searchsorted(at, np.array((lo, lo + block.size), dtype=at.dtype)).tolist()
+            found &= ~np.repeat(inside[k0 : k1 + 1], np.diff(at[k0:k1], prepend=lo, append=lo + block.size))
+            if lo + block.size == b.size:
+                found[-1] = True  # the final line end
+        found = np.flatnonzero(found)
+        line_ends = np.flatnonzero(block[found] == ord("\n"))
+        ends[n : n + found.size] = found + lo
+        lines[m : m + line_ends.size] = line_ends + n
+        n, m = n + found.size, m + line_ends.size
+    return ends[:n], lines[:m], quotes
 
-    def separators(block: np.ndarray) -> np.ndarray:
-        return (block == ord(",")) | (block == ord("\n"))
 
-    if b'"' not in raw:
-        return _offsets(b, separators), np.empty(0, dtype=np.int32)
-    quotes = _offsets(b, lambda block: block == ord('"'))
-    # Only a run of quote marks of odd length changes the csv module's state.
-    # At a field start it opens or closes a quoted cell; inside a field it
-    # closes an open cell and is text otherwise.  A run at offset 0 follows
-    # b[-1], the final line end, so it is at a field start too.
-    first = np.flatnonzero(np.diff(quotes, prepend=-2) != 1)
-    odd = np.diff(first, append=quotes.size) % 2 == 1
-    at = quotes[first]
-    before = b[at - 1]
-    field_start = (before == ord(",")) | (before == ord("\n"))
-    # After k runs a cell is open when an odd number of toggling runs follow
-    # the last closing run: inside[k], the state of the bytes from run k - 1
-    # up to run k.
-    toggles = np.cumsum(np.concatenate(([False], odd & field_start)), dtype=np.int32)
-    closes = np.concatenate(([False], odd & ~field_start))
-    inside = (toggles - np.maximum.accumulate(toggles * closes)) % 2 == 1
+def _blank_kinds(raw: bytes, ends: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """:data:`_BYTE_KIND` OR-ed over the bytes of each data record, its line end included.
 
-    def outside(lo: int, hi: int) -> np.ndarray:
-        k0, k1 = np.searchsorted(at, np.array((lo, hi), dtype=at.dtype)).tolist()
-        state = np.repeat(inside[k0 : k1 + 1], np.diff(at[k0:k1], prepend=lo, append=hi))
-        if hi == b.size:
-            state[-1] = False
-        return ~state
-
-    return _offsets(b, separators, outside), quotes
-
-
-def _blank_kinds(raw: bytes, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """:data:`_BYTE_KIND` OR-ed over the bytes of each record, from ``starts[i]`` to its line end at ``stops[i]``.
-
-    A record whose first or last byte has bit 0 is not blank, whatever its
-    other bytes, so it gets only those two bytes' kinds.  The others go
-    through the byte table a block of records at a time, each block read
-    from its first such record to its last, so a file of them costs one
-    pass over its bytes.
+    ``ends`` are the field ends of ``raw`` and ``lines`` where among them
+    each record ends.  A record whose first or last byte has bit 0 is not
+    blank, whatever its other bytes, so it may get only those two bytes'
+    kinds.  The others go through the byte table a block of records at a
+    time, each block read from its first such record to its last, so a file
+    of them costs one pass over its bytes.
     """
     b = np.frombuffer(raw, dtype=np.uint8)
-    kinds = _KIND.take(b.take(starts)) | _KIND.take(b.take(stops - 1))
+    starts = ends[lines[:-1]]
+    starts += 1
+    lasts = ends[lines[1:]]
+    lasts -= 1  # the byte before each line end: an empty record's is the line end before it
+    kinds = _KIND[b[starts]] | _KIND[b[lasts]]
     edges = np.searchsorted(starts, np.arange(_SCAN_BYTES, b.size, _SCAN_BYTES, dtype=starts.dtype)).tolist()
     for lo, hi in zip([0, *edges], [*edges, starts.size]):
-        maybe = lo + np.flatnonzero(kinds[lo:hi] & 1 == 0)
-        if not maybe.size:
-            continue
-        first, last = int(starts[maybe[0]]), int(stops[maybe[-1]]) + 1
-        # reduceat between each record's start and the byte past its line
-        # end, which reads the gaps between the records too; [::2] drops them.
-        cuts = np.column_stack((starts[maybe], stops[maybe] + 1)).ravel()[:-1] - first
-        kinds[maybe] = np.bitwise_or.reduceat(np.frombuffer(raw[first:last].translate(_BYTE_KIND), np.uint8), cuts)[::2]
+        maybe = np.flatnonzero(kinds[lo:hi] & 1 == 0)
+        if maybe.size:
+            first, last = lo + maybe[0], lo + maybe[-1] + 1
+            span = np.frombuffer(raw[starts[first] : lasts[last - 1] + 2].translate(_BYTE_KIND), np.uint8)
+            kinds[first:last] = np.bitwise_or.reduceat(span, starts[first:last] - starts[first])
     return kinds
 
 
@@ -396,15 +402,14 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     if not raw.endswith(b"\n"):
         raw += b"\n"
     b = np.frombuffer(raw, dtype=np.uint8)
-    ends, quotes = _field_ends(raw)
-    lines = _offsets(ends, lambda block: b[block] == ord("\n"))  # where in ``ends`` each record ends
+    ends, lines, quotes = _field_ends(raw)
     header = _record(raw, [-1, *ends[: lines[0] + 1].tolist()])
     for col in columns:
         if col not in header:
             raise ConfigError(f"column {col!r} not found in {path} (header: {header})")
         if header.count(col) > 1:
             raise DataError(f"column {col!r} appears {header.count(col)} times in the header of {path}")
-    kind = _blank_kinds(raw, ends[lines[:-1]] + 1, ends[lines[1:]])
+    kind = _blank_kinds(raw, ends, lines)
     blank = kind == 0
     # Only their cells tell whether blanks, quote marks and non-ASCII bytes alone are blank; such records are few.
     for i in np.flatnonzero(kind == 2).tolist():
@@ -533,15 +538,16 @@ def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _C
         # row dropping: for even counts the smaller middle value, so the cut
         # is an observed value and > comparisons stay crisp.  NaN partitions
         # after every number, so the k-th of a copy of all the values is the
-        # k-th observed one.  -0.0 and 0.0 tie, so a zero median takes the
-        # sign of the zero at its place in file order, as a stable sort has it.
+        # k-th observed one.  -0.0 and 0.0 tie, and np.partition may put
+        # another of them at k than np.sort does, so a zero median is read
+        # off np.sort, which sets the sign that the rule text prints.
         k = (values.size - np.count_nonzero(missing) - 1) // 2
         ordered = values.copy()
         ordered.partition(k)
         cut = float(ordered[k])
         del ordered
         if cut == 0.0:
-            cut = float(values[values == 0.0][k - np.count_nonzero(values < 0.0)])
+            cut = float(np.sort(values[~missing])[k])
         rule_text = f"median-gt(median={cut:g})"
     else:
         cut, rule_text = threshold, f"threshold:{threshold:g}"
