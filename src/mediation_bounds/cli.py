@@ -55,7 +55,7 @@ _BYTE_KIND = bytes(
     for c in range(256)
 )
 _KIND = np.frombuffer(_BYTE_KIND, dtype=np.uint8)
-_PADDING = np.isin(np.arange(256), (ord(" "), ord("\t")))  # the bytes that _unpadded narrows a span past
+_PADDING = np.frombuffer(bytes(c in b" \t" for c in range(256)), dtype=bool)  # the bytes _unpadded narrows past
 # Bytes scanned at a time.  A scan's temporaries are a few of its blocks: a
 # bool mask per byte, and an offset per hit, so the file's own offsets are the
 # only arrays that grow with it.
