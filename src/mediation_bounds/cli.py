@@ -55,10 +55,10 @@ _BYTE_KIND = bytes(
     for c in range(256)
 )
 _KIND = np.frombuffer(_BYTE_KIND, dtype=np.uint8)
-_PADDING = np.frombuffer(bytes(c in b" \t" for c in range(256)), dtype=bool)  # the bytes _unpadded narrows past
 # Bytes scanned at a time.  A scan's temporaries are a few of its blocks: a
-# bool mask per byte, and an offset per hit, so the file's own offsets are the
-# only arrays that grow with it.
+# bool mask per byte, and an offset per hit.  In a file with no quote marks the
+# file's own offsets are the only arrays that grow with it; a quoted file adds
+# arrays as long as its quote marks (see _field_ends).
 _SCAN_BYTES = 1 << 18
 # A plain decimal's most bytes: a sign, 15 digits and a dot.  _DIVISORS holds
 # 10.0**f, then -10.0**f, for f from 0 to the span; those up to 10**15 are exact.
@@ -221,30 +221,6 @@ class _Cells:
         return starts, ends
 
 
-def _unpadded(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spans of ``b`` without their leading and trailing ASCII spaces and tabs, up to ``_PLAIN_SPAN`` of each.
-
-    ``ends`` is narrowed in place.  float() and the cell rule (:func:`_cell`)
-    read a span the same with or without them, so a padded plain decimal can
-    be decoded from its bytes; a longer padding is left to
-    :func:`_cast_cells`, which strips it.  A span is not narrowed onto a
-    leading quote mark: the cell rule reads ``"0.5"`` as quoted but
-    `` "0.5"`` as text.
-    """
-    for _ in range(_PLAIN_SPAN):
-        step = _PADDING[b[ends - 1]] & (starts < ends)
-        if not step.any():
-            break
-        ends -= step
-    lead = starts.copy()
-    for _ in range(_PLAIN_SPAN):
-        step = _PADDING[b[lead]] & (lead < ends)
-        if not step.any():
-            break
-        lead += step
-    return np.where(b[lead] == ord('"'), starts, lead), ends
-
-
 def _offsets(b: np.ndarray, byte: int, dtype: type) -> np.ndarray:
     """The offsets of ``byte`` in ``b``, counted a block at a time, then written a block at a time into one array."""
     blocks = range(0, b.size, _SCAN_BYTES)
@@ -264,9 +240,11 @@ def _field_ends(raw: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a line end, which ends a field even inside a quoted cell, as the end of
     the file ends one for the csv module.  The file is read ``_SCAN_BYTES`` at
     a time, twice: once to count the commas and line ends, once to write
-    those outside quoted cells into arrays sized by the counts, so nothing as
-    large as the file is made beside them.  When quoted cells drop some, the
-    arrays are views of the items written.
+    those outside quoted cells into arrays sized by the counts.  Without
+    quote marks nothing as large as the file is made beside them; with them,
+    the quote-run state takes a few arrays, some int64, as long as the quote
+    marks.  When quoted cells drop some field ends, the arrays are views of
+    the items written.
     """
     b = np.frombuffer(raw, dtype=np.uint8)
     dtype = np.int32 if b.size < 2**31 else np.int64
@@ -376,9 +354,10 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     bytes.  Any other record of another field count than the header's is ragged.
 
     Beside the file, the read keeps an int32 offset per field end, which
-    the cells are a view of (a copy of the data rows' windows of them if
-    there are blank records).  While it reads it adds an int32 index and a
-    few bytes per record and arrays of a fixed block size.
+    the cells are a view of.  While it reads it adds an int32 index and a
+    few bytes per record and arrays of a fixed block size.  A file with
+    blank records also copies the data rows' windows of the field ends, and
+    a file with quote marks makes arrays as long as its quote marks.
     """
     try:
         with open(path, "rb") as handle:
@@ -470,11 +449,8 @@ def _parse_numbers(name: str, cells: _Cells) -> np.ndarray:
     """The float value of each cell after stripping, NaN for a missing token.
 
     ``_DECODE_ROWS`` rows at a time, the cells that are plain decimals are
-    decoded from their bytes (:func:`_plain_decimals`), and so are those
-    that are once unpadded (:func:`_unpadded`); the spans of the others go to
-    :func:`_cast_cells`.  Both give float()'s values.  Only the cells that
-    the decoder refuses are unpadded, which costs a file without padding
-    nothing.
+    decoded from their bytes (:func:`_plain_decimals`) and the spans of the
+    others go to :func:`_cast_cells`.  Both give float()'s values.
     """
     values = np.empty(len(cells))
     b = np.frombuffer(cells.raw, dtype=np.uint8)
@@ -483,12 +459,7 @@ def _parse_numbers(name: str, cells: _Cells) -> np.ndarray:
         starts, ends = cells.spans(block)
         values[block], plain = _plain_decimals(b, starts, ends)
         rest = np.flatnonzero(~plain)
-        rest, starts, ends = lo + rest, starts[rest], ends[rest]
-        if rest.size:
-            starts, ends = _unpadded(b, starts, ends)
-            values[rest], plain = _plain_decimals(b, starts, ends)
-            rest, starts, ends = rest[~plain], starts[~plain], ends[~plain]
-        values[rest] = _cast_cells(name, cells.raw, starts, ends, rest)
+        values[lo + rest] = _cast_cells(name, cells.raw, starts[rest], ends[rest], lo + rest)
     return values
 
 
@@ -503,20 +474,15 @@ def _cast_cells(name: str, raw: bytes, starts: np.ndarray, ends: np.ndarray, row
         for s, e in zip(memoryview(starts), memoryview(ends))
     ]
     try:
-        return np.array([math.nan if _missing(token) else float(token) for token in tokens])
+        return np.array([math.nan if token.lower() in _MISSING_TOKENS else float(token) for token in tokens])
     except ValueError:
         for row, token in zip(rows.tolist(), tokens):
-            if not _missing(token):
+            if token.lower() not in _MISSING_TOKENS:
                 try:
                     float(token)
                 except ValueError:
                     raise DataError(f"row {row + 2}: non-numeric value {token!r} in column {name!r}") from None
         raise
-
-
-def _missing(token: str) -> bool:
-    """Whether a stripped token is a missing token; each is empty or starts with n, so only those are case-folded."""
-    return not token or token[0] in "nN" and token.lower() in _MISSING_TOKENS
 
 
 def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _Column:
@@ -536,18 +502,11 @@ def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _C
     elif kind == "median-gt":
         # The lower median of the non-missing values, before any cross-column
         # row dropping: for even counts the smaller middle value, so the cut
-        # is an observed value and > comparisons stay crisp.  NaN partitions
-        # after every number, so the k-th of a copy of all the values is the
-        # k-th observed one.  -0.0 and 0.0 tie, and np.partition may put
-        # another of them at k than np.sort does, so a zero median is read
-        # off np.sort, which sets the sign that the rule text prints.
-        k = (values.size - np.count_nonzero(missing) - 1) // 2
-        ordered = values.copy()
-        ordered.partition(k)
-        cut = float(ordered[k])
-        del ordered
-        if cut == 0.0:
-            cut = float(np.sort(values[~missing])[k])
+        # is an observed value and > comparisons stay crisp.
+        observed = values[~missing]
+        observed.sort()
+        cut = float(observed[(observed.size - 1) // 2])
+        del observed
         rule_text = f"median-gt(median={cut:g})"
     else:
         cut, rule_text = threshold, f"threshold:{threshold:g}"

@@ -253,14 +253,8 @@ def from_counts(counts) -> ObservedDistribution:
 
 
 def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
-    """Eight cell counts, in :func:`from_counts` order, of 0/1 columns ``a``, ``m`` (or 0), ``y``.
-
-    The cell code 4a + 2y + m is built in uint8, a byte per unit.
-    """
-    code = a.astype(np.uint8, copy=False) << 2
-    code |= y.astype(np.uint8, copy=False) << 1
-    code |= np.asarray(m, dtype=np.uint8)
-    return np.bincount(code, minlength=8)
+    """Eight cell counts, in :func:`from_counts` order, of 0/1 columns ``a``, ``m`` (or 0), ``y``."""
+    return np.bincount(a.astype(np.int64) * 4 + y.astype(np.int64) * 2 + m, minlength=8)
 
 
 def _record_counts(records) -> np.ndarray:

@@ -361,8 +361,6 @@ DECODER_EDGE_TOKENS = [
     "1" * 15, "-9." + "9" * 14, "." + "0" * 14 + "1", "-" + "9" * 15 + ".",
     "9.999999999999999", "1" * 16, "-1.234567890123456", "0.9007199254740993", "9" * 17,
     "1.2.3", "1..", "--1", "+-1", "-+1", "1-", "1+1", "0.5-", ".", "-", "+", "-.", "+.",
-    # ASCII spaces and tabs around a plain decimal, up to 17 on a side, are set aside for the decoder.
-    " 0.123", "0.123\t", "\t -1.5 \t", " " * 17 + "2", " " * 18 + "2", "2" + " " * 18, " + 0.5", " 0 .5", " \x1c0.5",
 ]
 
 
@@ -466,8 +464,8 @@ class TestColumnReaderMatchesReference:
 
     # A requested cell loses its quote marks by narrowing only when it holds
     # exactly two, at its first and its last byte; the csv module reads every
-    # other shape, and both must read as the reference does.  Padding is set
-    # aside after the pair, and not before a quote mark: ' "0.5"' is text.
+    # other shape, and both must read as the reference does, whitespace
+    # around or inside the pair included: ' "0.5"' is text.
     @pytest.mark.parametrize(
         "cell",
         ['"0"5', '0"5"', '""0"', '"0""5"', '"0.5"""', '"""0.5"', '"0.5" ', ' "0.5"', '"-0"', '""', '"NA"',
@@ -587,12 +585,10 @@ class TestPlainDecimalDecoder:
 
     def test_only_other_cells_reach_the_cast(self, tmp_path, cast_calls):
         # On a plain file the cast sees only its missing and other tokens, so
-        # the decoder cannot quietly hand every cell back to it.  A plain
-        # decimal padded with spaces and tabs is decoded too.
+        # the decoder cannot quietly hand every cell back to it.
         rows = [f"{i % 2},{(i // 2) % 2},{-1.25 + 0.125 * i:+.3f}" for i in range(40)]
-        others = {3: "NA", 17: "1e-1", 23: "", 37: "-0.5e0"}
-        padded = {11: " 0.5", 29: "\t-0.25 \t", 31: "2.50 "}
-        for i, token in {**others, **padded}.items():
+        others = {3: "NA", 11: " 0.5", 17: "1e-1", 23: "", 31: "2.50 ", 37: "-0.5e0"}
+        for i, token in others.items():
             rows[i] = rows[i].rsplit(",", 1)[0] + "," + token
         path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
         assert_same_ingest(path, config_for(path, dichotomize="m=median-gt"))

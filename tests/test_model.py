@@ -27,9 +27,9 @@ from mediation_bounds import (
     from_units,
 )
 from mediation_bounds.lp_engine import StrataDistribution16
-from mediation_bounds.model import MAX_TOTAL, as_cell_counts, cell_counts
-from mediation_bounds.oracle import FullPopulation64, sample_records
-from conftest import calibration_population, make_rng, random_dist
+from mediation_bounds.model import MAX_TOTAL, as_cell_counts
+from mediation_bounds.oracle import FullPopulation64
+from conftest import make_rng, random_dist
 
 
 class TestConstruction:
@@ -127,22 +127,6 @@ class TestConstruction:
         for bad in (counts.astype(float), counts.astype(bool), iter(counts.tolist()), iter(records)):
             with pytest.raises(ValidationError):
                 as_cell_counts(bad)
-
-    def test_cell_counts_match_the_int64_cell_code(self):
-        # The cell code is built in uint8.  The records that inference calls
-        # tabulate (sampled as the benchmark's Monte-Carlo workload samples
-        # them, 20 to 20,000 per arm), columns of other integer types, and
-        # m = 0 must count as the int64 code 4a + 2y + m does.
-        pop = calibration_population()
-        for n, seed in ((20, 1), (137, 2), (2_000, 3), (20_000, 4)):
-            records = sample_records(pop, n, seed)
-            a, m, y = (records[:, k].astype(np.int64) for k in range(3))
-            want = np.bincount(a * 4 + y * 2 + m, minlength=8).tolist()
-            assert as_cell_counts(records).tolist() == want
-            assert cell_counts(a, m, y).tolist() == want
-            assert cell_counts(a.astype(bool), m.astype(np.int8), y.astype(np.uint16)).tolist() == want
-            no_m = np.bincount(a * 4 + y * 2, minlength=8).tolist()
-            assert cell_counts(records[:, 0], 0, records[:, 2]).tolist() == no_m
 
     def test_record_array_shape(self):
         arr = as_record_array([(1, 0, 1), (0, 1, 0)])
