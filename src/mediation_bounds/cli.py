@@ -505,7 +505,14 @@ def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _C
         # is an observed value and > comparisons stay crisp.
         observed = values[~missing]
         observed.sort()
-        cut = float(observed[(observed.size - 1) // 2])
+        k = (observed.size - 1) // 2
+        cut = float(observed[k])
+        if cut == 0.0:
+            # The sort orders tied -0.0 and 0.0 as its implementation happens
+            # to; the cut's sign is that of the zero a stable sort puts at k,
+            # the (k - negatives)-th zero in file order.
+            zeros = np.flatnonzero(values == 0.0)
+            cut = float(values[zeros[k - np.searchsorted(observed, 0.0)]])
         del observed
         rule_text = f"median-gt(median={cut:g})"
     else:

@@ -35,13 +35,17 @@ cells, largest first; labels name the reference-arm cells first.  For
 ``NONE`` and ``MMR`` this reproduces the printed sets of the source
 derivation, which ``tests/test_closed_form.py`` keeps and compares.
 
-:func:`anie_bounds` serves all eight (assumption set, reference, sign) specs
-with one evaluation and one incompatibility verdict; ``bounds_no_assumption``,
-``bounds_mmr``, ``bounds_mmr_pos_mediator`` and ``lp_engine.anie_bounds_lp``
-are front doors over it.  :func:`anie_expressions` exposes the sets.
-``_evaluate``, an index-order sum of each row's products, is the one
-evaluator of expressions: the point bounds and ``inference.clr_bounds`` both
-read their values from it, so they report the same bits.
+All eight (assumption set, reference, sign) specs' lower, upper and phase-1
+rows are stacked once, at import, into one matrix, ``_ROWS``; each spec's
+table holds only its offsets into it.  ``_evaluate``, an index-order sum of
+each row's products, evaluates the whole stack once per
+``ObservedDistribution``, on first use, and the values are kept on that
+instance.  :func:`anie_bounds` reads its spec's slice of them, with one
+incompatibility verdict; ``bounds_no_assumption``, ``bounds_mmr``,
+``bounds_mmr_pos_mediator`` and ``lp_engine.anie_bounds_lp`` are front doors
+over it.  ``inference.clr_bounds`` reads its estimates from the same kept
+values, so the point bounds and CLR report the same bits.
+:func:`anie_expressions` exposes the sets.
 """
 
 from __future__ import annotations
@@ -164,7 +168,12 @@ class Expression(NamedTuple):
 class _SpecTable(NamedTuple):
     lowers: tuple[Expression, ...]
     uppers: tuple[Expression, ...]
-    rows: np.ndarray  # coefficients of the lower, the upper and the phase-1 expressions, stacked
+    # Offsets into ``_ROWS``: the lower rows start at ``start``, the upper
+    # rows at ``uppers_at`` and the phase-1 rows at ``phase1_at``; ``stop`` ends them.
+    start: int
+    uppers_at: int
+    phase1_at: int
+    stop: int
 
 
 def _support(form: tuple[int, ...]) -> int:
@@ -194,8 +203,8 @@ def _label(form: tuple[int, ...], ref: int) -> str:
     return text
 
 
-def _derive(ref: int, min_side, max_side, phase1) -> _SpecTable:
-    """One spec's expression sets and phase-1 rows from its dual vertices."""
+def _derive(ref: int, min_side, max_side, phase1):
+    """One spec's lower and upper expressions and phase-1 coefficient rows from its dual vertices."""
     opp_m1 = (5 - 4 * ref, 7 - 4 * ref)  # the opposite arm's M=1 cells
 
     def dot_b(v) -> tuple[list[int], int]:  # b . v as (cell coefficients, constant)
@@ -218,17 +227,36 @@ def _derive(ref: int, min_side, max_side, phase1) -> _SpecTable:
         return tuple(Expression(_label(f, ref), tuple(float(x) for x in f)) for f in forms)
 
     lowers, uppers = (side(max_side), side(min_side)) if ref == 1 else (side(min_side), side(max_side))
-    residuals = [_zero_constant(*dot_b(v)) for v in phase1]
-    rows = np.array([e.coeffs for e in lowers + uppers] + residuals, dtype=float)
-    return _SpecTable(lowers, uppers, rows)
+    return lowers, uppers, [_zero_constant(*dot_b(v)) for v in phase1]
 
 
-_TABLE = {key: _derive(key[1], *parts) for key, parts in _DUAL_VERTICES.items()}
+def _slot(spec: EstimandSpec) -> int:
+    """The spec's position in ``_TABLES``, found by identity tests: no enum is hashed."""
+    if spec.assumptions is Assumptions.MMR_POS_MEDIATOR:
+        return 4 + 2 * spec.reference + (spec.mediator_effect_sign < 0)
+    return 2 * (spec.assumptions is Assumptions.MMR) + spec.reference
+
+
+def _stack() -> tuple[tuple[_SpecTable, ...], np.ndarray]:
+    """Every spec's table, by ``_slot``, and the read-only matrix of all their rows, spec after spec."""
+    tables, rows = [None] * len(_DUAL_VERTICES), []
+    for (assumptions, ref, sign), parts in _DUAL_VERTICES.items():
+        lowers, uppers, residuals = _derive(ref, *parts)
+        start = len(rows)
+        rows += [e.coeffs for e in lowers + uppers] + residuals
+        uppers_at = start + len(lowers)
+        table = _SpecTable(lowers, uppers, start, uppers_at, uppers_at + len(uppers), len(rows))
+        tables[_slot(EstimandSpec(ref, assumptions, sign))] = table
+    stack = np.array(rows, dtype=float)
+    stack.flags.writeable = False
+    return tuple(tables), stack
+
+
+_TABLES, _ROWS = _stack()
 
 
 def _spec_table(spec: EstimandSpec) -> _SpecTable:
-    sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
-    return _TABLE[(spec.assumptions, spec.reference, sign)]
+    return _TABLES[_slot(spec)]
 
 
 def anie_expressions(spec: EstimandSpec) -> tuple[tuple[Expression, ...], tuple[Expression, ...]]:
@@ -240,9 +268,26 @@ def anie_expressions(spec: EstimandSpec) -> tuple[tuple[Expression, ...], tuple[
 def _evaluate(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """``rows @ cells``, each row's products added in index order.
 
-    cumsum fixes the order, so no value depends on the BLAS build or on which rows are stacked.
+    cumsum fixes the order, so no value depends on the BLAS build or on which
+    rows are stacked.  The bounds evaluate all of ``_ROWS`` at once, through
+    :func:`_table_values`.
     """
     return np.cumsum(rows * cells, axis=1)[:, -1]
+
+
+def _table_values(dist: ObservedDistribution) -> tuple[float, ...]:
+    """``_ROWS`` evaluated on ``dist.cells``, once: kept on ``dist`` from its first use.
+
+    The values live on the instance, not in a memo keyed by value: cells of
+    -0.0 and 0.0 compare equal, so such a memo could hand one distribution
+    another's signs of zero.
+    """
+    try:
+        return dist._table_values
+    except AttributeError:
+        values = tuple(_evaluate(_ROWS, dist.cells).tolist())
+        object.__setattr__(dist, "_table_values", values)
+        return values
 
 
 def _clamp(v: float) -> float:
@@ -261,14 +306,14 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     computed and may be empty.
     """
     table = _spec_table(spec)
-    n_lo = len(table.lowers)
-    n_bounds = n_lo + len(table.uppers)
-    values = _evaluate(table.rows, dist.cells).tolist()
-    lo_vals, hi_vals = values[:n_lo], values[n_lo:n_bounds]
+    values = _table_values(dist)
+    lo_vals, hi_vals = values[table.start : table.uppers_at], values[table.uppers_at : table.phase1_at]
     lower, upper = max(lo_vals), min(hi_vals)
     binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)
-    lower, upper = _clamp(lower), _clamp(upper)
-    residual = max(values[n_bounds:])
+    # _clamp, inlined: min(1.0, max(-1.0, v)) keeps v itself inside [-1, 1].
+    lower = 1.0 if lower > 1.0 else -1.0 if lower < -1.0 else lower
+    upper = 1.0 if upper > 1.0 else -1.0 if upper < -1.0 else upper
+    residual = max(values[table.phase1_at : table.stop])
     incompatible = residual > FEAS_TOL or lower > upper + ORDER_TOL
     diagnostics: tuple[str, ...] = ()
     if incompatible:
@@ -289,13 +334,26 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     )
 
 
+# The front doors' specs at reference 0 and 1, built once.
+_NONE_SPECS = (EstimandSpec(0, Assumptions.NONE), EstimandSpec(1, Assumptions.NONE))
+_MMR_SPECS = (EstimandSpec(0, Assumptions.MMR), EstimandSpec(1, Assumptions.MMR))
+_POS_MEDIATOR_SPECS = (EstimandSpec(0, Assumptions.MMR_POS_MEDIATOR), EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR))
+
+
+def _prebuilt(specs: tuple[EstimandSpec, EstimandSpec], reference) -> EstimandSpec:
+    """``specs[reference]`` for a plain int 0 or 1; ``EstimandSpec`` checks any other reference."""
+    if type(reference) is int and reference in (0, 1):
+        return specs[reference]
+    return EstimandSpec(reference, specs[0].assumptions, specs[0].mediator_effect_sign)
+
+
 def bounds_no_assumption(dist: ObservedDistribution, reference: int) -> BoundsResult:
     """Sharp bounds on delta(reference) using randomization alone.
 
     The interval always contains zero and is typically wide; it is the honest
     baseline against which the assumption-driven intervals should be read.
     """
-    return anie_bounds(dist, EstimandSpec(reference=reference, assumptions=Assumptions.NONE))
+    return anie_bounds(dist, _prebuilt(_NONE_SPECS, reference))
 
 
 def bounds_mmr(dist: ObservedDistribution, reference: int) -> BoundsResult:
@@ -305,7 +363,7 @@ def bounds_mmr(dist: ObservedDistribution, reference: int) -> BoundsResult:
     ATM contradicts the assumption and flags the result ``incompatible``.  A
     zero ATM point-identifies delta(reference) = 0.
     """
-    return anie_bounds(dist, EstimandSpec(reference=reference, assumptions=Assumptions.MMR))
+    return anie_bounds(dist, _prebuilt(_MMR_SPECS, reference))
 
 
 def bounds_mmr_pos_mediator(dist: ObservedDistribution, reference: int = 1) -> BoundsResult:
@@ -314,8 +372,7 @@ def bounds_mmr_pos_mediator(dist: ObservedDistribution, reference: int = 1) -> B
     The opposite sign of the mediator's effect is served by :func:`anie_bounds`
     with ``mediator_effect_sign=-1``.
     """
-    spec = EstimandSpec(reference=reference, assumptions=Assumptions.MMR_POS_MEDIATOR, mediator_effect_sign=1)
-    return anie_bounds(dist, spec)
+    return anie_bounds(dist, _prebuilt(_POS_MEDIATOR_SPECS, reference))
 
 
 def ande_bounds(dist: ObservedDistribution, reference: int, anie: BoundsResult) -> BoundsResult:

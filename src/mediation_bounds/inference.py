@@ -13,8 +13,8 @@ slack, and endpoint estimators
 
 are reported at level 1/2 (half-median-unbiased point bounds) and at
 1 - alpha/2 (confidence interval for the identified set).  The max side is
-the min side run on negated estimates and deviations.  The theta_j come from
-``closed_form``'s one evaluator, so they are bit-equal to the point bounds.
+the min side run on negated estimates and deviations.  The theta_j are the
+values ``closed_form`` keeps on the distribution, so they are the point bounds' bits.
 Each k is ``np.quantile``'s default (linear) value of the studentized row
 maxima, read off one sort per selection stage rather than computed by it.
 
@@ -37,7 +37,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .closed_form import _evaluate, _spec_table
+from .closed_form import _ROWS, _spec_table, _table_values
 from .model import (
     _TIE_TOL,
     _ZERO_SE_TOL,
@@ -348,21 +348,22 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     identified set of delta(spec.reference).
 
     Serves every (assumption set, reference, sign) spec: the intersection is
-    over the expressions of ``closed_form.anie_expressions(spec)``, with their
-    coefficient rows read from the bound table the point bounds use.  One
-    seeded Gaussian sample drives both sides and every quantile level, so
-    critical values are monotone across levels by construction and results
-    are bit-reproducible for a fixed config.  Consecutive calls on the same
-    counts, seed and draws (every spec of one table) share that sample.
+    over the expressions of ``closed_form.anie_expressions(spec)``.  Their
+    estimates are the values the point bounds read, kept on the simulation's
+    distribution, and their coefficient rows the same slice of the stacked
+    table.  One seeded Gaussian sample drives both sides and every quantile
+    level, so critical values are monotone across levels by construction and
+    results are bit-reproducible for a fixed config.  Consecutive calls on the
+    same counts, seed and draws (every spec of one table) share that sample.
     """
     table = _spec_table(spec)
     lowers, uppers = table.lowers, table.uppers
     n_lo = len(lowers)
-    rows = table.rows[: n_lo + len(uppers)]
+    rows = _ROWS[table.start : table.phase1_at]
     counts = as_cell_counts(data)
     dist, cov, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), config.seed, config.draws)
 
-    est = _evaluate(rows, dist.cells)
+    est = np.array(_table_values(dist)[table.start : table.phase1_at])
     se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows), 0.0, None))
     devs = cell_devs @ rows.T
 

@@ -236,7 +236,7 @@ def reference_ingest(path, config):
                     )
             cut, rule_text[name] = 0.5, "none"
         elif kind == "median-gt":
-            observed = np.sort(values[~missing[name]])
+            observed = np.sort(values[~missing[name]], kind="stable")
             cut = float(observed[(observed.size - 1) // 2])
             rule_text[name] = f"median-gt(median={cut:g})"
         else:
@@ -484,6 +484,26 @@ class TestColumnReaderMatchesReference:
         for rule in ("m=threshold:1", "m=median-gt"):
             assert_same_ingest(path, config_for(path, dichotomize=rule))
         assert_parsed_as_float(path, "m", 5, token)
+
+    # A zero lower median prints the sign of the zero that a stable sort puts
+    # at k, the (k - negatives)-th zero in file order.  -0.0 == 0.0, so np.sort
+    # may order these ties either way; on each of these columns numpy 2.4's
+    # default sort on x86-64 puts the other zero at k.
+    @pytest.mark.parametrize(
+        "column, median",
+        [
+            ([1, "-0", 2, "-0", 2, "-0", 0, 0], "0"),
+            ([-2, "-0", -2, 0, 0, 2, 0, 0, "-0", 1, 0, 0, 1, 0, 0], "-0"),
+            ([-1, 2, -2, "-0", 0, 2, 0, 0, "-0", -1, -2, 2, 2, -1, "-0"], "0"),
+        ],
+    )
+    def test_zero_median_takes_the_stable_sorts_sign(self, tmp_path, column, median):
+        rows = [f"{i % 2},{(i // 2) % 2},{m}" for i, m in enumerate(column)]
+        path = write_text(tmp_path / "d.csv", "a,y,m\n" + "\n".join(rows) + "\n")
+        config = config_for(path, dichotomize="m=median-gt")
+        data, _, _ = ingest(path, config)
+        assert data[0].rules["m"] == f"median-gt(median={median})"
+        assert_same_ingest(path, config)
 
     def test_decoder_reads_a_261_digit_cell_as_float_does(self, tmp_path, cast_calls):
         # 261 digits would wrap an 8-bit digit counter to 5 if the decoder

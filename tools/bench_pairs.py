@@ -17,7 +17,10 @@ so that every block in a file was measured on the commits it names.
 For each end-to-end metric the block holds every run, each side's median and
 quartiles (``statistics.quantiles(n=4, method="inclusive")``), the change's
 wins (pairs where it reads better; ties count for neither), the median change
-in percent and the parent's interquartile range.
+in percent and the parent's interquartile range.  It also records, per side,
+what a benchmark child runs on: the Python and numpy versions, and whether it
+writes bytecode (it does not when ``PYTHONDONTWRITEBYTECODE`` is set, so every
+CLI child then compiles the package from source).
 """
 
 from __future__ import annotations
@@ -48,6 +51,19 @@ def checkout(rev: str, workdir: Path) -> tuple[dict, Path]:
             with tarfile.open(fileobj=archive) as tar:
                 tar.extractall(target, filter="data")
     return ids, target
+
+
+# Run by a child in each side's checkout, with the environment the benchmark children get.
+ENVIRONMENT = (
+    "import json, platform, sys, numpy; print(json.dumps({'python': platform.python_version(), "
+    "'numpy': numpy.__version__, 'writes_bytecode': not sys.dont_write_bytecode}))"
+)
+
+
+def environment(root: Path) -> dict:
+    """The Python and numpy versions a benchmark child in ``root`` runs on, and whether it writes bytecode."""
+    proc = subprocess.run([sys.executable, "-c", ENVIRONMENT], cwd=root, check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout)
 
 
 def run_once(root: Path, side: str, workload: str, seed: int, seconds: float) -> dict:
@@ -120,6 +136,7 @@ def main() -> None:
     record.setdefault("workloads", {})[args.workload] = {
         "seeds": seeds,
         "first_side": first,
+        "environment": {side: environment(roots[side]) for side in results},
         "sha256_equal_in_every_pair": all(
             p["sha256"] == c["sha256"] for p, c in zip(results["parent"], results["change"])
         ),
