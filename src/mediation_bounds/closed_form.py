@@ -278,9 +278,8 @@ def _evaluate(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def _table_values(dist: ObservedDistribution) -> tuple[float, ...]:
     """``_ROWS`` evaluated on ``dist.cells``, once: kept on ``dist`` from its first use.
 
-    The values live on the instance, not in a memo keyed by value: cells of
-    -0.0 and 0.0 compare equal, so such a memo could hand one distribution
-    another's signs of zero.
+    The values live and die with the instance; a module memo keyed by the
+    cells would outlive every distribution and hash the cells on every call.
     """
     try:
         return dist._table_values

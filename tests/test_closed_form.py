@@ -8,6 +8,8 @@ are checked against them.  The simplex is only used for the comparison tests,
 never to generate expectations.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -31,8 +33,9 @@ from mediation_bounds import (
     from_counts,
     from_probabilities,
 )
-from mediation_bounds import lp_engine
+from mediation_bounds import closed_form, lp_engine
 from mediation_bounds.lp_engine import anie_bounds_lp, cross_world_range
+from mediation_bounds.model import FEAS_TOL, ORDER_TOL, BoundsResult
 from conftest import make_rng, random_dist, random_mmr_dist
 
 TOL = 1e-12
@@ -522,3 +525,108 @@ class TestExpressionProperties:
                 lp = simplex_bounds(dist, EstimandSpec(reference=reference, assumptions=Assumptions.NONE))
                 assert cf.lower == pytest.approx(lp[0], abs=1e-9)
                 assert cf.upper == pytest.approx(lp[1], abs=1e-9)
+
+
+REFERENCE_EVALUATE = closed_form._evaluate
+
+
+def per_spec_bounds(dist, spec):
+    """The per-spec route that the stacked table replaced, kept as the reference.
+
+    ``_evaluate`` on the spec's own rows, derived afresh from its dual
+    vertices, then max, min, ``index`` and clamp.  Returns the result and the
+    lower and upper expression values.
+    """
+    sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
+    vertices = closed_form._DUAL_VERTICES[(spec.assumptions, spec.reference, sign)]
+    lowers, uppers, residuals = closed_form._derive(spec.reference, *vertices)
+    rows = np.array([e.coeffs for e in lowers + uppers] + residuals, dtype=float)
+    values = REFERENCE_EVALUATE(rows, dist.cells).tolist()
+    n_lo, n_bounds = len(lowers), len(lowers) + len(uppers)
+    lo_vals, hi_vals = values[:n_lo], values[n_lo:n_bounds]
+    lower, upper = max(lo_vals), min(hi_vals)
+    binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)
+    lower, upper = min(1.0, max(-1.0, lower)), min(1.0, max(-1.0, upper))
+    residual = max(values[n_bounds:])
+    incompatible = residual > FEAS_TOL or lower > upper + ORDER_TOL
+    diagnostics = ()
+    if incompatible:
+        diagnostics = (
+            f"observed distribution contradicts {spec.assumptions.value!r}: constraints are "
+            f"inconsistent (phase-1 residual {residual:.6g}); interval reported as computed and may be empty",
+        )
+    result = BoundsResult(
+        lower=lower,
+        upper=upper,
+        binding_lower=binding_lower,
+        binding_upper=binding_upper,
+        spec=spec,
+        method=Method.CLOSED_FORM,
+        incompatible=incompatible,
+        diagnostics=diagnostics,
+        fingerprint=dist.fingerprint(),
+    )
+    return result, lo_vals, hi_vals
+
+
+class TestStackedTable:
+    """One evaluation of the stacked table per distribution gives the per-spec route's bits.
+
+    ``repr`` tells -0.0 from 0.0, so equal reprs are equal bits.  Every loop
+    runs spec-major over several distributions, so consecutive calls
+    alternate between them.
+    """
+
+    CONFIG = InferenceConfig(draws=100)
+
+    @staticmethod
+    def assert_per_spec_route(dist, spec, counts=None):
+        expected, lo_vals, hi_vals = per_spec_bounds(dist, spec)
+        res = anie_bounds(dist, spec)
+        assert repr(res) == repr(expected)
+        assert res.fingerprint == expected.fingerprint
+        other = 1 - spec.reference
+        assert repr(ande_bounds(dist, other, res)) == repr(ande_bounds(dist, other, expected))
+        if counts is not None:
+            iv = clr_bounds(counts, spec, TestStackedTable.CONFIG)
+            assert repr([e.estimate for e in iv.lower_expressions]) == repr(lo_vals)
+            assert repr([e.estimate for e in iv.upper_expressions]) == repr(hi_vals)
+
+    def test_seeded_count_tables(self):
+        # Small arms give empty cells and incompatible tables; large ones, long mantissas.
+        rng = make_rng(61)
+        tables = []
+        while len(tables) < 40:
+            counts = rng.integers(0, 10 ** int(rng.integers(1, 7)), size=8)
+            if counts[:4].sum() >= 2 and counts[4:].sum() >= 2:
+                tables.append(counts)
+        dists = [from_counts(counts.tolist()) for counts in tables]
+        assert any(anie_bounds(d, EstimandSpec(1, Assumptions.MMR)).incompatible for d in dists)
+        for spec in ALL_SPECS:
+            for counts, dist in zip(tables, dists):
+                self.assert_per_spec_route(dist, spec, counts)
+
+    def test_signed_zero_cells_evaluate_once_per_distribution(self, monkeypatch):
+        # Twins whose cells differ only in the sign of a zero compare equal
+        # (-0.0 == 0.0).  Each is evaluated on its own, once, on first use:
+        # the values live on the instance, not in a memo keyed by the cells.
+        # Such a memo would give the same bits (no row's value can be -0.0,
+        # since each arm has a positive cell), so only the count tells.
+        calls = []
+
+        def counting(rows, cells):
+            calls.append(cells)
+            return REFERENCE_EVALUATE(rows, cells)
+
+        monkeypatch.setattr(closed_form, "_evaluate", counting)
+        arms = ([0.5, 0.0, 0.5, 0.0], [0.0, 0.25, 0.0, 0.75], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
+        dists = []
+        for arm0, arm1 in itertools.product(arms, repeat=2):
+            for flip in (False, True):
+                signed = [[-0.0 if x == 0.0 and flip else x for x in arm] for arm in (arm0, arm1)]
+                dists.append(from_probabilities(*signed))
+        assert sum(np.signbit(d.cells).any() for d in dists) == len(dists) // 2
+        for spec in ALL_SPECS:
+            for dist in dists:
+                self.assert_per_spec_route(dist, spec)
+        assert [id(cells) for cells in calls] == [id(d.cells) for d in dists]

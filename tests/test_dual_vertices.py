@@ -19,6 +19,10 @@ from mediation_bounds import (
     from_counts,
 )
 from mediation_bounds.lp_engine import (
+    _CROSS,
+    _FACTUAL,
+    _M,
+    _Y,
     InfeasibleError,
     Sense,
     anie_bounds_lp,
@@ -123,6 +127,83 @@ def test_table_equals_fresh_derivation():
     derived = {key: derive_table(*key) for key in TABLE_KEYS}
     if closed_form._DUAL_VERTICES != derived:
         pytest.fail("closed_form._DUAL_VERTICES is stale; replace it with:\n\n" + format_table(derived))
+
+
+# --- soundness over every population -----------------------------------------
+
+# Each atom of the 64-cell law (axes y11, y10, y01, y00, m1, m0) as its observed
+# cells, arm a showing Y(a, M(a)) and M(a), and as its delta(0) and delta(1).
+ATOM_CELLS = np.array(
+    [(_FACTUAL[a] == y) & (_M[a] == m) for a in (0, 1) for y in (0, 1) for m in (0, 1)], dtype=np.int64
+).reshape(8, 64)
+ATOM_DELTA = ((_CROSS[0] - _FACTUAL[0]).reshape(64), (_FACTUAL[1] - _CROSS[1]).reshape(64))
+# 64 + 64 + 48 + 48 + 4 * 180 = 944 vertices over the eight specs.
+VERTEX_COUNTS = {Assumptions.NONE: 64, Assumptions.MMR: 48, Assumptions.MMR_POS_MEDIATOR: 180}
+
+
+def assumption_vertices(spec: EstimandSpec) -> np.ndarray:
+    """The vertices of the spec's set of 64-cell laws, one column of integer atom weights each.
+
+    The set is read from ``build_lp``'s rows, mapped to the atoms through
+    their strata at the reference.  A zero right-hand-side equality (a defier
+    row) has nonnegative coefficients, so it keeps the atoms where it is 0.
+    The one inequality g . psi >= 0, if any, keeps the atoms with g >= 0 and
+    adds, for each pair with g(u) > 0 > g(w), the point -g(w) u + g(u) w on
+    g = 0.  The weights are not normalized: everything checked against them
+    is linear with no constant term, so a positive scale changes no sign.
+    """
+    ref = spec.reference
+    lp = build_lp(from_counts([1, 2, 3, 4, 5, 6, 7, 8]), spec, Sense.MIN)  # every data row has rhs > 0
+    stratum = (8 * _Y[ref][1] + 4 * _Y[ref][0] + 2 * _M[1] + _M[0]).reshape(64)
+    keep = np.ones(64, dtype=bool)
+    for row, rhs in lp.equalities:
+        if rhs == 0.0:
+            on_atoms = np.array(row)[stratum]
+            assert (on_atoms >= 0).all()
+            keep &= on_atoms == 0
+    assert len(lp.inequalities) <= 1
+    gap = np.zeros(64, dtype=np.int64)
+    for row, _ in lp.inequalities:
+        gap = np.rint(np.array(row)[stratum]).astype(np.int64)
+    atoms = np.flatnonzero(keep & (gap >= 0))
+    pos, neg = np.flatnonzero(keep & (gap > 0)), np.flatnonzero(keep & (gap < 0))
+    u, w = np.repeat(pos, len(neg)), np.tile(neg, len(pos))
+    weights = np.zeros((64, len(atoms) + len(u)), dtype=np.int64)
+    weights[atoms, np.arange(len(atoms))] = 1
+    pairs = np.arange(len(atoms), weights.shape[1])
+    weights[u, pairs] = -gap[w]
+    weights[w, pairs] = gap[u]
+    return weights
+
+
+@pytest.mark.parametrize(
+    "spec", ALL_SPECS, ids=lambda s: f"{s.assumptions.value}-ref{s.reference}-sign{s.mediator_effect_sign:+d}"
+)
+def test_sound_on_every_population(spec):
+    # Every bounding expression, phase-1 row and delta(ref) is linear in the
+    # law, so checking the vertices of the spec's set of laws covers every
+    # population in it, those on the verdict boundary included, exactly.
+    table = closed_form._spec_table(spec)
+    rows = closed_form._ROWS[table.start : table.stop]
+    coeffs = np.rint(rows).astype(np.int64)
+    assert np.array_equal(coeffs, rows)
+    weights = assumption_vertices(spec)
+    values = coeffs @ ATOM_CELLS @ weights
+    delta = ATOM_DELTA[spec.reference] @ weights
+    n_lo, n_bounds = table.uppers_at - table.start, table.phase1_at - table.start
+    for name, bad in (
+        ("lower expression above delta", values[:n_lo] > delta),
+        ("upper expression below delta", values[n_lo:n_bounds] < delta),
+        ("phase-1 row positive", values[n_bounds:] > 0),
+    ):
+        rows_at, vertices_at = np.nonzero(bad)
+        if len(rows_at):
+            vertex = weights[:, vertices_at[0]]
+            atoms = {int(i): int(vertex[i]) for i in np.flatnonzero(vertex)}
+            pytest.fail(f"{name}: its row {rows_at[0]}, at the vertex with atom weights {atoms}")
+    # Each expression meets delta(ref) somewhere, so none is slack on the whole set.
+    assert (values[:n_bounds] == delta).any(axis=1).all()
+    assert weights.shape[1] == VERTEX_COUNTS[spec.assumptions]
 
 
 # --- equivalence with the simplex and scipy -----------------------------------

@@ -1,4 +1,4 @@
-"""The repository tools under tools/: what they refuse before doing any work, and how they stop when a run fails."""
+"""The tools under tools/: what they refuse before doing any work, how they stop when a run fails, what they record."""
 
 import json
 import os
