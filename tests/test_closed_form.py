@@ -630,3 +630,16 @@ class TestStackedTable:
             for dist in dists:
                 self.assert_per_spec_route(dist, spec)
         assert [id(cells) for cells in calls] == [id(d.cells) for d in dists]
+
+    @pytest.mark.parametrize("front_door", [bounds_no_assumption, bounds_mmr, bounds_mmr_pos_mediator])
+    def test_front_doors_check_the_reference_as_specs_do(self, e1_dist, front_door):
+        # Plain 0 and 1 take prebuilt specs; every other reference goes
+        # through EstimandSpec's checks, so numpy ints still pass as ints.
+        for reference in (True, False, 1.0, 2, -1, "1", None):
+            with pytest.raises(ValidationError):
+                front_door(e1_dist, reference)
+        for reference in (0, 1):
+            for given in (reference, np.int64(reference), np.int8(reference)):
+                res = front_door(e1_dist, given)
+                assert type(res.spec.reference) is int
+                assert repr(res) == repr(front_door(e1_dist, reference))
