@@ -11,12 +11,10 @@ from mediation_bounds import (
     Assumptions,
     EstimandSpec,
     ande_bounds,
+    anie_bounds,
     anie_expressions,
     ate,
     atm,
-    bounds_mmr,
-    bounds_mmr_pos_mediator,
-    bounds_no_assumption,
     from_counts,
 )
 from mediation_bounds.lp_engine import cross_world_range
@@ -33,8 +31,10 @@ print(f"  ATM  (treatment effect on the mediator): {atm(dist):+.3f}")
 print()
 
 # With no assumptions at all, the data still pin the indirect effect
-# delta(1) = E[Y(1, M(1))] - E[Y(1, M(0))] to an interval.
-none = bounds_no_assumption(dist, reference=1)
+# delta(1) = E[Y(1, M(1))] - E[Y(1, M(0))] to an interval.  One evaluator,
+# anie_bounds, serves every interval; the EstimandSpec names the reference
+# arm and the assumption set.
+none = anie_bounds(dist, EstimandSpec(reference=1))
 lowers, uppers = anie_expressions(EstimandSpec(reference=1))
 print(f"no assumptions      : delta(1) in [{none.lower:+.3f}, {none.upper:+.3f}]")
 print(f"  binding lower expression: {lowers[none.binding_lower].label}")
@@ -42,12 +42,12 @@ print(f"  binding upper expression: {uppers[none.binding_upper].label}")
 
 # Ruling out mediator defiers (units treatment pushes out of the
 # mediator) tightens the interval to +-ATM at most.
-mmr = bounds_mmr(dist, reference=1)
+mmr = anie_bounds(dist, EstimandSpec(reference=1, assumptions=Assumptions.MMR))
 print(f"no mediator defiers : delta(1) in [{mmr.lower:+.3f}, {mmr.upper:+.3f}]")
 
 # Additionally signing the mediator's effect on the treated-arm outcome
 # keeps zero inside but can shave the ends; here it changes nothing.
-pos = bounds_mmr_pos_mediator(dist)
+pos = anie_bounds(dist, EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR))
 print(f"... and signed link : delta(1) in [{pos.lower:+.3f}, {pos.upper:+.3f}]")
 print()
 

@@ -15,7 +15,7 @@ from mediation_bounds import (
     Assumptions,
     EstimandSpec,
     InferenceConfig,
-    bounds_mmr,
+    anie_bounds,
     clr_bounds,
     iot_test,
 )
@@ -29,7 +29,7 @@ from mediation_bounds.oracle import (
 rng = np.random.default_rng(7)
 pop = random_population(rng, Assumptions.MMR)
 truth = true_estimands(pop)
-analytic = bounds_mmr(observed_from_population(pop), reference=1)
+analytic = anie_bounds(observed_from_population(pop), EstimandSpec(reference=1, assumptions=Assumptions.MMR))
 
 print(f"true indirect effect delta(1) : {truth.delta1:+.4f}")
 print(f"infinite-data bounds          : [{analytic.lower:+.4f}, {analytic.upper:+.4f}]")

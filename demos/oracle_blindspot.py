@@ -10,11 +10,10 @@ is 0.6. The bounds see what the screen cannot.
 """
 
 from mediation_bounds import (
-    Assumptions,
     EstimandSpec,
+    anie_bounds,
     ate,
     atm,
-    bounds_no_assumption,
 )
 from mediation_bounds.oracle import (
     iot_blindspot_population,
@@ -47,7 +46,7 @@ print()
 
 # An ATM-based screen concludes "no mediation path". The bounds instead
 # report an interval whose upper end reaches the true 0.6.
-bounds = bounds_no_assumption(dist, reference=1)
+bounds = anie_bounds(dist, EstimandSpec(reference=1))
 print(f"no-assumption bounds: delta(1) in [{bounds.lower:+.2f}, {bounds.upper:+.2f}]")
 print(f"truth inside bounds : {soundness_check(pop, EstimandSpec(reference=1))}")
 print()

@@ -14,7 +14,10 @@ Layout:
 * :mod:`mediation_bounds.inference` intersection-bounds estimation and CIs
 * :mod:`mediation_bounds.cli` the ``mediation-bounds`` command
 
-The package root exports the public names of the first three.  Two more
+The package root exports the public names of the first three.  Data enter
+through one of three intakes, :func:`from_counts`, :func:`from_units` (unit
+records) or :func:`from_probabilities`, and every interval comes from one
+evaluator, :func:`anie_bounds`, given an :class:`EstimandSpec`.  Two more
 modules validate the intervals rather than serve them; their names are
 imported from the modules themselves:
 
@@ -35,7 +38,6 @@ from .model import (
     Method,
     ObservedDistribution,
     ValidationError,
-    as_record_array,
     ate,
     atm,
     from_counts,
@@ -46,9 +48,6 @@ from .closed_form import (
     anie_bounds,
     anie_expressions,
     ande_bounds,
-    bounds_mmr,
-    bounds_mmr_pos_mediator,
-    bounds_no_assumption,
 )
 from .inference import (
     InferenceConfig,
@@ -56,7 +55,6 @@ from .inference import (
     WaldResult,
     ate_test,
     clr_bounds,
-    estimate_distribution,
     iot_test,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "Method",
     "ObservedDistribution",
     "ValidationError",
-    "as_record_array",
     "ate",
     "atm",
     "from_counts",
@@ -80,15 +77,11 @@ __all__ = [
     "anie_bounds",
     "anie_expressions",
     "ande_bounds",
-    "bounds_mmr",
-    "bounds_mmr_pos_mediator",
-    "bounds_no_assumption",
     "InferenceConfig",
     "IntervalEstimate",
     "WaldResult",
     "ate_test",
     "clr_bounds",
-    "estimate_distribution",
     "iot_test",
     "__version__",
 ]

@@ -41,11 +41,13 @@ table holds only its offsets into it.  ``_evaluate``, an index-order sum of
 each row's products, evaluates the whole stack once per
 ``ObservedDistribution``, on first use, and the values are kept on that
 instance.  :func:`anie_bounds` reads its spec's slice of them, with one
-incompatibility verdict; ``bounds_no_assumption``, ``bounds_mmr``,
-``bounds_mmr_pos_mediator`` and ``lp_engine.anie_bounds_lp`` are front doors
-over it.  ``inference.clr_bounds`` reads its estimates from the same kept
-values, so the point bounds and CLR report the same bits.
+incompatibility verdict.  ``inference.clr_bounds`` reads its estimates from
+the same kept values, so the point bounds and CLR report the same bits.
 :func:`anie_expressions` exposes the sets.
+
+``bounds_no_assumption``, ``bounds_mmr`` and ``bounds_mmr_pos_mediator`` only
+pick a spec and call :func:`anie_bounds`; they stay here, off the package
+root, only because the benchmark under ``perfbench/`` calls them by name.
 """
 
 from __future__ import annotations

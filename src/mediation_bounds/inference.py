@@ -26,6 +26,8 @@ intervals; point estimates are never smoothed.
 
 Every function here takes its data as the eight cell counts (shape (8,)) or
 as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
+``estimate_distribution``, off the package root, stays only because the
+benchmark under ``perfbench/`` calls it by name.
 """
 
 from __future__ import annotations

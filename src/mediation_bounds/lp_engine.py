@@ -24,8 +24,9 @@ delta(ref) gives bounds that are sharp by construction.  Only the program's
 right-hand side depends on the data, so by LP duality its optima are maxima
 and minima over a fixed list of integer dual vertices (Balke and Pearl, 1997;
 Sachs et al., 2023).  ``closed_form`` holds that list and derives every
-bounding expression from it, so requests never run a solver here;
-``anie_bounds_lp`` is a front door over ``closed_form.anie_bounds``.
+bounding expression from it, so requests never run a solver here.
+``anie_bounds_lp``, a front door over ``closed_form.anie_bounds``, stays only
+because the benchmark under ``perfbench/`` calls it by name.
 
 The dense two-phase primal simplex with Bland's rule (``solve``) is kept for
 what the vertex list cannot give: witness stratum distributions attaining

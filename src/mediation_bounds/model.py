@@ -103,25 +103,6 @@ def _rectangular(data) -> np.ndarray:
         raise ValidationError(f"ragged input: {exc}") from None
 
 
-def as_record_array(records) -> np.ndarray:
-    """Canonicalize records to an (n, 3) uint8 array with columns a, m, y.
-
-    Accepts an (n, 3) array or a sequence of (a, m, y) triples.  Values outside
-    {0, 1} are rejected.
-    """
-    arr = _rectangular(records)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValidationError(f"record array must have shape (n, 3), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
-        if not np.all(np.isin(arr, (0, 1))):
-            raise ValidationError("record values must be 0 or 1")
-        arr = arr.astype(np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() > 1):
-        bad = arr[(arr < 0) | (arr > 1)][0]
-        raise ValidationError(f"record values must be 0 or 1, got {bad}")
-    return np.ascontiguousarray(arr, dtype=np.uint8)
-
-
 @dataclass(frozen=True, eq=False)
 class ObservedDistribution:
     """Joint law of (Y, M) within each arm plus the arm sizes.
@@ -258,15 +239,29 @@ def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
 
 
 def _record_counts(records) -> np.ndarray:
-    """The eight cell counts of unit records (:func:`as_record_array`)."""
-    arr = as_record_array(records)
+    """The eight cell counts of unit records: the one check every records intake runs.
+
+    Records are an (n, 3) array or a sequence of (a, m, y) triples, every
+    value 0 or 1.
+    """
+    arr = _rectangular(records)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValidationError(f"record array must have shape (n, 3), got {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        if not np.all(np.isin(arr, (0, 1))):
+            raise ValidationError("record values must be 0 or 1")
+        arr = arr.astype(np.int64)
+    if arr.size and (arr.min() < 0 or arr.max() > 1):
+        bad = arr[(arr < 0) | (arr > 1)][0]
+        raise ValidationError(f"record values must be 0 or 1, got {bad}")
+    arr = np.ascontiguousarray(arr, dtype=np.uint8)
     return cell_counts(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 def as_cell_counts(data) -> np.ndarray:
     """The eight cell counts of ``data`` as int64, in :func:`from_counts` order.
 
-    Two-dimensional input is records (:func:`as_record_array`); anything else
+    Two-dimensional input is records (:func:`_record_counts`); anything else
     is the eight counts.
     """
     arr = _rectangular(data)

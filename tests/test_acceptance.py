@@ -23,9 +23,6 @@ from mediation_bounds import (
     anie_bounds,
     ate,
     atm,
-    bounds_mmr,
-    bounds_mmr_pos_mediator,
-    bounds_no_assumption,
     clr_bounds,
     from_counts,
 )
@@ -79,14 +76,14 @@ def test_criterion_01_closed_form_matches_lp():
         for reference in (0, 1):
             pairs = [
                 (
-                    bounds_no_assumption(dist, reference),
+                    anie_bounds(dist, EstimandSpec(reference)),
                     _simplex_interval(dist, EstimandSpec(reference=reference)),
                 )
             ]
             if compatible:
                 pairs.append(
                     (
-                        bounds_mmr(dist, reference),
+                        anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR)),
                         _simplex_interval(
                             dist,
                             EstimandSpec(reference=reference, assumptions=Assumptions.MMR),
@@ -115,7 +112,7 @@ def test_criterion_02_no_assumption_bounds_contain_zero():
     contained = 0
     for _ in range(n_dists):
         dist = random_dist(rng)
-        intervals = [bounds_no_assumption(dist, ref) for ref in (0, 1)]
+        intervals = [anie_bounds(dist, EstimandSpec(ref)) for ref in (0, 1)]
         if all(b.lower <= 0.0 <= b.upper for b in intervals):
             contained += 1
     ok = contained == n_dists
@@ -152,7 +149,7 @@ def test_criterion_03_zero_margin_difference_pins_bounds_at_zero():
     for dist in dists:
         assert atm(dist) == 0.0
         for reference in (0, 1):
-            b = bounds_mmr(dist, reference)
+            b = anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR))
             worst = max(worst, abs(b.lower), abs(b.upper))
     ok = worst <= 1e-12
     _line(
@@ -175,7 +172,7 @@ def test_criterion_04_signed_mediator_interval_contains_zero():
         if atm(dist) < 0.0:
             continue
         checked += 1
-        b = bounds_mmr_pos_mediator(dist)
+        b = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR))
         if b.lower <= 0.0 <= b.upper:
             contained += 1
     ok = contained == n_dists
@@ -380,9 +377,9 @@ def test_criterion_09_interval_inference_calibration():
 
 def test_criterion_10_mandatory_fixture_values(uniform_dist, e1_dist):
     tol = 1e-12
-    uniform_bounds = bounds_no_assumption(uniform_dist, 1)
-    e1_none = bounds_no_assumption(e1_dist, 1)
-    e1_mmr = bounds_mmr(e1_dist, 1)
+    uniform_bounds = anie_bounds(uniform_dist, EstimandSpec(1))
+    e1_none = anie_bounds(e1_dist, EstimandSpec(1))
+    e1_mmr = anie_bounds(e1_dist, EstimandSpec(1, Assumptions.MMR))
     checks = {
         "uniform delta(1) in [-0.5, 0.5]": (
             abs(uniform_bounds.lower + 0.5) <= tol

@@ -2,11 +2,14 @@
 
 The benchmark calls layer functions by name, reads the JSON blocks and CSV
 columns of the command-line output, and checks every number against scipy.
-These tests run its own checks on the package's current output; they read
-perfbench/ and change nothing there.
+These tests run its own checks on the package's current output, and resolve
+every package name its code reads; they read perfbench/ and change nothing
+there.
 """
 
+import ast
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -26,6 +29,7 @@ from mediation_bounds import cli  # noqa: E402
 
 # Mediator ATE -1/(n0 n1): every restricted assumption set is incompatible.
 REPRODUCER = (1, 21164, 0, 18836, 1, 30111, 0, 9888)
+PACKAGE = "mediation_bounds"
 
 
 @pytest.mark.parametrize("layer", tracing.LAYERS, ids=lambda layer: layer[2] + ":" + layer[1])
@@ -33,6 +37,83 @@ def test_every_traced_layer_resolves(layer):
     module, path, _, _ = layer
     _, _, fn = tracing._resolve(module, path)
     assert callable(fn)
+
+
+def package_chains(source: str) -> set[str]:
+    """Every name ``source`` imports from the package, and every attribute chain rooted at one.
+
+    A ``from mediation_bounds... import`` anywhere in the source, a function
+    body included, binds its names for the whole source.  Each chain is
+    written from the module it was imported from, for example
+    ``mediation_bounds.model.Method.LP``; a chain ends where a call or a
+    subscript does.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == PACKAGE:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = set(bound.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            attrs = []
+            while isinstance(node, ast.Attribute):
+                attrs.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name) and node.id in bound:
+                chains.add(".".join([bound[node.id], *reversed(attrs)]))
+    return chains
+
+
+def resolve(chain: str):
+    """The object a dotted chain names: its longest importable module prefix, then attributes."""
+    parts = chain.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            owner = importlib.import_module(".".join(parts[:i]))
+        except ModuleNotFoundError:
+            continue
+        break
+    for attr in parts[i:]:
+        owner = getattr(owner, attr)
+    return owner
+
+
+BENCH_SOURCES = [*BENCH.glob("*.py"), *BENCH.glob("tests/*.py")]
+BENCH_REFERENCES = sorted(set().union(*(package_chains(path.read_text()) for path in BENCH_SOURCES)))
+
+
+def test_the_scan_follows_every_package_import():
+    source = (
+        "import other\n"
+        "from mediation_bounds.model import Method as M\n"
+        "from mediation_bounds import cli\n"
+        "def f(x):\n"
+        "    from mediation_bounds import model\n"
+        "    return M.LP.value, cli.from_units(x).size, model.from_counts, other.cli.main\n"
+    )
+    assert package_chains(source) == {
+        "mediation_bounds.model.Method",
+        "mediation_bounds.cli",
+        "mediation_bounds.model",
+        "mediation_bounds.model.Method.LP.value",
+        "mediation_bounds.cli.from_units",
+        "mediation_bounds.model.from_counts",
+    }
+    assert resolve("mediation_bounds.model.Method.LP") is resolve("mediation_bounds.model").Method.LP
+    with pytest.raises(AttributeError):
+        resolve("mediation_bounds.model.Method.SIMPLEX")
+    with pytest.raises(AttributeError):
+        resolve("mediation_bounds.no_such_module")
+
+
+# Traced runs read some names only on paths that no set-up code takes, such
+# as Method.LP in tracing._observe_pos, so each one is resolved here.
+@pytest.mark.parametrize("chain", BENCH_REFERENCES, ids=lambda chain: chain.removeprefix("mediation_bounds."))
+def test_every_package_name_the_benchmark_reads_resolves(chain):
+    resolve(chain)
 
 
 def test_sweep_tables_pass_the_table_check():

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mediation_bounds
-from mediation_bounds import Assumptions, ValidationError, __version__, ate, bounds_mmr, cli, from_counts
+from mediation_bounds import Assumptions, EstimandSpec, ValidationError, __version__, anie_bounds, ate, cli, from_counts
 from mediation_bounds.cli import ConfigError, DataError, RunConfig, _rule_table, ingest, main, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -1227,6 +1227,34 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "data error: mediator 'm2': need at least 2 observations per arm, got n0=10, n1=1\n"
 
+    # Each documented refusal of a bad file or flag, with its exit code and message.
+    @pytest.mark.parametrize(
+        "text, flags, code, message",
+        [
+            ("", ("--mediators", "m"), 3, "data error: {path} is empty"),
+            ("a,y,m\n0,NA,1\n1,NA,0\n", ("--mediators", "m"), 3, "data error: column 'y' has no non-missing values"),
+            ("a,y,m\n0,,1\n1,,0\n,1,1\n,0,0\n", ("--mediators", "m"), 3,
+             "data error: no rows with both treatment and outcome observed"),
+            ("a,y,m\n" + "1,1,\n" * 4 + ",,1\n", ("--mediators", "m"), 3,
+             "data error: mediator 'm': all rows dropped by missing-value filtering"),
+            ("a,y,m\n0,0,0\n1,1,1\n", (), 2, "config error: at least one mediator column is required"),
+            ("a,y,m\n0,0,0\n1,1,1\n", ("--mediators", "m", "--dichotomize", "median-gt,none"), 2,
+             "config error: multiple global dichotomize rules: ['median-gt', 'none']"),
+            ("a,y,m\n0,0,0\n1,1,1\n", ("--mediators", "m", "--assumptions", ","), 2,
+             "config error: at least one assumption set is required"),
+        ],
+        ids=["empty-file", "all-missing-column", "treatment-and-outcome-apart", "mediator-all-dropped",
+             "no-mediators", "two-global-rules", "no-assumption-set"],
+    )
+    def test_bad_input_exit_code_and_message(self, capsys, tmp_path, text, flags, code, message):
+        path = write_text(tmp_path / "d.csv", text)
+        assert run_cli(capsys, "--data", path, *flags) == (code, "", message.format(path=path) + "\n")
+
+    def test_run_config_refuses_an_unknown_format(self):
+        # The command line's choices never let one through; a RunConfig built in code can.
+        with pytest.raises(ConfigError, match="^format must be json, csv, or plotdata, got 'xml'$"):
+            config_for(None, counts=(40, 30, 20, 10, 10, 20, 30, 40), mediators=(), format="xml")
+
     def test_unknown_flag(self, capsys):
         code = main(["--counts", E1_COUNTS, "--frobnicate"])
         capsys.readouterr()
@@ -1356,7 +1384,7 @@ class TestCountsMode:
         assert code == 0
         report = json.loads(out)
         dist = from_counts([40, 30, 20, 10, 10, 20, 30, 40])
-        direct = bounds_mmr(dist, 1)
+        direct = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR))
         cf = report["mediators"][0]["results"][0]["closed_form"]
         lp = report["mediators"][0]["results"][0]["lp"]
         assert cf["lower"] == pytest.approx(direct.lower, abs=1e-15)
@@ -1739,7 +1767,7 @@ class TestConsoleScript:
             "lazy = {'mediation_bounds.lp_engine', 'mediation_bounds.oracle'}\n"
             "assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))\n"
             "names = mediation_bounds.__all__\n"
-            "assert len(names) == len(set(names)) == 30\n"
+            "assert len(names) == len(set(names)) == 25\n"
             "star = {}\n"
             "exec('from mediation_bounds import *', star)\n"
             "assert set(star) - {'__builtins__'} == set(names)\n"

@@ -26,14 +26,12 @@ from mediation_bounds import (
     anie_expressions,
     ate,
     atm,
-    bounds_mmr,
-    bounds_mmr_pos_mediator,
-    bounds_no_assumption,
     clr_bounds,
     from_counts,
     from_probabilities,
 )
 from mediation_bounds import closed_form, lp_engine
+from mediation_bounds.closed_form import bounds_mmr, bounds_mmr_pos_mediator, bounds_no_assumption
 from mediation_bounds.lp_engine import anie_bounds_lp, cross_world_range
 from mediation_bounds.model import FEAS_TOL, ORDER_TOL, BoundsResult
 from conftest import make_rng, random_dist, random_mmr_dist
@@ -150,7 +148,7 @@ def simplex_bounds(dist, spec):
 
 class TestNoAssumption:
     def test_uniform_reference1(self, uniform_dist):
-        res = bounds_no_assumption(uniform_dist, 1)
+        res = anie_bounds(uniform_dist, EstimandSpec(1))
         assert res.lower == pytest.approx(-0.5, abs=TOL)
         assert res.upper == pytest.approx(0.5, abs=TOL)
         assert res.method is Method.CLOSED_FORM
@@ -161,12 +159,12 @@ class TestNoAssumption:
         lo_vals, hi_vals = expression_values(uniform_dist, spec)
         np.testing.assert_allclose(lo_vals, [-0.5, -0.75, -0.75], atol=TOL)
         np.testing.assert_allclose(hi_vals, [0.5, 0.75, 0.75], atol=TOL)
-        res = bounds_no_assumption(uniform_dist, 1)
+        res = anie_bounds(uniform_dist, EstimandSpec(1))
         assert res.binding_lower == 0
         assert res.binding_upper == 0
 
     def test_benchmark_reference1(self, e1_dist):
-        res = bounds_no_assumption(e1_dist, 1)
+        res = anie_bounds(e1_dist, EstimandSpec(1))
         assert res.lower == pytest.approx(-0.3, abs=TOL)
         assert res.upper == pytest.approx(0.7, abs=TOL)
         lo_vals, hi_vals = expression_values(
@@ -176,7 +174,7 @@ class TestNoAssumption:
         np.testing.assert_allclose(hi_vals, [0.7, 0.8, 0.9], atol=TOL)
 
     def test_benchmark_reference0(self, e1_dist):
-        res = bounds_no_assumption(e1_dist, 0)
+        res = anie_bounds(e1_dist, EstimandSpec(0))
         assert res.lower == pytest.approx(-0.3, abs=TOL)
         assert res.upper == pytest.approx(0.7, abs=TOL)
 
@@ -185,26 +183,26 @@ class TestNoAssumption:
         for _ in range(1000):
             dist = random_dist(rng)
             for reference in (0, 1):
-                res = bounds_no_assumption(dist, reference)
+                res = anie_bounds(dist, EstimandSpec(reference))
                 assert res.lower <= 0.0 <= res.upper
 
     def test_width_never_exceeds_two(self):
         rng = make_rng(17)
         for _ in range(200):
-            res = bounds_no_assumption(random_dist(rng), 1)
+            res = anie_bounds(random_dist(rng), EstimandSpec(1))
             assert -1.0 <= res.lower <= res.upper <= 1.0
 
 
 class TestMonotoneMediator:
     def test_zero_margin_difference_point_identifies(self, uniform_dist):
         for reference in (0, 1):
-            res = bounds_mmr(uniform_dist, reference)
+            res = anie_bounds(uniform_dist, EstimandSpec(reference, Assumptions.MMR))
             assert res.lower == pytest.approx(0.0, abs=TOL)
             assert res.upper == pytest.approx(0.0, abs=TOL)
             assert not res.incompatible
 
     def test_benchmark_reference1(self, e1_dist):
-        res = bounds_mmr(e1_dist, 1)
+        res = anie_bounds(e1_dist, EstimandSpec(1, Assumptions.MMR))
         assert res.lower == pytest.approx(-0.2, abs=TOL)
         assert res.upper == pytest.approx(0.2, abs=TOL)
         lo_vals, hi_vals = expression_values(
@@ -214,7 +212,7 @@ class TestMonotoneMediator:
         np.testing.assert_allclose(hi_vals, [0.2, 0.4], atol=TOL)
 
     def test_benchmark_reference0(self, e1_dist):
-        res = bounds_mmr(e1_dist, 0)
+        res = anie_bounds(e1_dist, EstimandSpec(0, Assumptions.MMR))
         assert res.lower == pytest.approx(-0.2, abs=TOL)
         assert res.upper == pytest.approx(0.2, abs=TOL)
 
@@ -224,7 +222,7 @@ class TestMonotoneMediator:
             dist = random_mmr_dist(rng)
             alpha = atm(dist)
             for reference in (0, 1):
-                res = bounds_mmr(dist, reference)
+                res = anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR))
                 assert res.lower >= -alpha - TOL
                 assert res.upper <= alpha + TOL
                 assert res.lower <= 0.0 <= res.upper
@@ -232,7 +230,7 @@ class TestMonotoneMediator:
     def test_negative_margin_difference_flags_incompatible(self):
         dist = from_probabilities([0.1, 0.5, 0.1, 0.3], [0.4, 0.1, 0.4, 0.1])
         assert atm(dist) < 0
-        res = bounds_mmr(dist, 1)
+        res = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR))
         assert res.incompatible
         assert res.diagnostics
         assert "contradicts" in res.diagnostics[0]
@@ -242,15 +240,15 @@ class TestMonotoneMediator:
         for _ in range(200):
             dist = random_mmr_dist(rng)
             for reference in (0, 1):
-                outer = bounds_no_assumption(dist, reference)
-                inner = bounds_mmr(dist, reference)
+                outer = anie_bounds(dist, EstimandSpec(reference))
+                inner = anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR))
                 assert outer.lower <= inner.lower + TOL
                 assert inner.upper <= outer.upper + TOL
 
 
 class TestSignedMediator:
     def test_benchmark_values(self, e1_dist):
-        res = bounds_mmr_pos_mediator(e1_dist)
+        res = anie_bounds(e1_dist, EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR))
         assert res.lower == pytest.approx(-0.2, abs=TOL)
         assert res.upper == pytest.approx(0.2, abs=TOL)
         lo_vals, hi_vals = printed_values(e1_dist, Assumptions.MMR_POS_MEDIATOR)
@@ -265,7 +263,7 @@ class TestSignedMediator:
         np.testing.assert_allclose(hi_vals, [0.2, 0.4], atol=TOL)
 
     def test_zero_margin_difference_point_identifies(self, uniform_dist):
-        res = bounds_mmr_pos_mediator(uniform_dist)
+        res = anie_bounds(uniform_dist, EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR))
         assert res.lower == pytest.approx(0.0, abs=TOL)
         assert res.upper == pytest.approx(0.0, abs=TOL)
 
@@ -286,8 +284,8 @@ class TestSignedMediator:
         rng = make_rng(31)
         for _ in range(100):
             dist = random_mmr_dist(rng)
-            outer = bounds_mmr(dist, 1)
-            inner = bounds_mmr_pos_mediator(dist)
+            outer = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR))
+            inner = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR))
             assert outer.lower <= inner.lower + 1e-9
             assert inner.upper <= outer.upper + 1e-9
 
@@ -303,7 +301,7 @@ class TestSignedMediator:
             lo_vals, hi_vals = printed_values(dist, Assumptions.MMR_POS_MEDIATOR)
             printed_lower = min(1.0, max(-1.0, max(lo_vals)))
             printed_upper = min(1.0, max(-1.0, min(hi_vals)))
-            res = bounds_mmr_pos_mediator(dist)
+            res = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR))
             assert res.method is Method.CLOSED_FORM and not res.incompatible
             assert printed_lower - TOL <= res.lower <= res.upper <= printed_upper + TOL, i
             lower, upper = simplex_bounds(dist, spec)
@@ -318,7 +316,7 @@ class TestSignedMediator:
 
         monkeypatch.setattr(lp_engine, "solve", no_solver)
         dist = from_probabilities([0.1, 0.5, 0.1, 0.3], [0.4, 0.1, 0.4, 0.1])
-        res = bounds_mmr_pos_mediator(dist)
+        res = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR_POS_MEDIATOR))
         assert res.incompatible
         assert res.method is Method.CLOSED_FORM
         assert res.diagnostics[0].startswith(
@@ -365,7 +363,7 @@ class TestVerdict:
                 assert res.lower > res.upper
                 with pytest.raises(AssumptionIncompatibilityError):
                     anie_bounds_lp(dist, spec)
-        assert bounds_mmr(dist, 1).incompatible and bounds_mmr(dist, 0).incompatible
+        assert all(anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR)).incompatible for reference in (0, 1))
 
     def test_sweep_near_zero_mediator_ate(self):
         tables = atm_sweep_tables()
@@ -404,37 +402,37 @@ class TestVerdict:
 
 class TestDirectEffect:
     def test_benchmark_direct_effect(self, e1_dist):
-        anie = bounds_no_assumption(e1_dist, 1)
+        anie = anie_bounds(e1_dist, EstimandSpec(1))
         zeta0 = ande_bounds(e1_dist, 0, anie)
         assert zeta0.estimand == "ande"
         assert zeta0.lower == pytest.approx(0.4 - 0.7, abs=TOL)
         assert zeta0.upper == pytest.approx(0.4 + 0.3, abs=TOL)
 
     def test_point_identified_indirect_gives_ate(self, uniform_dist):
-        anie = bounds_mmr(uniform_dist, 1)
+        anie = anie_bounds(uniform_dist, EstimandSpec(1, Assumptions.MMR))
         zeta0 = ande_bounds(uniform_dist, 0, anie)
         tau = ate(uniform_dist)
         assert zeta0.lower == pytest.approx(tau, abs=TOL)
         assert zeta0.upper == pytest.approx(tau, abs=TOL)
 
     def test_binding_indices_swap(self, e1_dist):
-        anie = bounds_no_assumption(e1_dist, 0)
+        anie = anie_bounds(e1_dist, EstimandSpec(0))
         zeta1 = ande_bounds(e1_dist, 1, anie)
         assert zeta1.binding_lower == anie.binding_upper
         assert zeta1.binding_upper == anie.binding_lower
 
     def test_rejects_mismatched_reference(self, e1_dist):
-        anie = bounds_no_assumption(e1_dist, 1)
+        anie = anie_bounds(e1_dist, EstimandSpec(1))
         with pytest.raises(ConsistencyError):
             ande_bounds(e1_dist, 1, anie)
 
     def test_rejects_foreign_distribution(self, e1_dist, uniform_dist):
-        anie = bounds_no_assumption(uniform_dist, 1)
+        anie = anie_bounds(uniform_dist, EstimandSpec(1))
         with pytest.raises(ConsistencyError):
             ande_bounds(e1_dist, 0, anie)
 
     def test_rejects_direct_effect_input(self, e1_dist):
-        anie = bounds_no_assumption(e1_dist, 1)
+        anie = anie_bounds(e1_dist, EstimandSpec(1))
         zeta0 = ande_bounds(e1_dist, 0, anie)
         with pytest.raises(ConsistencyError):
             ande_bounds(e1_dist, 1, zeta0)
@@ -445,7 +443,7 @@ class TestDirectEffect:
             dist = random_dist(rng)
             tau = ate(dist)
             for reference in (0, 1):
-                anie = bounds_no_assumption(dist, 1 - reference)
+                anie = anie_bounds(dist, EstimandSpec(1 - reference))
                 zeta = ande_bounds(dist, reference, anie)
                 assert zeta.lower + anie.upper == pytest.approx(tau, abs=TOL)
                 assert zeta.upper + anie.lower == pytest.approx(tau, abs=TOL)
@@ -521,7 +519,7 @@ class TestExpressionProperties:
         for _ in range(100):
             dist = random_dist(rng)
             for reference in (0, 1):
-                cf = bounds_no_assumption(dist, reference)
+                cf = anie_bounds(dist, EstimandSpec(reference))
                 lp = simplex_bounds(dist, EstimandSpec(reference=reference, assumptions=Assumptions.NONE))
                 assert cf.lower == pytest.approx(lp[0], abs=1e-9)
                 assert cf.upper == pytest.approx(lp[1], abs=1e-9)

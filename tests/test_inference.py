@@ -15,9 +15,7 @@ from mediation_bounds import (
     anie_bounds,
     anie_expressions,
     ate_test,
-    bounds_mmr,
     clr_bounds,
-    estimate_distribution,
     from_counts,
     from_units,
     iot_test,
@@ -28,7 +26,7 @@ from mediation_bounds.oracle import (
     iot_blindspot_population,
     true_estimands,
 )
-from mediation_bounds.inference import SideDiagnostics, _min_sides, _quantiles, _simulation
+from mediation_bounds.inference import SideDiagnostics, _min_sides, _quantiles, _simulation, estimate_distribution
 from mediation_bounds.model import _ZERO_SE_TOL
 from conftest import calibration_population, make_rng, unique_binding_population
 
@@ -427,11 +425,18 @@ class TestIntervalEstimation:
             assert diag.k_ci >= diag.k_half
             assert diag.selected
 
+    def test_ci_endpoint_inside_its_hmu_estimate_is_refused(self):
+        res = clr_bounds(sample_records(calibration_population(), 1000, seed=22), self.SPEC)
+        with pytest.raises(ValidationError, match="^lower CI endpoint above the HMU lower estimate$"):
+            dataclasses.replace(res, ci_lower=res.bound_lower_hmu + 1e-6)
+        with pytest.raises(ValidationError, match="^upper CI endpoint below the HMU upper estimate$"):
+            dataclasses.replace(res, ci_upper=res.bound_upper_hmu - 1e-6)
+
     def test_expression_estimates_match_plugin_values(self):
         records = sample_records(calibration_population(), 2000, seed=23)
         dist, _ = estimate_distribution(records)
         res = clr_bounds(records, self.SPEC)
-        plugin = bounds_mmr(dist, 1)
+        plugin = anie_bounds(dist, EstimandSpec(1, Assumptions.MMR))
         est_lo = max(e.estimate for e in res.lower_expressions)
         est_hi = min(e.estimate for e in res.upper_expressions)
         assert est_lo == pytest.approx(plugin.lower, abs=1e-12)
@@ -565,8 +570,6 @@ class TestBlindspotStory:
         dist = observed_from_population(pop)
         records = sample_records(pop, 200_000, seed=53)
         res = clr_bounds(records, EstimandSpec(reference=1))
-        from mediation_bounds import bounds_no_assumption
-
-        sharp = bounds_no_assumption(dist, 1)
+        sharp = anie_bounds(dist, EstimandSpec(1))
         assert res.bound_lower_hmu == pytest.approx(sharp.lower, abs=0.01)
         assert res.bound_upper_hmu == pytest.approx(sharp.upper, abs=0.01)

@@ -14,8 +14,6 @@ from mediation_bounds import (
     ValidationError,
     anie_bounds,
     atm,
-    bounds_mmr,
-    bounds_no_assumption,
     from_counts,
     from_probabilities,
 )
@@ -140,6 +138,23 @@ class TestConstruction:
                 sense=Sense.MIN,
                 reference=1,
             )
+        short = (tuple([0.0] * 15), 0.0)
+        with pytest.raises(ValidationError, match="^equality rows must have 16 coefficients$"):
+            LinearProgram(
+                objective=good.objective,
+                equalities=good.equalities + (short,),
+                inequalities=(),
+                sense=Sense.MIN,
+                reference=1,
+            )
+        with pytest.raises(ValidationError, match="^inequality rows must have 16 coefficients$"):
+            LinearProgram(
+                objective=good.objective,
+                equalities=good.equalities,
+                inequalities=(short,),
+                sense=Sense.MIN,
+                reference=1,
+            )
 
     def test_strata_distribution_validation(self):
         psi = np.zeros(16)
@@ -156,6 +171,8 @@ class TestConstruction:
             StrataDistribution16(psi=bad, reference=1)
         with pytest.raises(ValidationError):
             StrataDistribution16(psi=np.ones(15), reference=1)
+        with pytest.raises(ValidationError, match="^reference must be 0 or 1, got 2$"):
+            StrataDistribution16(psi=psi, reference=2)
 
 
 class TestSolve:
@@ -307,8 +324,8 @@ class TestAgreement:
         # The served closed forms against the simplex optima of the same program.
         for dist in (e1_dist, uniform_dist):
             for reference in (0, 1):
-                for assumptions, served in ((Assumptions.NONE, bounds_no_assumption), (Assumptions.MMR, bounds_mmr)):
-                    cf = served(dist, reference)
+                for assumptions in (Assumptions.NONE, Assumptions.MMR):
+                    cf = anie_bounds(dist, EstimandSpec(reference, assumptions))
                     lo, hi, _, _ = cross_world_range(dist, EstimandSpec(reference, assumptions))
                     mean = dist.outcome_mean(reference)
                     lp = (mean - hi, mean - lo) if reference == 1 else (lo - mean, hi - mean)

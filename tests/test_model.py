@@ -19,7 +19,6 @@ from mediation_bounds import (
     Method,
     ObservedDistribution,
     ValidationError,
-    as_record_array,
     ate,
     atm,
     from_counts,
@@ -109,8 +108,19 @@ class TestConstruction:
             from_units([(0, 0, 2)])
         with pytest.raises(ValidationError):
             from_units([(0, 0, 0.5)])
-        with pytest.raises(ValidationError):
-            as_record_array(np.array([[0, 0, -1]]))
+        for intake in (from_units, as_cell_counts):
+            with pytest.raises(ValidationError, match=r"^record values must be 0 or 1, got -1$"):
+                intake(np.array([[0, 0, -1]]))
+
+    def test_float_records_of_0_and_1_count_as_ints_do(self):
+        records = [(1, 0, 1), (0, 1, 0), (1, 1, 1), (0, 0, 0), (0, 0, 1)]
+        for floats in (np.array(records, dtype=float), [tuple(map(float, r)) for r in records]):
+            assert as_cell_counts(floats).tolist() == as_cell_counts(records).tolist()
+            assert from_units(floats) == from_units(records)
+        # A float that is not 0 or 1 fails the float check, which names no value.
+        for intake in (from_units, as_cell_counts):
+            with pytest.raises(ValidationError, match=r"^record values must be 0 or 1$"):
+                intake(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.0]]))
 
     def test_cell_counts_from_counts_or_records(self):
         counts = np.array([3, 0, 2, 1, 0, 4, 1, 1], dtype=np.int32)
@@ -129,11 +139,10 @@ class TestConstruction:
                 as_cell_counts(bad)
 
     def test_record_array_shape(self):
-        arr = as_record_array([(1, 0, 1), (0, 1, 0)])
-        assert arr.shape == (2, 3)
-        assert arr.dtype == np.uint8
-        with pytest.raises(ValidationError):
-            as_record_array(np.zeros((3, 2), dtype=int))
+        assert as_cell_counts([(1, 0, 1), (0, 1, 0)]).tolist() == [0, 1, 0, 0, 0, 0, 1, 0]
+        for intake in (from_units, as_cell_counts):
+            with pytest.raises(ValidationError, match=r"^record array must have shape \(n, 3\), got \(3, 2\)$"):
+                intake(np.zeros((3, 2), dtype=int))
 
     def test_probability_validation(self):
         with pytest.raises(ValidationError):
@@ -142,6 +151,8 @@ class TestConstruction:
             from_probabilities([-0.1, 0.5, 0.3, 0.3], [0.25] * 4)
         with pytest.raises(ValidationError):
             ObservedDistribution(np.full((2, 2, 2), 0.25))
+        with pytest.raises(ValidationError, match=r"must each have 4 cell probabilities, got shape \(2, 3\)$"):
+            from_probabilities([0.5, 0.25, 0.25], [0.25, 0.25, 0.5])
 
     # A NaN compares false with everything, so a check written as "x < lo"
     # or "|sum - 1| > tol" lets it through; each probability vector refuses it.
@@ -315,6 +326,13 @@ class TestSpecAndResult:
             BoundsResult(
                 lower=0.05, upper=0.4, binding_lower=0, binding_upper=0,
                 spec=spec, method=Method.CLOSED_FORM,
+            )
+
+    def test_estimand_is_anie_or_ande(self):
+        with pytest.raises(ValidationError, match="^estimand must be 'anie' or 'ande', got 'x'$"):
+            BoundsResult(
+                lower=-0.2, upper=0.2, binding_lower=0, binding_upper=0,
+                spec=EstimandSpec(reference=1), method=Method.CLOSED_FORM, estimand="x",
             )
 
     def test_result_range_check(self):

@@ -312,6 +312,51 @@ class TestWitnessAssumptions:
         assert not sharpness_check(e1_dist, spec)
 
 
+class TestWitnessChecks:
+    """Each witness check of ``sharpness_check`` refuses the wrong witness that only it can catch."""
+
+    E1 = (40, 30, 20, 10, 10, 20, 30, 40)
+    ASSUMPTIONS = [Assumptions.NONE, Assumptions.MMR, Assumptions.MMR_POS_MEDIATOR]
+
+    @staticmethod
+    def _swapped(counts, arm):
+        # The (y=0, m=0) and (y=0, m=1) counts of ``arm`` traded: its cells and
+        # mediator margin move, its outcome mean stays.
+        out = list(counts)
+        out[4 * arm], out[4 * arm + 1] = out[4 * arm + 1], out[4 * arm]
+        return from_counts(out)
+
+    # Another table's witnesses and optima: with the reference arm's cells
+    # changed, only the cell check fails them; with the opposite arm's
+    # mediator margin changed, only the margin check.  The outcome mean is
+    # the same, so the optima still match the witnesses' true effects.
+    @pytest.mark.parametrize("reference", [0, 1])
+    @pytest.mark.parametrize("assumptions", ASSUMPTIONS)
+    @pytest.mark.parametrize("changed", ["reference-arm cells", "opposite-arm margin"])
+    def test_another_tables_witnesses_fail(self, monkeypatch, reference, assumptions, changed):
+        spec = EstimandSpec(reference, assumptions)
+        dist = from_counts(self.E1)
+        other = self._swapped(self.E1, reference if changed == "reference-arm cells" else 1 - reference)
+        assert sharpness_check(dist, spec) and sharpness_check(other, spec)
+        real = lp_engine.cross_world_range
+        monkeypatch.setattr(lp_engine, "cross_world_range", lambda _dist, spec: real(other, spec))
+        assert not sharpness_check(dist, spec)
+
+    # The right witnesses, with one optimum moved: only the effect check fails them.
+    @pytest.mark.parametrize("reference", [0, 1])
+    @pytest.mark.parametrize("assumptions", ASSUMPTIONS)
+    @pytest.mark.parametrize("moved", [(1e-6, 0.0), (0.0, -1e-6)], ids=["min", "max"])
+    def test_a_moved_endpoint_fails(self, monkeypatch, reference, assumptions, moved):
+        spec = EstimandSpec(reference, assumptions)
+        dist = from_counts(self.E1)
+        assert sharpness_check(dist, spec)
+        lo, hi, wit_lo, wit_hi = lp_engine.cross_world_range(dist, spec)
+        monkeypatch.setattr(
+            lp_engine, "cross_world_range", lambda _dist, _spec: (lo + moved[0], hi + moved[1], wit_lo, wit_hi)
+        )
+        assert not sharpness_check(dist, spec)
+
+
 class TestSampling:
     def test_rejects_empty_draw(self):
         pop = iot_blindspot_population()
