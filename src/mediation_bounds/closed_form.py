@@ -22,9 +22,13 @@ b depends on the data, so each extreme of the cross-world mean
 E[Y(ref, M(1-ref))] is a max or min of b . v over a fixed vertex list, and with
 delta(1) = E[Y|A=1] - cross-world mean and delta(0) = cross-world mean - E[Y|A=0]
 each vertex is one bounding expression.  The program is infeasible exactly
-when its phase-1 optimum, the max of b . v over the phase-1 vertices, is
-positive.  ``tests/test_dual_vertices.py`` re-derives the vertex table from
-``build_lp`` by brute force.
+when its phase-1 optimum is positive, and that optimum is max(0, b . v) at one
+phase-1 vertex, the mediator ATE's: data contradict ``mmr`` exactly when
+P(M=1|A=1) < P(M=1|A=0), and the sign row of ``mmr-pos-mediator`` adds
+nothing, since Y(ref, 1-M(ref)) is never observed.  Each restricted spec keeps
+that verdict vertex; ``NONE`` keeps none.  ``tests/test_dual_vertices.py``
+re-derives the table from ``build_lp`` by brute force, every phase-1 vertex
+included, and proves the cut exact.
 
 Each arm's cells sum to 1, so an expression is fixed only up to adding a
 constant to one arm's coefficients and taking it from the other's.  The
@@ -35,7 +39,7 @@ cells, largest first; labels name the reference-arm cells first.  For
 ``NONE`` and ``MMR`` this reproduces the printed sets of the source
 derivation, which ``tests/test_closed_form.py`` keeps and compares.
 
-All eight (assumption set, reference, sign) specs' lower, upper and phase-1
+All eight (assumption set, reference, sign) specs' lower, upper and verdict
 rows are stacked once, at import, into one matrix, ``_ROWS``; each spec's
 table holds only its offsets into it.  ``_evaluate``, an index-order sum of
 each row's products, evaluates the whole stack once per
@@ -77,75 +81,53 @@ from .model import (
 # of the simplex row, the four reference-arm joint cells and the opposite-arm
 # margin; the defier and sign rows have right-hand side 0.  The three parts
 # are the vertices for the MIN side (min = max of b . v), for the MAX side
-# (max = min of b . v), and of the phase-1 dual {A^T y <= 0, y <= 1}
-# (phase-1 optimum = max of b . v).  The defier strata and their rows are
-# eliminated first, and the optimum vertices carry 0 on the simplex row,
-# which is the sum of the joint-cell rows.  Regenerated, and checked, by
+# (max = min of b . v), and the verdict vertex: the one vertex of the phase-1
+# dual {A^T y <= 0, y <= 1} that can be optimal (phase-1 optimum =
+# max(0, b . v)).  It is the mediator ATE's, b . v = -2 ATM at reference 0
+# and -ATM at reference 1, and NONE has none.  The defier strata and their
+# rows are eliminated first, and the optimum vertices carry 0 on the simplex
+# row, which is the sum of the joint-cell rows.  Regenerated, and checked, by
 # tests/test_dual_vertices.py.
 _DUAL_VERTICES = {
     (Assumptions.NONE, 0, 1): (
         ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
         ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
-        ((-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0)),
+        (),
     ),
     (Assumptions.NONE, 1, 1): (
         ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
         ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
-        ((-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0)),
+        (),
     ),
     (Assumptions.MMR, 0, 1): (
         ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
         ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
-        (
-            (-2, 1, 1, 1, 1, 1), (-1, 1, 1, 1, 1, 0), (1, -2, -2, -2, -2, 1), (1, -1, -1, -1, -1, 0),
-            (1, -1, 1, -1, 1, -2),
-        ),
+        ((1, -1, 1, -1, 1, -2),),
     ),
     (Assumptions.MMR, 1, 1): (
         ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
         ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
-        (
-            (-2, 1, 1, 1, 1, 1), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0), (1, -1, -2, -1, -2, 1),
-            (1, -1, -1, -1, -1, 0),
-        ),
+        ((-1, 1, 0, 1, 0, 1),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 0, 1): (
         ((0, -1, -1, 0, -1, 1), (0, -1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
         ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 0, 1, 1, 0, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 0, 1, 1, 0, 0), (-1, 0, 1, 1, 1, -1), (-1, 1, 1, 1, 1, 0), (1, -3, -2, -2, -3, 1),
-            (1, -2, -2, -2, -2, 1), (1, -2, -1, -1, -2, 0), (1, -2, 1, -1, 0, -2), (1, -2, 1, -1, 1, -3),
-            (1, -1, -1, -1, -1, 0), (1, -1, 1, -1, 1, -2),
-        ),
+        ((1, -1, 1, -1, 1, -2),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 0, -1): (
         ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
         ((0, 0, -1, 1, 0, 1), (0, 0, 1, 2, 1, 0), (0, 1, 0, 1, 1, 0), (0, 1, 2, 2, 2, -1)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 1, 0, 0, 1, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 1, 0, 0, 1, 0), (-1, 1, 1, 0, 1, -1), (-1, 1, 1, 1, 1, 0), (1, -2, -3, -3, -2, 1),
-            (1, -2, -2, -2, -2, 1), (1, -1, -2, -2, -1, 0), (1, -1, -1, -1, -1, 0), (1, -1, 0, -2, 1, -2),
-            (1, -1, 1, -2, 1, -3), (1, -1, 1, -1, 1, -2),
-        ),
+        ((1, -1, 1, -1, 1, -2),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 1, 1): (
         ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
         ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1), (0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 2, 0)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 1, 1, 1, 0, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 0, 0, 1, -1, 1), (-1, 0, 1, 1, 0, 0), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0),
-            (1, -2, -2, -1, -3, 1), (1, -2, -1, -1, -2, 0), (1, -1, -2, -1, -2, 1), (1, -1, -1, -1, -1, 0),
-        ),
+        ((-1, 1, 0, 1, 0, 1),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 1, -1): (
         ((0, 0, -1, 0, 1, 0), (0, 0, -1, 1, 0, 1), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, 0, 0)),
         ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
-        (
-            (-3, 1, 1, 1, 1, 1), (-2, 1, 0, 1, 1, 1), (-2, 1, 1, 1, 1, 0), (-2, 1, 1, 1, 1, 1),
-            (-1, 1, -1, 0, 0, 1), (-1, 1, 0, 0, 1, 0), (-1, 1, 0, 1, 0, 1), (-1, 1, 1, 1, 1, 0),
-            (1, -1, -3, -2, -2, 1), (1, -1, -2, -2, -1, 0), (1, -1, -2, -1, -2, 1), (1, -1, -1, -1, -1, 0),
-        ),
+        ((-1, 1, 0, 1, 0, 1),),
     ),
 }
 
@@ -171,7 +153,8 @@ class _SpecTable(NamedTuple):
     lowers: tuple[Expression, ...]
     uppers: tuple[Expression, ...]
     # Offsets into ``_ROWS``: the lower rows start at ``start``, the upper
-    # rows at ``uppers_at`` and the phase-1 rows at ``phase1_at``; ``stop`` ends them.
+    # rows at ``uppers_at`` and the verdict row, if any, at ``phase1_at``;
+    # ``stop`` ends them.
     start: int
     uppers_at: int
     phase1_at: int
@@ -206,7 +189,11 @@ def _label(form: tuple[int, ...], ref: int) -> str:
 
 
 def _derive(ref: int, min_side, max_side, phase1):
-    """One spec's lower and upper expressions and phase-1 coefficient rows from its dual vertices."""
+    """One spec's lower and upper expressions and verdict rows from its dual vertices.
+
+    The verdict rows are the coefficient rows of the phase-1 vertices: the
+    mediator ATE's alone for a restricted spec, none for ``NONE``.
+    """
     opp_m1 = (5 - 4 * ref, 7 - 4 * ref)  # the opposite arm's M=1 cells
 
     def dot_b(v) -> tuple[list[int], int]:  # b . v as (cell coefficients, constant)
@@ -302,9 +289,10 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     and the upper the min of the upper ones; on feasible data they are the
     optima of ``lp_engine.build_lp``'s program.  The result is flagged
     ``incompatible`` when the data contradict the assumptions: when the
-    program's phase-1 optimum exceeds ``FEAS_TOL``, or when the interval
-    crosses by more than ``ORDER_TOL``.  A flagged interval is reported as
-    computed and may be empty.
+    program's phase-1 optimum, max(0, verdict row), exceeds ``FEAS_TOL``, or
+    when the interval crosses by more than ``ORDER_TOL``.  The verdict row is
+    -2 ATM at reference 0 and -ATM at reference 1; ``NONE`` has none.  A
+    flagged interval is reported as computed and may be empty.
     """
     table = _spec_table(spec)
     values = _table_values(dist)
@@ -314,7 +302,7 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     # _clamp, inlined: min(1.0, max(-1.0, v)) keeps v itself inside [-1, 1].
     lower = 1.0 if lower > 1.0 else -1.0 if lower < -1.0 else lower
     upper = 1.0 if upper > 1.0 else -1.0 if upper < -1.0 else upper
-    residual = max(values[table.phase1_at : table.stop])
+    residual = max((0.0, *values[table.phase1_at : table.stop]))
     incompatible = residual > FEAS_TOL or lower > upper + ORDER_TOL
     diagnostics: tuple[str, ...] = ()
     if incompatible:

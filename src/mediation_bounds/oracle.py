@@ -15,8 +15,8 @@ Tests use this module in two directions:
   land inside the interval computed from the induced observables;
 * sharpness: each LP endpoint must be attained by some full population that is
   observationally indistinguishable from the input, obtained by extending the
-  LP witness with an independent fill of the unconstrained potential outcomes,
-  which must also satisfy the assumption set.
+  LP witness with the opposite arm's outcomes drawn from the input's outcome
+  rates given the mediator, which must also satisfy the assumption set.
 """
 
 from __future__ import annotations
@@ -112,20 +112,28 @@ def strata16_from_population(pop: FullPopulation64, reference: int) -> lp_engine
     return lp_engine.StrataDistribution16(psi=marg.reshape(16), reference=reference)
 
 
-def extend_witness(witness: lp_engine.StrataDistribution16) -> FullPopulation64:
-    """Lift a sixteen-stratum witness to a full population.
+def extend_witness(witness: lp_engine.StrataDistribution16, dist: ObservedDistribution) -> FullPopulation64:
+    """Lift a sixteen-stratum witness for ``dist`` to a full population that reproduces its eight cells.
 
     The witness pins the reference-arm potential outcomes and both mediator
-    values; the two opposite-arm potential outcomes are unconstrained by the
-    LP, so they are filled in as independent fair coins.  Any fill works for
-    sharpness: the observables and the target effect depend only on the
-    witness margin.
+    values.  Each opposite-arm potential outcome Y(1-ref, m) is not in the
+    program; it is filled in independently of everything else, equal to 1
+    with probability P(Y=1 | M=m, A=1-ref) in ``dist``, or a fair coin where
+    that arm has no units with M=m.  The opposite arm's cells are then the
+    witness's mediator margin times those rates, which are ``dist``'s cells
+    when the witness reproduces that margin.  delta(ref), the defier mass and
+    the sign row read no opposite-arm outcome, so they stay the witness's.
     """
+    cells = dist.arm(1 - witness.reference).reshape(2, 2)  # [y, m]
+    with_m = cells.sum(axis=0)
+    rate = np.divide(cells[1], with_m, out=np.full(2, 0.5), where=with_m > 0)
+    fill = np.stack([1.0 - rate, rate])  # [Y(1-ref, m), m]
+    opposite = fill[:, None, 1] * fill[None, :, 0]  # [Y(1-ref, 1), Y(1-ref, 0)]
     psi = witness.psi.reshape(2, 2, 2, 2)
     if witness.reference == 1:
-        q = 0.25 * psi[:, :, None, None, :, :] * np.ones((2,) * 6)
+        q = psi[:, :, None, None, :, :] * opposite[None, None, :, :, None, None]
     else:
-        q = 0.25 * psi[None, None, :, :, :, :] * np.ones((2,) * 6)
+        q = opposite[:, :, None, None, None, None] * psi[None, None, :, :, :, :]
     return FullPopulation64(q=q)
 
 
@@ -193,14 +201,13 @@ def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec) -> bool:
     """True when both LP endpoints are attained by witness populations.
 
     For each endpoint the LP witness is extended to a full population, which
-    must (a) reproduce the reference-arm cells and the opposite-arm mediator
-    margin of ``dist``, (b) have a true delta equal to the endpoint and (c)
-    satisfy the assumption set: no defier mass under ``mmr`` and
-    ``mmr-pos-mediator``, and sign * E[Y(ref, 1) - Y(ref, 0)] >= 0 under
-    ``mmr-pos-mediator``; all within ``ORDER_TOL``.  Check (c) fails a program
-    that lost a constraint row, whose witnesses still pass (a) and (b).  An
-    infeasible program raises ``lp_engine.InfeasibleError``; that is an
-    incompatibility report, not a sharpness failure.
+    must (a) reproduce all eight cells of ``dist``, (b) have a true delta equal
+    to the endpoint and (c) satisfy the assumption set: no defier mass under
+    ``mmr`` and ``mmr-pos-mediator``, and sign * E[Y(ref, 1) - Y(ref, 0)] >= 0
+    under ``mmr-pos-mediator``; all within ``ORDER_TOL``.  Check (c) fails a
+    program that lost a constraint row, whose witnesses still pass (a) and
+    (b).  An infeasible program raises ``lp_engine.InfeasibleError``; that is
+    an incompatibility report, not a sharpness failure.
     """
     cross_min, cross_max, wit_min, wit_max = lp_engine.cross_world_range(dist, spec)
     ref = spec.reference
@@ -214,11 +221,8 @@ def sharpness_check(dist: ObservedDistribution, spec: EstimandSpec) -> bool:
         endpoints = (cross_min - dist.outcome_mean(0), cross_max - dist.outcome_mean(0))
         witnesses = (wit_min, wit_max)
     for endpoint, witness in zip(endpoints, witnesses):
-        pop = extend_witness(witness)
-        induced = observed_from_population(pop)
-        if np.abs(induced.arm(ref) - dist.arm(ref)).max() > ORDER_TOL:
-            return False
-        if abs(induced.mediator_margin(1 - ref) - dist.mediator_margin(1 - ref)) > ORDER_TOL:
+        pop = extend_witness(witness, dist)
+        if np.abs(observed_from_population(pop).cells - dist.cells).max() > ORDER_TOL:
             return False
         if abs(true_estimands(pop).delta(ref) - endpoint) > ORDER_TOL:
             return False

@@ -1,17 +1,23 @@
-"""Shared fixtures: canonical distributions, random generators, benchmark populations."""
+"""Shared fixtures: canonical distributions, random generators, benchmark populations,
+and the brute-force derivation of the dual-vertex table."""
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 import pytest
 
 from mediation_bounds import (
+    Assumptions,
+    EstimandSpec,
     ObservedDistribution,
     atm,
     from_counts,
     from_probabilities,
 )
-from mediation_bounds.lp_engine import LinearProgram, Sense
+from mediation_bounds.lp_engine import LinearProgram, Sense, build_lp
 from mediation_bounds.oracle import FullPopulation64
 
 
@@ -142,3 +148,67 @@ def unique_binding_population() -> FullPopulation64:
     _product_stratum(q, 0.35, 1, 1, 0.95, 0.95, 0.50, 0.50)
     _product_stratum(q, 0.40, 0, 0, 0.50, 0.50, 0.50, 0.50)
     return FullPopulation64(q)
+
+
+def polytope_vertices(G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Vertices of {y : G y <= h}: the feasible solutions of every nonsingular square set of tight rows."""
+    rows = np.unique(np.column_stack([G, h]), axis=0)
+    G, h = rows[:, :-1], rows[:, -1]
+    combos = np.array(list(itertools.combinations(range(len(G)), G.shape[1])))
+    square = G[combos]
+    nonsingular = np.abs(np.linalg.det(square)) > 0.5  # integer matrices
+    ys = np.linalg.solve(square[nonsingular], h[combos[nonsingular]][..., None])[..., 0]
+    ys = ys[(ys @ G.T <= h + 1e-9).all(axis=1)]
+    vertices = np.rint(ys)
+    assert np.abs(ys - vertices).max() <= 1e-9, "a dual vertex is not integral"
+    return vertices.astype(int)
+
+
+def _projected(vertices: np.ndarray, columns) -> tuple[tuple[int, ...], ...]:
+    """Distinct vertices as 6-tuples over b's rows: the first len(columns) coordinates go to ``columns``."""
+    out = np.zeros((len(vertices), 6), dtype=int)
+    out[:, columns] = vertices[:, : len(columns)]
+    return tuple(sorted({tuple(int(v) for v in row) for row in out}))
+
+
+@functools.cache
+def derive_table(assumptions: Assumptions, reference: int, sign: int):
+    """(MIN-side, MAX-side, phase-1) dual vertices of ``build_lp``'s program, every phase-1 vertex included.
+
+    Brute force, about a second for all eight specs, so it runs once per
+    session: ``tests/test_dual_vertices.py`` checks ``closed_form._DUAL_VERTICES``
+    against it, and ``tests/test_closed_form.py`` builds its reference route
+    from it.
+    """
+    dist = from_counts([1, 2, 3, 4, 5, 6, 7, 8])  # only the right-hand side depends on the table
+    lp = build_lp(dist, EstimandSpec(reference, assumptions, sign), Sense.MIN)
+    eq = np.array([row for row, _ in lp.equalities])
+    eq_rhs = np.array([rhs for _, rhs in lp.equalities])
+    simplex = (eq == 1).all(axis=1)
+    defier = (eq.sum(axis=1) == 1) & (eq_rhs == 0)
+    data = ~simplex & ~defier
+    # The right-hand sides the package evaluates the vertices against, in table order.
+    rhs = np.concatenate([[1.0], dist.arm(reference), [dist.mediator_margin(1 - reference)]])
+    assert np.array_equal(np.concatenate([eq_rhs[simplex], eq_rhs[data]]), rhs)
+
+    # Defier rows zero their strata: drop both.  Inequality rows get a surplus column.
+    kept = ~eq[defier].any(axis=0)
+    ineq = np.array([row for row, _ in lp.inequalities]).reshape(-1, 16)
+    assert all(rhs_i == 0.0 for _, rhs_i in lp.inequalities)
+    n_ineq = len(ineq)
+    A = np.vstack([eq[simplex][:, kept], eq[data][:, kept], ineq[:, kept]])
+    A = np.hstack([A, np.vstack([np.zeros((len(A) - n_ineq, n_ineq)), -np.eye(n_ineq)])])
+    c = np.concatenate([np.array(lp.objective)[kept], np.zeros(n_ineq)])
+
+    # min c.x s.t. A x = b, x >= 0 has dual max b.y s.t. A^T y <= c; the max
+    # side is its mirror.  The simplex row (the sum of the joint-cell rows)
+    # is left out of the optimum duals.
+    A_opt = A[1:]
+    data_columns = range(1, 1 + int(data.sum()))
+    lower = _projected(polytope_vertices(A_opt.T, c), data_columns)
+    upper = _projected(polytope_vertices(-A_opt.T, -c), data_columns)
+    # Phase 1 minimizes the artificials of A x + art = b; its dual is
+    # max b.y s.t. A^T y <= 0, y <= 1.
+    m = len(A)
+    phase1 = polytope_vertices(np.vstack([A.T, np.eye(m)]), np.concatenate([np.zeros(A.shape[1]), np.ones(m)]))
+    return lower, upper, _projected(phase1, range(6))

@@ -34,7 +34,7 @@ from mediation_bounds import closed_form, lp_engine
 from mediation_bounds.closed_form import bounds_mmr, bounds_mmr_pos_mediator, bounds_no_assumption
 from mediation_bounds.lp_engine import anie_bounds_lp, cross_world_range
 from mediation_bounds.model import FEAS_TOL, ORDER_TOL, BoundsResult
-from conftest import make_rng, random_dist, random_mmr_dist
+from conftest import derive_table, make_rng, random_dist, random_mmr_dist
 
 TOL = 1e-12
 ALL_SPECS = [
@@ -310,7 +310,7 @@ class TestSignedMediator:
         assert narrower > 0, "expected the printed lower bound to be loose on some tables"
 
     def test_incompatible_skips_lp(self, monkeypatch):
-        # The verdict comes from the phase-1 rows of the table; no solver runs.
+        # The verdict comes from the verdict row of the table; no solver runs.
         def no_solver(*args):
             raise AssertionError("the simplex ran")
 
@@ -531,12 +531,13 @@ REFERENCE_EVALUATE = closed_form._evaluate
 def per_spec_bounds(dist, spec):
     """The per-spec route that the stacked table replaced, kept as the reference.
 
-    ``_evaluate`` on the spec's own rows, derived afresh from its dual
-    vertices, then max, min, ``index`` and clamp.  Returns the result and the
-    lower and upper expression values.
+    ``_evaluate`` on the spec's own rows, derived afresh from the brute-force
+    enumeration of its dual vertices, every phase-1 vertex included, then
+    max, min, ``index`` and clamp.  Returns the result and the lower and upper
+    expression values.
     """
     sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
-    vertices = closed_form._DUAL_VERTICES[(spec.assumptions, spec.reference, sign)]
+    vertices = derive_table(spec.assumptions, spec.reference, sign)
     lowers, uppers, residuals = closed_form._derive(spec.reference, *vertices)
     rows = np.array([e.coeffs for e in lowers + uppers] + residuals, dtype=float)
     values = REFERENCE_EVALUATE(rows, dist.cells).tolist()

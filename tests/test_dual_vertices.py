@@ -1,11 +1,11 @@
 """The dual-vertex table behind ``anie_bounds``: its derivation and its agreement with the simplex.
 
-``derive_table`` is the table's source of truth and its regeneration tool: when
-the checked-in ``closed_form._DUAL_VERTICES`` differs from a fresh brute-force
-derivation, the failure message prints the literal to paste in its place.
+``conftest.derive_table`` is the table's source of truth and its regeneration
+tool: when the checked-in ``closed_form._DUAL_VERTICES`` differs from a fresh
+brute-force derivation, cut to its verdict vertex, the failure message prints
+the literal to paste in its place.  The cut is proven exact below: no other
+phase-1 vertex can decide a verdict.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ from mediation_bounds.lp_engine import (
     build_lp,
     cross_world_range,
 )
-from conftest import highs_optimum, make_rng, random_dist
+from conftest import derive_table, highs_optimum, make_rng, random_dist
 
 TABLE_KEYS = [
     (Assumptions.NONE, 0, 1),
@@ -46,63 +46,6 @@ TOL = 1e-12
 
 
 # --- derivation ---------------------------------------------------------------
-
-def polytope_vertices(G: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Vertices of {y : G y <= h}: the feasible solutions of every nonsingular square set of tight rows."""
-    rows = np.unique(np.column_stack([G, h]), axis=0)
-    G, h = rows[:, :-1], rows[:, -1]
-    combos = np.array(list(itertools.combinations(range(len(G)), G.shape[1])))
-    square = G[combos]
-    nonsingular = np.abs(np.linalg.det(square)) > 0.5  # integer matrices
-    ys = np.linalg.solve(square[nonsingular], h[combos[nonsingular]][..., None])[..., 0]
-    ys = ys[(ys @ G.T <= h + 1e-9).all(axis=1)]
-    vertices = np.rint(ys)
-    assert np.abs(ys - vertices).max() <= 1e-9, "a dual vertex is not integral"
-    return vertices.astype(int)
-
-
-def _projected(vertices: np.ndarray, columns) -> tuple[tuple[int, ...], ...]:
-    """Distinct vertices as 6-tuples over b's rows: the first len(columns) coordinates go to ``columns``."""
-    out = np.zeros((len(vertices), 6), dtype=int)
-    out[:, columns] = vertices[:, : len(columns)]
-    return tuple(sorted({tuple(int(v) for v in row) for row in out}))
-
-
-def derive_table(assumptions: Assumptions, reference: int, sign: int):
-    """(MIN-side, MAX-side, phase-1) dual vertices of ``build_lp``'s program, as stored in the table."""
-    dist = from_counts([1, 2, 3, 4, 5, 6, 7, 8])  # only the right-hand side depends on the table
-    lp = build_lp(dist, EstimandSpec(reference, assumptions, sign), Sense.MIN)
-    eq = np.array([row for row, _ in lp.equalities])
-    eq_rhs = np.array([rhs for _, rhs in lp.equalities])
-    simplex = (eq == 1).all(axis=1)
-    defier = (eq.sum(axis=1) == 1) & (eq_rhs == 0)
-    data = ~simplex & ~defier
-    # The right-hand sides the package evaluates the vertices against, in table order.
-    rhs = np.concatenate([[1.0], dist.arm(reference), [dist.mediator_margin(1 - reference)]])
-    assert np.array_equal(np.concatenate([eq_rhs[simplex], eq_rhs[data]]), rhs)
-
-    # Defier rows zero their strata: drop both.  Inequality rows get a surplus column.
-    kept = ~eq[defier].any(axis=0)
-    ineq = np.array([row for row, _ in lp.inequalities]).reshape(-1, 16)
-    assert all(rhs_i == 0.0 for _, rhs_i in lp.inequalities)
-    n_ineq = len(ineq)
-    A = np.vstack([eq[simplex][:, kept], eq[data][:, kept], ineq[:, kept]])
-    A = np.hstack([A, np.vstack([np.zeros((len(A) - n_ineq, n_ineq)), -np.eye(n_ineq)])])
-    c = np.concatenate([np.array(lp.objective)[kept], np.zeros(n_ineq)])
-
-    # min c.x s.t. A x = b, x >= 0 has dual max b.y s.t. A^T y <= c; the max
-    # side is its mirror.  The simplex row (the sum of the joint-cell rows)
-    # is left out of the optimum duals.
-    A_opt = A[1:]
-    data_columns = range(1, 1 + int(data.sum()))
-    lower = _projected(polytope_vertices(A_opt.T, c), data_columns)
-    upper = _projected(polytope_vertices(-A_opt.T, -c), data_columns)
-    # Phase 1 minimizes the artificials of A x + art = b; its dual is
-    # max b.y s.t. A^T y <= 0, y <= 1.
-    m = len(A)
-    phase1 = polytope_vertices(np.vstack([A.T, np.eye(m)]), np.concatenate([np.zeros(A.shape[1]), np.ones(m)]))
-    return lower, upper, _projected(phase1, range(6))
-
 
 def format_table(table: dict) -> str:
     """The ``_DUAL_VERTICES`` literal as it appears in ``closed_form.py``."""
@@ -123,10 +66,87 @@ def format_table(table: dict) -> str:
     return "\n".join(out)
 
 
+# The 16 vertices of the product of the two arm simplices, one per row: a
+# unit cell in arm 0 next to a unit cell in arm 1.  Two forms that agree at
+# all 16 agree wherever each arm's cells sum to 1.
+ARM_VERTICES = np.array(
+    [np.concatenate([np.eye(4, dtype=np.int64)[i], np.eye(4, dtype=np.int64)[j]]) for i in range(4) for j in range(4)]
+)
+ATM_AT_VERTICES = ARM_VERTICES @ np.array(closed_form._ATM)  # -1, 0 or 1 at each
+
+
+def phase1_rows(reference: int, vertices) -> np.ndarray:
+    """The phase-1 vertices' coefficient rows on the cell vector, as ``closed_form._derive`` writes them."""
+    return np.array(closed_form._derive(reference, (), (), vertices)[2], dtype=np.int64).reshape(-1, 8)
+
+
+def is_verdict_row(row: np.ndarray) -> bool:
+    """True when the row is a positive multiple of minus the mediator ATE on the arm simplices."""
+    values = ARM_VERTICES @ row
+    k = -values[np.argmax(ATM_AT_VERTICES)]
+    return bool(k > 0 and (values == -k * ATM_AT_VERTICES).all())
+
+
+def kept_table() -> dict:
+    """The fresh derivation with its phase-1 part cut to the verdict vertex.
+
+    That is the first phase-1 vertex whose row is a negative multiple of the
+    mediator ATE; ``NONE`` has no such vertex and keeps none.
+    """
+    table = {}
+    for key in TABLE_KEYS:
+        lower, upper, phase1 = derive_table(*key)
+        verdict = [v for v, row in zip(phase1, phase1_rows(key[1], phase1)) if is_verdict_row(row)]
+        table[key] = (lower, upper, tuple(verdict[:1]))
+    return table
+
+
 def test_table_equals_fresh_derivation():
-    derived = {key: derive_table(*key) for key in TABLE_KEYS}
-    if closed_form._DUAL_VERTICES != derived:
-        pytest.fail("closed_form._DUAL_VERTICES is stale; replace it with:\n\n" + format_table(derived))
+    kept = kept_table()
+    if closed_form._DUAL_VERTICES != kept:
+        pytest.fail("closed_form._DUAL_VERTICES is stale; replace it with:\n\n" + format_table(kept))
+
+
+def test_printed_table_reads_back():
+    # The literal the failure message prints evaluates to the table it
+    # prints, for parts of 0, 1, 2-4 and more than 4 vertices.
+    tables = ({key: derive_table(*key) for key in TABLE_KEYS}, kept_table())
+    for table in tables:
+        assert eval(format_table(table).split(" = ", 1)[1], {"Assumptions": Assumptions}) == table
+    sizes = {len(part) for table in tables for parts in table.values() for part in parts}
+    assert {0, 1, 2, 5} <= sizes
+
+
+@pytest.mark.parametrize("key", TABLE_KEYS, ids=lambda k: f"{k[0].value}-ref{k[1]}-sign{k[2]:+d}")
+def test_verdict_row_is_the_phase1_optimum(key):
+    # The brute-force phase-1 optimum is the max of r . p over every derived
+    # phase-1 row r; the package takes max(0, verdict . p).  Checked in
+    # integers: the verdict row and the zero row are both derived, so the
+    # package's value is at most the brute force's, and no derived row exceeds
+    # max(0, verdict . p), so the brute force's is at most the package's.
+    # Each side is linear on the pieces {ATM >= 0} and {ATM <= 0} of the
+    # product of the arm simplices.  An edge of the product moves one arm's
+    # unit cell, so ATM moves by at most 1 from -1, 0 or 1 and no edge
+    # crosses ATM = 0: the 16 product vertices are the vertices of both pieces.
+    assumptions, reference, sign = key
+    table = closed_form._spec_table(EstimandSpec(reference, assumptions, sign))
+    kept = closed_form._ROWS[table.phase1_at : table.stop]
+    verdict = np.rint(kept).astype(np.int64)
+    assert np.array_equal(verdict, kept)
+    derived = phase1_rows(reference, derive_table(*key)[2])
+    assert any((row == 0).all() for row in derived)
+    if assumptions is Assumptions.NONE:
+        assert len(verdict) == 0
+        bound = np.zeros(16, dtype=np.int64)
+    else:
+        assert len(verdict) == 1 and is_verdict_row(verdict[0])
+        assert any((row == verdict[0]).all() for row in derived)
+        bound = np.maximum(0, ARM_VERTICES @ verdict[0])
+    above = np.argwhere(derived @ ARM_VERTICES.T > bound)
+    if len(above):
+        row, vertex = above[0]
+        cells = ARM_VERTICES[vertex].tolist()
+        pytest.fail(f"phase-1 row {derived[row].tolist()} exceeds max(0, verdict row) at cells {cells}")
 
 
 # --- soundness over every population -----------------------------------------
@@ -180,7 +200,7 @@ def assumption_vertices(spec: EstimandSpec) -> np.ndarray:
     "spec", ALL_SPECS, ids=lambda s: f"{s.assumptions.value}-ref{s.reference}-sign{s.mediator_effect_sign:+d}"
 )
 def test_sound_on_every_population(spec):
-    # Every bounding expression, phase-1 row and delta(ref) is linear in the
+    # Every bounding expression, verdict row and delta(ref) is linear in the
     # law, so checking the vertices of the spec's set of laws covers every
     # population in it, those on the verdict boundary included, exactly.
     table = closed_form._spec_table(spec)
@@ -194,15 +214,17 @@ def test_sound_on_every_population(spec):
     for name, bad in (
         ("lower expression above delta", values[:n_lo] > delta),
         ("upper expression below delta", values[n_lo:n_bounds] < delta),
-        ("phase-1 row positive", values[n_bounds:] > 0),
+        ("verdict row positive", values[n_bounds:] > 0),
     ):
         rows_at, vertices_at = np.nonzero(bad)
         if len(rows_at):
             vertex = weights[:, vertices_at[0]]
             atoms = {int(i): int(vertex[i]) for i in np.flatnonzero(vertex)}
             pytest.fail(f"{name}: its row {rows_at[0]}, at the vertex with atom weights {atoms}")
-    # Each expression meets delta(ref) somewhere, so none is slack on the whole set.
+    # Each expression meets delta(ref) somewhere, and the verdict row meets 0,
+    # so none is slack on the whole set.
     assert (values[:n_bounds] == delta).any(axis=1).all()
+    assert (values[n_bounds:] == 0).any(axis=1).all()
     assert weights.shape[1] == VERTEX_COUNTS[spec.assumptions]
 
 

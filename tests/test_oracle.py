@@ -161,26 +161,35 @@ class TestStrataBridge:
             for (coeffs, rhs), label in zip(lp.equalities, lp.row_labels):
                 assert float(np.dot(coeffs, psi.psi)) == pytest.approx(rhs, abs=1e-10), label
 
-    def test_witness_extension_round_trip(self, e1_dist):
+    # A fair-coin fill of the opposite arm's outcomes gets some opposite-arm
+    # cell of each of these tables wrong; the last two have an arm with no
+    # units at M=1, where any fill reproduces the cells.
+    EXTENSION_TABLES = {
+        "e1": [40, 30, 20, 10, 10, 20, 30, 40],
+        "digits": [3, 1, 4, 1, 5, 9, 2, 6],
+        "arm 0 without M=1": [3, 0, 4, 0, 5, 9, 2, 6],
+        "arm 1 without M=1": [3, 1, 4, 1, 5, 0, 2, 0],
+    }
+
+    @pytest.mark.parametrize("table", EXTENSION_TABLES)
+    def test_witness_extension_round_trip(self, table):
+        dist = from_counts(self.EXTENSION_TABLES[table])
         for reference in (0, 1):
             spec = EstimandSpec(reference=reference)
-            _, _, wit, _ = cross_world_range(e1_dist, spec)
-            pop = extend_witness(wit)
+            _, _, wit, _ = cross_world_range(dist, spec)
+            pop = extend_witness(wit, dist)
             back = strata16_from_population(pop, reference)
             np.testing.assert_allclose(back.psi, wit.psi, atol=ID_TOL)
 
-    def test_witness_extension_preserves_observables(self, e1_dist):
+    @pytest.mark.parametrize("table", EXTENSION_TABLES)
+    def test_witness_extension_preserves_observables(self, table):
+        dist = from_counts(self.EXTENSION_TABLES[table])
         for reference in (0, 1):
             spec = EstimandSpec(reference=reference)
-            _, _, wit_min, wit_max = cross_world_range(e1_dist, spec)
+            _, _, wit_min, wit_max = cross_world_range(dist, spec)
             for wit in (wit_min, wit_max):
-                induced = observed_from_population(extend_witness(wit))
-                np.testing.assert_allclose(
-                    induced.arm(reference), e1_dist.arm(reference), atol=1e-9
-                )
-                assert induced.mediator_margin(1 - reference) == pytest.approx(
-                    e1_dist.mediator_margin(1 - reference), abs=1e-9
-                )
+                induced = observed_from_population(extend_witness(wit, dist))
+                np.testing.assert_allclose(induced.cells, dist.cells, atol=1e-9)
 
 
 class TestRandomPopulations:
@@ -326,10 +335,10 @@ class TestWitnessChecks:
         out[4 * arm], out[4 * arm + 1] = out[4 * arm + 1], out[4 * arm]
         return from_counts(out)
 
-    # Another table's witnesses and optima: with the reference arm's cells
-    # changed, only the cell check fails them; with the opposite arm's
-    # mediator margin changed, only the margin check.  The outcome mean is
-    # the same, so the optima still match the witnesses' true effects.
+    # Another table's witnesses and optima: with the reference arm's cells or
+    # the opposite arm's mediator margin changed, only the cell check fails
+    # them.  The outcome mean is the same, so the optima still match the
+    # witnesses' true effects.
     @pytest.mark.parametrize("reference", [0, 1])
     @pytest.mark.parametrize("assumptions", ASSUMPTIONS)
     @pytest.mark.parametrize("changed", ["reference-arm cells", "opposite-arm margin"])
