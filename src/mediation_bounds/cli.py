@@ -198,19 +198,21 @@ class _Column:
 
 @dataclass(frozen=True)
 class _Cells:
-    """Column ``j`` of a file cut into cells: data row i's cell is ``raw[cuts[i, j] + 1 : cuts[i, j + 1]]``."""
+    """Column ``j`` of a file cut into cells: data row i's is ``raw[ends[k] + 1 : ends[k + 1]]``, k = index[i] + j."""
 
     raw: bytes
-    cuts: np.ndarray  # a row per data row: the end of the record before it, then its field ends
+    ends: np.ndarray  # the file's field ends
+    index: np.ndarray  # per data row, the position in ``ends`` of the line end before it
     j: int
     quotes: np.ndarray  # the offsets of the file's quote marks
 
     def __len__(self) -> int:
-        return self.cuts.shape[0]
+        return self.index.size
 
     def spans(self, rows: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The start and end offsets of the cells of ``rows``; a cell wrapped whole in one pair of quotes loses them."""
-        starts, ends = self.cuts[rows, self.j] + 1, self.cuts[rows, self.j + 1].copy()
+        k = self.index[rows] + self.j
+        starts, ends = self.ends[k] + 1, self.ends[k + 1]
         if self.quotes.size:
             b = np.frombuffer(self.raw, dtype=np.uint8)
             pair = np.flatnonzero((b[starts] == ord('"')) & (b[ends - 1] == ord('"')) & (ends - starts >= 2))
@@ -353,11 +355,11 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     read to tell only when it holds nothing but those, quote marks and non-ASCII
     bytes.  Any other record of another field count than the header's is ragged.
 
-    Beside the file, the read keeps an int32 offset per field end, which
-    the cells are a view of.  While it reads it adds an int32 index and a
-    few bytes per record and arrays of a fixed block size.  A file with
-    blank records also copies the data rows' windows of the field ends, and
-    a file with quote marks makes arrays as long as its quote marks.
+    Beside the file, the read keeps an int32 offset per field end and an
+    int32 index per record into them, which the cells are read through.
+    While it reads it adds a few bytes per record and arrays of a fixed
+    block size.  Blank records add a copy of the data rows' indices, and
+    quote marks make arrays as long as their count.
     """
     try:
         with open(path, "rb") as handle:
@@ -400,11 +402,9 @@ def _read_table(path: str, columns: list[str]) -> tuple[dict[str, _Cells], int]:
     ragged = np.flatnonzero(fields != width)
     if ragged.size:
         raise DataError(f"row {ragged[0] + 2}: {fields[ragged[0]]} fields, but the header has {width}")
-    # Each data row's window: the end before it, then its own field ends.
-    # Without blank records they are every width-th window, a view of ``ends``.
-    windows = np.lib.stride_tricks.sliding_window_view(ends, width + 1)
-    cuts = windows[lines[:-1][~blank]] if blank.any() else windows[lines[0] :: width]
-    return {col: _Cells(raw, cuts, header.index(col), quotes) for col in columns}, cuts.shape[0]
+    # Each data row's cells lie between the field ends after the line end before it.
+    index = lines[:-1][~blank] if blank.any() else lines[:-1]
+    return {col: _Cells(raw, ends, index, header.index(col), quotes) for col in columns}, index.size
 
 
 def _plain_decimals(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

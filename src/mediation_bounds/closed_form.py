@@ -22,13 +22,13 @@ b depends on the data, so each extreme of the cross-world mean
 E[Y(ref, M(1-ref))] is a max or min of b . v over a fixed vertex list, and with
 delta(1) = E[Y|A=1] - cross-world mean and delta(0) = cross-world mean - E[Y|A=0]
 each vertex is one bounding expression.  The program is infeasible exactly
-when its phase-1 optimum is positive, and that optimum is max(0, b . v) at one
-phase-1 vertex, the mediator ATE's: data contradict ``mmr`` exactly when
-P(M=1|A=1) < P(M=1|A=0), and the sign row of ``mmr-pos-mediator`` adds
-nothing, since Y(ref, 1-M(ref)) is never observed.  Each restricted spec keeps
-that verdict vertex; ``NONE`` keeps none.  ``tests/test_dual_vertices.py``
-re-derives the table from ``build_lp`` by brute force, every phase-1 vertex
-included, and proves the cut exact.
+when its phase-1 optimum is positive; for a restricted spec that optimum is
+the mediator ATE's shortfall, max(0, -(2 - ref) ATM), since data contradict
+``mmr`` exactly when P(M=1|A=1) < P(M=1|A=0) and the sign row of
+``mmr-pos-mediator`` adds nothing, Y(ref, 1-M(ref)) being never observed.  So
+the verdict is a comparison, not a row of the table.  ``tests/conftest.py``
+re-derives the table by brute force, every phase-1 vertex included, and
+``tests/test_dual_vertices.py`` checks it and proves that optimum in integers.
 
 Each arm's cells sum to 1, so an expression is fixed only up to adding a
 constant to one arm's coefficients and taking it from the other's.  The
@@ -39,14 +39,14 @@ cells, largest first; labels name the reference-arm cells first.  For
 ``NONE`` and ``MMR`` this reproduces the printed sets of the source
 derivation, which ``tests/test_closed_form.py`` keeps and compares.
 
-All eight (assumption set, reference, sign) specs' lower, upper and verdict
-rows are stacked once, at import, into one matrix, ``_ROWS``; each spec's
+All eight (assumption set, reference, sign) specs' lower and upper rows are
+stacked once, at import, into one matrix, ``_ROWS``; each spec's
 table holds only its offsets into it.  ``_evaluate``, an index-order sum of
 each row's products, evaluates the whole stack once per
 ``ObservedDistribution``, on first use, and the values are kept on that
-instance.  :func:`anie_bounds` reads its spec's slice of them, with one
-incompatibility verdict.  ``inference.clr_bounds`` reads its estimates from
-the same kept values, so the point bounds and CLR report the same bits.
+instance.  :func:`anie_bounds` reads its spec's slice of them, and
+``inference.clr_bounds`` reads its estimates from the same kept values, so
+the point bounds and CLR report the same bits.
 :func:`anie_expressions` exposes the sets.
 
 ``bounds_no_assumption``, ``bounds_mmr`` and ``bounds_mmr_pos_mediator`` only
@@ -79,55 +79,44 @@ from .model import (
 #     b = (1, p00.ref, p01.ref, p10.ref, p11.ref, P(M = 1 | A = 1 - ref))
 #
 # of the simplex row, the four reference-arm joint cells and the opposite-arm
-# margin; the defier and sign rows have right-hand side 0.  The three parts
-# are the vertices for the MIN side (min = max of b . v), for the MAX side
-# (max = min of b . v), and the verdict vertex: the one vertex of the phase-1
-# dual {A^T y <= 0, y <= 1} that can be optimal (phase-1 optimum =
-# max(0, b . v)).  It is the mediator ATE's, b . v = -2 ATM at reference 0
-# and -ATM at reference 1, and NONE has none.  The defier strata and their
-# rows are eliminated first, and the optimum vertices carry 0 on the simplex
-# row, which is the sum of the joint-cell rows.  Regenerated, and checked, by
+# margin; the defier and sign rows have right-hand side 0.  The two parts
+# are the vertices for the MIN side (min = max of b . v) and for the MAX side
+# (max = min of b . v).  The defier strata and their rows are eliminated
+# first, and the vertices carry 0 on the simplex row, which is the sum of the
+# joint-cell rows.  Derived by tests/conftest.py and checked against it by
 # tests/test_dual_vertices.py.
 _DUAL_VERTICES = {
     (Assumptions.NONE, 0, 1): (
         ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
         ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
-        (),
     ),
     (Assumptions.NONE, 1, 1): (
         ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
         ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
-        (),
     ),
     (Assumptions.MMR, 0, 1): (
         ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
         ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
-        ((1, -1, 1, -1, 1, -2),),
     ),
     (Assumptions.MMR, 1, 1): (
         ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
         ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((-1, 1, 0, 1, 0, 1),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 0, 1): (
         ((0, -1, -1, 0, -1, 1), (0, -1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
         ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
-        ((1, -1, 1, -1, 1, -2),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 0, -1): (
         ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
         ((0, 0, -1, 1, 0, 1), (0, 0, 1, 2, 1, 0), (0, 1, 0, 1, 1, 0), (0, 1, 2, 2, 2, -1)),
-        ((1, -1, 1, -1, 1, -2),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 1, 1): (
         ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
         ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1), (0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 2, 0)),
-        ((-1, 1, 0, 1, 0, 1),),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 1, -1): (
         ((0, 0, -1, 0, 1, 0), (0, 0, -1, 1, 0, 1), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, 0, 0)),
         ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((-1, 1, 0, 1, 0, 1),),
     ),
 }
 
@@ -153,11 +142,9 @@ class _SpecTable(NamedTuple):
     lowers: tuple[Expression, ...]
     uppers: tuple[Expression, ...]
     # Offsets into ``_ROWS``: the lower rows start at ``start``, the upper
-    # rows at ``uppers_at`` and the verdict row, if any, at ``phase1_at``;
-    # ``stop`` ends them.
+    # rows at ``uppers_at``, and ``stop`` ends them.
     start: int
     uppers_at: int
-    phase1_at: int
     stop: int
 
 
@@ -188,35 +175,25 @@ def _label(form: tuple[int, ...], ref: int) -> str:
     return text
 
 
-def _derive(ref: int, min_side, max_side, phase1):
-    """One spec's lower and upper expressions and verdict rows from its dual vertices.
-
-    The verdict rows are the coefficient rows of the phase-1 vertices: the
-    mediator ATE's alone for a restricted spec, none for ``NONE``.
-    """
+def _derive(ref: int, min_side, max_side):
+    """One spec's lower and upper expressions from its dual vertices."""
     opp_m1 = (5 - 4 * ref, 7 - 4 * ref)  # the opposite arm's M=1 cells
-
-    def dot_b(v) -> tuple[list[int], int]:  # b . v as (cell coefficients, constant)
-        w = [0] * 8
-        w[4 * ref : 4 * ref + 4] = v[1:5]
-        for i in opp_m1:
-            w[i] = v[5]
-        return w, v[0]
 
     def side(vertices) -> tuple[Expression, ...]:
         # delta(1) = E[Y|A=1] - b . v and delta(0) = b . v - E[Y|A=0].
         s = 1 if ref == 1 else -1
         forms = []
-        for w, c in map(dot_b, vertices):
-            w = [-s * x for x in w]
+        for v in vertices:
+            w = [0] * 8
+            w[4 * ref : 4 * ref + 4] = [-s * x for x in v[1:5]]
+            w[opp_m1[0]] = w[opp_m1[1]] = -s * v[5]
             w[4 * ref + 2] += s
             w[4 * ref + 3] += s
-            forms.append(_zero_constant(w, -s * c))
+            forms.append(_zero_constant(w, -s * v[0]))
         forms.sort(key=lambda f: (f not in _ATM_FORMS, _support(f), -sum(abs(f[i]) for i in opp_m1)))
         return tuple(Expression(_label(f, ref), tuple(float(x) for x in f)) for f in forms)
 
-    lowers, uppers = (side(max_side), side(min_side)) if ref == 1 else (side(min_side), side(max_side))
-    return lowers, uppers, [_zero_constant(*dot_b(v)) for v in phase1]
+    return (side(max_side), side(min_side)) if ref == 1 else (side(min_side), side(max_side))
 
 
 def _slot(spec: EstimandSpec) -> int:
@@ -230,11 +207,10 @@ def _stack() -> tuple[tuple[_SpecTable, ...], np.ndarray]:
     """Every spec's table, by ``_slot``, and the read-only matrix of all their rows, spec after spec."""
     tables, rows = [None] * len(_DUAL_VERTICES), []
     for (assumptions, ref, sign), parts in _DUAL_VERTICES.items():
-        lowers, uppers, residuals = _derive(ref, *parts)
+        lowers, uppers = _derive(ref, *parts)
         start = len(rows)
-        rows += [e.coeffs for e in lowers + uppers] + residuals
-        uppers_at = start + len(lowers)
-        table = _SpecTable(lowers, uppers, start, uppers_at, uppers_at + len(uppers), len(rows))
+        rows += [e.coeffs for e in lowers + uppers]
+        table = _SpecTable(lowers, uppers, start, start + len(lowers), len(rows))
         tables[_slot(EstimandSpec(ref, assumptions, sign))] = table
     stack = np.array(rows, dtype=float)
     stack.flags.writeable = False
@@ -282,33 +258,49 @@ def _clamp(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
 
+def _residual(dist: ObservedDistribution, spec: EstimandSpec) -> float:
+    """The phase-1 optimum on ``dist.cells``: 0 for ``NONE``, else max(0, -(2 - ref) ATM) added in index order."""
+    if spec.assumptions is Assumptions.NONE:
+        return 0.0
+    c = dist.cells.tolist()
+    gap = -2 * c[0] - 2 * c[2] + 2 * c[4] + 2 * c[6] if spec.reference == 0 else c[1] + c[3] - c[5] - c[7]
+    return max(0.0, gap)
+
+
 def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     """Sharp bounds on delta(spec.reference) for any assumption set, reference and sign.
 
     The lower bound is the max of the lower expressions of :func:`anie_expressions`
     and the upper the min of the upper ones; on feasible data they are the
     optima of ``lp_engine.build_lp``'s program.  The result is flagged
-    ``incompatible`` when the data contradict the assumptions: when the
-    program's phase-1 optimum, max(0, verdict row), exceeds ``FEAS_TOL``, or
-    when the interval crosses by more than ``ORDER_TOL``.  The verdict row is
-    -2 ATM at reference 0 and -ATM at reference 1; ``NONE`` has none.  A
-    flagged interval is reported as computed and may be empty.
+    ``incompatible`` when the interval crosses by more than ``ORDER_TOL`` or
+    a restricted set meets a negative mediator ATE: exactly, k1 n0 < k0 n1
+    with k_a the units with M = 1 in arm a, on a distribution with counts,
+    and otherwise when :func:`_residual` exceeds ``FEAS_TOL``.  A flagged
+    interval is reported as computed and may be empty.
     """
     table = _spec_table(spec)
     values = _table_values(dist)
-    lo_vals, hi_vals = values[table.start : table.uppers_at], values[table.uppers_at : table.phase1_at]
+    lo_vals, hi_vals = values[table.start : table.uppers_at], values[table.uppers_at : table.stop]
     lower, upper = max(lo_vals), min(hi_vals)
     binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)
     # _clamp, inlined: min(1.0, max(-1.0, v)) keeps v itself inside [-1, 1].
     lower = 1.0 if lower > 1.0 else -1.0 if lower < -1.0 else lower
     upper = 1.0 if upper > 1.0 else -1.0 if upper < -1.0 else upper
-    residual = max((0.0, *values[table.phase1_at : table.stop]))
-    incompatible = residual > FEAS_TOL or lower > upper + ORDER_TOL
+    counts = dist.counts
+    if spec.assumptions is Assumptions.NONE:
+        short = False
+    elif counts is None:
+        short = _residual(dist, spec) > FEAS_TOL
+    else:
+        short = (counts[5] + counts[7]) * dist.n0 < (counts[1] + counts[3]) * dist.n1
+    incompatible = short or lower > upper + ORDER_TOL
     diagnostics: tuple[str, ...] = ()
     if incompatible:
         diagnostics = (
             f"observed distribution contradicts {spec.assumptions.value!r}: constraints are "
-            f"inconsistent (phase-1 residual {residual:.6g}); interval reported as computed and may be empty",
+            f"inconsistent (phase-1 residual {_residual(dist, spec):.6g}); "
+            "interval reported as computed and may be empty",
         )
     return BoundsResult(
         lower=lower,

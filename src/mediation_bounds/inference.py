@@ -361,11 +361,11 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     table = _spec_table(spec)
     lowers, uppers = table.lowers, table.uppers
     n_lo = len(lowers)
-    rows = _ROWS[table.start : table.phase1_at]
+    rows = _ROWS[table.start : table.stop]
     counts = as_cell_counts(data)
     dist, cov, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), config.seed, config.draws)
 
-    est = np.array(_table_values(dist)[table.start : table.phase1_at])
+    est = np.array(_table_values(dist)[table.start : table.stop])
     se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows), 0.0, None))
     devs = cell_devs @ rows.T
 

@@ -33,8 +33,9 @@ SIMPLEX_TOL = 1e-12
 #   crossing, so a valid table never trips the check.
 ORDER_TOL = 1e-9
 # FEAS_TOL: the largest phase-1 optimum (the total constraint violation) of a
-#   stratum program that still counts as feasible, for ``anie_bounds`` and
-#   the simplex alike; also the negative mass and sum error a stratum
+#   stratum program that still counts as feasible, for the simplex and for
+#   ``anie_bounds`` on a distribution without counts (one from counts is
+#   judged exactly); also the negative mass and sum error a stratum
 #   distribution may carry.
 FEAS_TOL = 1e-9
 # PIVOT_TOL: the simplex treats smaller reduced costs and pivot-column
@@ -111,13 +112,16 @@ class ObservedDistribution:
     ``4a + 2y + m`` holds P(Y = y, M = m | A = a).  ``n1`` and ``n0`` are the
     numbers of treated and control observations, nonnegative integers stored
     as Python ints; both are 0 for analytically constructed distributions
-    that have no sampling interpretation.  The fingerprint is computed once,
-    at construction.
+    that have no sampling interpretation.  ``counts`` holds the eight cell
+    counts, as Python ints, of a distribution built by :func:`from_counts`,
+    and is None otherwise; it is not part of equality or the fingerprint,
+    which is computed once, at construction.
     """
 
     cells: np.ndarray
     n1: int = 0
     n0: int = 0
+    counts: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         cells = _checked_masses(self.cells, (8,), "cell probabilities", 0.0, 1.0, 2, SIMPLEX_TOL)
@@ -230,7 +234,9 @@ def from_counts(counts) -> ObservedDistribution:
     if n0 == 0 or n1 == 0:
         raise EmptyArmError(f"empty treatment arm (n0={n0}, n1={n1})")
     cells = [v / n0 for v in vals[:4]] + [v / n1 for v in vals[4:]]
-    return ObservedDistribution(cells, n1=n1, n0=n0)
+    dist = ObservedDistribution(cells, n1=n1, n0=n0)
+    object.__setattr__(dist, "counts", tuple(vals))
+    return dist
 
 
 def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
@@ -272,9 +278,10 @@ def as_cell_counts(data) -> np.ndarray:
 
 def from_units(records) -> ObservedDistribution:
     """Cross-tabulate unit records and delegate to :func:`from_counts`."""
-    if len(records) == 0:
+    arr = _rectangular(records)
+    if arr.ndim and len(arr) == 0:
         raise EmptyArmError("no records supplied")
-    return from_counts(_record_counts(records))
+    return from_counts(_record_counts(arr))
 
 
 def from_probabilities(arm0, arm1) -> ObservedDistribution:

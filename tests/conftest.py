@@ -14,6 +14,7 @@ from mediation_bounds import (
     EstimandSpec,
     ObservedDistribution,
     atm,
+    closed_form,
     from_counts,
     from_probabilities,
 )
@@ -177,8 +178,8 @@ def derive_table(assumptions: Assumptions, reference: int, sign: int):
 
     Brute force, about a second for all eight specs, so it runs once per
     session: ``tests/test_dual_vertices.py`` checks ``closed_form._DUAL_VERTICES``
-    against it, and ``tests/test_closed_form.py`` builds its reference route
-    from it.
+    against its first two parts and the verdict against its third, and
+    ``tests/test_closed_form.py`` builds its reference route from it.
     """
     dist = from_counts([1, 2, 3, 4, 5, 6, 7, 8])  # only the right-hand side depends on the table
     lp = build_lp(dist, EstimandSpec(reference, assumptions, sign), Sense.MIN)
@@ -212,3 +213,18 @@ def derive_table(assumptions: Assumptions, reference: int, sign: int):
     m = len(A)
     phase1 = polytope_vertices(np.vstack([A.T, np.eye(m)]), np.concatenate([np.zeros(A.shape[1]), np.ones(m)]))
     return lower, upper, _projected(phase1, range(6))
+
+
+def phase1_rows(reference: int, vertices) -> np.ndarray:
+    """Phase-1 vertices as integer rows on the cell vector, in ``closed_form``'s canonical form.
+
+    A vertex v is read against b = (1, the four reference-arm cells, the
+    opposite arm's mediator margin), as ``_DUAL_VERTICES`` is.
+    """
+    rows = []
+    for v in vertices:
+        w = [0] * 8
+        w[4 * reference : 4 * reference + 4] = v[1:5]
+        w[5 - 4 * reference] = w[7 - 4 * reference] = v[5]
+        rows.append(closed_form._zero_constant(w, v[0]))
+    return np.array(rows, dtype=np.int64).reshape(-1, 8)

@@ -16,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +121,32 @@ def test_sweep_tables_pass_the_table_check():
     for counts in workloads.synth_sweep_tables(7, 64).tolist():
         outcomes = workloads.sweep_table(tuple(counts))
         assert checks.check_table(tuple(counts), outcomes) == [], counts
+
+
+def atm_just_below_zero(tables) -> np.ndarray:
+    """Which count tables, one per row, have a mediator ATE in (-1e-9, 0); the sign is found exactly."""
+    tables = np.asarray(tables, dtype=np.int64)
+    n0, n1 = tables[:, :4].sum(axis=1), tables[:, 4:].sum(axis=1)
+    d = (tables[:, 1] + tables[:, 3]) * n1 - (tables[:, 5] + tables[:, 7]) * n0  # ATM = -d / (n0 n1)
+    return (d > 0) & (d / (n0 * n1) < 1e-9)
+
+
+def test_no_benchmark_table_has_a_mediator_ate_just_below_zero():
+    # A table with ATM in (-1e-9, 0) is flagged exactly from its counts, while
+    # the HiGHS reference of checks.py, at feasibility tolerances of 1e-10, may
+    # still find its program feasible, so the two could disagree there.  The
+    # benchmark draws no such table: not among the 2**18 sweep tables of
+    # seed 7, nor among the --counts tables of seeds 0 to 99.
+    assert atm_just_below_zero([REPRODUCER, (1, 1, 1, 1, 1, 1, 1, 1), (1, 2, 1, 0, 2, 0, 2, 0)]).tolist() == [
+        True,
+        False,
+        False,
+    ]
+    sweep = workloads.synth_sweep_tables(7, workloads.SWEEP_TABLES)
+    assert not atm_just_below_zero(sweep).any()
+    cycles, per_cycle = workloads.COUNTS_CYCLES, workloads.COUNTS_PER_CYCLE
+    counts = [table for seed in range(100) for table in workloads.synth_count_tables(seed, cycles, per_cycle)]
+    assert not atm_just_below_zero(counts).any()
 
 
 def _cli_output(counts, fmt: str) -> str:

@@ -9,9 +9,13 @@ never to generate expectations.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mediation_bounds import (
     AssumptionIncompatibilityError,
@@ -34,7 +38,7 @@ from mediation_bounds import closed_form, lp_engine
 from mediation_bounds.closed_form import bounds_mmr, bounds_mmr_pos_mediator, bounds_no_assumption
 from mediation_bounds.lp_engine import anie_bounds_lp, cross_world_range
 from mediation_bounds.model import FEAS_TOL, ORDER_TOL, BoundsResult
-from conftest import derive_table, make_rng, random_dist, random_mmr_dist
+from conftest import derive_table, make_rng, phase1_rows, random_dist, random_mmr_dist
 
 TOL = 1e-12
 ALL_SPECS = [
@@ -310,7 +314,7 @@ class TestSignedMediator:
         assert narrower > 0, "expected the printed lower bound to be loose on some tables"
 
     def test_incompatible_skips_lp(self, monkeypatch):
-        # The verdict comes from the verdict row of the table; no solver runs.
+        # The verdict comes from the mediator ATE; no solver runs.
         def no_solver(*args):
             raise AssertionError("the simplex ran")
 
@@ -345,12 +349,17 @@ def atm_sweep_tables():
 
 
 class TestVerdict:
-    """One evaluator, one incompatibility verdict, and no crash near the boundary."""
+    """One incompatibility verdict, exact on counts, and no crash near the boundary."""
 
     # Mediator ATE -1/(n0 n1) with n0 = 40,001 and n1 = 40,000: the interval
     # crosses by 2/(n0 n1) = 1.25e-9 at either reference, above ORDER_TOL,
     # while the phase-1 residual at reference 1 (6.25e-10) is below FEAS_TOL.
     REPRODUCER = [1, 21164, 0, 18836, 1, 30111, 0, 9888]
+    # Arms of 500,000 and 500,001 units with 100 units with M = 1 in each:
+    # ATM = -1/2,500,005,000, about -4.0e-10.  The phase-1 residual (8e-10 at
+    # reference 0, 4e-10 at reference 1) is below FEAS_TOL, and the interval
+    # crosses by 8e-10, less than ORDER_TOL.
+    MILLION = [249950, 50, 249950, 50, 249951, 50, 249950, 50]
 
     def test_reproducer_is_flagged(self):
         dist = from_counts(self.REPRODUCER)
@@ -365,18 +374,68 @@ class TestVerdict:
                     anie_bounds_lp(dist, spec)
         assert all(anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR)).incompatible for reference in (0, 1))
 
+    def test_million_unit_table_is_flagged_from_its_counts(self):
+        dist = from_counts(self.MILLION)
+        assert atm(dist) == pytest.approx(-1 / 2_500_005_000, rel=1e-6)
+        twin = from_probabilities(dist.arm(0), dist.arm(1))
+        for spec in ALL_SPECS:
+            res = anie_bounds(dist, spec)
+            restricted = spec.assumptions is not Assumptions.NONE
+            assert res.incompatible is restricted, spec
+            if restricted:
+                assert res.lower > res.upper
+                # The residual's scale doubles from reference 1 to reference 0.
+                residual = ("7.99998e-10", "3.99999e-10")[spec.reference]
+                assert f"(phase-1 residual {residual})" in res.diagnostics[0]
+            # Without its counts the table is judged at FEAS_TOL, inside the band.
+            assert not anie_bounds(twin, spec).incompatible, spec
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_verdict_on_counts_is_exact(self, data):
+        # Arm totals from 2 to 2**52, and mediator ATEs of any value, of 0
+        # and of +-1/(n0 n1), the nearest to 0 that the arm sizes allow.
+        n0, n1 = (data.draw(st.integers(1, 52).flatmap(lambda e: st.integers(2, 2**e))) for _ in range(2))
+        kind = data.draw(st.sampled_from(("any", "0", "+1", "-1")))
+        if kind == "any":
+            k0, k1 = data.draw(st.integers(0, n0)), data.draw(st.integers(0, n1))
+        elif kind == "0":
+            g = math.gcd(n0, n1)
+            s = data.draw(st.integers(0, g))
+            k0, k1 = n0 // g * s, n1 // g * s
+        else:
+            assume(math.gcd(n0, n1) == 1)
+            d = int(kind)
+            k1 = d * pow(n0, -1, n1) % n1
+            k0 = (k1 * n0 - d) // n1
+        counts = []
+        for n, k in ((n0, k0), (n1, k1)):
+            y_m0, y_m1 = data.draw(st.integers(0, n - k)), data.draw(st.integers(0, k))
+            counts += [n - k - y_m0, k - y_m1, y_m0, y_m1]
+        short = Fraction(k1, n1) - Fraction(k0, n0)
+        if kind != "any":
+            assert short == Fraction(int(kind), n0 * n1)
+        dist = from_counts(counts)
+        for spec in ALL_SPECS:
+            restricted = spec.assumptions is not Assumptions.NONE
+            assert anie_bounds(dist, spec).incompatible is (restricted and short < 0), (counts, spec)
+
     def test_sweep_near_zero_mediator_ate(self):
+        # Every table's ATM is negative, so its counts flag every restricted
+        # spec.  Its probability twin is flagged beyond FEAS_TOL, and inside
+        # the band only where the interval crosses by more than ORDER_TOL.
         tables = atm_sweep_tables()
-        flagged = 0
+        flagged = twins_flagged = 0
         for counts in tables:
             dist = from_counts(counts)
+            twin = from_probabilities(dist.arm(0), dist.arm(1))
             n0, n1 = sum(counts[:4]), sum(counts[4:])
             m0, m1 = counts[1] + counts[3], counts[5] + counts[7]
             k = m0 * n1 - m1 * n0  # ATM = -k / (n0 n1), exactly
             assert 0 < k <= 30
             for spec in ALL_SPECS:
                 try:
-                    res = anie_bounds(dist, spec)
+                    res, twin_res = anie_bounds(dist, spec), anie_bounds(twin, spec)
                 except ValidationError as exc:  # pragma: no cover - the failure being guarded
                     pytest.fail(f"{counts} {spec}: {exc}")
                 try:
@@ -384,20 +443,23 @@ class TestVerdict:
                 except AssumptionIncompatibilityError:
                     served = None
                 assert (served is None) is res.incompatible, (counts, spec)
+                assert res.incompatible is (spec.assumptions is not Assumptions.NONE), (counts, spec)
                 if spec.assumptions is Assumptions.NONE:
-                    assert not res.incompatible
+                    assert not twin_res.incompatible
                 elif k / (n0 * n1) > 1e-9:
                     # Infeasible by more than FEAS_TOL in the mediator margins alone.
-                    assert res.incompatible, (counts, spec)
+                    assert twin_res.incompatible, (counts, spec)
                 flagged += res.incompatible
+                twins_flagged += twin_res.incompatible
             for reference in (0, 1):
                 assert bounds_no_assumption(dist, reference) == anie_bounds(dist, EstimandSpec(reference))
                 assert bounds_mmr(dist, reference) == anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR))
                 assert bounds_mmr_pos_mediator(dist, reference) == anie_bounds(
                     dist, EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR)
                 )
-        # Both verdicts occur on the restricted specs.
-        assert 0 < flagged < len(tables) * 6
+        # Both verdicts occur on the twins' restricted specs.
+        assert flagged == len(tables) * 6
+        assert 0 < twins_flagged < len(tables) * 6
 
 
 class TestDirectEffect:
@@ -528,18 +590,21 @@ class TestExpressionProperties:
 REFERENCE_EVALUATE = closed_form._evaluate
 
 
-def per_spec_bounds(dist, spec):
+def per_spec_bounds(dist, spec, counts=None):
     """The per-spec route that the stacked table replaced, kept as the reference.
 
     ``_evaluate`` on the spec's own rows, derived afresh from the brute-force
     enumeration of its dual vertices, every phase-1 vertex included, then
-    max, min, ``index`` and clamp.  Returns the result and the lower and upper
+    max, min, ``index`` and clamp.  With ``counts``, the verdict is the
+    phase-1 optimum's sign in exact rationals; without, that optimum in
+    floats against FEAS_TOL.  Returns the result and the lower and upper
     expression values.
     """
     sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
-    vertices = derive_table(spec.assumptions, spec.reference, sign)
-    lowers, uppers, residuals = closed_form._derive(spec.reference, *vertices)
-    rows = np.array([e.coeffs for e in lowers + uppers] + residuals, dtype=float)
+    lower_vertices, upper_vertices, phase1 = derive_table(spec.assumptions, spec.reference, sign)
+    lowers, uppers = closed_form._derive(spec.reference, lower_vertices, upper_vertices)
+    residual_rows = phase1_rows(spec.reference, phase1)
+    rows = np.vstack([[e.coeffs for e in lowers + uppers], residual_rows]).astype(float)
     values = REFERENCE_EVALUATE(rows, dist.cells).tolist()
     n_lo, n_bounds = len(lowers), len(lowers) + len(uppers)
     lo_vals, hi_vals = values[:n_lo], values[n_lo:n_bounds]
@@ -547,7 +612,12 @@ def per_spec_bounds(dist, spec):
     binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)
     lower, upper = min(1.0, max(-1.0, lower)), min(1.0, max(-1.0, upper))
     residual = max(values[n_bounds:])
-    incompatible = residual > FEAS_TOL or lower > upper + ORDER_TOL
+    if counts is None:
+        short = residual > FEAS_TOL
+    else:
+        cells = [Fraction(int(c), int(sum(arm))) for arm in (counts[:4], counts[4:]) for c in arm]
+        short = max(sum(r * x for r, x in zip(row.tolist(), cells)) for row in residual_rows) > 0
+    incompatible = short or lower > upper + ORDER_TOL
     diagnostics = ()
     if incompatible:
         diagnostics = (
@@ -580,7 +650,7 @@ class TestStackedTable:
 
     @staticmethod
     def assert_per_spec_route(dist, spec, counts=None):
-        expected, lo_vals, hi_vals = per_spec_bounds(dist, spec)
+        expected, lo_vals, hi_vals = per_spec_bounds(dist, spec, counts)
         res = anie_bounds(dist, spec)
         assert repr(res) == repr(expected)
         assert res.fingerprint == expected.fingerprint

@@ -58,6 +58,15 @@ class TestConstruction:
         with pytest.raises(EmptyArmError):
             from_units([])
 
+    def test_records_not_a_sequence_of_triples_rejected(self):
+        # len() is never called on them: an iterator, a generator or a scalar
+        # fails the shape check as a ValidationError, not a TypeError.
+        for records in (iter([(0, 0, 0), (1, 1, 1)]), ((a, a, a) for a in (0, 1)), 5, None):
+            with pytest.raises(ValidationError, match=r"^record array must have shape \(n, 3\), got \(\)$"):
+                from_units(records)
+        with pytest.raises(EmptyArmError, match="^no records supplied$"):
+            from_units(np.empty((0, 3), dtype=np.int64))
+
     def test_count_validation(self):
         with pytest.raises(ValidationError):
             from_counts([1] * 7)
