@@ -262,9 +262,9 @@ def _residual(dist: ObservedDistribution, spec: EstimandSpec) -> float:
     """The phase-1 optimum on ``dist.cells``: 0 for ``NONE``, else max(0, -(2 - ref) ATM) added in index order."""
     if spec.assumptions is Assumptions.NONE:
         return 0.0
-    c = dist.cells.tolist()
-    gap = -2 * c[0] - 2 * c[2] + 2 * c[4] + 2 * c[6] if spec.reference == 0 else c[1] + c[3] - c[5] - c[7]
-    return max(0.0, gap)
+    c0, c1, c2, c3, c4, c5, c6, c7 = dist.cells.tolist()
+    gap = c1 + c3 - c5 - c7 if spec.reference else 2 * (-c0 - c2 + c4 + c6)  # doubling is exact
+    return gap if gap > 0.0 else 0.0
 
 
 def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
