@@ -412,13 +412,13 @@ class TestVerdict:
         for n, k in ((n0, k0), (n1, k1)):
             y_m0, y_m1 = data.draw(st.integers(0, n - k)), data.draw(st.integers(0, k))
             counts += [n - k - y_m0, k - y_m1, y_m0, y_m1]
-        short = Fraction(k1, n1) - Fraction(k0, n0)
+        mediator_ate = Fraction(k1, n1) - Fraction(k0, n0)
         if kind != "any":
-            assert short == Fraction(int(kind), n0 * n1)
+            assert mediator_ate == Fraction(int(kind), n0 * n1)
         dist = from_counts(counts)
         for spec in ALL_SPECS:
             restricted = spec.assumptions is not Assumptions.NONE
-            assert anie_bounds(dist, spec).incompatible is (restricted and short < 0), (counts, spec)
+            assert anie_bounds(dist, spec).incompatible is (restricted and mediator_ate < 0), (counts, spec)
 
     def test_sweep_near_zero_mediator_ate(self):
         # Every table's ATM is negative, so its counts flag every restricted
@@ -457,8 +457,8 @@ class TestVerdict:
                 assert bounds_mmr_pos_mediator(dist, reference) == anie_bounds(
                     dist, EstimandSpec(reference, Assumptions.MMR_POS_MEDIATOR)
                 )
-        # Both verdicts occur on the twins' restricted specs.
         assert flagged == len(tables) * 6
+        # Both verdicts occur on the twins' restricted specs.
         assert 0 < twins_flagged < len(tables) * 6
 
 
