@@ -179,21 +179,17 @@ def _rule_table(spec_text: str, columns: list[str]) -> dict[str, tuple[str, floa
         for col in columns[1:]:  # columns[0] is the treatment
             table[col] = rule
         return table
+    named = set()
     for part in overrides:
         col, _, rule_text = part.partition("=")
         col = col.strip()
         if col not in table:
             raise ConfigError(f"dichotomize rule targets unknown column {col!r}")
+        if col in named:
+            raise ConfigError(f"dichotomize rules name column {col!r} more than once")
+        named.add(col)
         table[col] = _parse_rule(rule_text.strip())
     return table
-
-
-@dataclass
-class _Column:
-    name: str
-    binary: np.ndarray  # uint8, valid where ~missing
-    missing: np.ndarray
-    rule_text: str
 
 
 @dataclass(frozen=True)
@@ -485,7 +481,8 @@ def _cast_cells(name: str, raw: bytes, starts: np.ndarray, ends: np.ndarray, row
         raise
 
 
-def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _Column:
+def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> tuple[np.ndarray, str]:
+    """The column's uint8 codes, 0 or 1 by ``rule`` and 8 where the cell is missing, and the rule's text."""
     kind, threshold = rule
     values = _parse_numbers(name, cells)
     missing = np.isnan(values)
@@ -517,9 +514,9 @@ def _dichotomize(name: str, cells: _Cells, rule: tuple[str, float | None]) -> _C
         rule_text = f"median-gt(median={cut:g})"
     else:
         cut, rule_text = threshold, f"threshold:{threshold:g}"
-    # NaN > cut is False, so missing rows read 0.
-    binary = (values > cut).astype(np.uint8)
-    return _Column(name=name, binary=binary, missing=missing, rule_text=rule_text)
+    codes = (values > cut).view(np.uint8)
+    codes[missing] = 8
+    return codes, rule_text
 
 
 @dataclass
@@ -542,7 +539,10 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     and reads as text only the header and the cells that need it, each by
     one rule (:func:`_cell`).  :func:`_parse_numbers` decodes the plain
     decimals among the requested cells from their bytes and reads every
-    other one with float() itself.
+    other one with float() itself.  Each column is then one uint8 code a
+    row, 8 where its cell is missing, and :func:`model.cell_counts` leaves
+    out every row with an 8 in a column it tabulates: that is the listwise
+    deletion.
     """
     columns = [config.treatment, config.outcome, *config.mediators]
     if len(set(columns)) != len(columns):
@@ -550,31 +550,26 @@ def ingest(path: str, config: RunConfig) -> tuple[list[MediatorData], int, np.nd
     rules = _rule_table(config.dichotomize, columns)
     table, n_rows = _read_table(path, columns)
     cols = {name: _dichotomize(name, table[name], rules[name]) for name in columns}
-    del table  # the file and its field ends; tabulating needs only the 0/1 columns
+    del table  # the file and its field ends; tabulating needs only the codes
 
-    treat, out = cols[config.treatment], cols[config.outcome]
-    ay_mask = ~(treat.missing | out.missing)
-    if not ay_mask.any():
+    (treat, treat_rule), (out, out_rule) = cols[config.treatment], cols[config.outcome]
+    ay_counts = cell_counts(treat, 0, out)
+    if not ay_counts.any():
         raise DataError("no rows with both treatment and outcome observed")
-    ay_counts = cell_counts(treat.binary[ay_mask], 0, out.binary[ay_mask])
 
     result = []
     for name in config.mediators:
-        med = cols[name]
-        keep = ay_mask & ~med.missing
-        n_used = int(keep.sum())
+        med, med_rule = cols[name]
+        counts = cell_counts(treat, med, out)
+        n_used = int(counts.sum())
         if n_used == 0:
             raise DataError(f"mediator {name!r}: all rows dropped by missing-value filtering")
         result.append(
             MediatorData(
                 name=name,
-                counts=cell_counts(treat.binary[keep], med.binary[keep], out.binary[keep]),
+                counts=counts,
                 n_dropped=n_rows - n_used,
-                rules={
-                    config.treatment: treat.rule_text,
-                    config.outcome: out.rule_text,
-                    name: med.rule_text,
-                },
+                rules={config.treatment: treat_rule, config.outcome: out_rule, name: med_rule},
             )
         )
     return result, n_rows, ay_counts

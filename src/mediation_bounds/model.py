@@ -24,8 +24,9 @@ import numpy as np
 # above the roundoff of the arithmetic it guards (sums and dot products of a
 # few cells, about 1e-15); none is a tuning knob.
 #
-# SIMPLEX_TOL: how far each arm's cell probabilities may sum from 1, and an
-#   LP equality's right-hand side may lie outside [0, 1].
+# SIMPLEX_TOL: how far a mass vector may sum from 1 (each arm's cell
+#   probabilities, and the 64 masses of an oracle population), and an LP
+#   equality's right-hand side may lie outside [0, 1].
 SIMPLEX_TOL = 1e-12
 # ORDER_TOL: how far an endpoint may lie outside [-1, 1], and how far an
 #   interval not flagged incompatible may cross (lower above upper) or, with
@@ -41,8 +42,6 @@ FEAS_TOL = 1e-9
 # PIVOT_TOL: the simplex treats smaller reduced costs and pivot-column
 #   entries as zero.
 PIVOT_TOL = 1e-10
-# _POP_TOL: how far the 64 masses of an oracle population may sum from 1.
-_POP_TOL = 1e-12
 # _ZERO_SE_TOL: CLR inference does not studentize an expression whose
 #   standard error is at most this; it is sidelined as known exactly.
 _ZERO_SE_TOL = 1e-12
@@ -240,8 +239,13 @@ def from_counts(counts) -> ObservedDistribution:
 
 
 def cell_counts(a: np.ndarray, m, y: np.ndarray) -> np.ndarray:
-    """Eight cell counts, in :func:`from_counts` order, of 0/1 columns ``a``, ``m`` (or 0), ``y``."""
-    return np.bincount(a.astype(np.int64) * 4 + y.astype(np.int64) * 2 + m, minlength=8)
+    """Eight cell counts, in :func:`from_counts` order, of code columns ``a``, ``m`` (or 0), ``y``.
+
+    A code is 0 or 1, or 8 for a missing value: a row with an 8 in any of
+    its three columns lands in a bin past the eighth and is not counted, so
+    this is where listwise deletion happens.
+    """
+    return np.bincount(4 * a + 2 * y + m, minlength=8)[:8]
 
 
 def _record_counts(records) -> np.ndarray:

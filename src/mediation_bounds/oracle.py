@@ -29,8 +29,8 @@ from . import closed_form, lp_engine
 from .closed_form import _evaluate
 from .lp_engine import _CROSS, _DEFIER, _FACTUAL, _M, _Y
 from .model import (
-    _POP_TOL,
     ORDER_TOL,
+    SIMPLEX_TOL,
     Assumptions,
     EstimandSpec,
     ObservedDistribution,
@@ -65,7 +65,7 @@ class FullPopulation64:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _checked_masses(self.q, (2,) * 6, "population masses", 0.0, np.inf, 1, _POP_TOL)
+        arr = _checked_masses(self.q, (2,) * 6, "population masses", 0.0, np.inf, 1, SIMPLEX_TOL)
         arr.flags.writeable = False
         object.__setattr__(self, "q", arr)
 

@@ -51,11 +51,11 @@ def tally(records):
 
 
 def dichotomized(path, config):
-    """The per-row dichotomized columns that ``ingest`` tabulates."""
+    """The per-row codes that ``ingest`` tabulates: 0 or 1, 8 where the cell is missing."""
     columns = [config.treatment, config.outcome, *config.mediators]
     rules = _rule_table(config.dichotomize, columns)
     raw, _ = cli._read_table(path, columns)
-    return {name: cli._dichotomize(name, raw[name], rules[name]) for name in columns}
+    return {name: cli._dichotomize(name, raw[name], rules[name])[0] for name in columns}
 
 
 def config_for(path, **overrides):
@@ -86,7 +86,7 @@ class TestDichotomization:
         config = config_for(path, dichotomize="m=median-gt")
         data, n_rows, _ = ingest(path, config)
         assert n_rows == 5
-        assert list(dichotomized(path, config)["m"].binary) == [0, 0, 0, 1, 1]
+        assert list(dichotomized(path, config)["m"]) == [0, 0, 0, 1, 1]
         assert data[0].counts.tolist() == tally([(0, 0, 0), (1, 0, 0), (0, 0, 0), (1, 1, 0), (0, 1, 0)])
         assert "median=3" in data[0].rules["m"]
 
@@ -98,7 +98,7 @@ class TestDichotomization:
         )
         config = config_for(path, dichotomize="m=median-gt")
         data, _, _ = ingest(path, config)
-        assert list(dichotomized(path, config)["m"].binary) == [0, 0, 1, 1]
+        assert list(dichotomized(path, config)["m"]) == [0, 0, 1, 1]
         assert "median=2" in data[0].rules["m"]
 
     def test_threshold_rule(self, tmp_path):
@@ -108,7 +108,7 @@ class TestDichotomization:
             [(i % 2, 0, v) for i, v in enumerate([1, 2, 3])],
         )
         config = config_for(path, dichotomize="m=threshold:2.5")
-        assert list(dichotomized(path, config)["m"].binary) == [0, 0, 1]
+        assert list(dichotomized(path, config)["m"]) == [0, 0, 1]
         data, _, _ = ingest(path, config)
         assert data[0].counts.tolist() == tally([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
 
@@ -119,9 +119,9 @@ class TestDichotomization:
             [(0, 3, 10), (1, 9, 20), (0, 4, 30), (1, 8, 40)],
         )
         columns = dichotomized(path, config_for(path, dichotomize="median-gt"))
-        assert list(columns["a"].binary) == [0, 1, 0, 1]  # treatment untouched
-        assert list(columns["y"].binary) == [0, 1, 0, 1]  # outcome median 4
-        assert list(columns["m"].binary) == [0, 0, 1, 1]  # mediator median 20
+        assert list(columns["a"]) == [0, 1, 0, 1]  # treatment untouched
+        assert list(columns["y"]) == [0, 1, 0, 1]  # outcome median 4
+        assert list(columns["m"]) == [0, 0, 1, 1]  # mediator median 20
 
     def test_missing_tokens_case_insensitive(self, tmp_path):
         path = write_csv(
@@ -267,11 +267,11 @@ def assert_same_ingest(path, config):
     assert n_rows == ref_rows
     assert ay_counts.tolist() == ref_ay
     assert [(d.name, d.counts.tolist(), d.n_dropped, d.rules) for d in data] == ref_data
-    # Row by row, the columns that were tabulated.
+    # Row by row, the codes that were tabulated.
     columns = dichotomized(path, config)
     for name, (binary, missing) in ref_columns.items():
-        assert np.array_equal(columns[name].missing, missing)
-        assert np.array_equal(columns[name].binary, binary)
+        assert columns[name].dtype == np.uint8
+        assert np.array_equal(columns[name], np.where(missing, 8, binary))
 
 
 MISSING_VARIANTS = ["", "NA", " na ", "NaN", "nan", "NULL", " null", "None", "none ", "nOnE", "  "]
@@ -1243,11 +1243,13 @@ class TestExitCodes:
             ("a,y,m\n0,0,0\n1,1,1\n", (), 2, "config error: at least one mediator column is required"),
             ("a,y,m\n0,0,0\n1,1,1\n", ("--mediators", "m", "--dichotomize", "median-gt,none"), 2,
              "config error: multiple global dichotomize rules: ['median-gt', 'none']"),
+            ("a,y,m\n0,0,0\n1,1,1\n", ("--mediators", "m", "--dichotomize", "m=median-gt,m=threshold:5"), 2,
+             "config error: dichotomize rules name column 'm' more than once"),
             ("a,y,m\n0,0,0\n1,1,1\n", ("--mediators", "m", "--assumptions", ","), 2,
              "config error: at least one assumption set is required"),
         ],
         ids=["empty-file", "all-missing-column", "treatment-and-outcome-apart", "mediator-all-dropped",
-             "no-mediators", "two-global-rules", "no-assumption-set"],
+             "no-mediators", "two-global-rules", "one-column-twice", "no-assumption-set"],
     )
     def test_bad_input_exit_code_and_message(self, capsys, tmp_path, text, flags, code, message):
         path = write_text(tmp_path / "d.csv", text)

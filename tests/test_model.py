@@ -26,7 +26,7 @@ from mediation_bounds import (
     from_units,
 )
 from mediation_bounds.lp_engine import StrataDistribution16
-from mediation_bounds.model import MAX_TOTAL, as_cell_counts
+from mediation_bounds.model import MAX_TOTAL, as_cell_counts, cell_counts
 from mediation_bounds.oracle import FullPopulation64
 from conftest import make_rng, random_dist
 
@@ -140,6 +140,10 @@ class TestConstruction:
         assert as_cell_counts(np.array(records)).tolist() == counts.tolist()
         assert as_cell_counts(counts.tolist()).tolist() == counts.tolist()
         assert as_cell_counts(tuple(counts.tolist())).tolist() == counts.tolist()
+        # Code columns, as the CLI tabulates them: a row with an 8 (missing) in any column is dropped.
+        a, m, y = np.array(records + [(8, 1, 1), (1, 8, 0), (0, 0, 8), (8, 8, 8)], dtype=np.uint8).T
+        assert cell_counts(a, m, y).tolist() == counts.tolist()
+        assert cell_counts(a, 0, y).tolist() == [3, 0, 3, 0, 5, 0, 2, 0]  # (1, 8, 0) counts here
         with pytest.raises(ValidationError):
             as_cell_counts(np.array([3, 0, 2, -1, 0, 4, 1, 1]))
         # Not two-dimensional, so counts, and non-integer counts are rejected.

@@ -1,5 +1,7 @@
 """Ground-truth machinery: populations, exact effects, soundness and sharpness."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,39 @@ def delta1_by_strata(pop: FullPopulation64) -> float:
                     mass_d = pop.q[y11, y10, y01, y00, 0, 1]
                     total += (mass_c - mass_d) * (y11 - y10)
     return total
+
+
+def reference_gap(pop: FullPopulation64, reference: int) -> float:
+    """E[Y(ref, 1) - Y(ref, 0)], read off the law's (y11, y10, y01, y00) axes."""
+    keep = (0, 1) if reference == 1 else (2, 3)
+    q = pop.q.sum(axis=tuple(i for i in range(6) if i not in keep))  # [Y(ref, 1), Y(ref, 0)]
+    return q[1, 0] - q[0, 1]
+
+
+def program_rows(reference: int):
+    """``build_lp``'s rows at ``reference`` as arrays over the 16 strata, picked by label.
+
+    Returns the objective, the reference arm's joint-cell rows [y, m], the
+    opposite arm's mediator-margin row, the sum of the no-defier rows and
+    the sign row at each sign.  Only right-hand sides read the data.
+    """
+    dist = from_counts([1] * 8)
+
+    def rows(assumptions, sign=1):
+        lp = build_lp(dist, EstimandSpec(reference, assumptions, sign), Sense.MIN)
+        labelled = zip(lp.row_labels, lp.equalities + lp.inequalities)
+        return {"objective": np.array(lp.objective), **{label: np.array(coeffs) for label, (coeffs, _) in labelled}}
+
+    base = rows(Assumptions.NONE)
+    cells = np.array([[base[f"arm {reference} joint cell (y={y}, m={m})"] for m in (0, 1)] for y in (0, 1)])
+    (margin,) = (row for label, row in base.items() if label.startswith(f"arm {1 - reference} mediator margin"))
+    defiers = sum((row for label, row in rows(Assumptions.MMR).items() if label.startswith("no mediator defiers")),
+                  np.zeros(16))
+    signs = {
+        sign: rows(Assumptions.MMR_POS_MEDIATOR, sign)[f"mediator effect on arm-{reference} outcome has sign {sign:+d}"]
+        for sign in (1, -1)
+    }
+    return base["objective"], cells, margin, defiers, signs
 
 
 class TestExactEffects:
@@ -190,6 +225,55 @@ class TestStrataBridge:
             for wit in (wit_min, wit_max):
                 induced = observed_from_population(extend_witness(wit, dist))
                 np.testing.assert_allclose(induced.cells, dist.cells, atol=1e-9)
+
+
+    # The full-law program and the 16-stratum one have the same optimum: the
+    # lift maps each feasible stratum law to a full law that reproduces the
+    # eight cells with the same delta(ref), defier mass and sign row, and the
+    # marginal maps each full law to a stratum law that satisfies the
+    # program's rows with the same values.  Both maps are linear (the lift
+    # for a fixed table), so checking them on unit laws proves them.  Each
+    # arm of these tables has 16 units and each of its mediator groups 0, 8
+    # or 16, so every fill rate is dyadic and the float arithmetic is exact;
+    # the last two fill the arm without units at M=1 with a fair coin.
+    LIFT_TABLES = [[3, 5, 5, 3, 2, 6, 6, 2], [3, 0, 13, 0, 2, 2, 6, 6], [2, 2, 6, 6, 3, 0, 13, 0]]
+
+    @pytest.mark.parametrize("counts", LIFT_TABLES, ids=str)
+    def test_lift_of_each_unit_witness_is_exact(self, counts):
+        dist = from_counts(counts)
+        for reference in (0, 1):
+            objective, cells, margin, defiers, signs = program_rows(reference)
+            opposite = np.array(counts[4 * (1 - reference) : 8 - 4 * reference]).reshape(2, 2)  # [y, m]
+            with_m = opposite.sum(axis=0)
+            rate = [[Fraction(int(opposite[y, m]), int(with_m[m])) if with_m[m] else Fraction(1, 2) for m in (0, 1)]
+                    for y in (0, 1)]
+            for s in range(16):
+                pop = extend_witness(lp_engine.StrataDistribution16(np.eye(16)[s], reference), dist)
+                induced = observed_from_population(pop).cells.reshape(2, 2, 2)  # [a, y, m]
+                assert induced[reference].tolist() == cells[:, :, s].tolist()
+                at_m = (1 - margin[s], margin[s])  # [M(1-ref) = m]
+                assert induced[1 - reference].tolist() == [[at_m[m] * float(rate[y][m]) for m in (0, 1)] for y in (0, 1)]
+                delta = (2 * reference - 1) * (cells[1, :, s].sum() - objective[s])
+                assert true_estimands(pop).delta(reference) == delta
+                assert strata_proportions(pop)[0, 1] == defiers[s]
+                for sign in (1, -1):
+                    assert sign * reference_gap(pop, reference) == signs[sign][s]
+
+    def test_marginal_of_each_unit_law_is_exact(self):
+        for reference in (0, 1):
+            objective, cells, margin, defiers, signs = program_rows(reference)
+            for index in np.ndindex((2,) * 6):
+                pop = point_mass(*index)
+                psi = strata16_from_population(pop, reference).psi
+                assert sorted(psi.tolist()) == [0.0] * 15 + [1.0]
+                induced = observed_from_population(pop).cells.reshape(2, 2, 2)  # [a, y, m]
+                assert induced[reference].tolist() == (cells @ psi).tolist()
+                assert induced[1 - reference, :, 1].sum() == margin @ psi
+                delta = (2 * reference - 1) * (cells[1].sum(axis=0) - objective) @ psi
+                assert true_estimands(pop).delta(reference) == delta
+                assert strata_proportions(pop)[0, 1] == defiers @ psi
+                for sign in (1, -1):
+                    assert sign * reference_gap(pop, reference) == signs[sign] @ psi
 
 
 class TestRandomPopulations:
