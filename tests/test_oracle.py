@@ -226,7 +226,6 @@ class TestStrataBridge:
                 induced = observed_from_population(extend_witness(wit, dist))
                 np.testing.assert_allclose(induced.cells, dist.cells, atol=1e-9)
 
-
     # The full-law program and the 16-stratum one have the same optimum: the
     # lift maps each feasible stratum law to a full law that reproduces the
     # eight cells with the same delta(ref), defier mass and sign row, and the
