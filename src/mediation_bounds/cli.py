@@ -112,6 +112,9 @@ class RunConfig:
             self.specs()
         except ValidationError as exc:
             raise ConfigError(str(exc)) from None
+        for i, assumptions in enumerate(self.assumptions):
+            if assumptions in self.assumptions[:i]:
+                raise ConfigError(f"assumption set {assumptions.value!r} is named more than once")
         if self.format not in ("json", "csv", "plotdata"):
             raise ConfigError(f"format must be json, csv, or plotdata, got {self.format!r}")
         if self.counts is None:

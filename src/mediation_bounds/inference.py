@@ -70,9 +70,10 @@ _MAX_DRAWS = 1_000_000
 class InferenceConfig:
     """Level, Gaussian draws (100 to 1,000,000) and seed of the simulated critical values.
 
-    Alpha must be a real number (not a bool) in (0, 1) and is stored as a
-    Python float.  Draws and seed must be integers (not bools) and are stored
-    as Python ints.  The selection slack is fixed at 2.
+    Alpha must be a real number (not a bool) in (0, 1) whose two-sided level
+    1 - alpha/2 stays below 1 as a float (alpha above 2**-53); it is stored
+    as a Python float.  Draws and seed must be integers (not bools) and are
+    stored as Python ints.  The selection slack is fixed at 2.
     """
 
     alpha: float = 0.05
@@ -85,6 +86,8 @@ class InferenceConfig:
         # NaN fails both; a huge int fails before its cast, a Fraction that rounds to 0 or 1 after it.
         if not (0 < self.alpha < 1 and 0.0 < float(self.alpha) < 1.0):
             raise ValidationError(f"alpha must be in (0, 1), got {self.alpha!r}")
+        if 1.0 - float(self.alpha) / 2.0 == 1.0:  # the normal quantile at level 1 is infinite
+            raise ValidationError(f"alpha must be above 2**-53, got {self.alpha!r}")
         draws, seed = _checked_ints("draws and seed must be integers", self.draws, self.seed)
         if not (100 <= draws <= _MAX_DRAWS):
             raise ValidationError(f"draws must be between 100 and {_MAX_DRAWS:,}, got {draws!r}")

@@ -31,11 +31,12 @@ because the benchmark under ``perfbench/`` calls it by name.
 The dense two-phase primal simplex with Bland's rule (``solve``) is kept for
 what the vertex list cannot give: witness stratum distributions attaining
 each endpoint (``cross_world_range``, used by ``oracle.sharpness_check``), and
-the tests that carry its sharpness proof over to the served values.  The
-programs are tiny (16 + at most 1 slack variable, at most 11 rows), so a
-bespoke dense implementation is simpler to certify at the 1e-9 contract than
-a general sparse solver dependency, and its witnesses come back in exactly
-the stratum layout the oracle needs.
+the tests that carry its sharpness proof over to the served values.  Both
+phases run on one tableau; a row that phase 1 leaves redundant stays in it,
+where the ratio test never picks it.  The programs are tiny (16 + at most 1
+surplus variable, at most 11 rows), so a bespoke dense implementation is
+simpler to certify at the 1e-9 contract than a general sparse solver
+dependency, and its witnesses come back in the stratum layout the oracle needs.
 """
 
 from __future__ import annotations
@@ -162,10 +163,6 @@ class InfeasibleError(RuntimeError):
         self.residual = residual
 
 
-class UnboundedError(RuntimeError):
-    """The objective is unbounded; impossible for these compact programs, so a bug."""
-
-
 def build_lp(dist: ObservedDistribution, spec: EstimandSpec, sense: Sense) -> LinearProgram:
     """Assemble the stratum LP whose optimum is the extreme cross-world mean.
 
@@ -226,11 +223,6 @@ def format_lp(lp: LinearProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Infeasible(Exception):
-    def __init__(self, residuals: np.ndarray):
-        self.residuals = residuals
-
-
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
     colvals = T[:, col].copy()
@@ -254,7 +246,7 @@ def _bland(T: np.ndarray, basis: np.ndarray, ncols: int) -> None:
         column = T[:m, col]
         positive = column > PIVOT_TOL
         if not positive.any():
-            raise UnboundedError("no blocking row for entering column")
+            raise RuntimeError("simplex found no blocking row for an entering column")
         ratios = np.full(m, np.inf)
         ratios[positive] = T[:m, -1][positive] / column[positive]
         best = ratios.min()
@@ -264,101 +256,62 @@ def _bland(T: np.ndarray, basis: np.ndarray, ncols: int) -> None:
     raise RuntimeError("simplex failed to terminate within the pivot budget")
 
 
-def _solve_standard(A: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """min c.x subject to A x = b, x >= 0; returns an optimal x."""
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+def solve(lp: LinearProgram) -> tuple[float, StrataDistribution16]:
+    """Optimize ``lp``; return the optimal value and a witness stratum distribution.
 
-    # Phase 1: feasibility via artificial variables.
+    Both phases run on one tableau.  Phase 1 starts from the all-artificial
+    basis and then pivots each artificial still basic out on the first
+    structural entry of its row above ``PIVOT_TOL``.  A row with none is
+    redundant and stays: the ratio test never picks it.  Phase 2 re-prices the
+    tableau from the objective, and only structural columns enter.  Raises
+    :class:`InfeasibleError`, naming the most-violated constraint, when the
+    constraints are inconsistent.
+    """
+    n_ineq = len(lp.inequalities)
+    m = len(lp.equalities) + n_ineq
+    n = 16 + n_ineq
+    # Phase 1 minimizes the total of the artificial columns n .. n + m - 1.
     T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
+    for i, (coeffs, rhs) in enumerate(lp.equalities + lp.inequalities):
+        T[i, :16] = coeffs
+        T[i, -1] = rhs
+    T[m - n_ineq : m, 16:n] -= np.eye(n_ineq)  # coeffs . psi >= rhs: coeffs . psi - surplus = rhs
+    T[:m][T[:m, -1] < 0.0] *= -1.0  # so that each artificial starts nonnegative
+    A, b = T[:m, :n].copy(), T[:m, -1].copy()
     T[:m, n : n + m] = np.eye(m)
-    T[:m, -1] = b
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
     _bland(T, basis, n + m)
+    artificial = basis >= n
     if -T[m, -1] > FEAS_TOL:
         residuals = np.zeros(m)
-        for i, var in enumerate(basis):
-            if var >= n:
-                residuals[var - n] = T[i, -1]
-        raise _Infeasible(residuals)
-
-    # Drive leftover artificials out of the basis; a row with no structural
-    # pivot is redundant and is dropped.
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            structural = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-            if structural.size == 0:
-                continue
-            _pivot(T, basis, i, int(structural[0]))
-        keep.append(i)
-    if len(keep) < m:
-        T = T[keep + [m], :]
-        basis = basis[keep]
-        m = len(keep)
-
-    # Phase 2 on structural columns only.
-    T2 = np.zeros((m + 1, n + 1))
-    T2[:m, :n] = T[:m, :n]
-    T2[:m, -1] = T[:m, -1]
-    T2[m, :n] = c
-    for i, var in enumerate(basis):
-        coef = T2[m, var]
-        if coef != 0.0:
-            T2[m] -= coef * T2[i]
-    _bland(T2, basis, n)
-
-    x = np.zeros(n)
-    x[basis] = T2[:m, -1]
-    return x
-
-
-def solve(lp: LinearProgram) -> tuple[float, StrataDistribution16]:
-    """Optimize ``lp``; return the optimal value and a witness stratum distribution.
-
-    Raises :class:`InfeasibleError` (naming the most-violated constraint) when
-    the constraints are inconsistent, and :class:`UnboundedError` in the
-    impossible unbounded case.
-    """
-    n_eq = len(lp.equalities)
-    n_ineq = len(lp.inequalities)
-    n = 16 + n_ineq
-    A = np.zeros((n_eq + n_ineq, n))
-    b = np.zeros(n_eq + n_ineq)
-    for i, (coeffs, rhs) in enumerate(lp.equalities):
-        A[i, :16] = coeffs
-        b[i] = rhs
-    for j, (coeffs, rhs) in enumerate(lp.inequalities):
-        # coeffs . psi >= rhs becomes coeffs . psi - surplus = rhs
-        A[n_eq + j, :16] = coeffs
-        A[n_eq + j, 16 + j] = -1.0
-        b[n_eq + j] = rhs
-
-    c = np.zeros(n)
-    c[:16] = lp.objective
-    if lp.sense is Sense.MAX:
-        c = -c
-
-    try:
-        x = _solve_standard(A, b, c)
-    except _Infeasible as exc:
-        worst = int(np.argmax(np.abs(exc.residuals)))
+        residuals[basis[artificial] - n] = T[:m, -1][artificial]
+        worst = int(np.argmax(np.abs(residuals)))
         label = lp.row_labels[worst] if worst < len(lp.row_labels) else f"row {worst}"
-        residual = float(exc.residuals[worst])
+        residual = float(residuals[worst])
         raise InfeasibleError(
             f"constraints are inconsistent; most violated: {label} (residual {residual:.6g})",
             constraint=label,
             residual=residual,
-        ) from None
+        )
+    for i in np.flatnonzero(artificial):
+        structural = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
+        if structural.size:
+            _pivot(T, basis, i, int(structural[0]))
 
-    residual = float(np.abs(A @ x - b).max()) if A.size else 0.0
+    # Phase 2 re-prices the same tableau; only the n structural columns may enter.
+    T[m] = 0.0
+    T[m, :16] = np.negative(lp.objective) if lp.sense is Sense.MAX else lp.objective
+    for i, var in enumerate(basis):
+        if T[m, var] != 0.0:
+            T[m] -= T[m, var] * T[i]
+    _bland(T, basis, n)
+
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    x = x[:n]
+    residual = float(np.abs(A @ x - b).max())
     if residual > FEAS_TOL or x.min() < -FEAS_TOL:
         raise RuntimeError(f"simplex returned an infeasible point (residual {residual:.3g})")
     value = float(np.dot(lp.objective, x[:16]))

@@ -40,7 +40,8 @@ ORDER_TOL = 1e-9
 #   distribution may carry.
 FEAS_TOL = 1e-9
 # PIVOT_TOL: the simplex treats smaller reduced costs and pivot-column
-#   entries as zero.
+#   entries as zero, and pivots an artificial still basic after phase 1 out
+#   only on a larger structural entry of its row.
 PIVOT_TOL = 1e-10
 # _ZERO_SE_TOL: CLR inference does not studentize an expression whose
 #   standard error is at most this; it is sidelined as known exactly.

@@ -1247,9 +1247,14 @@ class TestExitCodes:
              "config error: dichotomize rules name column 'm' more than once"),
             ("a,y,m\n0,0,0\n1,1,1\n", ("--mediators", "m", "--assumptions", ","), 2,
              "config error: at least one assumption set is required"),
+            ("a,y,m\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n", ("--mediators", "m", "--alpha", "1e-16"), 2,
+             "config error: alpha must be above 2**-53, got 1e-16"),
+            ("a,y,m\n0,0,0\n0,1,1\n1,0,1\n1,1,0\n", ("--mediators", "m", "--assumptions", "none,none"), 2,
+             "config error: assumption set 'none' is named more than once"),
         ],
         ids=["empty-file", "all-missing-column", "treatment-and-outcome-apart", "mediator-all-dropped",
-             "no-mediators", "two-global-rules", "one-column-twice", "no-assumption-set"],
+             "no-mediators", "two-global-rules", "one-column-twice", "no-assumption-set",
+             "alpha-level-rounds-to-1", "one-assumption-set-twice"],
     )
     def test_bad_input_exit_code_and_message(self, capsys, tmp_path, text, flags, code, message):
         path = write_text(tmp_path / "d.csv", text)

@@ -245,6 +245,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"alpha must be in \(0, 1\)"):
             InferenceConfig(alpha=alpha)
 
+    # Below 2**-53 the two-sided level 1 - alpha/2 rounds to 1, whose normal quantile is infinite.
+    @pytest.mark.parametrize("alpha", [1e-16, 2.0**-53, Fraction(1, 10**300)])
+    def test_alpha_whose_level_rounds_to_1_is_refused(self, alpha):
+        with pytest.raises(ValidationError, match=r"^alpha must be above 2\*\*-53, got "):
+            InferenceConfig(alpha=alpha)
+
+    def test_smallest_alpha_gives_a_finite_interval(self):
+        result = ate_test([3, 1, 4, 1, 5, 9, 2, 6], InferenceConfig(alpha=2.0**-52))
+        assert np.isfinite(result.ci).all()
+
     @pytest.mark.parametrize("alpha", [np.float64(0.05), np.float32(0.25), Fraction(1, 20), np.longdouble(0.1)])
     def test_alpha_is_stored_as_a_python_float(self, alpha):
         config = InferenceConfig(alpha=alpha)

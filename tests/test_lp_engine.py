@@ -230,17 +230,27 @@ class TestSolve:
         assert lo_wit.defier_mass() == pytest.approx(0.0, abs=1e-9)
         assert hi_wit.defier_mass() == pytest.approx(0.0, abs=1e-9)
 
-    def test_infeasible_margins(self):
+    @pytest.mark.parametrize("sense", list(Sense), ids=lambda s: s.name)
+    @pytest.mark.parametrize(
+        "assumptions, sign",
+        [(Assumptions.MMR, 1), (Assumptions.MMR_POS_MEDIATOR, 1), (Assumptions.MMR_POS_MEDIATOR, -1)],
+        ids=["mmr", "mmr-pos-mediator+", "mmr-pos-mediator-"],
+    )
+    @pytest.mark.parametrize(
+        "reference, constraint",
+        [(0, "simplex: total mass = 1"), (1, "arm 0 mediator margin P(M=1|A=0)")],
+        ids=["ref0", "ref1"],
+    )
+    def test_infeasible_margins(self, reference, constraint, assumptions, sign, sense):
         # Treated mediator margin 0.2 against control margin 0.5 violates
-        # monotonicity of the mediator response; the program must say so.
+        # monotonicity of the mediator response; the program must say so.  The
+        # residual is |ATM| = 0.3 at either reference.
         dist = from_probabilities([0.25, 0.25, 0.25, 0.25], [0.4, 0.1, 0.4, 0.1])
-        lp = build_lp(
-            dist, EstimandSpec(reference=1, assumptions=Assumptions.MMR), Sense.MIN
-        )
+        spec = EstimandSpec(reference=reference, assumptions=assumptions, mediator_effect_sign=sign)
         with pytest.raises(InfeasibleError) as exc_info:
-            solve(lp)
-        assert exc_info.value.constraint
-        assert abs(exc_info.value.residual) > 1e-6
+            solve(build_lp(dist, spec, sense))
+        assert exc_info.value.constraint == constraint
+        assert exc_info.value.residual == 0.30000000000000004
 
     def test_infeasibility_becomes_incompatibility(self):
         dist = from_probabilities([0.25, 0.25, 0.25, 0.25], [0.4, 0.1, 0.4, 0.1])
