@@ -23,7 +23,7 @@ E[Y(ref, M(1-ref))] is a max or min of b . v over a fixed vertex list, and with
 delta(1) = E[Y|A=1] - cross-world mean and delta(0) = cross-world mean - E[Y|A=0]
 each vertex is one bounding expression.  The program is infeasible exactly
 when its phase-1 optimum is positive; for a restricted spec that optimum is
-the mediator ATE's shortfall, max(0, -(2 - ref) ATM), since data contradict
+the mediator ATE's shortfall, max(0, -ATM), since data contradict
 ``mmr`` exactly when P(M=1|A=1) < P(M=1|A=0) and the sign row of
 ``mmr-pos-mediator`` adds nothing, Y(ref, 1-M(ref)) being never observed.  So
 the verdict is a comparison, not a row of the table.  ``tests/conftest.py``
@@ -76,47 +76,45 @@ from .model import (
 # reference, mediator_effect_sign); the sign is 1 for the sets that ignore it.
 # Each vertex v is read against the right-hand sides
 #
-#     b = (1, p00.ref, p01.ref, p10.ref, p11.ref, P(M = 1 | A = 1 - ref))
+#     b = (p00.ref, p01.ref, p10.ref, p11.ref, P(M = 1 | A = 1 - ref))
 #
-# of the simplex row, the four reference-arm joint cells and the opposite-arm
-# margin; the defier and sign rows have right-hand side 0.  The two parts
-# are the vertices for the MIN side (min = max of b . v) and for the MAX side
-# (max = min of b . v).  The defier strata and their rows are eliminated
-# first, and the vertices carry 0 on the simplex row, which is the sum of the
-# joint-cell rows.  Derived by tests/conftest.py and checked against it by
-# tests/test_dual_vertices.py.
+# of the four reference-arm joint cells and the opposite-arm margin; the defier
+# and sign rows have right-hand side 0.  The two parts are the vertices for the
+# MIN side (min = max of b . v) and for the MAX side (max = min of b . v).  The
+# defier strata and their rows are eliminated first.  Derived by
+# tests/conftest.py and checked against it by tests/test_dual_vertices.py.
 _DUAL_VERTICES = {
     (Assumptions.NONE, 0, 1): (
-        ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
-        ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
+        ((-1, -1, -1, 0, 1), (0, 0, 0, 0, 0), (0, 0, 1, 0, -1)),
+        ((0, 1, 1, 1, 1), (1, 1, 1, 1, 0), (2, 1, 2, 2, -1)),
     ),
     (Assumptions.NONE, 1, 1): (
-        ((0, -1, -1, -1, 0, 1), (0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, -1)),
-        ((0, 0, 1, 1, 1, 1), (0, 1, 1, 1, 1, 0), (0, 2, 1, 2, 2, -1)),
+        ((-1, -1, -1, 0, 1), (0, 0, 0, 0, 0), (0, 0, 1, 0, -1)),
+        ((0, 1, 1, 1, 1), (1, 1, 1, 1, 0), (2, 1, 2, 2, -1)),
     ),
     (Assumptions.MMR, 0, 1): (
-        ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
+        ((0, 0, 0, 1, 0), (0, 1, 1, 2, -1)),
+        ((0, -1, 1, 0, 1), (1, 0, 1, 1, 0)),
     ),
     (Assumptions.MMR, 1, 1): (
-        ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
-        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
+        ((0, -1, 1, 0, 1), (0, 0, 1, 0, 0)),
+        ((0, 1, 1, 1, 0), (0, 1, 1, 2, -1)),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 0, 1): (
-        ((0, -1, -1, 0, -1, 1), (0, -1, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((0, 0, -1, 1, 0, 1), (0, 1, 0, 1, 1, 0)),
+        ((-1, -1, 0, -1, 1), (-1, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 1, 1, 2, -1)),
+        ((0, -1, 1, 0, 1), (1, 0, 1, 1, 0)),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 0, -1): (
-        ((0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 2, -1)),
-        ((0, 0, -1, 1, 0, 1), (0, 0, 1, 2, 1, 0), (0, 1, 0, 1, 1, 0), (0, 1, 2, 2, 2, -1)),
+        ((0, 0, 0, 1, 0), (0, 1, 1, 2, -1)),
+        ((0, -1, 1, 0, 1), (0, 1, 2, 1, 0), (1, 0, 1, 1, 0), (1, 2, 2, 2, -1)),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 1, 1): (
-        ((0, 0, -1, 1, 0, 1), (0, 0, 0, 1, 0, 0)),
-        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1), (0, 1, 0, 1, 1, 1), (0, 1, 0, 1, 2, 0)),
+        ((0, -1, 1, 0, 1), (0, 0, 1, 0, 0)),
+        ((0, 1, 1, 1, 0), (0, 1, 1, 2, -1), (1, 0, 1, 1, 1), (1, 0, 1, 2, 0)),
     ),
     (Assumptions.MMR_POS_MEDIATOR, 1, -1): (
-        ((0, 0, -1, 0, 1, 0), (0, 0, -1, 1, 0, 1), (0, 0, 0, 0, 1, -1), (0, 0, 0, 1, 0, 0)),
-        ((0, 0, 1, 1, 1, 0), (0, 0, 1, 1, 2, -1)),
+        ((0, -1, 0, 1, 0), (0, -1, 1, 0, 1), (0, 0, 0, 1, -1), (0, 0, 1, 0, 0)),
+        ((0, 1, 1, 1, 0), (0, 1, 1, 2, -1)),
     ),
 }
 
@@ -152,14 +150,14 @@ def _support(form: tuple[int, ...]) -> int:
     return len(form) - form.count(0)
 
 
-def _zero_constant(w: list[int], c: int) -> tuple[int, ...]:
-    """The form of ``w . cells + c`` with no constant and the fewest nonzero coefficients.
+def _canonical(w: list[int]) -> tuple[int, ...]:
+    """The form equal to ``w . cells`` with the fewest nonzero coefficients.
 
-    Adding t to every arm-0 coefficient and c - t to every arm-1 coefficient
-    absorbs the constant; only a t that zeroes some coefficient can be sparsest.
+    Adding t to every arm-0 coefficient and taking it from every arm-1
+    coefficient keeps the value; only a t that zeroes some coefficient can be sparsest.
     """
-    shifts = sorted({*(-x for x in w[:4]), *(c + x for x in w[4:])})
-    forms = [tuple(x + t for x in w[:4]) + tuple(x + c - t for x in w[4:]) for t in shifts]
+    shifts = sorted({*(-x for x in w[:4]), *w[4:]})
+    forms = [tuple(x + t for x in w[:4]) + tuple(x - t for x in w[4:]) for t in shifts]
     return min(forms, key=lambda f: (_support(f), f not in _ATM_FORMS))
 
 
@@ -185,11 +183,11 @@ def _derive(ref: int, min_side, max_side):
         forms = []
         for v in vertices:
             w = [0] * 8
-            w[4 * ref : 4 * ref + 4] = [-s * x for x in v[1:5]]
-            w[opp_m1[0]] = w[opp_m1[1]] = -s * v[5]
+            w[4 * ref : 4 * ref + 4] = [-s * x for x in v[:4]]
+            w[opp_m1[0]] = w[opp_m1[1]] = -s * v[4]
             w[4 * ref + 2] += s
             w[4 * ref + 3] += s
-            forms.append(_zero_constant(w, -s * v[0]))
+            forms.append(_canonical(w))
         forms.sort(key=lambda f: (f not in _ATM_FORMS, _support(f), -sum(abs(f[i]) for i in opp_m1)))
         return tuple(Expression(_label(f, ref), tuple(float(x) for x in f)) for f in forms)
 
@@ -259,11 +257,14 @@ def _clamp(v: float) -> float:
 
 
 def _residual(dist: ObservedDistribution, spec: EstimandSpec) -> float:
-    """The phase-1 optimum on ``dist.cells``: 0 for ``NONE``, else max(0, -(2 - ref) ATM) added in index order."""
+    """The phase-1 optimum: 0 for ``NONE``, else max(0, -ATM), exact on counts and else added in index order."""
     if spec.assumptions is Assumptions.NONE:
         return 0.0
-    c0, c1, c2, c3, c4, c5, c6, c7 = dist.cells.tolist()
-    gap = c1 + c3 - c5 - c7 if spec.reference else 2 * (-c0 - c2 + c4 + c6)  # doubling is exact
+    if (k := dist.counts) is None:
+        c = dist.cells.tolist()
+        gap = c[1] + c[3] - c[5] - c[7]
+    else:  # (k0 n1 - k1 n0) / (n0 n1): int true division rounds correctly
+        gap = ((k[1] + k[3]) * dist.n1 - (k[5] + k[7]) * dist.n0) / (dist.n0 * dist.n1)
     return gap if gap > 0.0 else 0.0
 
 
@@ -275,9 +276,9 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     optima of ``lp_engine.build_lp``'s program.  The result is flagged
     ``incompatible`` when the interval crosses by more than ``ORDER_TOL`` or
     a restricted set meets a negative mediator ATE: exactly, k1 n0 < k0 n1
-    with k_a the units with M = 1 in arm a, on a distribution with counts,
-    and otherwise when :func:`_residual` exceeds ``FEAS_TOL``.  A flagged
-    interval is reported as computed and may be empty.
+    with k_a the units with M = 1 in arm a, on counts, and otherwise when
+    :func:`_residual`, the printed max(0, -ATM), exceeds ``FEAS_TOL``.  A
+    flagged interval is reported as computed and may be empty.
     """
     table = _spec_table(spec)
     values = _table_values(dist)
@@ -287,10 +288,9 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     # _clamp, inlined: min(1.0, max(-1.0, v)) keeps v itself inside [-1, 1].
     lower = 1.0 if lower > 1.0 else -1.0 if lower < -1.0 else lower
     upper = 1.0 if upper > 1.0 else -1.0 if upper < -1.0 else upper
-    counts = dist.counts
     if spec.assumptions is Assumptions.NONE:
         short = False
-    elif counts is None:
+    elif (counts := dist.counts) is None:
         short = _residual(dist, spec) > FEAS_TOL
     else:
         short = (counts[5] + counts[7]) * dist.n0 < (counts[1] + counts[3]) * dist.n1

@@ -32,11 +32,11 @@ The dense two-phase primal simplex with Bland's rule (``solve``) is kept for
 what the vertex list cannot give: witness stratum distributions attaining
 each endpoint (``cross_world_range``, used by ``oracle.sharpness_check``), and
 the tests that carry its sharpness proof over to the served values.  Both
-phases run on one tableau; a row that phase 1 leaves redundant stays in it,
-where the ratio test never picks it.  The programs are tiny (16 + at most 1
-surplus variable, at most 11 rows), so a bespoke dense implementation is
-simpler to certify at the 1e-9 contract than a general sparse solver
-dependency, and its witnesses come back in the stratum layout the oracle needs.
+phases run on one tableau, and the equality rows have full rank.  The programs
+are tiny (16 + at most 1 surplus variable, at most 10 rows), so a bespoke
+dense implementation is simpler to certify at the 1e-9 contract than a
+general sparse solver dependency, and its witnesses come back in the stratum
+layout the oracle needs.
 """
 
 from __future__ import annotations
@@ -122,9 +122,8 @@ class LinearProgram:
     """A small LP over the sixteen strata, rows stored densely.
 
     ``equalities`` and ``inequalities`` are tuples of (coefficients, rhs);
-    inequality rows are of the form coeffs . psi >= rhs.  Exactly one equality
-    must be the simplex row (all ones, rhs 1), and every equality rhs is a
-    probability.
+    inequality rows are of the form coeffs . psi >= rhs.  The equality rows
+    are linearly independent, as ``solve`` needs, and each rhs is a probability.
     """
 
     objective: tuple[float, ...]
@@ -137,18 +136,13 @@ class LinearProgram:
     def __post_init__(self) -> None:
         if len(self.objective) != 16:
             raise ValidationError("objective must have 16 coefficients")
-        simplex_rows = [
-            i
-            for i, (coeffs, rhs) in enumerate(self.equalities)
-            if all(c == 1.0 for c in coeffs) and rhs == 1.0
-        ]
-        if len(simplex_rows) != 1:
-            raise ValidationError(f"expected exactly one simplex row, found {len(simplex_rows)}")
         for coeffs, rhs in self.equalities:
             if len(coeffs) != 16:
                 raise ValidationError("equality rows must have 16 coefficients")
             if not (-SIMPLEX_TOL <= rhs <= 1.0 + SIMPLEX_TOL):
                 raise ValidationError(f"probability row rhs {rhs!r} outside [0, 1]")
+        if np.linalg.matrix_rank(np.array([coeffs for coeffs, _ in self.equalities])) < len(self.equalities):
+            raise ValidationError("equality rows must be linearly independent")
         for coeffs, rhs in self.inequalities:
             if len(coeffs) != 16:
                 raise ValidationError("inequality rows must have 16 coefficients")
@@ -175,9 +169,9 @@ def build_lp(dist: ObservedDistribution, spec: EstimandSpec, sense: Sense) -> Li
     def row(grid: np.ndarray) -> tuple[float, ...]:
         return tuple(_strata(grid, ref).astype(float))
 
-    equalities: list[tuple[tuple[float, ...], float]] = [((1.0,) * 16, 1.0)]
-    labels: list[str] = ["simplex: total mass = 1"]
-    # Reference-arm joint cells: arm ref reveals its factual outcome and mediator.
+    equalities: list[tuple[tuple[float, ...], float]] = []
+    labels: list[str] = []
+    # Reference-arm joint cells, which also fix the total mass: arm ref reveals its factual outcome and mediator.
     for y in (0, 1):
         for m in (0, 1):
             equalities.append((row((_FACTUAL[ref] == y) & (_M[ref] == m)), float(p_ref[2 * y + m])))
@@ -261,8 +255,8 @@ def solve(lp: LinearProgram) -> tuple[float, StrataDistribution16]:
 
     Both phases run on one tableau.  Phase 1 starts from the all-artificial
     basis and then pivots each artificial still basic out on the first
-    structural entry of its row above ``PIVOT_TOL``.  A row with none is
-    redundant and stays: the ratio test never picks it.  Phase 2 re-prices the
+    structural entry of its row above ``PIVOT_TOL``; the equality rows have
+    full rank, so every such row has one.  Phase 2 re-prices the
     tableau from the objective, and only structural columns enter.  Raises
     :class:`InfeasibleError`, naming the most-violated constraint, when the
     constraints are inconsistent.
@@ -296,9 +290,7 @@ def solve(lp: LinearProgram) -> tuple[float, StrataDistribution16]:
             residual=residual,
         )
     for i in np.flatnonzero(artificial):
-        structural = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-        if structural.size:
-            _pivot(T, basis, i, int(structural[0]))
+        _pivot(T, basis, i, int(np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)[0]))
 
     # Phase 2 re-prices the same tableau; only the n structural columns may enter.
     T[m] = 0.0

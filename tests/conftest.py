@@ -165,11 +165,9 @@ def polytope_vertices(G: np.ndarray, h: np.ndarray) -> np.ndarray:
     return vertices.astype(int)
 
 
-def _projected(vertices: np.ndarray, columns) -> tuple[tuple[int, ...], ...]:
-    """Distinct vertices as 6-tuples over b's rows: the first len(columns) coordinates go to ``columns``."""
-    out = np.zeros((len(vertices), 6), dtype=int)
-    out[:, columns] = vertices[:, : len(columns)]
-    return tuple(sorted({tuple(int(v) for v in row) for row in out}))
+def _projected(vertices: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Distinct vertices as 5-tuples over b's rows, the sign row's coordinate (its right-hand side is 0) dropped."""
+    return tuple(sorted({tuple(int(v) for v in row[:5]) for row in vertices}))
 
 
 @functools.cache
@@ -185,46 +183,42 @@ def derive_table(assumptions: Assumptions, reference: int, sign: int):
     lp = build_lp(dist, EstimandSpec(reference, assumptions, sign), Sense.MIN)
     eq = np.array([row for row, _ in lp.equalities])
     eq_rhs = np.array([rhs for _, rhs in lp.equalities])
-    simplex = (eq == 1).all(axis=1)
     defier = (eq.sum(axis=1) == 1) & (eq_rhs == 0)
-    data = ~simplex & ~defier
+    data = ~defier
     # The right-hand sides the package evaluates the vertices against, in table order.
-    rhs = np.concatenate([[1.0], dist.arm(reference), [dist.mediator_margin(1 - reference)]])
-    assert np.array_equal(np.concatenate([eq_rhs[simplex], eq_rhs[data]]), rhs)
+    rhs = np.concatenate([dist.arm(reference), [dist.mediator_margin(1 - reference)]])
+    assert np.array_equal(eq_rhs[data], rhs)
 
     # Defier rows zero their strata: drop both.  Inequality rows get a surplus column.
     kept = ~eq[defier].any(axis=0)
     ineq = np.array([row for row, _ in lp.inequalities]).reshape(-1, 16)
     assert all(rhs_i == 0.0 for _, rhs_i in lp.inequalities)
     n_ineq = len(ineq)
-    A = np.vstack([eq[simplex][:, kept], eq[data][:, kept], ineq[:, kept]])
+    A = np.vstack([eq[data][:, kept], ineq[:, kept]])
     A = np.hstack([A, np.vstack([np.zeros((len(A) - n_ineq, n_ineq)), -np.eye(n_ineq)])])
     c = np.concatenate([np.array(lp.objective)[kept], np.zeros(n_ineq)])
 
     # min c.x s.t. A x = b, x >= 0 has dual max b.y s.t. A^T y <= c; the max
-    # side is its mirror.  The simplex row (the sum of the joint-cell rows)
-    # is left out of the optimum duals.
-    A_opt = A[1:]
-    data_columns = range(1, 1 + int(data.sum()))
-    lower = _projected(polytope_vertices(A_opt.T, c), data_columns)
-    upper = _projected(polytope_vertices(-A_opt.T, -c), data_columns)
+    # side is its mirror.
+    lower = _projected(polytope_vertices(A.T, c))
+    upper = _projected(polytope_vertices(-A.T, -c))
     # Phase 1 minimizes the artificials of A x + art = b; its dual is
     # max b.y s.t. A^T y <= 0, y <= 1.
     m = len(A)
     phase1 = polytope_vertices(np.vstack([A.T, np.eye(m)]), np.concatenate([np.zeros(A.shape[1]), np.ones(m)]))
-    return lower, upper, _projected(phase1, range(6))
+    return lower, upper, _projected(phase1)
 
 
 def phase1_rows(reference: int, vertices) -> np.ndarray:
     """Phase-1 vertices as integer rows on the cell vector, in ``closed_form``'s canonical form.
 
-    A vertex v is read against b = (1, the four reference-arm cells, the
+    A vertex v is read against b = (the four reference-arm cells, the
     opposite arm's mediator margin), as ``_DUAL_VERTICES`` is.
     """
     rows = []
     for v in vertices:
         w = [0] * 8
-        w[4 * reference : 4 * reference + 4] = v[1:5]
-        w[5 - 4 * reference] = w[7 - 4 * reference] = v[5]
-        rows.append(closed_form._zero_constant(w, v[0]))
+        w[4 * reference : 4 * reference + 4] = v[:4]
+        w[5 - 4 * reference] = w[7 - 4 * reference] = v[4]
+        rows.append(closed_form._canonical(w))
     return np.array(rows, dtype=np.int64).reshape(-1, 8)

@@ -356,9 +356,9 @@ class TestVerdict:
     # while the phase-1 residual at reference 1 (6.25e-10) is below FEAS_TOL.
     REPRODUCER = [1, 21164, 0, 18836, 1, 30111, 0, 9888]
     # Arms of 500,000 and 500,001 units with 100 units with M = 1 in each:
-    # ATM = -1/2,500,005,000, about -4.0e-10.  The phase-1 residual (8e-10 at
-    # reference 0, 4e-10 at reference 1) is below FEAS_TOL, and the interval
-    # crosses by 8e-10, less than ORDER_TOL.
+    # ATM = -1/2,500,005,000, about -4.0e-10.  The phase-1 residual (4e-10 at
+    # either reference) is below FEAS_TOL, and the interval crosses by
+    # 8e-10, less than ORDER_TOL.
     MILLION = [249950, 50, 249950, 50, 249951, 50, 249950, 50]
 
     def test_reproducer_is_flagged(self):
@@ -374,6 +374,24 @@ class TestVerdict:
                     anie_bounds_lp(dist, spec)
         assert all(anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR)).incompatible for reference in (0, 1))
 
+    def test_shortfall_below_the_float_resolution_is_printed(self):
+        # Arms of 2**52 - 1 and 2**52 + 1 units with ATM = -1/(n0 n1), which
+        # the float cells round to 0: the residual is printed from the counts.
+        n0, n1 = 2**52 - 1, 2**52 + 1
+        k1 = -pow(n0, -1, n1) % n1
+        k0 = (k1 * n0 + 1) // n1
+        assert (k1 * n0 + 1) % n1 == 0
+        counts = [n0 - k0, k0, 0, 0, n1 - k1, k1, 0, 0]
+        dist = from_counts(counts)
+        assert Fraction(k1, n1) - Fraction(k0, n0) == Fraction(-1, n0 * n1)
+        for spec in ALL_SPECS:
+            if spec.assumptions is not Assumptions.NONE:
+                res = anie_bounds(dist, spec)
+                assert res.incompatible, spec
+                assert closed_form._residual(dist, spec) == 1 / (n0 * n1) > 0.0
+                assert "(phase-1 residual 4.93038e-32)" in res.diagnostics[0]
+            TestStackedTable.assert_per_spec_route(dist, spec, np.array(counts))
+
     def test_million_unit_table_is_flagged_from_its_counts(self):
         dist = from_counts(self.MILLION)
         assert atm(dist) == pytest.approx(-1 / 2_500_005_000, rel=1e-6)
@@ -384,9 +402,8 @@ class TestVerdict:
             assert res.incompatible is restricted, spec
             if restricted:
                 assert res.lower > res.upper
-                # The residual's scale doubles from reference 1 to reference 0.
-                residual = ("7.99998e-10", "3.99999e-10")[spec.reference]
-                assert f"(phase-1 residual {residual})" in res.diagnostics[0]
+                # The residual is max(0, -ATM) at either reference.
+                assert "(phase-1 residual 3.99999e-10)" in res.diagnostics[0]
             # Without its counts the table is judged at FEAS_TOL, inside the band.
             assert not anie_bounds(twin, spec).incompatible, spec
 
@@ -595,10 +612,11 @@ def per_spec_bounds(dist, spec, counts=None):
 
     ``_evaluate`` on the spec's own rows, derived afresh from the brute-force
     enumeration of its dual vertices, every phase-1 vertex included, then
-    max, min, ``index`` and clamp.  With ``counts``, the verdict is the
-    phase-1 optimum's sign in exact rationals; without, that optimum in
-    floats against FEAS_TOL.  Returns the result and the lower and upper
-    expression values.
+    max, min, ``index`` and clamp.  With ``counts``, the phase-1 optimum is
+    taken in exact rationals, the verdict is its sign and the diagnostic
+    prints it correctly rounded; without, it is taken in floats and compared
+    against FEAS_TOL.  Returns the result and the lower and upper expression
+    values.
     """
     sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
     lower_vertices, upper_vertices, phase1 = derive_table(spec.assumptions, spec.reference, sign)
@@ -616,7 +634,8 @@ def per_spec_bounds(dist, spec, counts=None):
         short = residual > FEAS_TOL
     else:
         cells = [Fraction(int(c), int(sum(arm))) for arm in (counts[:4], counts[4:]) for c in arm]
-        short = max(sum(r * x for r, x in zip(row.tolist(), cells)) for row in residual_rows) > 0
+        exact = max(sum(r * x for r, x in zip(row.tolist(), cells)) for row in residual_rows)
+        short, residual = exact > 0, float(exact)
     incompatible = short or lower > upper + ORDER_TOL
     diagnostics = ()
     if incompatible:

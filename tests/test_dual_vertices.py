@@ -78,9 +78,9 @@ ARM_VERTICES = np.array(
 )
 ATM_AT_VERTICES = ARM_VERTICES @ np.array(closed_form._ATM)  # -1, 0 or 1 at each
 # The mediator ATE's shortfall as ``anie_bounds`` writes it for a distribution
-# without counts: -2 ATM at reference 0 and -ATM at reference 1, each on the
-# cells that its phase-1 vertex weighs.
-VERDICT_ROWS = {0: (-2, 0, -2, 0, 2, 0, 2, 0), 1: (0, 1, 0, 1, 0, -1, 0, -1)}
+# without counts: -ATM at either reference, the phase-1 vertex (0, 1, 0, 1, -1)
+# at reference 0 and (0, -1, 0, -1, 1) at reference 1.
+VERDICT_ROW = (0, 1, 0, 1, 0, -1, 0, -1)
 
 
 def kept_table() -> dict:
@@ -101,7 +101,7 @@ def test_printed_table_reads_back():
     for table in tables:
         assert eval(format_table(table).split(" = ", 1)[1], {"Assumptions": Assumptions}) == table
     sizes = {len(part) for table in tables for parts in table.values() for part in parts}
-    assert {2, 5} <= sizes
+    assert {2, 7} <= sizes
 
 
 @pytest.mark.parametrize("key", TABLE_KEYS, ids=lambda k: f"{k[0].value}-ref{k[1]}-sign{k[2]:+d}")
@@ -115,18 +115,18 @@ def test_verdict_row_is_the_phase1_optimum(key):
     # {ATM <= 0} of the product of the arm simplices.  An edge of the product
     # moves one arm's unit cell, so ATM moves by at most 1 from -1, 0 or 1
     # and no edge crosses ATM = 0: the 16 product vertices are the vertices
-    # of both pieces.  The verdict row is a positive multiple of -ATM, so
-    # the optimum is positive exactly when ATM < 0.
+    # of both pieces.  The verdict row is -ATM, so the optimum is positive
+    # exactly when ATM < 0.
     assumptions, reference, sign = key
     derived = phase1_rows(reference, derive_table(*key)[2])
     assert any((row == 0).all() for row in derived)
     if assumptions is Assumptions.NONE:
         bound = np.zeros(16, dtype=np.int64)
     else:
-        verdict = np.array(VERDICT_ROWS[reference])
+        verdict = np.array(VERDICT_ROW)
         assert any((row == verdict).all() for row in derived)
         bound = np.maximum(0, ARM_VERTICES @ verdict)
-        assert np.array_equal(ARM_VERTICES @ verdict, -(2 - reference) * ATM_AT_VERTICES)
+        assert np.array_equal(ARM_VERTICES @ verdict, -ATM_AT_VERTICES)
     above = np.argwhere(derived @ ARM_VERTICES.T > bound)
     if len(above):
         row, vertex = above[0]
@@ -136,16 +136,19 @@ def test_verdict_row_is_the_phase1_optimum(key):
 
 @pytest.mark.parametrize("kind", ["random", "counts"])
 def test_printed_residual_is_the_verdict_row_summed_in_index_order(kind):
-    # The diagnostic's phase-1 residual is the verdict row's index-order sum,
-    # bit for bit, as ``_evaluate`` would give it.
+    # The diagnostic's phase-1 residual is, bit for bit, the verdict row's
+    # index-order sum, as ``_evaluate`` would give it, on probabilities, and
+    # max(0, -ATM) correctly rounded on counts.
     rng = make_rng(97)
     for _ in range(200):
         dist = TABLE_KINDS[kind](rng)
+        if kind == "counts":
+            k = dist.counts
+            shortfall = float(Fraction(k[1] + k[3], dist.n0) - Fraction(k[5] + k[7], dist.n1))
+        else:
+            shortfall = closed_form._evaluate(np.array([VERDICT_ROW], dtype=float), dist.cells).item()
         for spec in ALL_SPECS:
-            want = 0.0
-            if spec.assumptions is not Assumptions.NONE:
-                row = np.array([VERDICT_ROWS[spec.reference]], dtype=float)
-                want = max(0.0, *closed_form._evaluate(row, dist.cells).tolist())
+            want = 0.0 if spec.assumptions is Assumptions.NONE else max(0.0, shortfall)
             assert repr(closed_form._residual(dist, spec)) == repr(want)
 
 
@@ -208,7 +211,7 @@ def test_sound_on_every_population(spec):
     coeffs = np.rint(rows).astype(np.int64)
     assert np.array_equal(coeffs, rows)
     if spec.assumptions is not Assumptions.NONE:
-        coeffs = np.vstack([coeffs, VERDICT_ROWS[spec.reference]])
+        coeffs = np.vstack([coeffs, VERDICT_ROW])
     weights = assumption_vertices(spec)
     values = coeffs @ ATOM_CELLS @ weights
     delta = ATOM_DELTA[spec.reference] @ weights

@@ -46,22 +46,22 @@ ALL_SPECS = [
 # sha256 of format_lp's text for every (spec, sense) program on the e1 table,
 # keyed by (assumptions, reference, mediator_effect_sign, sense).
 PROGRAM_SHA256 = {
-    ("none", 0, 1, "MIN"): "d9e71f794ee7a3e73159f45ef42e98403604d4dd64b2e9615d600b19dce02804",
-    ("none", 0, 1, "MAX"): "456752a2af4aa639f335e751de8148e9fbd59b06649925005115f6ae7696a718",
-    ("none", 1, 1, "MIN"): "7c35feaeaed165963ea2964411359d031078dac70d64970d3bf3abe35eacaa4c",
-    ("none", 1, 1, "MAX"): "2e96c08cdf2093d16df27cd9b5a74ec015b9cc1e1b97f3e569d0ffad8efab2f4",
-    ("mmr", 0, 1, "MIN"): "083cdcc112f77e62cfdffb8ce3c2f96757ba405b883a47eb90ae7e57ab71019f",
-    ("mmr", 0, 1, "MAX"): "d058aec223ae44912c4f7d87ae20130a2baad2f278e2ee1c66ead6e0148ee24d",
-    ("mmr", 1, 1, "MIN"): "af5821f05528526440758b12d7ed9def4d5b77508bbe294cef7f34a466c7f8c0",
-    ("mmr", 1, 1, "MAX"): "28f1614a00aba1bfc5ebe1064bc5b54ed6815861309e8e22287db298541bef20",
-    ("mmr-pos-mediator", 0, 1, "MIN"): "d66126c7b75d19716b4e1ba34c7ade991e546e992b06d05a633f6e202ed224f1",
-    ("mmr-pos-mediator", 0, 1, "MAX"): "0eeda8905a9ffcee8bba944fe8896c58968139e7e5c9917e73d633bfd6ccd94f",
-    ("mmr-pos-mediator", 1, 1, "MIN"): "f27488f8a5acabd8fa7981b25aa087e2b772f81f16487d4abae50b5c39bef47c",
-    ("mmr-pos-mediator", 1, 1, "MAX"): "dbd65fb6e2e100154486c5818a1499ff3dc404e28ecf5feb40083386f8f7bebf",
-    ("mmr-pos-mediator", 0, -1, "MIN"): "1c423fe3a6870a1d16e683c08e1e46b4d5d95c87dbd3f2d61281b6a4ffcb7b17",
-    ("mmr-pos-mediator", 0, -1, "MAX"): "0ebeac4709502334d0b09aacc282b04f9e9db274baf8b413ec3e3857b221a5a1",
-    ("mmr-pos-mediator", 1, -1, "MIN"): "54812cb8ea060fd6d6a8c0b83fca3125ebbe4c96c1cd6e99b445128e9ed05721",
-    ("mmr-pos-mediator", 1, -1, "MAX"): "97e4cf2442ffe092af9fb6cef16dfef43fedc8493a70ca9972c81cc81e72eb51",
+    ("none", 0, 1, "MIN"): "24a3924b0d3d1a8be5cf1a19c9d9cb04d728bbbf78e470f0a898c993039f1bbf",
+    ("none", 0, 1, "MAX"): "492464c1309478eea56d1d9d54e449b7bd7eaa40f6bc6fa8fa666891da764fa4",
+    ("none", 1, 1, "MIN"): "7e83482321a2b574fe0f5188bc92a5bb4d6c47de6918a3074286e05f2d6603c1",
+    ("none", 1, 1, "MAX"): "5822ff62700a2fc6073e39795e52bae197de486e217a2c25a7cb120b6b304a06",
+    ("mmr", 0, 1, "MIN"): "67e6f332dce540e9d4417fd83bfdc5575997794cdfc09f56e7e1e9d6c1bcb558",
+    ("mmr", 0, 1, "MAX"): "3bb6d5faf19ef61bd1af1aa22b86130b64c287707e465bc1885e9177124eaada",
+    ("mmr", 1, 1, "MIN"): "ebf6ef291f3aae0793a52e76189912e3a5914ed3a0e44636b449ca2609dd1f94",
+    ("mmr", 1, 1, "MAX"): "c530063f516a9825fc2563a9b4e687fda5d0b801292c716bca17f6f44e72015e",
+    ("mmr-pos-mediator", 0, 1, "MIN"): "ab3365bda9bc4eca2811d9996e8892d7531c2434cf188192fa2094b5f226f2a6",
+    ("mmr-pos-mediator", 0, 1, "MAX"): "715d896db3e3290bda43a28214fb30ff67305ffc4039d7f30168f941ddede41a",
+    ("mmr-pos-mediator", 1, 1, "MIN"): "c558ed18e3410f041189d9c5a926c7c73af4fd1d56df9456d73610bf13fce708",
+    ("mmr-pos-mediator", 1, 1, "MAX"): "8a7943da0261f32b354f390d63ae1da70e7d0187cce89fcce040b3ed753ea546",
+    ("mmr-pos-mediator", 0, -1, "MIN"): "bf1e86bb2d69cc3fd5fde1706f60c533e1b01507befcf1d86b618e2630b871ae",
+    ("mmr-pos-mediator", 0, -1, "MAX"): "74ba31c6189e9279be69826336bc7d9358e7084bc1f924dd6c946d88d9a6253e",
+    ("mmr-pos-mediator", 1, -1, "MIN"): "f5197442f89e290b85d26b5a639ac515be848015da5a967573e0122901092000",
+    ("mmr-pos-mediator", 1, -1, "MAX"): "34b5bd31aed854520c399672ec0958c9e626740d950ff8d580f54614fa5fba1c",
 }
 
 
@@ -69,13 +69,13 @@ class TestConstruction:
     @pytest.mark.parametrize("reference", [0, 1])
     def test_row_counts(self, e1_dist, reference):
         lp = build_lp(e1_dist, EstimandSpec(reference=reference), Sense.MIN)
-        assert len(lp.equalities) == 6  # simplex + 4 joint cells + 1 margin
+        assert len(lp.equalities) == 5  # 4 joint cells + 1 margin
         assert len(lp.inequalities) == 0
 
         lp = build_lp(
             e1_dist, EstimandSpec(reference=reference, assumptions=Assumptions.MMR), Sense.MIN
         )
-        assert len(lp.equalities) == 10  # + 4 defier-zero rows
+        assert len(lp.equalities) == 9  # + 4 defier-zero rows
         assert len(lp.inequalities) == 0
 
         lp = build_lp(
@@ -83,8 +83,20 @@ class TestConstruction:
             EstimandSpec(reference=reference, assumptions=Assumptions.MMR_POS_MEDIATOR),
             Sense.MIN,
         )
-        assert len(lp.equalities) == 10
+        assert len(lp.equalities) == 9
         assert len(lp.inequalities) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*ALL_SPECS, EstimandSpec(0, Assumptions.MMR_POS_MEDIATOR, -1)],
+        ids=lambda s: f"{s.assumptions.value}-ref{s.reference}-sign{s.mediator_effect_sign:+d}",
+    )
+    def test_equality_rows_have_full_rank(self, e1_dist, spec):
+        # solve's drive-out pivots every artificial still basic after phase 1
+        # on a structural entry of its row; full row rank guarantees one.
+        for sense in Sense:
+            rows = np.array([coeffs for coeffs, _ in build_lp(e1_dist, spec, sense).equalities])
+            assert np.linalg.matrix_rank(rows) == len(rows)
 
     def test_labels_cover_rows(self, e1_dist):
         for spec in ALL_SPECS:
@@ -106,10 +118,11 @@ class TestConstruction:
 
     def test_program_validation(self):
         good = build_lp(from_counts([25] * 8), EstimandSpec(reference=1), Sense.MIN)
-        with pytest.raises(ValidationError):
+        dependent = (tuple([1.0] * 16), 1.0)  # the sum of the four joint-cell rows
+        with pytest.raises(ValidationError, match="^equality rows must be linearly independent$"):
             LinearProgram(
                 objective=good.objective,
-                equalities=good.equalities[1:],  # drop the simplex row
+                equalities=good.equalities + (dependent,),
                 inequalities=(),
                 sense=Sense.MIN,
                 reference=1,
@@ -117,15 +130,7 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             LinearProgram(
                 objective=good.objective,
-                equalities=good.equalities + ((tuple([1.0] * 16), 1.0),),  # two simplex rows
-                inequalities=(),
-                sense=Sense.MIN,
-                reference=1,
-            )
-        with pytest.raises(ValidationError):
-            LinearProgram(
-                objective=good.objective,
-                equalities=good.equalities[:5] + ((good.equalities[5][0], 1.5),),
+                equalities=good.equalities[:4] + ((good.equalities[4][0], 1.5),),
                 inequalities=(),
                 sense=Sense.MIN,
                 reference=1,
@@ -237,20 +242,40 @@ class TestSolve:
         ids=["mmr", "mmr-pos-mediator+", "mmr-pos-mediator-"],
     )
     @pytest.mark.parametrize(
-        "reference, constraint",
-        [(0, "simplex: total mass = 1"), (1, "arm 0 mediator margin P(M=1|A=0)")],
+        "reference, constraint, residual",
+        [(0, "arm 0 joint cell (y=1, m=1)", 0.25), (1, "arm 0 mediator margin P(M=1|A=0)", 0.30000000000000004)],
         ids=["ref0", "ref1"],
     )
-    def test_infeasible_margins(self, reference, constraint, assumptions, sign, sense):
+    def test_infeasible_margins(self, reference, constraint, residual, assumptions, sign, sense):
         # Treated mediator margin 0.2 against control margin 0.5 violates
         # monotonicity of the mediator response; the program must say so.  The
-        # residual is |ATM| = 0.3 at either reference.
+        # phase-1 total is |ATM| = 0.3 at either reference; the report names
+        # its largest part.
         dist = from_probabilities([0.25, 0.25, 0.25, 0.25], [0.4, 0.1, 0.4, 0.1])
         spec = EstimandSpec(reference=reference, assumptions=assumptions, mediator_effect_sign=sign)
         with pytest.raises(InfeasibleError) as exc_info:
             solve(build_lp(dist, spec, sense))
         assert exc_info.value.constraint == constraint
-        assert exc_info.value.residual == 0.30000000000000004
+        assert exc_info.value.residual == residual
+
+    def test_tiny_negative_mediator_ate_is_feasible_at_both_references(self):
+        # ATM = -7.5e-10: the phase-1 optimum max(0, -ATM) is below FEAS_TOL at
+        # either reference, so the simplex finds every restricted program
+        # feasible, and anie_bounds flags every restricted spec through its
+        # crossing clause, the interval crossing by 1.5e-9 > ORDER_TOL.
+        e = 7.5e-10
+        dist = from_probabilities([0.25] * 4, [0.25 + e / 2, 0.25 - e / 2, 0.25 + e / 2, 0.25 - e / 2])
+        assert atm(dist) == pytest.approx(-e, rel=1e-6)
+        restricted = ((Assumptions.MMR, 1), (Assumptions.MMR_POS_MEDIATOR, 1), (Assumptions.MMR_POS_MEDIATOR, -1))
+        for reference in (0, 1):
+            for assumptions, sign in restricted:
+                spec = EstimandSpec(reference, assumptions, sign)
+                for sense in Sense:
+                    solve(build_lp(dist, spec, sense))
+                res = anie_bounds(dist, spec)
+                assert res.incompatible, spec
+                assert res.lower == pytest.approx(e, rel=1e-6) and res.upper == -res.lower, spec
+                assert "(phase-1 residual 7.5e-10)" in res.diagnostics[0]
 
     def test_infeasibility_becomes_incompatibility(self):
         dist = from_probabilities([0.25, 0.25, 0.25, 0.25], [0.4, 0.1, 0.4, 0.1])
