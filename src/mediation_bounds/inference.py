@@ -19,10 +19,14 @@ Each k is ``np.quantile``'s default (linear) value of the studentized row
 maxima, read off one sort per selection stage rather than computed by it.
 
 Standard errors come from the exact multinomial covariance of the cell
-frequencies within each arm.  The covariance matrix used for simulation and
-studentization is smoothed with an add-half adjustment in any arm that has an
-empty cell, so degenerate samples still produce usable (if conservative)
-intervals; point estimates are never smoothed.
+frequencies within each arm, (diag(p) - p p^T) / n: a row r has variance
+sum_i p_i (r_i - rbar)^2 / n on it, rbar the p-weighted mean, and the root
+diag(u) (I - u u^T) / sqrt(n), u = sqrt(p), shapes the simulated deviations.
+Their sums run in cell order, and the rows' small-integer coefficients make
+every product exact, so no number depends on the BLAS kernel.  The p used for
+simulation and studentization are smoothed with an add-half adjustment in any
+arm that has an empty cell, so degenerate samples still produce usable (if
+conservative) intervals; point estimates are never smoothed.
 
 Every function here takes its data as the eight cell counts (shape (8,)) or
 as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
@@ -60,9 +64,9 @@ _STD_NORMAL = NormalDist()
 # 2 is the conventional choice.
 _SELECTION_SLACK = 2.0
 
-# The most Gaussian draws one simulation may take: its (draws, 8) float64
-# matrix, 64 MB at the limit, is kept until a call with another table, seed
-# or draws replaces it.
+# The most Gaussian draws one simulation may take: its (8, draws) float64
+# deviations, 64 MB at the limit, are kept until a call with another table,
+# seed or draws replaces them.
 _MAX_DRAWS = 1_000_000
 
 
@@ -171,24 +175,16 @@ def _distribution(counts: np.ndarray) -> ObservedDistribution:
     return from_counts(counts)
 
 
-def _multinomial_cov(counts: np.ndarray, *, smooth: bool) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The 8x8 sampling covariance of the cell frequencies, one multinomial block per arm.
+def _cell_probabilities(counts: np.ndarray, *, smooth: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Each cell's probability and its arm's size, and the arms that were smoothed.
 
-    With ``smooth``, an arm with an empty cell takes add-half probabilities
-    (count + 1/2) / (n + 2); the smoothed arms are returned with the matrix.
+    With ``smooth``, an arm with an empty cell takes add-half probabilities (count + 1/2) / (n + 2).
     """
-    cov = np.zeros((8, 8))
-    smoothed = []
-    for a in (0, 1):
-        arm = counts[4 * a : 4 * a + 4]
-        n = int(arm.sum())
-        if smooth and (arm == 0).any():
-            p = (arm + 0.5) / (n + 2.0)
-            smoothed.append(a)
-        else:
-            p = arm / n
-        cov[4 * a : 4 * a + 4, 4 * a : 4 * a + 4] = (np.diag(p) - np.outer(p, p)) / n
-    return cov, tuple(smoothed)
+    arms = counts.reshape(2, 4)
+    n = arms.sum(axis=1, keepdims=True)
+    smoothed = (arms == 0).any(axis=1) & smooth
+    p = np.where(smoothed[:, None], (arms + 0.5) / (n + 2.0), arms / n)
+    return p.ravel(), np.repeat(n, 4), tuple(np.flatnonzero(smoothed).tolist())
 
 
 def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
@@ -196,20 +192,13 @@ def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
 
     Covariance rows/columns follow ``ObservedDistribution.cells`` order
     (arm-0 cells then arm-1 cells); the two arms are independent, so the matrix
-    is block diagonal with one multinomial block per arm.
+    is block diagonal with one multinomial block (diag(p) - p p^T) / n per arm.
     """
     counts = as_cell_counts(data)
     dist = _distribution(counts)
-    return dist, _multinomial_cov(counts, smooth=False)[0]
-
-
-def _cov_sqrt(cov: np.ndarray) -> np.ndarray:
-    root = np.zeros_like(cov)
-    for a in (0, 1):
-        block = cov[4 * a : 4 * a + 4, 4 * a : 4 * a + 4]
-        w, v = np.linalg.eigh(block)
-        root[4 * a : 4 * a + 4, 4 * a : 4 * a + 4] = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return root
+    p, n, _ = _cell_probabilities(counts, smooth=False)
+    same_arm = np.arange(8)[:, None] // 4 == np.arange(8) // 4
+    return dist, np.where(same_arm, (np.diag(p) - np.outer(p, p)) / n[:, None], 0.0)
 
 
 def _difference_of_means(counts: np.ndarray, ones: list[int], alpha: float) -> WaldResult:
@@ -333,19 +322,29 @@ def _min_sides(
 @functools.lru_cache(maxsize=1)
 def _simulation(
     counts: tuple[int, ...], seed: int, draws: int
-) -> tuple[ObservedDistribution, np.ndarray, tuple[int, ...], np.ndarray]:
-    """The distribution, smoothed covariance, smoothed arms and simulated cell deviations of one table.
+) -> tuple[ObservedDistribution, np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
+    """The distribution, smoothed cell probabilities, arm sizes, smoothed arms and simulated cell deviations of one table.
 
-    Every spec of a table with the same seed and draws shares this seeded
-    simulation, so consecutive calls reuse it; the arrays are read-only.
+    Each arm turns its rows of an (8, draws) array z of standard normals into
+    (z - (z.u) u) * u / sqrt(n), u = sqrt(p), in place and with z.u added in
+    cell order; the (draws, 8) view is returned.  Every spec of a table with
+    the same seed and draws shares this seeded simulation, so consecutive calls
+    reuse it; the arrays are read-only.
     """
     arr = np.array(counts, dtype=np.int64)
     dist = _distribution(arr)
-    cov, smoothed_arms = _multinomial_cov(arr, smooth=True)
-    cell_devs = np.random.default_rng(seed).standard_normal((draws, 8)) @ _cov_sqrt(cov).T
-    cov.setflags(write=False)
-    cell_devs.setflags(write=False)
-    return dist, cov, smoothed_arms, cell_devs
+    p, n, smoothed_arms = _cell_probabilities(arr, smooth=True)
+    u = np.sqrt(p)
+    z = np.random.default_rng(seed).standard_normal((8, draws))
+    for a in (0, 1):
+        cells = range(4 * a, 4 * a + 4)
+        dot = sum(z[i] * u[i] for i in cells)
+        for i in cells:
+            z[i] -= dot * u[i]
+            z[i] *= u[i] / np.sqrt(n[i])
+    for array in (p, n, z):
+        array.setflags(write=False)
+    return dist, p, n, smoothed_arms, z.T
 
 
 def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConfig()) -> IntervalEstimate:
@@ -366,10 +365,11 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     n_lo = len(lowers)
     rows = _ROWS[table.start : table.stop]
     counts = as_cell_counts(data)
-    dist, cov, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), config.seed, config.draws)
+    dist, p, n, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), config.seed, config.draws)
 
     est = np.array(_table_values(dist)[table.start : table.stop])
-    se = np.sqrt(np.clip(np.einsum("ij,jk,ik->i", rows, cov, rows), 0.0, None))
+    arm_means = np.cumsum((rows * p).reshape(-1, 4), axis=1)[:, -1].reshape(-1, 2)
+    se = np.sqrt(np.cumsum(p * (rows - np.repeat(arm_means, 4, axis=1)) ** 2 / n, axis=1)[:, -1])
     devs = cell_devs @ rows.T
 
     (hmu_up, ci_up, diag_up), (hmu_lo, ci_lo, diag_lo) = _min_sides(

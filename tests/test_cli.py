@@ -1507,42 +1507,79 @@ class TestOutputs:
         assert len(rows) == 6
         assert {r["mediator"] for r in rows} == {"m_binary", "score"}
 
-    def test_golden_plotdata(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "--data", str(GOLDEN / "synth_input.csv"),
-            "--treatment", "treat", "--outcome", "resp",
-            "--mediators", "m_binary,score",
-            "--dichotomize", "score=median-gt",
-            "--assumptions", "none,mmr",
-            "--seed", "4", "--draws", "500",
-            "--format", "plotdata",
-        )
-        assert code == 0
-        assert out == (GOLDEN / "plotdata_synth.csv").read_text()
-
+    PLOTDATA_ARGV = (
+        "--data", "synth_input.csv",
+        "--treatment", "treat", "--outcome", "resp",
+        "--mediators", "m_binary,score",
+        "--dichotomize", "score=median-gt",
+        "--assumptions", "none,mmr",
+        "--seed", "4", "--draws", "500",
+        "--format", "plotdata",
+    )
     SYNTH_ARGV = (
         "--data", "synth_input.csv", "--treatment", "treat", "--outcome", "resp",
         "--mediators", "m_binary,score", "--dichotomize", "score=median-gt",
         "--assumptions", "none,mmr,mmr-pos-mediator", "--seed", "4", "--draws", "500",
     )
     COUNTS_ARGV = ("--counts", "17,9,0,6,4,11,13,19", "--assumptions", "none,mmr,mmr-pos-mediator")
+    # Each golden's command line, run from the golden directory so the echoed --data path is relative.
+    GOLDEN_RUNS = [
+        (PLOTDATA_ARGV, "plotdata_synth.csv"),
+        (SYNTH_ARGV + ("--format", "json"), "report_synth.json"),
+        (SYNTH_ARGV + ("--format", "csv"), "report_synth.csv"),
+        (COUNTS_ARGV + ("--reference", "0"), "report_counts_ref0.json"),
+        (COUNTS_ARGV + ("--reference", "1"), "report_counts_ref1.json"),
+    ]
 
-    @pytest.mark.parametrize(
-        "argv, golden",
-        [
-            (SYNTH_ARGV + ("--format", "json"), "report_synth.json"),
-            (SYNTH_ARGV + ("--format", "csv"), "report_synth.csv"),
-            (COUNTS_ARGV + ("--reference", "0"), "report_counts_ref0.json"),
-            (COUNTS_ARGV + ("--reference", "1"), "report_counts_ref1.json"),
-        ],
-    )
+    def test_golden_plotdata(self, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        code, out, _ = run_cli(capsys, *self.PLOTDATA_ARGV)
+        assert code == 0
+        assert out == (GOLDEN / "plotdata_synth.csv").read_text()
+
+    @pytest.mark.parametrize("argv, golden", GOLDEN_RUNS[1:])
     def test_golden_reports(self, capsys, monkeypatch, argv, golden):
-        # Run from the golden directory so the echoed --data path is relative.
         monkeypatch.chdir(GOLDEN)
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
+
+    def test_goldens_on_every_blas_kernel(self):
+        # The bytes must not depend on which OpenBLAS kernel numpy loads: one
+        # child per kernel runs every golden command, with the kernel forced
+        # in that child's environment only.
+        blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+        if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+            pytest.skip("numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH")
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+
+        kernels = ["Prescott", "Sandybridge"] + ["Haswell"] * cpu["AVX2"] + ["SkylakeX"] * cpu["AVX512F"]
+        child = (
+            "import contextlib, io, json, sys\n"
+            "from mediation_bounds.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        code = main(argv)\n"
+            "    print(json.dumps([code, out.getvalue()]))\n"
+        )
+        argvs = json.dumps([list(argv) for argv, _ in self.GOLDEN_RUNS])
+        path = str(Path(mediation_bounds.__file__).parents[1])
+        children = {
+            kernel: subprocess.Popen(
+                [sys.executable, "-c", child, argvs], cwd=GOLDEN, text=True,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=kernel),
+            )
+            for kernel in kernels
+        }
+        want = [[0, (GOLDEN / golden).read_text()] for _, golden in self.GOLDEN_RUNS]
+        for kernel, proc in children.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            got = [json.loads(line) for line in out.splitlines()]
+            assert len(got) == len(want), kernel
+            for (_, golden), g, w in zip(self.GOLDEN_RUNS, got, want):
+                assert g == w, f"{golden} differs under OPENBLAS_CORETYPE={kernel}"
 
     def test_mediator_streams_are_independent(self, capsys, tmp_path):
         # Two mediators with identical data: identical plug-in bounds, but the
