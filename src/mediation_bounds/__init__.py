@@ -25,7 +25,7 @@ imported from the modules themselves:
 * :mod:`mediation_bounds.oracle` full potential-outcome populations
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .model import (
     Assumptions,

@@ -25,8 +25,9 @@ each vertex is one bounding expression.  The program is infeasible exactly
 when its phase-1 optimum is positive; for a restricted spec that optimum is
 the mediator ATE's shortfall, max(0, -ATM), since data contradict
 ``mmr`` exactly when P(M=1|A=1) < P(M=1|A=0) and the sign row of
-``mmr-pos-mediator`` adds nothing, Y(ref, 1-M(ref)) being never observed.  So
-the verdict is a comparison, not a row of the table.  ``tests/conftest.py``
+``mmr-pos-mediator`` adds nothing, Y(ref, 1-M(ref)) being never observed.
+Each restricted set's first expressions are ``-atm`` and ``atm``, so that
+shortfall crosses the interval: incompatible means crossed.  ``tests/conftest.py``
 re-derives the table by brute force, every phase-1 vertex included, and
 ``tests/test_dual_vertices.py`` checks it and proves that optimum in integers.
 
@@ -41,10 +42,11 @@ derivation, which ``tests/test_closed_form.py`` keeps and compares.
 
 All eight (assumption set, reference, sign) specs' lower and upper rows are
 stacked once, at import, into one matrix, ``_ROWS``; each spec's
-table holds only its offsets into it.  ``_evaluate``, an index-order sum of
-each row's products, evaluates the whole stack once per
-``ObservedDistribution``, on first use, and the values are kept on that
-instance.  :func:`anie_bounds` reads its spec's slice of them, and
+table holds only its offsets into it.  The whole stack is evaluated once per
+``ObservedDistribution``, on first use, and kept on that instance: exactly
+on counts, where each row is an integer over n0 n1 (so a zero ATM gives
+[0, 0] under ``mmr``), and else by ``_evaluate``, an index-order sum.
+:func:`anie_bounds` reads its spec's slice of the values, and
 ``inference.clr_bounds`` reads its estimates from the same kept values, so
 the point bounds and CLR report the same bits.
 :func:`anie_expressions` exposes the sets.
@@ -61,7 +63,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
-    FEAS_TOL,
     ORDER_TOL,
     Assumptions,
     BoundsResult,
@@ -216,6 +217,8 @@ def _stack() -> tuple[tuple[_SpecTable, ...], np.ndarray]:
 
 
 _TABLES, _ROWS = _stack()
+# The rows' arm-0 parts and their arm-1 parts, as integers, for exact values on counts.
+_ARM_PARTS = np.stack([_ROWS * (np.arange(8) < 4), _ROWS * (np.arange(8) >= 4)]).astype(np.int64)
 
 
 def _spec_table(spec: EstimandSpec) -> _SpecTable:
@@ -232,22 +235,28 @@ def _evaluate(rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """``rows @ cells``, each row's products added in index order.
 
     cumsum fixes the order, so no value depends on the BLAS build or on which
-    rows are stacked.  The bounds evaluate all of ``_ROWS`` at once, through
-    :func:`_table_values`.
+    rows are stacked.  The bounds of a distribution without counts evaluate
+    all of ``_ROWS`` at once, through :func:`_table_values`.
     """
     return np.cumsum(rows * cells, axis=1)[:, -1]
 
 
 def _table_values(dist: ObservedDistribution) -> tuple[float, ...]:
-    """``_ROWS`` evaluated on ``dist.cells``, once: kept on ``dist`` from its first use.
+    """``_ROWS`` evaluated on ``dist``, once: kept on ``dist`` from its first use.
 
-    The values live and die with the instance; a module memo keyed by the
-    cells would outlive every distribution and hash the cells on every call.
+    On counts each row is N / (n0 n1), N = n1 (C0 . k0) + n0 (C1 . k1), with
+    int64 dot products (|C . k| <= 2**53) and a correctly rounding Python int
+    true division; else :func:`_evaluate`.  The values live and die with the
+    instance; a memo keyed by the cells would outlive every distribution.
     """
     try:
         return dist._table_values
     except AttributeError:
-        values = tuple(_evaluate(_ROWS, dist.cells).tolist())
+        if (k := dist.counts) is None:
+            values = tuple(_evaluate(_ROWS, dist.cells).tolist())
+        else:
+            n0, n1, d = dist.n0, dist.n1, dist.n0 * dist.n1
+            values = tuple((n1 * c0 + n0 * c1) / d for c0, c1 in zip(*(_ARM_PARTS @ k).tolist()))
         object.__setattr__(dist, "_table_values", values)
         return values
 
@@ -256,29 +265,17 @@ def _clamp(v: float) -> float:
     return min(1.0, max(-1.0, v))
 
 
-def _residual(dist: ObservedDistribution, spec: EstimandSpec) -> float:
-    """The phase-1 optimum: 0 for ``NONE``, else max(0, -ATM), exact on counts and else added in index order."""
-    if spec.assumptions is Assumptions.NONE:
-        return 0.0
-    if (k := dist.counts) is None:
-        c = dist.cells.tolist()
-        gap = c[1] + c[3] - c[5] - c[7]
-    else:  # (k0 n1 - k1 n0) / (n0 n1): int true division rounds correctly
-        gap = ((k[1] + k[3]) * dist.n1 - (k[5] + k[7]) * dist.n0) / (dist.n0 * dist.n1)
-    return gap if gap > 0.0 else 0.0
-
-
 def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     """Sharp bounds on delta(spec.reference) for any assumption set, reference and sign.
 
     The lower bound is the max of the lower expressions of :func:`anie_expressions`
     and the upper the min of the upper ones; on feasible data they are the
     optima of ``lp_engine.build_lp``'s program.  The result is flagged
-    ``incompatible`` when the interval crosses by more than ``ORDER_TOL`` or
-    a restricted set meets a negative mediator ATE: exactly, k1 n0 < k0 n1
-    with k_a the units with M = 1 in arm a, on counts, and otherwise when
-    :func:`_residual`, the printed max(0, -ATM), exceeds ``FEAS_TOL``.  A
-    flagged interval is reported as computed and may be empty.
+    ``incompatible`` when the interval crosses: at all on counts, whose values
+    are correctly rounded, so exactly when a restricted set meets ATM < 0, and
+    by more than ``ORDER_TOL`` otherwise.  The diagnostic prints max(0, -ATM),
+    the first lower expression (``-atm`` when restricted, never positive for
+    ``NONE``).  A flagged interval is reported as computed and may be empty.
     """
     table = _spec_table(spec)
     values = _table_values(dist)
@@ -288,18 +285,12 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
     # _clamp, inlined: min(1.0, max(-1.0, v)) keeps v itself inside [-1, 1].
     lower = 1.0 if lower > 1.0 else -1.0 if lower < -1.0 else lower
     upper = 1.0 if upper > 1.0 else -1.0 if upper < -1.0 else upper
-    if spec.assumptions is Assumptions.NONE:
-        short = False
-    elif (counts := dist.counts) is None:
-        short = _residual(dist, spec) > FEAS_TOL
-    else:
-        short = (counts[5] + counts[7]) * dist.n0 < (counts[1] + counts[3]) * dist.n1
-    incompatible = short or lower > upper + ORDER_TOL
+    incompatible = lower > upper + (ORDER_TOL if dist.counts is None else 0.0)
     diagnostics: tuple[str, ...] = ()
     if incompatible:
         diagnostics = (
             f"observed distribution contradicts {spec.assumptions.value!r}: constraints are "
-            f"inconsistent (phase-1 residual {_residual(dist, spec):.6g}); "
+            f"inconsistent (phase-1 residual {max(0.0, lo_vals[0]):.6g}); "
             "interval reported as computed and may be empty",
         )
     return BoundsResult(

@@ -149,7 +149,7 @@ class LinearProgram:
 
 
 class InfeasibleError(RuntimeError):
-    """The program has no feasible point; carries the most-violated constraint."""
+    """The program has no feasible point; carries the most-violated constraint and the phase-1 optimum."""
 
     def __init__(self, message: str, *, constraint: str, residual: float):
         super().__init__(message)
@@ -258,8 +258,8 @@ def solve(lp: LinearProgram) -> tuple[float, StrataDistribution16]:
     structural entry of its row above ``PIVOT_TOL``; the equality rows have
     full rank, so every such row has one.  Phase 2 re-prices the
     tableau from the objective, and only structural columns enter.  Raises
-    :class:`InfeasibleError`, naming the most-violated constraint, when the
-    constraints are inconsistent.
+    :class:`InfeasibleError`, with the phase-1 optimum and the most-violated
+    constraint, when the constraints are inconsistent.
     """
     n_ineq = len(lp.inequalities)
     m = len(lp.equalities) + n_ineq
@@ -283,9 +283,9 @@ def solve(lp: LinearProgram) -> tuple[float, StrataDistribution16]:
         residuals[basis[artificial] - n] = T[:m, -1][artificial]
         worst = int(np.argmax(np.abs(residuals)))
         label = lp.row_labels[worst] if worst < len(lp.row_labels) else f"row {worst}"
-        residual = float(residuals[worst])
+        residual = float(-T[m, -1])  # the phase-1 optimum, not the named row's part of it
         raise InfeasibleError(
-            f"constraints are inconsistent; most violated: {label} (residual {residual:.6g})",
+            f"constraints are inconsistent (phase-1 residual {residual:.6g}); most violated: {label}",
             constraint=label,
             residual=residual,
         )

@@ -31,13 +31,12 @@ SIMPLEX_TOL = 1e-12
 # ORDER_TOL: how far an endpoint may lie outside [-1, 1], and how far an
 #   interval not flagged incompatible may cross (lower above upper) or, with
 #   no assumptions, miss zero.  ``closed_form.anie_bounds`` flags every wider
-#   crossing, so a valid table never trips the check.
+#   crossing, and on counts every crossing, so a valid table never trips it.
 ORDER_TOL = 1e-9
 # FEAS_TOL: the largest phase-1 optimum (the total constraint violation) of a
-#   stratum program that still counts as feasible, for the simplex and for
-#   ``anie_bounds`` on a distribution without counts (one from counts is
-#   judged exactly); also the negative mass and sum error a stratum
-#   distribution may carry.
+#   stratum program that the simplex still counts as feasible, and the
+#   negative mass and sum error a stratum distribution may carry.  The bounds
+#   do not read it: a shortfall s crosses their interval by at least 2 s.
 FEAS_TOL = 1e-9
 # PIVOT_TOL: the simplex treats smaller reduced costs and pivot-column
 #   entries as zero, and pivots an artificial still basic after phase 1 out
@@ -351,7 +350,8 @@ class BoundsResult:
     """A sharp identification interval for one estimand.
 
     ``binding_lower`` / ``binding_upper`` index into the expression lists of
-    ``closed_form.anie_expressions(spec)`` (first attaining expression wins);
+    ``closed_form.anie_expressions(spec)`` (the first expression whose value
+    attains the bound wins: on counts, the first exact optimizer when n0 n1 < 2**52);
     they are ``None`` only for results built from a bare LP optimum
     (:attr:`Method.LP`), where no single expression is active.
     ``incompatible`` marks intervals computed from data that contradict the

@@ -162,6 +162,30 @@ def test_criterion_03_zero_margin_difference_pins_bounds_at_zero():
     assert worst <= 1e-12
 
 
+def test_criterion_03_non_dyadic_twin_pins_bounds_at_exactly_zero():
+    # Criterion 03's claim on unequal arms that are not powers of two, where
+    # the cell probabilities are not dyadic: a table of counts whose mediator
+    # ATE is exactly 0 gives mmr bounds of exactly 0.0, with no tolerance.
+    rng = make_rng(313)
+    tables = 0
+    while tables < 200:
+        g, r0, r1 = (int(rng.integers(lo, hi)) for lo, hi in ((2, 40), (1, 30), (1, 30)))
+        n0, n1 = g * r0, g * r1
+        if n0 == n1 or not n0 & (n0 - 1) or not n1 & (n1 - 1):
+            continue
+        s = int(rng.integers(0, g + 1))
+        counts = []
+        for n, m_pos in ((n0, r0 * s), (n1, r1 * s)):  # m_pos / n = s / g in both arms
+            y1_m0, y1_m1 = int(rng.integers(0, n - m_pos + 1)), int(rng.integers(0, m_pos + 1))
+            counts.extend([(n - m_pos) - y1_m0, m_pos - y1_m1, y1_m0, y1_m1])
+        assert (counts[1] + counts[3]) * n1 == (counts[5] + counts[7]) * n0
+        dist = from_counts(counts)
+        for reference in (0, 1):
+            res = anie_bounds(dist, EstimandSpec(reference, Assumptions.MMR))
+            assert (res.lower, res.upper, res.incompatible) == (0.0, 0.0, False), (counts, reference)
+        tables += 1
+
+
 def test_criterion_04_signed_mediator_interval_contains_zero():
     rng = make_rng(404)
     n_dists = 10_000

@@ -1389,6 +1389,19 @@ class TestCountsMode:
         assert pos["closed_form"]["lower"] == pytest.approx(-0.2, abs=1e-12)
         assert pos["closed_form"]["upper"] == pytest.approx(0.2, abs=1e-12)
 
+    def test_zero_mediator_ate_prints_zero_bounds(self, capsys):
+        # Arms of 8 and 6 units, half of each with M = 1: the mediator ATE is
+        # exactly 0, so both restricted sets print [0, 0], unflagged.
+        code, out, _ = run_cli(
+            capsys, "--counts", "2,3,2,1,1,1,2,2", "--assumptions", "mmr,mmr-pos-mediator", "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["assumptions"] for r in rows] == ["mmr", "mmr-pos-mediator"]
+        for r in rows:
+            fields = ("cf_lower", "cf_upper", "lp_lower", "lp_upper", "incompatible")
+            assert {k: r[k] for k in fields} == dict.fromkeys(fields, "0"), r["assumptions"]
+
     def test_matches_library_calls(self, capsys):
         code, out, _ = run_cli(capsys, "--counts", E1_COUNTS, "--assumptions", "mmr")
         assert code == 0
@@ -1572,10 +1585,12 @@ class TestOutputs:
             )
             for kernel in kernels
         }
+        # Every child is waited on before the first assertion, so a failure
+        # leaves no pipe open for a later test to trip over.
+        outputs = {kernel: proc.communicate(timeout=120) for kernel, proc in children.items()}
         want = [[0, (GOLDEN / golden).read_text()] for _, golden in self.GOLDEN_RUNS]
-        for kernel, proc in children.items():
-            out, err = proc.communicate(timeout=120)
-            assert proc.returncode == 0, err
+        for kernel, (out, err) in outputs.items():
+            assert children[kernel].returncode == 0, err
             got = [json.loads(line) for line in out.splitlines()]
             assert len(got) == len(want), kernel
             for (_, golden), g, w in zip(self.GOLDEN_RUNS, got, want):

@@ -132,6 +132,13 @@ def expression_values(dist, spec):
     return [sequential(e.coeffs, cells) for e in lowers], [sequential(e.coeffs, cells) for e in uppers]
 
 
+def exact_sides(dist, spec):
+    """Each expression's exact rational value on ``dist.counts``, lower side then upper."""
+    k = dist.counts
+    cells = [Fraction(c, dist.n0) for c in k[:4]] + [Fraction(c, dist.n1) for c in k[4:]]
+    return tuple([sum(int(c) * x for c, x in zip(e.coeffs, cells)) for e in side] for side in anie_expressions(spec))
+
+
 def printed_values(dist, assumptions):
     cells = dist.cells
     lowers, uppers = PRINTED[(assumptions, 1)]
@@ -388,7 +395,9 @@ class TestVerdict:
             if spec.assumptions is not Assumptions.NONE:
                 res = anie_bounds(dist, spec)
                 assert res.incompatible, spec
-                assert closed_form._residual(dist, spec) == 1 / (n0 * n1) > 0.0
+                # The -atm entry of the kept values is the shortfall, from the counts.
+                shortfall = closed_form._table_values(dist)[closed_form._spec_table(spec).start]
+                assert repr(shortfall) == repr(1 / (n0 * n1)) and shortfall > 0.0
                 assert "(phase-1 residual 4.93038e-32)" in res.diagnostics[0]
             TestStackedTable.assert_per_spec_route(dist, spec, np.array(counts))
 
@@ -407,11 +416,13 @@ class TestVerdict:
             # Without its counts the table is judged at FEAS_TOL, inside the band.
             assert not anie_bounds(twin, spec).incompatible, spec
 
-    @settings(max_examples=300, derandomize=True, deadline=None)
-    @given(st.data())
-    def test_verdict_on_counts_is_exact(self, data):
-        # Arm totals from 2 to 2**52, and mediator ATEs of any value, of 0
-        # and of +-1/(n0 n1), the nearest to 0 that the arm sizes allow.
+    @staticmethod
+    def draw_counts(data):
+        """A count table and its exact mediator ATE.
+
+        Arm totals from 2 to 2**52, and mediator ATEs of any value, of 0 and
+        of +-1/(n0 n1), the nearest to 0 that the arm sizes allow.
+        """
         n0, n1 = (data.draw(st.integers(1, 52).flatmap(lambda e: st.integers(2, 2**e))) for _ in range(2))
         kind = data.draw(st.sampled_from(("any", "0", "+1", "-1")))
         if kind == "any":
@@ -432,10 +443,38 @@ class TestVerdict:
         mediator_ate = Fraction(k1, n1) - Fraction(k0, n0)
         if kind != "any":
             assert mediator_ate == Fraction(int(kind), n0 * n1)
+        return counts, mediator_ate
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_verdict_on_counts_is_exact(self, data):
+        counts, mediator_ate = self.draw_counts(data)
         dist = from_counts(counts)
         for spec in ALL_SPECS:
             restricted = spec.assumptions is not Assumptions.NONE
             assert anie_bounds(dist, spec).incompatible is (restricted and mediator_ate < 0), (counts, spec)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_bounds_on_counts_are_the_rounded_rationals(self, data):
+        # Each endpoint is its clamped rational correctly rounded, and the
+        # interval crosses exactly when a restricted set meets ATM < 0.  Below
+        # n0 n1 = 2**52 distinct values, at least 1/(n0 n1) apart, round to
+        # distinct doubles, so the first float optimum is the first exact one.
+        counts, mediator_ate = self.draw_counts(data)
+        dist = from_counts(counts)
+        for spec in ALL_SPECS:
+            res = anie_bounds(dist, spec)
+            lows, highs = exact_sides(dist, spec)
+            lower, upper = max(lows), min(highs)
+            where = (counts, spec)
+            assert repr(res.lower) == repr(float(min(1, max(-1, lower)))), where
+            assert repr(res.upper) == repr(float(min(1, max(-1, upper)))), where
+            crossed = spec.assumptions is not Assumptions.NONE and mediator_ate < 0
+            assert res.incompatible is crossed, where
+            assert (res.lower > res.upper) is crossed, where
+            if dist.n0 * dist.n1 < 2**52:
+                assert (res.binding_lower, res.binding_upper) == (lows.index(lower), highs.index(upper)), where
 
     def test_sweep_near_zero_mediator_ate(self):
         # Every table's ATM is negative, so its counts flag every restricted
@@ -571,16 +610,20 @@ class TestExpressionProperties:
                 assert diff <= cmax * gap + TOL
 
     def test_evaluator_sums_in_index_order(self):
-        # anie_bounds and clr_bounds share one evaluator, which adds each
-        # expression's eight products in index order; ``sequential`` is that
-        # arithmetic written out, so the values are equal, not just close.
+        # anie_bounds and clr_bounds share one evaluator.  On probabilities it
+        # adds each expression's eight products in index order; ``sequential``
+        # is that arithmetic written out, so the values are equal, not just
+        # close.  On counts each value is its exact rational correctly rounded.
         config = InferenceConfig(draws=100)
         rng = make_rng(53)
         for i in range(200):
             counts = None if i % 2 else rng.integers(1, 10**6, size=8)
             dist = random_dist(rng) if i % 2 else from_counts(counts.tolist())
             for spec in ALL_SPECS:
-                lo_vals, hi_vals = expression_values(dist, spec)
+                if counts is None:
+                    lo_vals, hi_vals = expression_values(dist, spec)
+                else:
+                    lo_vals, hi_vals = ([float(v) for v in side] for side in exact_sides(dist, spec))
                 res = anie_bounds(dist, spec)
                 assert res.binding_lower == lo_vals.index(max(lo_vals))
                 assert res.binding_upper == hi_vals.index(min(hi_vals))
@@ -610,32 +653,34 @@ REFERENCE_EVALUATE = closed_form._evaluate
 def per_spec_bounds(dist, spec, counts=None):
     """The per-spec route that the stacked table replaced, kept as the reference.
 
-    ``_evaluate`` on the spec's own rows, derived afresh from the brute-force
-    enumeration of its dual vertices, every phase-1 vertex included, then
-    max, min, ``index`` and clamp.  With ``counts``, the phase-1 optimum is
-    taken in exact rationals, the verdict is its sign and the diagnostic
-    prints it correctly rounded; without, it is taken in floats and compared
-    against FEAS_TOL.  Returns the result and the lower and upper expression
-    values.
+    The spec's own rows, derived afresh from the brute-force enumeration of
+    its dual vertices, every phase-1 vertex included, are evaluated by
+    ``_evaluate`` or, with ``counts``, in exact rationals correctly rounded;
+    then max, min, ``index`` and clamp.  The verdict is taken from the
+    phase-1 optimum, not from the crossing: with ``counts`` it is its sign
+    and the diagnostic prints it correctly rounded; without, it is taken in
+    floats and compared against FEAS_TOL.  Returns the result and the lower
+    and upper expression values.
     """
     sign = spec.mediator_effect_sign if spec.assumptions is Assumptions.MMR_POS_MEDIATOR else 1
     lower_vertices, upper_vertices, phase1 = derive_table(spec.assumptions, spec.reference, sign)
     lowers, uppers = closed_form._derive(spec.reference, lower_vertices, upper_vertices)
     residual_rows = phase1_rows(spec.reference, phase1)
     rows = np.vstack([[e.coeffs for e in lowers + uppers], residual_rows]).astype(float)
-    values = REFERENCE_EVALUATE(rows, dist.cells).tolist()
     n_lo, n_bounds = len(lowers), len(lowers) + len(uppers)
+    if counts is None:
+        values = REFERENCE_EVALUATE(rows, dist.cells).tolist()
+        residual = max(values[n_bounds:])
+        short = residual > FEAS_TOL
+    else:
+        cells = [Fraction(int(c), int(sum(arm))) for arm in (counts[:4], counts[4:]) for c in arm]
+        exact = [sum(int(r) * x for r, x in zip(row.tolist(), cells)) for row in rows]
+        values = [float(v) for v in exact]
+        short, residual = max(exact[n_bounds:]) > 0, float(max(exact[n_bounds:]))
     lo_vals, hi_vals = values[:n_lo], values[n_lo:n_bounds]
     lower, upper = max(lo_vals), min(hi_vals)
     binding_lower, binding_upper = lo_vals.index(lower), hi_vals.index(upper)
     lower, upper = min(1.0, max(-1.0, lower)), min(1.0, max(-1.0, upper))
-    residual = max(values[n_bounds:])
-    if counts is None:
-        short = residual > FEAS_TOL
-    else:
-        cells = [Fraction(int(c), int(sum(arm))) for arm in (counts[:4], counts[4:]) for c in arm]
-        exact = max(sum(r * x for r, x in zip(row.tolist(), cells)) for row in residual_rows)
-        short, residual = exact > 0, float(exact)
     incompatible = short or lower > upper + ORDER_TOL
     diagnostics = ()
     if incompatible:

@@ -77,9 +77,9 @@ ARM_VERTICES = np.array(
     [np.concatenate([np.eye(4, dtype=np.int64)[i], np.eye(4, dtype=np.int64)[j]]) for i in range(4) for j in range(4)]
 )
 ATM_AT_VERTICES = ARM_VERTICES @ np.array(closed_form._ATM)  # -1, 0 or 1 at each
-# The mediator ATE's shortfall as ``anie_bounds`` writes it for a distribution
-# without counts: -ATM at either reference, the phase-1 vertex (0, 1, 0, 1, -1)
-# at reference 0 and (0, -1, 0, -1, 1) at reference 1.
+# The mediator ATE's shortfall, -ATM at either reference: the phase-1 vertex
+# (0, 1, 0, 1, -1) at reference 0 and (0, -1, 0, -1, 1) at reference 1, and
+# every restricted set's first lower expression, ``-atm``.
 VERDICT_ROW = (0, 1, 0, 1, 0, -1, 0, -1)
 
 
@@ -134,12 +134,23 @@ def test_verdict_row_is_the_phase1_optimum(key):
         pytest.fail(f"phase-1 row {derived[row].tolist()} exceeds max(0, verdict row) at cells {cells}")
 
 
+@pytest.mark.parametrize("key", TABLE_KEYS[2:], ids=lambda k: f"{k[0].value}-ref{k[1]}-sign{k[2]:+d}")
+def test_restricted_sets_open_with_the_mediator_ate(key):
+    # The verdict rests on this: each restricted set's first lower expression
+    # is -ATM and its first upper one ATM, so ATM < 0 crosses the interval.
+    lowers, uppers = closed_form.anie_expressions(EstimandSpec(key[1], key[0], key[2]))
+    assert (lowers[0].label, lowers[0].coeffs) == ("-atm", VERDICT_ROW)
+    assert (uppers[0].label, uppers[0].coeffs) == ("atm", tuple(-c for c in VERDICT_ROW))
+
+
 @pytest.mark.parametrize("kind", ["random", "counts"])
 def test_printed_residual_is_the_verdict_row_summed_in_index_order(kind):
-    # The diagnostic's phase-1 residual is, bit for bit, the verdict row's
-    # index-order sum, as ``_evaluate`` would give it, on probabilities, and
-    # max(0, -ATM) correctly rounded on counts.
+    # The ``-atm`` entry of the kept values is, bit for bit, the verdict
+    # row's index-order sum, as ``_evaluate`` gives it, on probabilities, and
+    # -ATM correctly rounded on counts; a flagged result prints its positive
+    # part (0 for ``NONE``) as the phase-1 residual.
     rng = make_rng(97)
+    flagged = 0
     for _ in range(200):
         dist = TABLE_KINDS[kind](rng)
         if kind == "counts":
@@ -147,9 +158,16 @@ def test_printed_residual_is_the_verdict_row_summed_in_index_order(kind):
             shortfall = float(Fraction(k[1] + k[3], dist.n0) - Fraction(k[5] + k[7], dist.n1))
         else:
             shortfall = closed_form._evaluate(np.array([VERDICT_ROW], dtype=float), dist.cells).item()
+        values = closed_form._table_values(dist)
         for spec in ALL_SPECS:
-            want = 0.0 if spec.assumptions is Assumptions.NONE else max(0.0, shortfall)
-            assert repr(closed_form._residual(dist, spec)) == repr(want)
+            res = anie_bounds(dist, spec)
+            if spec.assumptions is not Assumptions.NONE:
+                assert repr(values[closed_form._spec_table(spec).start]) == repr(shortfall)
+            if res.incompatible:
+                want = 0.0 if spec.assumptions is Assumptions.NONE else max(0.0, shortfall)
+                assert f"(phase-1 residual {want:.6g});" in res.diagnostics[0]
+                flagged += 1
+    assert flagged
 
 
 # --- soundness over every population -----------------------------------------
