@@ -15,18 +15,22 @@ are reported at level 1/2 (half-median-unbiased point bounds) and at
 1 - alpha/2 (confidence interval for the identified set).  The max side is
 the min side run on negated estimates and deviations.  The theta_j are the
 values ``closed_form`` keeps on the distribution, so they are the point bounds' bits.
-Each k is ``np.quantile``'s default (linear) value of the studentized row
-maxima, read off one sort per selection stage rather than computed by it.
+A table's simulated cell deviations are one C-order (8, draws) array; each
+call studentizes its spec's (k, draws) deviations once, and each k is
+``np.quantile``'s default (linear) value of their row maxima, read off one
+in-place sort of a (sides, draws) buffer per selection stage.
 
 Standard errors come from the exact multinomial covariance of the cell
 frequencies within each arm, (diag(p) - p p^T) / n: a row r has variance
 sum_i p_i (r_i - rbar)^2 / n on it, rbar the p-weighted mean, and the root
 diag(u) (I - u u^T) / sqrt(n), u = sqrt(p), shapes the simulated deviations.
 Their sums run in cell order, and the rows' small-integer coefficients make
-every product exact, so no number depends on the BLAS kernel.  The p used for
-simulation and studentization are smoothed with an add-half adjustment in any
-arm that has an empty cell, so degenerate samples still produce usable (if
-conservative) intervals; point estimates are never smoothed.
+every product exact.  The one matrix product adds in the BLAS kernel's order:
+cell order on every kernel tried at an even number of draws, not always at an
+odd one.  The p used for simulation and studentization are smoothed with an
+add-half adjustment in any arm that has an empty cell, so degenerate samples
+still produce usable (if conservative) intervals; point estimates are never
+smoothed.
 
 Every function here takes its data as the eight cell counts (shape (8,)) or
 as unit records (two-dimensional, (n, 3)); see ``model.as_cell_counts``.
@@ -66,7 +70,8 @@ _SELECTION_SLACK = 2.0
 
 # The most Gaussian draws one simulation may take: its (8, draws) float64
 # deviations, 64 MB at the limit, are kept until a call with another table,
-# seed or draws replaces them.
+# seed or draws replaces them.  A call's peak adds about k * draws floats: its
+# spec's k <= 6 studentized rows, the 2-row sort buffer and a side's copied rows.
 _MAX_DRAWS = 1_000_000
 
 
@@ -170,11 +175,6 @@ def _arm_sizes(counts: np.ndarray) -> tuple[int, int]:
     return n0, n1
 
 
-def _distribution(counts: np.ndarray) -> ObservedDistribution:
-    _arm_sizes(counts)
-    return from_counts(counts)
-
-
 def _cell_probabilities(counts: np.ndarray, *, smooth: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Each cell's probability and its arm's size, and the arms that were smoothed.
 
@@ -195,10 +195,10 @@ def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
     is block diagonal with one multinomial block (diag(p) - p p^T) / n per arm.
     """
     counts = as_cell_counts(data)
-    dist = _distribution(counts)
+    _arm_sizes(counts)
     p, n, _ = _cell_probabilities(counts, smooth=False)
     same_arm = np.arange(8)[:, None] // 4 == np.arange(8) // 4
-    return dist, np.where(same_arm, (np.diag(p) - np.outer(p, p)) / n[:, None], 0.0)
+    return from_counts(counts), np.where(same_arm, (np.diag(p) - np.outer(p, p)) / n[:, None], 0.0)
 
 
 def _difference_of_means(counts: np.ndarray, ones: list[int], alpha: float) -> WaldResult:
@@ -228,94 +228,94 @@ def ate_test(data, config: InferenceConfig = InferenceConfig()) -> WaldResult:
     return _difference_of_means(as_cell_counts(data), [2, 3], config.alpha)
 
 
-def _row_max(devs: np.ndarray, se: np.ndarray, usable: np.ndarray) -> np.ndarray:
-    """Per draw, the largest studentized deviation over the usable expressions.
+def _levels(buffer: np.ndarray, gammas: list[float]) -> list[list[float]]:
+    """Sort each row of ``buffer`` in place; per row, ``np.quantile(row, gammas)`` as Python floats.
 
-    Large values overshoot the min in its biased (inward) direction.  With no
-    usable expression the row maxima are zeros, whose quantiles are 0.
+    This is numpy's default ``linear`` method, written out: the virtual index
+    (draws - 1) * gamma falls between the order statistics at its floor and at
+    floor + 1 (both the largest once it reaches draws - 1), and numpy's lerp
+    form interpolates them.  The values are ``np.quantile``'s bit for bit.
     """
-    if not usable.any():
-        return np.zeros(len(devs))
-    return (devs[:, usable] / se[usable]).max(axis=1)
-
-
-def _quantiles(rows, gammas: list[float]) -> np.ndarray:
-    """``np.quantile(rows, gammas, axis=1)``, read off one sort of each row.
-
-    ``rows`` is a 2-D array or a list of equal-length rows.  This is numpy's
-    default ``linear`` method, written out: the virtual index (draws - 1) *
-    gamma falls between the order statistics at its floor and at floor + 1
-    (both the largest once it reaches draws - 1), and numpy's lerp form
-    interpolates them.  The values are ``np.quantile``'s bit for bit.
-    """
-    ordered = np.array(rows)
-    ordered.sort(axis=1)
-    last = ordered.shape[1] - 1
-    virtual = last * np.array(gammas, dtype=float)
-    below = np.floor(virtual)
-    at_end = virtual >= last
-    a = ordered[:, np.where(at_end, last, below).astype(np.intp)]
-    b = ordered[:, np.where(at_end, last, below + 1).astype(np.intp)]
-    t = virtual - below
-    diff = b - a
-    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t).T
+    buffer.sort(axis=1)
+    last = buffer.shape[1] - 1
+    weights, columns = [], []
+    for gamma in gammas:
+        virtual = last * gamma
+        below = int(virtual)  # the floor, as virtual >= 0
+        weights.append(virtual - below)
+        columns += [last, last] if virtual >= last else [below, below + 1]
+    return [
+        [b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t for t, a, b in zip(weights, row[::2], row[1::2])]
+        for row in buffer[:, columns].tolist()
+    ]
 
 
 def _min_sides(
-    sides: list[tuple[np.ndarray, np.ndarray, np.ndarray]], *, n: int, alpha: float
+    sides: list[tuple[list[float], list[float], np.ndarray, int]], *, n: int, alpha: float
 ) -> list[tuple[float, float, SideDiagnostics]]:
-    """Endpoint estimates for a min of expressions, for each ``(est, se, devs)`` side.
+    """Endpoint estimates for each ``(est, se, stats, sign)`` side: a min of expressions (sign 1) or a max (-1).
 
-    The upper side is a min.  The lower side, a max, is a min of the negated
-    estimates and deviations, with its endpoints negated back; IEEE rounding
-    is symmetric in sign, so the mirror is exact.  The sides share only their
-    sorts: each stage stacks every side's row maxima as one row of
-    ``_quantiles``, which sorts each row once and reads all the stage's levels
-    off it.  That gives ``np.quantile``'s values exactly.  Only a tie between
-    +0.0 and -0.0 could sort into a different sign bit, and none arises: a
-    side with no studentizable expression has an all +0.0 row, and row maxima
-    of continuous Gaussian draws do not tie at zero.
+    ``est`` and ``se`` are Python floats and ``stats`` the ``(k, draws)``
+    studentized deviations, whose rows with se at most ``_ZERO_SE_TOL`` are
+    never read.  A max is the min of the negated estimates and deviations,
+    negated back; IEEE rounding is symmetric in sign, so the mirror is exact,
+    and its row maxima are the negated row minima of ``stats``, with no
+    negated copy.  Each stage writes every side's row maxima into one
+    ``(sides, draws)`` buffer that ``_levels`` sorts once: ``np.quantile``'s
+    values exactly.  Only a tie between +0.0 and -0.0 could sort into another
+    sign bit, and none arises: a side with nothing studentizable has an all
+    +0.0 row, and maxima of Gaussian draws do not tie at zero.  The rest is
+    Python float arithmetic on a side's 2-4 expressions.
     """
-    studentizable = [se > _ZERO_SE_TOL for _, se, _ in sides]
+    buffer = np.empty((len(sides), sides[0][2].shape[1]))
+    mins = [[sign * e for e in est] for est, _, _, sign in sides]
+    studentizable = [[s > _ZERO_SE_TOL for s in se] for _, se, _, _ in sides]
 
-    def critical(masks: list[np.ndarray], gammas: list[float]) -> list[list[float]]:
-        maxima = [_row_max(devs, se, mask) for (_, se, devs), mask in zip(sides, masks)]
-        return _quantiles(maxima, gammas).tolist()
+    def critical(masks: list[list[bool]], gammas: list[float]) -> list[list[float]]:
+        for row, (_, _, stats, sign), mask in zip(buffer, sides, masks):
+            picks = [i for i, keep in enumerate(mask) if keep]
+            if not picks:  # zero maxima, whose quantiles are 0
+                row.fill(0.0)
+                continue
+            block = stats[picks[0] : picks[-1] + 1] if picks[-1] - picks[0] < len(picks) else stats[picks]
+            if sign > 0:  # large values overshoot the min in its biased (inward) direction
+                np.maximum.reduce(block, axis=0, out=row)
+            else:
+                np.negative(np.minimum.reduce(block, axis=0, out=row), out=row)
+        return _levels(buffer, gammas)
 
     # _arm_sizes keeps n >= 4, so the level 1 - 1/log n is positive.
-    (k0s,) = critical(studentizable, [1.0 - 1.0 / np.log(n)])
+    k0s = [k0 for (k0,) in critical(studentizable, [1.0 - 1.0 / float(np.log(n))])]
 
     # Two-step selection: an expression stays only if it clears the best
     # slack-adjusted expression, where each competitor k is credited its own
     # se_k.  The preliminary k0 can be negative at absurdly small n, which
     # could empty the set, so the argmin expression is always retained.
     selections = []
-    for (est, se, _), k0 in zip(sides, k0s):
-        selected = est <= float((est + _SELECTION_SLACK * k0 * se).min()) + _TIE_TOL
-        if not selected.any():
-            selected[int(np.argmin(est))] = True
+    for est, (_, se, _, _), k0 in zip(mins, sides, k0s):
+        cut = min(e + _SELECTION_SLACK * k0 * s for e, s in zip(est, se)) + _TIE_TOL
+        selected = [e <= cut for e in est]
+        if not any(selected):
+            selected[est.index(min(est))] = True
         selections.append(selected)
-
-    usable = [sel & stud for sel, stud in zip(selections, studentizable)]
-    k_halves, k_cis = critical(usable, [0.5, 1.0 - alpha / 2.0])
+    usable = [[a and b for a, b in zip(sel, stud)] for sel, stud in zip(selections, studentizable)]
 
     # Endpoint estimators minimize over the surviving set only; dropping a
     # slack expression can only move the estimate away from the biased
     # direction, so the half-median property is preserved.
     results = []
-    for (est, se, _), stud, selected, k0, k_half, k_ci in zip(
-        sides, studentizable, selections, k0s, k_halves, k_cis
+    for est, (_, se, _, sign), stud, selected, k0, (k_half, k_ci) in zip(
+        mins, sides, studentizable, selections, k0s, critical(usable, [0.5, 1.0 - alpha / 2.0])
     ):
-        hmu = float((est + k_half * se)[selected].min())
-        ci = float((est + k_ci * se)[selected].min())
+        hmu, ci = (min(e + k * s for e, s, keep in zip(est, se, selected) if keep) for k in (k_half, k_ci))
         diag = SideDiagnostics(
-            selected=tuple(int(i) for i in np.flatnonzero(selected)),
+            selected=tuple(i for i, keep in enumerate(selected) if keep),
             k0=k0,
             k_half=k_half,
             k_ci=k_ci,
-            zero_variance=tuple(int(i) for i in np.flatnonzero(~stud)),
+            zero_variance=tuple(i for i, ok in enumerate(stud) if not ok),
         )
-        results.append((hmu, ci, diag))
+        results.append((sign * hmu, sign * ci, diag))
     return results
 
 
@@ -325,26 +325,28 @@ def _simulation(
 ) -> tuple[ObservedDistribution, np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
     """The distribution, smoothed cell probabilities, arm sizes, smoothed arms and simulated cell deviations of one table.
 
-    Each arm turns its rows of an (8, draws) array z of standard normals into
-    (z - (z.u) u) * u / sqrt(n), u = sqrt(p), in place and with z.u added in
-    cell order; the (draws, 8) view is returned.  Every spec of a table with
-    the same seed and draws shares this seeded simulation, so consecutive calls
-    reuse it; the arrays are read-only.
+    The deviations are the C-order (8, draws) array z of standard normals, one
+    row per cell, made (z - (z.u) u) * u / sqrt(n), u = sqrt(p), in place by
+    block operations on each arm's four rows, with z.u added in cell order.
+    Every spec of a table with the same seed and draws shares this seeded
+    simulation, so consecutive calls reuse it; the arrays are read-only.
     """
     arr = np.array(counts, dtype=np.int64)
-    dist = _distribution(arr)
+    _arm_sizes(arr)
+    dist = from_counts(arr)
     p, n, smoothed_arms = _cell_probabilities(arr, smooth=True)
-    u = np.sqrt(p)
+    u = np.sqrt(p)[:, None]
+    scale = u / np.sqrt(n)[:, None]
     z = np.random.default_rng(seed).standard_normal((8, draws))
-    for a in (0, 1):
-        cells = range(4 * a, 4 * a + 4)
-        dot = sum(z[i] * u[i] for i in cells)
-        for i in cells:
-            z[i] -= dot * u[i]
-            z[i] *= u[i] / np.sqrt(n[i])
+    prod = np.empty((4, draws))
+    for arm in (slice(0, 4), slice(4, 8)):
+        np.multiply(z[arm], u[arm], out=prod)
+        np.multiply(prod[0] + prod[1] + prod[2] + prod[3], u[arm], out=prod)
+        z[arm] -= prod
+        z[arm] *= scale[arm]
     for array in (p, n, z):
         array.setflags(write=False)
-    return dist, p, n, smoothed_arms, z.T
+    return dist, p, n, smoothed_arms, z
 
 
 def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConfig()) -> IntervalEstimate:
@@ -359,26 +361,24 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     level, so critical values are monotone across levels by construction and
     results are bit-reproducible for a fixed config.  Consecutive calls on the
     same counts, seed and draws (every spec of one table) share that sample.
+    Its (k, draws) studentized deviations are formed once; each side reads its rows.
     """
     table = _spec_table(spec)
-    lowers, uppers = table.lowers, table.uppers
+    lowers, uppers, rows = table.lowers, table.uppers, _ROWS[table.start : table.stop]
     n_lo = len(lowers)
-    rows = _ROWS[table.start : table.stop]
-    counts = as_cell_counts(data)
-    dist, p, n, smoothed_arms, cell_devs = _simulation(tuple(counts.tolist()), config.seed, config.draws)
+    dist, p, n, smoothed_arms, cell_devs = _simulation(tuple(as_cell_counts(data).tolist()), config.seed, config.draws)
 
-    est = np.array(_table_values(dist)[table.start : table.stop])
+    est = list(_table_values(dist)[table.start : table.stop])
     arm_means = np.cumsum((rows * p).reshape(-1, 4), axis=1)[:, -1].reshape(-1, 2)
     se = np.sqrt(np.cumsum(p * (rows - np.repeat(arm_means, 4, axis=1)) ** 2 / n, axis=1)[:, -1])
-    devs = cell_devs @ rows.T
+    stats = rows @ cell_devs
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-se rows are never read
+        stats /= se[:, None]
+    se = se.tolist()
 
-    (hmu_up, ci_up, diag_up), (hmu_lo, ci_lo, diag_lo) = _min_sides(
-        [(est[n_lo:], se[n_lo:], devs[:, n_lo:]), (-est[:n_lo], se[:n_lo], -devs[:, :n_lo])],
-        n=dist.n0 + dist.n1,
-        alpha=config.alpha,
-    )
-    hmu_lo, ci_lo = -hmu_lo, -ci_lo
-    exprs = [ExpressionEstimate(e.label, v, s) for e, v, s in zip(lowers + uppers, est.tolist(), se.tolist())]
+    sides = [(est[:n_lo], se[:n_lo], stats[:n_lo], -1), (est[n_lo:], se[n_lo:], stats[n_lo:], 1)]
+    (hmu_lo, ci_lo, diag_lo), (hmu_up, ci_up, diag_up) = _min_sides(sides, n=dist.n0 + dist.n1, alpha=config.alpha)
+    exprs = [ExpressionEstimate(e.label, v, s) for e, v, s in zip(lowers + uppers, est, se)]
 
     return IntervalEstimate(
         bound_lower_hmu=hmu_lo,

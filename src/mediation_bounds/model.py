@@ -272,8 +272,12 @@ def as_cell_counts(data) -> np.ndarray:
     """The eight cell counts of ``data`` as int64, in :func:`from_counts` order.
 
     Two-dimensional input is records (:func:`_record_counts`); anything else
-    is the eight counts.
+    is the eight counts.  An :class:`ObservedDistribution` is refused by name.
     """
+    if isinstance(data, ObservedDistribution):
+        raise ValidationError(
+            "data must be eight cell counts or unit records, got an ObservedDistribution; pass its eight counts"
+        )
     arr = _rectangular(data)
     if arr.ndim == 2:
         arr = _record_counts(arr)

@@ -339,22 +339,25 @@ def test_criterion_08_mediator_ate_blindspot_population_ships():
 
 def test_criterion_09_interval_inference_calibration():
     # The calibration population has no mediator defiers and a nonnegative
-    # average effect of the mediator on the treated-arm outcome (+0.099), so
-    # it satisfies both assumption sets checked here.
+    # average effect of the mediator on the outcome in each arm (+0.099 in the
+    # treated arm, 0 in the control arm), so it satisfies every assumption set
+    # at both references.
     pop = calibration_population()
-    truth = true_estimands(pop).delta1
+    estimands = true_estimands(pop)
     observed = observed_from_population(pop)
     specs = {
-        "mmr": EstimandSpec(reference=1, assumptions=Assumptions.MMR),
-        "mmr-pos-mediator": EstimandSpec(reference=1, assumptions=Assumptions.MMR_POS_MEDIATOR),
+        f"{assumptions.value} at reference {reference}": EstimandSpec(reference, assumptions)
+        for assumptions in ALL_REGIMES
+        for reference in (0, 1)
     }
+    truth = {name: estimands.delta(spec.reference) for name, spec in specs.items()}
     theta_upper = {}
     for name, spec in specs.items():
         target = anie_bounds(observed, spec)
         assert not target.incompatible
         # the experiment needs an interior truth, otherwise coverage conflates
         # the two guarantees being measured
-        assert target.lower < truth < target.upper
+        assert target.lower < truth[name] < target.upper
         theta_upper[name] = target.upper
 
     n_reps = 500
@@ -370,7 +373,7 @@ def test_criterion_09_interval_inference_calibration():
         config = InferenceConfig(alpha=0.05, draws=2000, seed=inference_seed)
         for name, spec in specs.items():
             interval = clr_bounds(records, spec, config)
-            if interval.ci_lower <= truth <= interval.ci_upper:
+            if interval.ci_lower <= truth[name] <= interval.ci_upper:
                 covered[name] += 1
             if interval.bound_upper_hmu >= theta_upper[name]:
                 upper_at_least_truth[name] += 1
@@ -383,7 +386,7 @@ def test_criterion_09_interval_inference_calibration():
         and elapsed < 300.0
     )
     summary = "; ".join(
-        f"{name}: CI coverage of true delta(1) = {coverage[name]:.3f} (>= 0.93 at nominal 0.95), "
+        f"{name}: CI coverage of true delta({specs[name].reference}) = {coverage[name]:.3f} (>= 0.93 at nominal 0.95), "
         f"P(upper estimate >= true upper bound {theta_upper[name]:g}) = {half_median[name]:.3f} (>= 0.48)"
         for name in specs
     )

@@ -1557,10 +1557,17 @@ class TestOutputs:
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 
+    # A 1,000,000-unit table at 100 draws, so that small-matrix products are compared across kernels too.
+    SMALL_DRAWS_ARGV = (
+        "--counts", "124970,125030,125012,124988,125004,124996,125035,124965",
+        "--assumptions", "none,mmr,mmr-pos-mediator", "--draws", "100",
+    )
+
     def test_goldens_on_every_blas_kernel(self):
         # The bytes must not depend on which OpenBLAS kernel numpy loads: one
-        # child per kernel runs every golden command, with the kernel forced
-        # in that child's environment only.
+        # child per kernel runs every golden command, and a 100-draw command
+        # whose bytes are this process's, with the kernel forced in that
+        # child's environment only.
         blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
         if "openblas" not in blas.get("name", "") or "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
             pytest.skip("numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH")
@@ -1575,7 +1582,7 @@ class TestOutputs:
             "        code = main(argv)\n"
             "    print(json.dumps([code, out.getvalue()]))\n"
         )
-        argvs = json.dumps([list(argv) for argv, _ in self.GOLDEN_RUNS])
+        argvs = json.dumps([list(argv) for argv, _ in self.GOLDEN_RUNS] + [list(self.SMALL_DRAWS_ARGV)])
         path = str(Path(mediation_bounds.__file__).parents[1])
         children = {
             kernel: subprocess.Popen(
@@ -1589,12 +1596,16 @@ class TestOutputs:
         # leaves no pipe open for a later test to trip over.
         outputs = {kernel: proc.communicate(timeout=120) for kernel, proc in children.items()}
         want = [[0, (GOLDEN / golden).read_text()] for _, golden in self.GOLDEN_RUNS]
+        with contextlib.redirect_stdout(io.StringIO()) as small:
+            want.append([main(list(self.SMALL_DRAWS_ARGV)), small.getvalue()])
+        assert want[-1][0] == 0
+        names = [golden for _, golden in self.GOLDEN_RUNS] + ["the 100-draw --counts run"]
         for kernel, (out, err) in outputs.items():
             assert children[kernel].returncode == 0, err
             got = [json.loads(line) for line in out.splitlines()]
             assert len(got) == len(want), kernel
-            for (_, golden), g, w in zip(self.GOLDEN_RUNS, got, want):
-                assert g == w, f"{golden} differs under OPENBLAS_CORETYPE={kernel}"
+            for name, g, w in zip(names, got, want):
+                assert g == w, f"{name} differs under OPENBLAS_CORETYPE={kernel}"
 
     def test_mediator_streams_are_independent(self, capsys, tmp_path):
         # Two mediators with identical data: identical plug-in bounds, but the

@@ -1,6 +1,7 @@
 """Estimation layer: Wald tests, covariance, and intersection-bounds intervals."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -26,8 +27,16 @@ from mediation_bounds.oracle import (
     iot_blindspot_population,
     true_estimands,
 )
-from mediation_bounds.inference import SideDiagnostics, _min_sides, _quantiles, _simulation, estimate_distribution
-from mediation_bounds.model import _ZERO_SE_TOL
+from mediation_bounds.inference import (
+    ExpressionEstimate,
+    IntervalEstimate,
+    SideDiagnostics,
+    _levels,
+    _min_sides,
+    _simulation,
+    estimate_distribution,
+)
+from mediation_bounds.model import _TIE_TOL, _ZERO_SE_TOL, ORDER_TOL
 from conftest import calibration_population, make_rng, unique_binding_population
 
 Z975 = 1.959963984540054
@@ -127,6 +136,22 @@ class TestCountsAndRecordsAgree:
         ):
             with pytest.raises(ValidationError):
                 call()
+
+    def test_a_distribution_is_refused_by_name(self):
+        dist = from_counts([40, 30, 20, 10, 10, 20, 30, 40])
+        message = "^data must be eight cell counts or unit records, got an ObservedDistribution; pass its eight counts$"
+        for call in (
+            lambda: ate_test(dist),
+            lambda: iot_test(dist),
+            lambda: clr_bounds(dist, EstimandSpec(reference=1)),
+            lambda: estimate_distribution(dist),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                call()
+        # Its counts are the data the functions take.
+        assert clr_bounds(dist.counts, EstimandSpec(reference=1)) == clr_bounds(
+            np.array([40, 30, 20, 10, 10, 20, 30, 40]), EstimandSpec(reference=1)
+        )
 
     # Ragged sequences: numpy's own error would be a bare ValueError.
     @pytest.mark.parametrize(
@@ -340,28 +365,32 @@ class TestSharedSimulation:
         for trial in range(40):
             draws = int(rng.choice([100, 777]))
             sides = []
-            for k in rng.integers(1, 6, size=2):
+            for sign, k in zip((-1, 1), rng.integers(1, 6, size=2)):
                 se = rng.uniform(0.01, 0.2, size=k) * (rng.random(k) > 0.3)
-                sides.append((rng.normal(0.0, 0.1, size=k), se, rng.standard_normal((draws, k)) * se))
-            if trial % 4 == 0:  # one side, upper or lower in turn, has no studentizable expression
-                est, se, devs = sides[trial % 8 // 4]
-                sides[trial % 8 // 4] = (est, np.zeros_like(se), np.zeros_like(devs))
+                stats = rng.standard_normal((k, draws))
+                stats[se <= _ZERO_SE_TOL] = np.nan  # the rows of zero-variance expressions are never read
+                sides.append((rng.normal(0.0, 0.1, size=k).tolist(), se.tolist(), stats, sign))
+            if trial % 4 == 0:  # one side, lower or upper in turn, has no studentizable expression
+                est, se, stats, sign = sides[trial % 8 // 4]
+                sides[trial % 8 // 4] = (est, [0.0] * len(se), np.full_like(stats, np.nan), sign)
             n = int(rng.integers(4, 10**6))
             results = _min_sides(sides, n=n, alpha=alpha)
-            for (est, se, devs), (_, _, diag) in zip(sides, results):
+            for (est, se, stats, sign), (_, _, diag) in zip(sides, results):
                 # Each side alone gives the same bits.
-                assert _min_sides([(est, se, devs)], n=n, alpha=alpha)[0][2] == diag
-                usable = se > _ZERO_SE_TOL
+                assert _min_sides([(est, se, stats, sign)], n=n, alpha=alpha)[0][2] == diag
+                usable = np.array(se) > _ZERO_SE_TOL
                 got = [diag.k0, diag.k_half, diag.k_ci]
+                assert all(type(k) is float for k in got)
                 if not usable.any():
                     assert got == [0.0, 0.0, 0.0] and not np.signbit(got).any()
                     continue
-                stats = devs[:, usable] / se[usable]
-                assert diag.k0 == np.quantile(stats.max(axis=1), 1.0 - 1.0 / np.log(n))
+                # A max side (sign -1) runs as the min of its negated deviations.
+                mirrored = sign * stats
+                assert diag.k0 == np.quantile(mirrored[usable].max(axis=0), 1.0 - 1.0 / np.log(n))
                 chosen = np.zeros(len(est), dtype=bool)
                 chosen[list(diag.selected)] = True
                 if (chosen & usable).any():
-                    row_max = (devs[:, chosen & usable] / se[chosen & usable]).max(axis=1)
+                    row_max = mirrored[chosen & usable].max(axis=0)
                     assert [diag.k_half, diag.k_ci] == np.quantile(row_max, [0.5, 1.0 - alpha / 2.0]).tolist()
                 else:
                     assert [diag.k_half, diag.k_ci] == [0.0, 0.0]
@@ -397,9 +426,10 @@ class TestClosedFormRoot:
         for counts in self.tables():
             arms, cell_devs = _simulation(tuple(counts.tolist()), 5, 2000)[3:]
             smoothed.add(arms)
+            assert cell_devs.shape == (8, 2000) and cell_devs.flags.c_contiguous
             # An arm's frequencies sum to 1, so its deviations sum to 0, up to rounding on the arm's scale.
-            devs = cell_devs.reshape(-1, 2, 4)
-            assert (np.abs(devs.sum(axis=2)) <= 1e-13 * np.abs(devs).max(axis=(0, 2))).all()
+            devs = cell_devs.reshape(2, 4, -1)
+            assert (np.abs(devs.sum(axis=1)) <= 1e-13 * np.abs(devs).max(axis=(1, 2))[:, None]).all()
         assert {(), (0,), (1,), (0, 1)} <= smoothed
 
     def test_standard_errors_are_the_exact_ones(self):
@@ -417,17 +447,17 @@ class TestClosedFormRoot:
         counts = np.array([0, 7, 3, 12, 9, 4, 11, 6])
         cell_devs = _simulation(tuple(counts.tolist()), 8, 1_000_000)[-1]
         want = np.array(self.smoothed_cov(counts), dtype=float)
-        got = np.cov(cell_devs.T)
+        got = np.cov(cell_devs)
         _simulation.cache_clear()
         assert np.abs(got - want).max() <= 0.01 * np.abs(want).max()
 
 
 class TestSortedQuantiles:
-    """``_quantiles`` reads ``np.quantile``'s linear-method values off one sort, byte for byte."""
+    """``_levels`` reads ``np.quantile``'s linear-method values off one in-place sort, byte for byte."""
 
     ALPHAS = (1e-9, 0.001, 0.01, 0.05, 0.1, 0.2, 0.32, 0.5, 0.8, 0.999)
-    # The selection level 1 - 1/log n over the sample sizes _min_sides can see.
-    SELECTION = tuple(1.0 - 1.0 / np.log(n) for n in (4, 5, 9, 100, 10**4, 10**6, 2**31, 2**53))
+    # The selection level 1 - 1/log n over the sample sizes _min_sides can see, a Python float as there.
+    SELECTION = tuple(1.0 - 1.0 / float(np.log(n)) for n in (4, 5, 9, 100, 10**4, 10**6, 2**31, 2**53))
     # Level 0 and 1 and the quartiles: virtual indices that are exact integers
     # at every draw count (0, 1) or where 4 divides draws - 1 (0.25, 0.75).
     EXACT = (0.0, 0.25, 0.75, 1.0)
@@ -456,14 +486,110 @@ class TestSortedQuantiles:
                 a, b = np.sort(cols, axis=0)[draws // 2 - 1 : draws // 2 + 1]
                 forms_differ += int((a + (b - a) * 0.5 != b - (b - a) * 0.5).sum())
             want = np.quantile(cols, gammas, axis=0)
-            got = _quantiles(cols.T, gammas)
+            rows = cols.T.copy()
+            levels = _levels(rows, gammas)
+            assert all(type(v) is float for row in levels for v in row)
+            got = np.array(levels).T
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), draws
-            # The list form _min_sides passes gives the same bytes, and the input is not sorted in place.
-            rows = list(cols.T)
-            assert _quantiles(rows, gammas).tobytes() == want.tobytes()
-            assert np.array_equal(np.column_stack(rows), cols)
+            # The buffer is sorted in place, row by row.
+            assert np.array_equal(rows, np.sort(cols.T, axis=1))
         assert forms_differ > 0
+
+
+def plain_clr(counts, spec, config):
+    """``clr_bounds`` written plainly: (draws, 8) deviations, ``devs[:, mask] / se`` and ``np.quantile``."""
+    counts = [int(c) for c in counts]
+    arms = [counts[:4], counts[4:]]
+    sizes = [sum(arm) for arm in arms]
+    smoothed = tuple(a for a in (0, 1) if 0 in arms[a])
+    p, arm_of = [], [0] * 4 + [1] * 4
+    for a in (0, 1):
+        p += [(c + 0.5) / (sizes[a] + 2.0) if a in smoothed else c / sizes[a] for c in arms[a]]
+    z = np.random.default_rng(config.seed).standard_normal((8, config.draws))
+    for a in (0, 1):
+        cells = range(4 * a, 4 * a + 4)
+        dot = sum(z[i] * math.sqrt(p[i]) for i in cells)
+        for i in cells:
+            z[i] -= dot * math.sqrt(p[i])
+            z[i] *= math.sqrt(p[i]) / math.sqrt(sizes[a])
+    lowers, uppers = anie_expressions(spec)
+    rows = np.array([e.coeffs for e in lowers + uppers])
+    devs = z.T @ rows.T
+    est, se = [], []
+    for r in rows.tolist():
+        est.append(float(sum(Fraction(int(c)) * k / sizes[arm_of[i]] for i, (c, k) in enumerate(zip(r, counts)))))
+        means = [0.0, 0.0]
+        for i in range(8):  # the p-weighted arm means and the variance, each added in cell order
+            means[arm_of[i]] += r[i] * p[i]
+        var = 0.0
+        for i in range(8):
+            d = r[i] - means[arm_of[i]]
+            var += p[i] * (d * d) / sizes[arm_of[i]]
+        se.append(math.sqrt(var))
+    est, se, n = np.array(est), np.array(se), sum(sizes)
+
+    def side(est, se, devs):
+        """A min of expressions; the max side passes its negated estimates and deviations."""
+        usable = se > _ZERO_SE_TOL
+
+        def critical(mask, levels):
+            if not mask.any():
+                return [0.0] * len(levels)
+            return np.quantile((devs[:, mask] / se[mask]).max(axis=1), levels).tolist()
+
+        (k0,) = critical(usable, [1.0 - 1.0 / np.log(n)])
+        selected = est <= (est + 2.0 * k0 * se).min() + _TIE_TOL
+        if not selected.any():
+            selected[np.argmin(est)] = True
+        k_half, k_ci = critical(selected & usable, [0.5, 1.0 - config.alpha / 2.0])
+        diag = SideDiagnostics(
+            tuple(np.flatnonzero(selected).tolist()), k0, k_half, k_ci, tuple(np.flatnonzero(~usable).tolist())
+        )
+        return (est + k_half * se)[selected].min().item(), (est + k_ci * se)[selected].min().item(), diag
+
+    k = len(lowers)
+    hmu_lo, ci_lo, diag_lo = side(-est[:k], se[:k], -devs[:, :k])
+    hmu_up, ci_up, diag_up = side(est[k:], se[k:], devs[:, k:])
+    exprs = [ExpressionEstimate(e.label, v, s) for e, v, s in zip(lowers + uppers, est.tolist(), se.tolist())]
+    return IntervalEstimate(
+        -hmu_lo, hmu_up, -ci_lo, ci_up, tuple(exprs[:k]), tuple(exprs[k:]), diag_lo, diag_up,
+        smoothed, -hmu_lo > hmu_up + ORDER_TOL, config.alpha,
+    )
+
+
+class TestPlainReference:
+    """Every field of ``clr_bounds`` equals ``plain_clr``'s, bit for bit, on every spec."""
+
+    @staticmethod
+    def tables():
+        """Cells from 0-3 (most arms smoothed), log-uniform arms of 10 to 10**6 units, a 10**6-unit
+        arm, and a 2 * 10**12-unit arm whose single-arm expressions have zero variance."""
+        rng = make_rng(3303)
+        tables = [rng.integers(0, 4, size=8) for _ in range(8)]
+        tables += [
+            np.concatenate([rng.multinomial(int(10 ** rng.uniform(1, 6)), rng.dirichlet(np.ones(4))) for _ in range(2)])
+            for _ in range(6)
+        ]
+        tables.append(np.array([249_990, 250_020, 249_985, 250_005, 3, 1, 4, 1]))
+        tables.append(np.array([10**12, 10**12, 1, 1, 30, 20, 0, 40]))
+        return [t for t in tables if t[:4].sum() >= 2 and t[4:].sum() >= 2]
+
+    def test_every_field_equals_the_plain_reference(self):
+        # Table i runs at the three alphas with draws 100, 777 or 2000 in turn.
+        levels = [(alpha, draws) for alpha in (0.05, 0.1, 0.32) for draws in (100, 777, 2000)]
+        configs = [InferenceConfig(alpha, draws, seed) for seed, (alpha, draws) in enumerate(levels)]
+        smoothed, zero_variance = set(), 0
+        for i, counts in enumerate(self.tables()):
+            for config in configs[i % 3 :: 3]:
+                for spec in ALL_SPECS:
+                    got, want = clr_bounds(counts, spec, config), plain_clr(counts, spec, config)
+                    assert repr(got) == repr(want), (counts, spec, config)
+                    assert fields_of(got) == fields_of(want)
+                    smoothed.add(got.smoothed_arms)
+                    zero_variance += bool(got.lower_diagnostics.zero_variance + got.upper_diagnostics.zero_variance)
+        assert {(), (0,), (1,), (0, 1)} <= smoothed
+        assert zero_variance > 0
 
 
 class TestIntervalEstimation:
@@ -572,11 +698,13 @@ class TestIntervalEstimation:
         devs = rng.standard_normal((2000, 2)) * np.array([0.02, 1e-15])
         est = np.array([0.30, 0.50])
         se = np.array([0.02, 0.0])
+        with np.errstate(divide="ignore"):
+            stats = devs.T / se[:, None]  # the zero-variance row is infinite, and never read
         # The mirrored case runs beside it: a max of the negated expressions,
         # run the way clr_bounds runs its lower side.
-        est_lo, devs_lo = -est, -devs
+        est_lo, stats_lo = -est, -stats
         (hmu, ci, diag), (hmu_lo, ci_lo, diag_lo) = _min_sides(
-            [(est, se, devs), (-est_lo, se, -devs_lo)], n=2000, alpha=0.05
+            [(est.tolist(), se.tolist(), stats, 1), (est_lo.tolist(), se.tolist(), stats_lo, -1)], n=2000, alpha=0.05
         )
         assert isinstance(diag, SideDiagnostics)
         assert diag.zero_variance == (1,)
@@ -584,7 +712,6 @@ class TestIntervalEstimation:
         assert ci >= hmu
         # The mirror gives the negated endpoints with the same selection, and
         # they are max_j [theta_j - k * se_j] over it.
-        hmu_lo, ci_lo = -hmu_lo, -ci_lo
         assert (hmu_lo, ci_lo) == (-hmu, -ci)
         assert diag_lo.selected == diag.selected
         assert diag_lo.zero_variance == diag.zero_variance == (1,)
