@@ -70,8 +70,8 @@ _SELECTION_SLACK = 2.0
 
 # The most Gaussian draws one simulation may take: its (8, draws) float64
 # deviations, 64 MB at the limit, are kept until a call with another table,
-# seed or draws replaces them.  A call's peak adds about k * draws floats: its
-# spec's k <= 6 studentized rows, the 2-row sort buffer and a side's copied rows.
+# seed or draws replaces them.  A call's peak adds at most 2k * draws floats:
+# its k <= 6 studentized rows, the 2-row sort buffer and one side's copied rows.
 _MAX_DRAWS = 1_000_000
 
 
@@ -277,11 +277,10 @@ def _min_sides(
             if not picks:  # zero maxima, whose quantiles are 0
                 row.fill(0.0)
                 continue
-            block = stats[picks[0] : picks[-1] + 1] if picks[-1] - picks[0] < len(picks) else stats[picks]
             if sign > 0:  # large values overshoot the min in its biased (inward) direction
-                np.maximum.reduce(block, axis=0, out=row)
+                np.maximum.reduce(stats[picks], axis=0, out=row)
             else:
-                np.negative(np.minimum.reduce(block, axis=0, out=row), out=row)
+                np.negative(np.minimum.reduce(stats[picks], axis=0, out=row), out=row)
         return _levels(buffer, gammas)
 
     # _arm_sizes keeps n >= 4, so the level 1 - 1/log n is positive.
