@@ -70,8 +70,8 @@ _SELECTION_SLACK = 2.0
 
 # The most Gaussian draws one simulation may take: its (8, draws) float64
 # deviations, 64 MB at the limit, are kept until a call with another table,
-# seed or draws replaces them.  A call's peak adds at most 2k * draws floats:
-# its k <= 6 studentized rows, the 2-row sort buffer and one side's copied rows.
+# seed or draws replaces them.  A call's peak adds about k * draws floats:
+# its k <= 6 studentized rows, the 2-row sort buffer and copies of scattered rows.
 _MAX_DRAWS = 1_000_000
 
 
@@ -255,17 +255,17 @@ def _min_sides(
 ) -> list[tuple[float, float, SideDiagnostics]]:
     """Endpoint estimates for each ``(est, se, stats, sign)`` side: a min of expressions (sign 1) or a max (-1).
 
-    ``est`` and ``se`` are Python floats and ``stats`` the ``(k, draws)``
-    studentized deviations, whose rows with se at most ``_ZERO_SE_TOL`` are
-    never read.  A max is the min of the negated estimates and deviations,
-    negated back; IEEE rounding is symmetric in sign, so the mirror is exact,
-    and its row maxima are the negated row minima of ``stats``, with no
-    negated copy.  Each stage writes every side's row maxima into one
-    ``(sides, draws)`` buffer that ``_levels`` sorts once: ``np.quantile``'s
-    values exactly.  Only a tie between +0.0 and -0.0 could sort into another
-    sign bit, and none arises: a side with nothing studentizable has an all
-    +0.0 row, and maxima of Gaussian draws do not tie at zero.  The rest is
-    Python float arithmetic on a side's 2-4 expressions.
+    ``est`` and ``se`` are Python floats and ``stats`` the ``(k, draws)`` studentized
+    deviations, whose rows with se at most ``_ZERO_SE_TOL`` are never read.  A
+    max is the min of the negated estimates and deviations, negated back; IEEE
+    rounding is symmetric in sign, so the mirror is exact, and its row maxima
+    are the negated row minima of ``stats``, with no negated copy.  Adjacent rows
+    are reduced as a view, since a copy of them costs more than the reduction.
+    Each stage writes every side's row maxima into one ``(sides, draws)`` buffer
+    that ``_levels`` sorts once: ``np.quantile``'s values exactly.  Only a tie
+    between +0.0 and -0.0 could sort into another sign bit, and none arises: a
+    side with nothing studentizable has an all +0.0 row, and maxima of Gaussian
+    draws do not tie at zero.  The rest is Python float arithmetic on 2-4 floats.
     """
     buffer = np.empty((len(sides), sides[0][2].shape[1]))
     mins = [[sign * e for e in est] for est, _, _, sign in sides]
@@ -277,10 +277,11 @@ def _min_sides(
             if not picks:  # zero maxima, whose quantiles are 0
                 row.fill(0.0)
                 continue
+            block = stats[picks[0] : picks[-1] + 1] if picks[-1] - picks[0] < len(picks) else stats[picks]
             if sign > 0:  # large values overshoot the min in its biased (inward) direction
-                np.maximum.reduce(stats[picks], axis=0, out=row)
+                np.maximum.reduce(block, axis=0, out=row)
             else:
-                np.negative(np.minimum.reduce(stats[picks], axis=0, out=row), out=row)
+                np.negative(np.minimum.reduce(block, axis=0, out=row), out=row)
         return _levels(buffer, gammas)
 
     # _arm_sizes keeps n >= 4, so the level 1 - 1/log n is positive.
