@@ -15,10 +15,11 @@ are reported at level 1/2 (half-median-unbiased point bounds) and at
 1 - alpha/2 (confidence interval for the identified set).  The max side is
 the min side run on negated estimates and deviations.  The theta_j are the
 values ``closed_form`` keeps on the distribution, so they are the point bounds' bits.
-A table's simulated cell deviations are one C-order (8, draws) array; each
-call studentizes its spec's (k, draws) deviations once, and each k is
-``np.quantile``'s default (linear) value of their row maxima, read off one
-in-place sort of a (sides, draws) buffer per selection stage.
+A table's simulated cell deviations are one C-order (8, draws) array, kept
+with the standard errors of every stacked row; each call studentizes its
+spec's (k, draws) deviations once, and each k is ``np.quantile``'s default
+(linear) value of their row maxima, read off one in-place sort of a
+(sides, draws) buffer per selection stage.
 
 Standard errors come from the exact multinomial covariance of the cell
 frequencies within each arm, (diag(p) - p p^T) / n: a row r has variance
@@ -41,6 +42,7 @@ benchmark under ``perfbench/`` calls it by name.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -168,23 +170,29 @@ class IntervalEstimate:
             raise ValidationError("upper CI endpoint below the HMU upper estimate")
 
 
-def _arm_sizes(counts: np.ndarray) -> tuple[int, int]:
-    n0, n1 = int(counts[:4].sum()), int(counts[4:].sum())
+def _arm_sizes(cells: list[int]) -> tuple[int, int]:
+    n0, n1 = sum(cells[:4]), sum(cells[4:])
     if n0 < 2 or n1 < 2:
         raise InsufficientDataError(f"need at least 2 observations per arm, got n0={n0}, n1={n1}")
     return n0, n1
 
 
-def _cell_probabilities(counts: np.ndarray, *, smooth: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Each cell's probability and its arm's size, and the arms that were smoothed.
+def _cell_probabilities(cells: list[int], *, smooth: bool) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Each cell's probability and its arm's size (int64), and the arms that were smoothed.
 
     With ``smooth``, an arm with an empty cell takes add-half probabilities (count + 1/2) / (n + 2).
+    The counts are Python ints of at most 2**53, so every quotient is numpy's on int64, bit for bit.
     """
-    arms = counts.reshape(2, 4)
-    n = arms.sum(axis=1, keepdims=True)
-    smoothed = (arms == 0).any(axis=1) & smooth
-    p = np.where(smoothed[:, None], (arms + 0.5) / (n + 2.0), arms / n)
-    return p.ravel(), np.repeat(n, 4), tuple(np.flatnonzero(smoothed).tolist())
+    p, n, smoothed = [], [], []
+    for arm, size in enumerate(_arm_sizes(cells)):
+        arm_cells = cells[4 * arm : 4 * arm + 4]
+        if smooth and 0 in arm_cells:
+            smoothed.append(arm)
+            p += [(c + 0.5) / (size + 2.0) for c in arm_cells]
+        else:
+            p += [c / size for c in arm_cells]
+        n += [size] * 4
+    return np.array(p), np.array(n, dtype=np.int64), tuple(smoothed)
 
 
 def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
@@ -195,8 +203,7 @@ def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
     is block diagonal with one multinomial block (diag(p) - p p^T) / n per arm.
     """
     counts = as_cell_counts(data)
-    _arm_sizes(counts)
-    p, n, _ = _cell_probabilities(counts, smooth=False)
+    p, n, _ = _cell_probabilities(counts.tolist(), smooth=False)
     same_arm = np.arange(8)[:, None] // 4 == np.arange(8) // 4
     return from_counts(counts), np.where(same_arm, (np.diag(p) - np.outer(p, p)) / n[:, None], 0.0)
 
@@ -204,11 +211,12 @@ def estimate_distribution(data) -> tuple[ObservedDistribution, np.ndarray]:
 def _difference_of_means(counts: np.ndarray, ones: list[int], alpha: float) -> WaldResult:
     # ``ones``: the cells (ym order 00, 01, 10, 11) where the variable is 1.
     z = _STD_NORMAL.inv_cdf(1.0 - alpha / 2.0)
-    n0, n1 = _arm_sizes(counts)
-    k0, k1 = counts.reshape(2, 4)[:, ones].sum(axis=1).tolist()
+    cells = counts.tolist()
+    n0, n1 = _arm_sizes(cells)
+    k0, k1 = (sum(cells[4 * arm + i] for i in ones) for arm in (0, 1))
     p1, p0 = k1 / n1, k0 / n0
-    se = float(np.sqrt(p1 * (1 - p1) / n1 + p0 * (1 - p0) / n0))
-    est = float(p1 - p0)
+    se = math.sqrt(p1 * (1 - p1) / n1 + p0 * (1 - p0) / n0)
+    est = p1 - p0
     return WaldResult(estimate=est, se=se, ci=(est - z * se, est + z * se))
 
 
@@ -246,12 +254,12 @@ def _levels(buffer: np.ndarray, gammas: list[float]) -> list[list[float]]:
         columns += [last, last] if virtual >= last else [below, below + 1]
     return [
         [b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t for t, a, b in zip(weights, row[::2], row[1::2])]
-        for row in buffer[:, columns].tolist()
+        for row in buffer.take(columns, axis=1).tolist()
     ]
 
 
 def _min_sides(
-    sides: list[tuple[list[float], list[float], np.ndarray, int]], *, n: int, alpha: float
+    sides: list[tuple[tuple[float, ...], tuple[float, ...], np.ndarray, int]], *, n: int, alpha: float
 ) -> list[tuple[float, float, SideDiagnostics]]:
     """Endpoint estimates for each ``(est, se, stats, sign)`` side: a min of expressions (sign 1) or a max (-1).
 
@@ -269,11 +277,10 @@ def _min_sides(
     """
     buffer = np.empty((len(sides), sides[0][2].shape[1]))
     mins = [[sign * e for e in est] for est, _, _, sign in sides]
-    studentizable = [[s > _ZERO_SE_TOL for s in se] for _, se, _, _ in sides]
+    studentizable = [[i for i, s in enumerate(se) if s > _ZERO_SE_TOL] for _, se, _, _ in sides]
 
-    def critical(masks: list[list[bool]], gammas: list[float]) -> list[list[float]]:
-        for row, (_, _, stats, sign), mask in zip(buffer, sides, masks):
-            picks = [i for i, keep in enumerate(mask) if keep]
+    def critical(chosen: list[list[int]], gammas: list[float]) -> list[list[float]]:
+        for row, (_, _, stats, sign), picks in zip(buffer, sides, chosen):
             if not picks:  # zero maxima, whose quantiles are 0
                 row.fill(0.0)
                 continue
@@ -293,12 +300,10 @@ def _min_sides(
     # could empty the set, so the argmin expression is always retained.
     selections = []
     for est, (_, se, _, _), k0 in zip(mins, sides, k0s):
-        cut = min(e + _SELECTION_SLACK * k0 * s for e, s in zip(est, se)) + _TIE_TOL
-        selected = [e <= cut for e in est]
-        if not any(selected):
-            selected[est.index(min(est))] = True
-        selections.append(selected)
-    usable = [[a and b for a, b in zip(sel, stud)] for sel, stud in zip(selections, studentizable)]
+        step = _SELECTION_SLACK * k0
+        cut = min([e + step * s for e, s in zip(est, se)]) + _TIE_TOL
+        selections.append([i for i, e in enumerate(est) if e <= cut] or [est.index(min(est))])
+    usable = [[i for i in selected if i in stud] for selected, stud in zip(selections, studentizable)]
 
     # Endpoint estimators minimize over the surviving set only; dropping a
     # slack expression can only move the estimate away from the biased
@@ -307,34 +312,37 @@ def _min_sides(
     for est, (_, se, _, sign), stud, selected, k0, (k_half, k_ci) in zip(
         mins, sides, studentizable, selections, k0s, critical(usable, [0.5, 1.0 - alpha / 2.0])
     ):
-        hmu, ci = (min(e + k * s for e, s, keep in zip(est, se, selected) if keep) for k in (k_half, k_ci))
+        hmu, ci = (min([est[i] + k * se[i] for i in selected]) for k in (k_half, k_ci))
         diag = SideDiagnostics(
-            selected=tuple(i for i, keep in enumerate(selected) if keep),
+            selected=tuple(selected),
             k0=k0,
             k_half=k_half,
             k_ci=k_ci,
-            zero_variance=tuple(i for i, ok in enumerate(stud) if not ok),
+            zero_variance=tuple(i for i in range(len(est)) if i not in stud),
         )
         results.append((sign * hmu, sign * ci, diag))
     return results
 
 
 @functools.lru_cache(maxsize=1)
-def _simulation(
-    counts: tuple[int, ...], seed: int, draws: int
-) -> tuple[ObservedDistribution, np.ndarray, np.ndarray, tuple[int, ...], np.ndarray]:
-    """The distribution, smoothed cell probabilities, arm sizes, smoothed arms and simulated cell deviations of one table.
+def _simulation(counts: tuple[int, ...], seed: int, draws: int) -> tuple[
+    ObservedDistribution, np.ndarray, np.ndarray, tuple[int, ...], np.ndarray, tuple[float, ...], np.ndarray
+]:
+    """One table's distribution, smoothed cell probabilities, arm sizes and smoothed arms, the standard
+    errors of every row of ``_ROWS`` (an array and its Python floats) and the simulated cell deviations.
 
-    The deviations are the C-order (8, draws) array z of standard normals, one
-    row per cell, made (z - (z.u) u) * u / sqrt(n), u = sqrt(p), in place by
+    A row's se is sqrt(sum_i p_i (r_i - rbar)^2 / n), each sum a cumsum in cell
+    order and every step row-wise, so each row has the bits of any slice of
+    rows.  The deviations are the C-order (8, draws) array z of standard normals,
+    one row per cell, made (z - (z.u) u) * u / sqrt(n), u = sqrt(p), in place by
     block operations on each arm's four rows, with z.u added in cell order.
     Every spec of a table with the same seed and draws shares this seeded
     simulation, so consecutive calls reuse it; the arrays are read-only.
     """
-    arr = np.array(counts, dtype=np.int64)
-    _arm_sizes(arr)
-    dist = from_counts(arr)
-    p, n, smoothed_arms = _cell_probabilities(arr, smooth=True)
+    p, n, smoothed_arms = _cell_probabilities(list(counts), smooth=True)
+    dist = from_counts(counts)
+    arm_means = np.cumsum((_ROWS * p).reshape(-1, 4), axis=1)[:, -1].reshape(-1, 2)
+    se = np.sqrt(np.cumsum(p * (_ROWS - np.repeat(arm_means, 4, axis=1)) ** 2 / n, axis=1)[:, -1])
     u = np.sqrt(p)[:, None]
     scale = u / np.sqrt(n)[:, None]
     z = np.random.default_rng(seed).standard_normal((8, draws))
@@ -344,9 +352,9 @@ def _simulation(
         np.multiply(prod[0] + prod[1] + prod[2] + prod[3], u[arm], out=prod)
         z[arm] -= prod
         z[arm] *= scale[arm]
-    for array in (p, n, z):
+    for array in (p, n, se, z):
         array.setflags(write=False)
-    return dist, p, n, smoothed_arms, z
+    return dist, p, n, smoothed_arms, se, tuple(se.tolist()), z
 
 
 def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConfig()) -> IntervalEstimate:
@@ -360,21 +368,20 @@ def clr_bounds(data, spec: EstimandSpec, config: InferenceConfig = InferenceConf
     table.  One seeded Gaussian sample drives both sides and every quantile
     level, so critical values are monotone across levels by construction and
     results are bit-reproducible for a fixed config.  Consecutive calls on the
-    same counts, seed and draws (every spec of one table) share that sample.
-    Its (k, draws) studentized deviations are formed once; each side reads its rows.
+    same counts, seed and draws (every spec of one table) share that sample and
+    the rows' standard errors.  Its (k, draws) studentized deviations are formed
+    once; each side reads its rows.
     """
     table = _spec_table(spec)
-    lowers, uppers, rows = table.lowers, table.uppers, _ROWS[table.start : table.stop]
+    lowers, uppers, at = table.lowers, table.uppers, slice(table.start, table.stop)
     n_lo = len(lowers)
-    dist, p, n, smoothed_arms, cell_devs = _simulation(tuple(as_cell_counts(data).tolist()), config.seed, config.draws)
+    counts = tuple(as_cell_counts(data).tolist())
+    dist, _, _, smoothed_arms, se_rows, se_floats, cell_devs = _simulation(counts, config.seed, config.draws)
 
-    est = list(_table_values(dist)[table.start : table.stop])
-    arm_means = np.cumsum((rows * p).reshape(-1, 4), axis=1)[:, -1].reshape(-1, 2)
-    se = np.sqrt(np.cumsum(p * (rows - np.repeat(arm_means, 4, axis=1)) ** 2 / n, axis=1)[:, -1])
-    stats = rows @ cell_devs
+    est, se = _table_values(dist)[at], se_floats[at]
+    stats = _ROWS[at] @ cell_devs
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-se rows are never read
-        stats /= se[:, None]
-    se = se.tolist()
+        stats /= se_rows[at, None]
 
     sides = [(est[:n_lo], se[:n_lo], stats[:n_lo], -1), (est[n_lo:], se[n_lo:], stats[n_lo:], 1)]
     (hmu_lo, ci_lo, diag_lo), (hmu_up, ci_up, diag_up) = _min_sides(sides, n=dist.n0 + dist.n1, alpha=config.alpha)

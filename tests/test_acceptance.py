@@ -341,7 +341,7 @@ def test_criterion_09_interval_inference_calibration():
     # The calibration population has no mediator defiers and a nonnegative
     # average effect of the mediator on the outcome in each arm (+0.099 in the
     # treated arm, 0 in the control arm), so it satisfies every assumption set
-    # at both references.
+    # at both references, and a nonpositive mediator effect at reference 0.
     pop = calibration_population()
     estimands = true_estimands(pop)
     observed = observed_from_population(pop)
@@ -350,6 +350,7 @@ def test_criterion_09_interval_inference_calibration():
         for assumptions in ALL_REGIMES
         for reference in (0, 1)
     }
+    specs["mmr-pos-mediator sign -1 at reference 0"] = EstimandSpec(0, Assumptions.MMR_POS_MEDIATOR, -1)
     truth = {name: estimands.delta(spec.reference) for name, spec in specs.items()}
     theta_upper = {}
     for name, spec in specs.items():

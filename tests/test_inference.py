@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -27,10 +28,13 @@ from mediation_bounds.oracle import (
     iot_blindspot_population,
     true_estimands,
 )
+from mediation_bounds.closed_form import _ROWS, _spec_table
 from mediation_bounds.inference import (
     ExpressionEstimate,
     IntervalEstimate,
     SideDiagnostics,
+    WaldResult,
+    _cell_probabilities,
     _levels,
     _min_sides,
     _simulation,
@@ -352,10 +356,11 @@ class TestSharedSimulation:
 
     def test_cached_arrays_are_read_only(self):
         clr_bounds(self.OTHER, EstimandSpec(1), InferenceConfig(draws=200, seed=1))
-        dist, p, n, smoothed_arms, cell_devs = _simulation(tuple(self.OTHER.tolist()), 1, 200)
+        dist, p, n, smoothed_arms, se, se_floats, cell_devs = _simulation(tuple(self.OTHER.tolist()), 1, 200)
         assert _simulation.cache_info().hits >= 1
         assert smoothed_arms == (1,)
-        for array in (dist.cells, p, n, cell_devs):
+        assert type(se_floats) is tuple and se_floats == tuple(se.tolist())
+        for array in (dist.cells, p, n, se, cell_devs):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
 
@@ -424,7 +429,8 @@ class TestClosedFormRoot:
     def test_deviations_sum_to_zero_in_each_arm(self):
         smoothed = set()
         for counts in self.tables():
-            arms, cell_devs = _simulation(tuple(counts.tolist()), 5, 2000)[3:]
+            memo = _simulation(tuple(counts.tolist()), 5, 2000)
+            arms, cell_devs = memo[3], memo[-1]
             smoothed.add(arms)
             assert cell_devs.shape == (8, 2000) and cell_devs.flags.c_contiguous
             # An arm's frequencies sum to 1, so its deviations sum to 0, up to rounding on the arm's scale.
@@ -590,6 +596,98 @@ class TestPlainReference:
                     zero_variance += bool(got.lower_diagnostics.zero_variance + got.upper_diagnostics.zero_variance)
         assert {(), (0,), (1,), (0, 1)} <= smoothed
         assert zero_variance > 0
+
+
+def numpy_cell_probabilities(counts, smooth):
+    """``_cell_probabilities`` in numpy on the int64 counts: ``np.where`` over both arms' quotients."""
+    arms = np.asarray(counts, dtype=np.int64).reshape(2, 4)
+    n = arms.sum(axis=1, keepdims=True)
+    smoothed = (arms == 0).any(axis=1) & smooth
+    p = np.where(smoothed[:, None], (arms + 0.5) / (n + 2.0), arms / n)
+    return p.ravel(), np.repeat(n, 4), tuple(np.flatnonzero(smoothed).tolist())
+
+
+def spec_standard_errors(counts, spec):
+    """The spec's standard errors formed on its own slice of ``_ROWS``: cell-order sums on each arm."""
+    table = _spec_table(spec)
+    rows = _ROWS[table.start : table.stop]
+    p, n, _ = numpy_cell_probabilities(counts, smooth=True)
+    arm_means = np.cumsum((rows * p).reshape(-1, 4), axis=1)[:, -1].reshape(-1, 2)
+    return np.sqrt(np.cumsum(p * (rows - np.repeat(arm_means, 4, axis=1)) ** 2 / n, axis=1)[:, -1])
+
+
+class TestMemoStandardErrors:
+    """The simulation's standard errors of all of ``_ROWS`` are each spec's own, and so is every result."""
+
+    def test_every_spec_slice_equals_its_own_formula(self):
+        zero_variance = 0
+        for counts in TestPlainReference.tables():
+            _, _, _, _, se, se_floats, _ = _simulation(tuple(counts.tolist()), 0, 100)
+            assert se.shape == (len(_ROWS),) and se_floats == tuple(se.tolist())
+            for spec in ALL_SPECS:
+                table = _spec_table(spec)
+                assert se[table.start : table.stop].tobytes() == spec_standard_errors(counts, spec).tobytes()
+            zero_variance += bool((se <= _ZERO_SE_TOL).any())
+        assert zero_variance > 0
+
+    def test_spec_order_and_eviction_change_no_result(self):
+        config = InferenceConfig(alpha=0.1, draws=777, seed=34)
+        other = TestSharedSimulation.OTHER
+        for counts in TestPlainReference.tables():
+            want = [repr(cold(counts, spec, config)) for spec in ALL_SPECS]
+            forward = [repr(clr_bounds(counts, spec, config)) for spec in ALL_SPECS]
+            reverse = [repr(clr_bounds(counts, spec, config)) for spec in ALL_SPECS[::-1]][::-1]
+            evicted = []
+            for spec in ALL_SPECS:  # a call on another table replaces the memo before each call
+                clr_bounds(other, spec, config)
+                evicted.append(repr(clr_bounds(counts, spec, config)))
+            assert forward == reverse == evicted == want, counts
+
+
+def numpy_difference_of_means(counts, ones, alpha):
+    """``ate_test`` (``ones`` = [2, 3]) and ``iot_test`` ([1, 3]) with numpy sums and ``np.sqrt``."""
+    counts = np.asarray(counts, dtype=np.int64)
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    n0, n1 = int(counts[:4].sum()), int(counts[4:].sum())
+    k0, k1 = counts.reshape(2, 4)[:, ones].sum(axis=1).tolist()
+    p1, p0 = k1 / n1, k0 / n0
+    se = float(np.sqrt(p1 * (1 - p1) / n1 + p0 * (1 - p0) / n0))
+    est = float(p1 - p0)
+    return WaldResult(estimate=est, se=se, ci=(est - z * se, est + z * se))
+
+
+class TestWaldReference:
+    """The Wald tests and the cell probabilities in Python arithmetic equal their numpy forms, bit for bit."""
+
+    @staticmethod
+    def tables():
+        """Seeded small tables, the plain-reference tables, and totals up to 2**53, some with an empty cell."""
+        rng = make_rng(3401)
+        tables = random_tables(rng, 60) + TestPlainReference.tables()
+        tables += [rng.integers(2**49, 2**50, size=8) for _ in range(20)]
+        for _ in range(20):
+            table = rng.integers(2**49, 2**50, size=8)
+            table[rng.integers(0, 8)] = 0
+            tables.append(table)
+        tables += [np.array([2**52 - 3, 1, 1, 1, 2**52 - 5, 2, 2, 1]), np.array([2**52, 0, 0, 0, 2**52 - 3, 0, 1, 2])]
+        return [t for t in tables if t[:4].sum() >= 2 and t[4:].sum() >= 2]
+
+    def test_wald_tests_equal_the_numpy_formula(self):
+        for i, counts in enumerate(self.tables()):
+            config = InferenceConfig(alpha=(0.05, 0.1, 0.32)[i % 3])
+            assert repr(ate_test(counts, config)) == repr(numpy_difference_of_means(counts, [2, 3], config.alpha))
+            assert repr(iot_test(counts, config)) == repr(numpy_difference_of_means(counts, [1, 3], config.alpha))
+
+    def test_cell_probabilities_equal_the_numpy_form(self):
+        smoothed = set()
+        for counts in self.tables():
+            for smooth in (True, False):
+                p, n, arms = _cell_probabilities(counts.tolist(), smooth=smooth)
+                want_p, want_n, want_arms = numpy_cell_probabilities(counts, smooth)
+                assert (p.dtype, n.dtype) == (want_p.dtype, want_n.dtype) == (np.float64, np.int64)
+                assert p.tobytes() == want_p.tobytes() and n.tobytes() == want_n.tobytes() and arms == want_arms
+                smoothed.add(arms)
+        assert {(), (0,), (1,), (0, 1)} <= smoothed
 
 
 class TestIntervalEstimation:
