@@ -637,10 +637,11 @@ class TestMemoStandardErrors:
             want = [repr(cold(counts, spec, config)) for spec in ALL_SPECS]
             forward = [repr(clr_bounds(counts, spec, config)) for spec in ALL_SPECS]
             reverse = [repr(clr_bounds(counts, spec, config)) for spec in ALL_SPECS[::-1]][::-1]
-            evicted = []
+            evicted, misses = [], _simulation.cache_info().misses
             for spec in ALL_SPECS:  # a call on another table replaces the memo before each call
                 clr_bounds(other, spec, config)
                 evicted.append(repr(clr_bounds(counts, spec, config)))
+            assert _simulation.cache_info().misses == misses + 2 * len(ALL_SPECS)
             assert forward == reverse == evicted == want, counts
 
 
