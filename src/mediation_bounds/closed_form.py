@@ -294,15 +294,8 @@ def anie_bounds(dist: ObservedDistribution, spec: EstimandSpec) -> BoundsResult:
             "interval reported as computed and may be empty",
         )
     return BoundsResult(
-        lower=lower,
-        upper=upper,
-        binding_lower=binding_lower,
-        binding_upper=binding_upper,
-        spec=spec,
-        method=Method.CLOSED_FORM,
-        incompatible=incompatible,
-        diagnostics=diagnostics,
-        fingerprint=dist.fingerprint(),
+        lower, upper, binding_lower, binding_upper, spec, Method.CLOSED_FORM, "anie", incompatible, diagnostics,
+        dist._fingerprint,
     )
 
 
@@ -347,6 +340,10 @@ def bounds_mmr_pos_mediator(dist: ObservedDistribution, reference: int = 1) -> B
     return anie_bounds(dist, _prebuilt(_POS_MEDIATOR_SPECS, reference))
 
 
+# ``ande_bounds``' spec for every (reference, assumptions, sign), each sign kept even where it is not read.
+_ANDE_SPECS = {(r, a, s): EstimandSpec(r, a, s) for r in (0, 1) for a in Assumptions for s in (1, -1)}
+
+
 def ande_bounds(dist: ObservedDistribution, reference: int, anie: BoundsResult) -> BoundsResult:
     """Bounds on the natural direct effect zeta(reference) = ATE - delta(1 - reference).
 
@@ -360,23 +357,14 @@ def ande_bounds(dist: ObservedDistribution, reference: int, anie: BoundsResult) 
         raise ConsistencyError(
             f"zeta({reference}) needs delta({1 - reference}) bounds, got delta({anie.spec.reference})"
         )
-    if anie.fingerprint is None or anie.fingerprint != dist.fingerprint():
+    fingerprint = dist._fingerprint
+    if anie.fingerprint is None or anie.fingerprint != fingerprint:
         raise ConsistencyError("ANIE result was computed from a different distribution")
     tau = ate(dist)
-    spec = EstimandSpec(
-        reference=reference,
-        assumptions=anie.spec.assumptions,
-        mediator_effect_sign=anie.spec.mediator_effect_sign,
-    )
+    key = (reference, anie.spec.assumptions, anie.spec.mediator_effect_sign)
+    # A plain int reference is 0 or 1 here; any other type goes through ``EstimandSpec``'s check.
+    spec = _ANDE_SPECS[key] if type(reference) is int else EstimandSpec(*key)
     return BoundsResult(
-        lower=_clamp(tau - anie.upper),
-        upper=_clamp(tau - anie.lower),
-        binding_lower=anie.binding_upper,
-        binding_upper=anie.binding_lower,
-        spec=spec,
-        method=anie.method,
-        estimand="ande",
-        incompatible=anie.incompatible,
-        diagnostics=anie.diagnostics,
-        fingerprint=dist.fingerprint(),
+        _clamp(tau - anie.upper), _clamp(tau - anie.lower), anie.binding_upper, anie.binding_lower, spec,
+        anie.method, "ande", anie.incompatible, anie.diagnostics, fingerprint,
     )

@@ -101,7 +101,7 @@ class StrataDistribution16:
     reference: int
 
     def __post_init__(self) -> None:
-        arr = _checked_masses(self.psi, (16,), "stratum masses", -FEAS_TOL, np.inf, 1, FEAS_TOL)
+        arr, _ = _checked_masses(self.psi, (16,), "stratum masses", -FEAS_TOL, np.inf, 1, FEAS_TOL)
         (reference,) = _checked_ints("reference must be an integer", self.reference)
         if reference not in (0, 1):
             raise ValidationError(f"reference must be 0 or 1, got {reference}")

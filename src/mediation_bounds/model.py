@@ -113,8 +113,11 @@ class ObservedDistribution:
     as Python ints; both are 0 for analytically constructed distributions
     that have no sampling interpretation.  ``counts`` holds the eight cell
     counts, as Python ints, of a distribution built by :func:`from_counts`,
-    and is None otherwise; it is not part of equality or the fingerprint,
-    which is computed once, at construction.
+    and is None otherwise; it is not part of equality or the fingerprint.
+    The fingerprint is kept from construction: the eight cells as the Python
+    floats the probability check read, then n1 and n0.  Equality compares
+    it, and the accessors add its floats (one float64 addition has the same
+    bits in Python as in numpy).
     """
 
     cells: np.ndarray
@@ -123,7 +126,7 @@ class ObservedDistribution:
     counts: tuple[int, ...] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cells = _checked_masses(self.cells, (8,), "cell probabilities", 0.0, 1.0, 2, SIMPLEX_TOL)
+        cells, values = _checked_masses(self.cells, (8,), "cell probabilities", 0.0, 1.0, 2, SIMPLEX_TOL)
         n1, n0 = _checked_ints("arm sizes n1 and n0 must be integers", self.n1, self.n0)
         if n1 < 0 or n0 < 0:
             raise ValidationError(f"arm sizes must be nonnegative, got n1={n1}, n0={n0}")
@@ -131,19 +134,15 @@ class ObservedDistribution:
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "_fingerprint", tuple(cells.tolist()) + (n1, n0))
+        object.__setattr__(self, "_fingerprint", (*values, n1, n0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservedDistribution):
             return NotImplemented
-        return (
-            self.n1 == other.n1
-            and self.n0 == other.n0
-            and bool(np.array_equal(self.cells, other.cells))
-        )
+        return self._fingerprint == other._fingerprint
 
     def prob(self, y: int, m: int, a: int) -> float:
-        return float(self.cells[4 * a + 2 * y + m])
+        return self._fingerprint[4 * a + 2 * y + m]
 
     def arm(self, a: int) -> np.ndarray:
         """Cell probabilities (p00, p01, p10, p11) for arm ``a``, ym-major order; read-only."""
@@ -151,11 +150,13 @@ class ObservedDistribution:
 
     def mediator_margin(self, a: int) -> float:
         """P(M = 1 | A = a)."""
-        return float(self.cells[4 * a + 1] + self.cells[4 * a + 3])
+        f = self._fingerprint
+        return f[4 * a + 1] + f[4 * a + 3]
 
     def outcome_mean(self, a: int) -> float:
         """E[Y | A = a]."""
-        return float(self.cells[4 * a + 2] + self.cells[4 * a + 3])
+        f = self._fingerprint
+        return f[4 * a + 2] + f[4 * a + 3]
 
     def fingerprint(self) -> tuple:
         """Hashable identity used to guard against mixing results across distributions."""
@@ -181,20 +182,30 @@ def _checked_ints(message: str, *values) -> tuple[int, ...]:
     raise ValidationError(f"{message}, got {values[0] if len(values) == 1 else values!r}")
 
 
-def _checked_masses(values, shape, name, floor, ceiling, parts, tol) -> np.ndarray:
-    """``values`` as a new float array of ``shape``: the one check of every probability vector.
+def _checked_masses(values, shape, name, floor, ceiling, parts, tol) -> tuple[np.ndarray, list[float]]:
+    """``values`` as a new float array of ``shape``, and its entries as Python floats in index order.
 
-    Entries lie in [``floor``, ``ceiling``] and each of ``parts`` equal slices sums to 1 within ``tol``; NaN fails.
+    The one check of every probability vector: entries lie in [``floor``,
+    ``ceiling``] (a chained comparison, so NaN fails) and each of ``parts``
+    equal slices, added in index order from 0.0, sums to 1 within ``tol``.
     """
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not (arr.min() >= floor and arr.max() <= ceiling):
-        raise ValidationError(f"{name} must lie in [{floor}, {ceiling}], got {arr.min()} to {arr.max()}")
-    sums = arr.reshape(parts, -1).sum(axis=1)
-    if not np.all(np.abs(sums - 1.0) <= tol):
-        raise ValidationError(f"{name} must sum to 1 within {tol}, got sums {sums.tolist()}")
-    return arr
+    vals = arr.ravel().tolist()
+    for v in vals:
+        if not floor <= v <= ceiling:
+            raise ValidationError(f"{name} must lie in [{floor}, {ceiling}], got {arr.min()} to {arr.max()}")
+    size, sums = len(vals) // parts, []
+    for start in range(0, len(vals), size):
+        total = 0.0  # not sum(), which compensates from Python 3.12 on
+        for v in vals[start : start + size]:
+            total += v
+        sums.append(total)
+    for total in sums:
+        if not abs(total - 1.0) <= tol:
+            raise ValidationError(f"{name} must sum to 1 within {tol}, got sums {sums}")
+    return arr, vals
 
 
 def _checked_counts(counts) -> list[int]:
@@ -377,10 +388,10 @@ class BoundsResult:
     def __post_init__(self) -> None:
         if self.estimand not in ("anie", "ande"):
             raise ValidationError(f"estimand must be 'anie' or 'ande', got {self.estimand!r}")
-        for name in ("lower", "upper"):
-            v = getattr(self, name)
-            if not (-1.0 - ORDER_TOL <= v <= 1.0 + ORDER_TOL):
-                raise ValidationError(f"{name}={v!r} outside [-1, 1]")
+        if not -1.0 - ORDER_TOL <= self.lower <= 1.0 + ORDER_TOL:
+            raise ValidationError(f"lower={self.lower!r} outside [-1, 1]")
+        if not -1.0 - ORDER_TOL <= self.upper <= 1.0 + ORDER_TOL:
+            raise ValidationError(f"upper={self.upper!r} outside [-1, 1]")
         if not self.incompatible:
             if self.lower > self.upper + ORDER_TOL:
                 raise ValidationError(

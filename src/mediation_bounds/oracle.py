@@ -65,7 +65,7 @@ class FullPopulation64:
     q: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _checked_masses(self.q, (2,) * 6, "population masses", 0.0, np.inf, 1, SIMPLEX_TOL)
+        arr, _ = _checked_masses(self.q, (2,) * 6, "population masses", 0.0, np.inf, 1, SIMPLEX_TOL)
         arr.flags.writeable = False
         object.__setattr__(self, "q", arr)
 

@@ -555,6 +555,66 @@ class TestDirectEffect:
         with pytest.raises(ConsistencyError):
             ande_bounds(e1_dist, 1, zeta0)
 
+    @staticmethod
+    def constructed_ande(dist, reference, anie):
+        """The direct effect with its spec built by ``EstimandSpec(...)`` and the ATE read from numpy cells."""
+        cells = dist.cells
+        tau = float(cells[6] + cells[7]) - float(cells[2] + cells[3])
+        spec = EstimandSpec(
+            reference=reference,
+            assumptions=anie.spec.assumptions,
+            mediator_effect_sign=anie.spec.mediator_effect_sign,
+        )
+        return BoundsResult(
+            lower=min(1.0, max(-1.0, tau - anie.upper)),
+            upper=min(1.0, max(-1.0, tau - anie.lower)),
+            binding_lower=anie.binding_upper,
+            binding_upper=anie.binding_lower,
+            spec=spec,
+            method=anie.method,
+            estimand="ande",
+            incompatible=anie.incompatible,
+            diagnostics=anie.diagnostics,
+            fingerprint=dist.fingerprint(),
+        )
+
+    def test_looked_up_spec_matches_the_constructed_one(self):
+        # Every spec, and none / mmr specs that carry sign -1, which the
+        # direct effect keeps; count tables (incompatible ones among them)
+        # and probability distributions.
+        specs = ALL_SPECS + [EstimandSpec(r, a, -1) for a in (Assumptions.NONE, Assumptions.MMR) for r in (0, 1)]
+        rng = make_rng(3404)
+        dists = [from_counts(row) for row in rng.integers(0, 30, size=(60, 8)).tolist() if sum(row[:4]) and sum(row[4:])]
+        dists += [random_dist(rng) for _ in range(40)] + [from_probabilities([-0.0, 0.5, 0.5, -0.0], [0.0, 0.5, 0.5, 0.0])]
+        incompatible = 0
+        for dist in dists:
+            for spec in specs:
+                anie = anie_bounds(dist, spec)
+                incompatible += anie.incompatible
+                for reference in (1 - spec.reference, np.int64(1 - spec.reference)):
+                    res, expected = ande_bounds(dist, reference, anie), self.constructed_ande(dist, reference, anie)
+                    assert repr(res) == repr(expected)
+                    assert res == expected and res.fingerprint == expected.fingerprint
+                    assert res.spec == expected.spec and res.spec.mediator_effect_sign == spec.mediator_effect_sign
+                    assert type(res.spec.reference) is int and type(res.spec.mediator_effect_sign) is int
+        assert 0 < incompatible < len(dists) * len(specs)
+
+    @pytest.mark.parametrize("reference", [True, 1.0, np.float64(1)])
+    def test_non_integer_reference_refused_as_the_spec_refuses_it(self, e1_dist, reference):
+        anie = anie_bounds(e1_dist, EstimandSpec(0, Assumptions.MMR))
+        with pytest.raises(ValidationError, match="must be integers"):
+            ande_bounds(e1_dist, reference, anie)
+
+    def test_consistency_messages(self, e1_dist, uniform_dist):
+        anie = anie_bounds(e1_dist, EstimandSpec(1))
+        zeta0 = ande_bounds(e1_dist, 0, anie)
+        with pytest.raises(ConsistencyError, match="^expected an ANIE result, got estimand='ande'$"):
+            ande_bounds(e1_dist, 1, zeta0)
+        with pytest.raises(ConsistencyError, match=r"^zeta\(1\) needs delta\(0\) bounds, got delta\(1\)$"):
+            ande_bounds(e1_dist, 1, anie)
+        with pytest.raises(ConsistencyError, match="^ANIE result was computed from a different distribution$"):
+            ande_bounds(uniform_dist, 0, anie)
+
     def test_decomposition_identity(self):
         rng = make_rng(41)
         for _ in range(100):

@@ -1,6 +1,7 @@
 """Construction, validation, and point identities of the observed-data model."""
 
 import ast
+import re
 import tokenize
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from mediation_bounds import (
     from_units,
 )
 from mediation_bounds.lp_engine import StrataDistribution16
-from mediation_bounds.model import MAX_TOTAL, as_cell_counts, cell_counts
+from mediation_bounds.model import MAX_TOTAL, SIMPLEX_TOL, _checked_masses, as_cell_counts, cell_counts
 from mediation_bounds.oracle import FullPopulation64
 from conftest import make_rng, random_dist
 
@@ -284,6 +285,41 @@ class TestAccessors:
         assert bigger != uniform_dist
         assert uniform_dist != "not a distribution"
 
+    def test_accessors_have_the_bits_of_numpy_cell_sums(self):
+        # The accessors add the fingerprint's floats; one float64 addition
+        # has the same bits in Python as in numpy.
+        rng = make_rng(3403)
+        dists = [random_dist(rng) for _ in range(200)]
+        dists += [from_counts(row) for row in (rng.integers(0, 10 ** rng.integers(1, 7), size=(200, 8)) + 1).tolist()]
+        dists += [from_probabilities([-0.0, 0.5, -0.0, 0.5], [0.5, -0.0, 0.5, -0.0]), from_counts([0, 3, 0, 1, 2, 0, 2, 0])]
+        dists.append(from_probabilities([0.5, 0.5, -0.0, -0.0], [-0.0, 0.5, 0.0, 0.5]))  # sums of -0.0 cells
+        for dist in dists:
+            cells = dist.cells
+            for a in (0, 1):
+                for y in (0, 1):
+                    for m in (0, 1):
+                        assert _float_bits([dist.prob(y, m, a)]) == _float_bits([float(cells[4 * a + 2 * y + m])])
+                margin, mean = float(cells[4 * a + 1] + cells[4 * a + 3]), float(cells[4 * a + 2] + cells[4 * a + 3])
+                assert _float_bits([dist.mediator_margin(a), dist.outcome_mean(a)]) == _float_bits([margin, mean])
+            expected_ate = float(cells[6] + cells[7]) - float(cells[2] + cells[3])
+            expected_atm = float(cells[5] + cells[7]) - float(cells[1] + cells[3])
+            assert _float_bits([ate(dist), atm(dist)]) == _float_bits([expected_ate, expected_atm])
+            assert all(type(v) is float for v in (dist.prob(0, 0, 0), dist.mediator_margin(0), ate(dist)))
+
+    def test_equality_compares_cells_and_arm_sizes(self):
+        cells = np.full(8, 0.25)
+        assert ObservedDistribution(cells, n1=4, n0=4) == ObservedDistribution(cells, n1=4, n0=4)
+        assert ObservedDistribution(cells, n1=4, n0=4) != ObservedDistribution(cells, n1=4, n0=5)
+        assert ObservedDistribution(cells, n1=5, n0=4) != ObservedDistribution(cells, n1=4, n0=5)
+        assert ObservedDistribution(cells) != ObservedDistribution(cells, n1=4, n0=4)
+        # -0.0 == 0.0, as in np.array_equal: the cells are equal though their bits differ.
+        signed = from_probabilities([-0.0, 0.5, 0.0, 0.5], [0.5, 0.5, -0.0, -0.0])
+        unsigned = from_probabilities([0.0, 0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0])
+        assert _float_bits(signed.cells) != _float_bits(unsigned.cells)
+        assert signed == unsigned and not signed != unsigned
+        assert signed.fingerprint() == unsigned.fingerprint()
+        assert from_probabilities([0.0, 0.5, 0.0, 0.5], [0.5, 0.5, 0.0, 0.0]) != from_probabilities([0.5] * 2 + [0.0] * 2, [0.5, 0.5, 0.0, 0.0])
+
     def test_fingerprint_distinguishes(self, uniform_dist, e1_dist):
         assert uniform_dist.fingerprint() == from_counts([25] * 8).fingerprint()
         assert uniform_dist.fingerprint() != e1_dist.fingerprint()
@@ -294,6 +330,105 @@ class TestAccessors:
         dist = random_dist(make_rng(seed))
         assert -1.0 <= ate(dist) <= 1.0
         assert -1.0 <= atm(dist) <= 1.0
+
+
+def _float_bits(values) -> list[str]:
+    """Each value's exact bits: ``float.hex`` tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+def _numpy_checked_masses(values, shape, name, floor, ceiling, parts, tol) -> np.ndarray:
+    """The probability check as numpy reductions: the reference for ``model._checked_masses``."""
+    arr = np.array(values, dtype=float)
+    if arr.shape != shape:
+        raise ValidationError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not (arr.min() >= floor and arr.max() <= ceiling):
+        raise ValidationError(f"{name} must lie in [{floor}, {ceiling}], got {arr.min()} to {arr.max()}")
+    sums = arr.reshape(parts, -1).sum(axis=1)
+    if not np.all(np.abs(sums - 1.0) <= tol):
+        raise ValidationError(f"{name} must sum to 1 within {tol}, got sums {sums.tolist()}")
+    return arr
+
+
+class TestProbabilityCheckReference:
+    """On eight cells the Python-float check gives the numpy reference's verdict, message and bits."""
+
+    ARGS = ((8,), "cell probabilities", 0.0, 1.0, 2, SIMPLEX_TOL)
+
+    @classmethod
+    def verdict(cls, check, cells):
+        try:
+            out = check(cells, *cls.ARGS)
+        except ValidationError as exc:
+            return "refused", str(exc)
+        return "accepted", _float_bits((out[0] if isinstance(out, tuple) else out).tolist())
+
+    @classmethod
+    def assert_same_verdicts(cls, vectors) -> set[str]:
+        verdicts = set()
+        for cells in vectors:
+            expected = cls.verdict(_numpy_checked_masses, cells)
+            assert cls.verdict(_checked_masses, cells) == expected, cells
+            if expected[0] == "accepted":
+                arr, values = _checked_masses(cells, *cls.ARGS)
+                assert _float_bits(values) == _float_bits(arr.tolist())
+                assert ObservedDistribution(cells).fingerprint() == (*values, 0, 0)
+            else:
+                with pytest.raises(ValidationError, match=re.escape(expected[1])):
+                    ObservedDistribution(cells)
+            verdicts.add(expected[0])
+        return verdicts
+
+    def test_seeded_valid_vectors(self):
+        rng = make_rng(3401)
+        vectors = [np.concatenate(rng.dirichlet(np.ones(4), size=2)) for _ in range(300)]
+        counts = rng.integers(0, 10**6, size=(300, 8))
+        counts[:, [0, 4]] += 1
+        vectors += [[c / sum(row[:4]) for c in row[:4]] + [c / sum(row[4:]) for c in row[4:]] for row in counts.tolist()]
+        assert self.assert_same_verdicts(vectors) == {"accepted"}
+
+    def test_arm_sums_at_and_beyond_the_tolerance(self):
+        # The last cell of an arm is stepped ulp by ulp across each edge of
+        # 1 +- SIMPLEX_TOL, so both verdicts occur on both sides.
+        rng = make_rng(3402)
+        vectors = []
+        for _ in range(40):
+            head = rng.dirichlet(np.ones(4))[:3] * 0.9
+            for target in (1.0 - SIMPLEX_TOL, 1.0 + SIMPLEX_TOL):
+                last = target - head.sum()
+                for steps in range(-4, 5):
+                    cell = last
+                    for _ in range(abs(steps)):
+                        cell = np.nextafter(cell, np.inf if steps > 0 else -np.inf)
+                    arm = [*head.tolist(), float(cell)]
+                    vectors += [arm + [0.25] * 4, [0.25] * 4 + arm]
+        assert self.assert_same_verdicts(vectors) == {"accepted", "refused"}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -0.25, np.nextafter(1.0, 2.0)])
+    def test_bad_entry_at_each_index(self, bad):
+        vectors = []
+        for i in range(8):
+            cells = [0.25] * 8
+            cells[i] = bad
+            vectors.append(cells)
+            onehot = [0.0, 0.0, 0.0, 1.0] * 2
+            onehot[i] = bad
+            vectors.append(onehot)
+        assert self.assert_same_verdicts(vectors) == {"refused"}
+
+    def test_negative_zero_entries(self):
+        vectors = []
+        for i in range(8):
+            cells = [0.0, 0.5, 0.0, 0.5] * 2
+            cells[i] = -0.0 if cells[i] == 0.0 else cells[i]
+            vectors.append(cells)
+        vectors += [[-0.0, -0.0, -0.0, 1.0] * 2, [-0.0] * 4 + [0.25] * 4, [-0.0] * 8, [0.25] * 4 + [-0.0, 0.0, -0.0, -0.0]]
+        assert self.assert_same_verdicts(vectors) == {"accepted", "refused"}
+        # numpy's sum starts from 0.0, so an arm of -0.0 sums to 0.0 in both.
+        assert self.verdict(_checked_masses, [-0.0] * 8)[1].endswith("got sums [0.0, 0.0]")
+
+    def test_shapes(self):
+        assert self.assert_same_verdicts([[0.25] * 7, [[0.25] * 4] * 2, 0.5, [0.25] * 9]) == {"refused"}
 
 
 class TestSpecAndResult:
@@ -348,13 +483,15 @@ class TestSpecAndResult:
                 spec=EstimandSpec(reference=1), method=Method.CLOSED_FORM, estimand="x",
             )
 
-    def test_result_range_check(self):
+    @pytest.mark.parametrize("lower, upper, message", [
+        (-1.5, 0.5, "lower=-1.5"), (float("nan"), 0.5, "lower=nan"), (1.5, 2.0, "lower=1.5"),
+        (-0.5, 1.5, "upper=1.5"), (-0.5, float("nan"), "upper=nan"), (-0.5, -1 - 2e-9, "upper=-1.000000002"),
+    ])
+    def test_result_range_check(self, lower, upper, message):
         spec = EstimandSpec(reference=1)
-        with pytest.raises(ValidationError):
-            BoundsResult(
-                lower=-1.5, upper=0.5, binding_lower=0, binding_upper=0,
-                spec=spec, method=Method.CLOSED_FORM,
-            )
+        with pytest.raises(ValidationError, match=rf"^{re.escape(message)} outside \[-1, 1\]$"):
+            BoundsResult(lower, upper, 0, 0, spec, Method.CLOSED_FORM, "anie", True)
+        BoundsResult(-1 - 1e-9, 1 + 1e-9, 0, 0, spec, Method.CLOSED_FORM)  # within ORDER_TOL
 
     def test_contains_and_width(self):
         spec = EstimandSpec(reference=1, assumptions=Assumptions.MMR)
